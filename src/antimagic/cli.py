@@ -3,8 +3,8 @@
 Subcommands: ``label`` (construct and write a labelling), ``verify``
 (check a labelling file against a graph file), ``generate`` (write a
 corpus of instances), ``stress`` (generate-label-verify loop with a
-per-regime table), ``explain`` (print decomposition, regime, and
-property margins).
+per-regime table), ``explain`` (print decomposition, regime, and the
+gap margins of the final sums).
 
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
 error; 3 hypothesis unmet with no fallback success; 4 proof violation.
@@ -30,9 +30,14 @@ from .errors import (
 )
 from .fileio import emit_graph, emit_labelling, parse_graph, parse_labelling
 from .generator import TARGETS, gen_instance, min_feasible_n
-from .graph import Regime, classify_regime, decompose
+from .graph import Regime, decompose, degenerate_index
 from .pipeline import label, outcome_trace
-from .verification import recompute_sums, verify_antimagic, verify_bijection
+from .verification import (
+    margins,
+    recompute_sums,
+    verify_antimagic,
+    verify_bijection,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -151,27 +156,24 @@ def cmd_explain(args) -> int:
     print(f"n = {g.n}, m = {g.m}, max degree = {g.max_degree()}, "
           f"7n = {7 * g.n}")
     d = decompose(g)
-    regime = classify_regime(g, d)
     print(f"root r = {d.r}; u-triple = {d.u}; d' = {d.d_prime}; "
           f"triple edges = {d.triple_edges or 'none'}")
-    print(f"regime = {regime.value}")
-    low = [k for k, dp in enumerate(d.d_prime, start=1) if dp <= 3]
-    if low:
-        print(f"degenerate index i = {low[0]}")
     outcome = label(g, seed=args.seed)
+    print(f"regime = {outcome.regime.value}")
+    i = degenerate_index(d)
+    if i is not None:
+        print(f"degenerate index i = {i}")
     sums = recompute_sums(g, outcome.labelling)
+    gaps = margins(g, d, sums)
     u1, u2, u3 = d.u
-    h_sums = sorted(sums[v] for v in d.h_vertices)
     print(f"status = {outcome.status}")
     print(f"sums: r = {sums[d.r]}, u1 = {sums[u1]}, u2 = {sums[u2]}, "
           f"u3 = {sums[u3]}")
-    print(f"margins: u3->u2 {sums[u2] - sums[u3]}, "
-          f"u2->u1 {sums[u1] - sums[u2]}, "
-          f"root {min(sums[d.r] - sums[x] for x in range(1, g.n + 1) if x != d.r)}, "
-          f"H spacing {min((b - a for a, b in zip(h_sums, h_sums[1:])), default=0)}")
-    if regime == Regime.DEGEN_I1:
+    print(f"margins: u3->u2 {gaps['u3_u2']}, u2->u1 {gaps['u2_u1']}, "
+          f"root {gaps['root_margin']}, H spacing {gaps['h_min_gap']}")
+    if outcome.regime == Regime.DEGEN_I1:
         print(f"i=1 bounds: sum(u1) = {sums[u1]} <= 38, "
-              f"min H sum = {h_sums[0]} >= 101")
+              f"min H sum = {min(sums[v] for v in d.h_vertices)} >= 101")
     if outcome.resolution is not None:
         tr = outcome.resolution
         print(f"resolution: case {tr.case}, plans tried {tr.plans_tried}, "

@@ -31,17 +31,12 @@ from .graph import Graph
 class EdgeColouring:
     """Partition of an edge subset into proper colour classes.
 
-    ``classes[i]`` holds the edge ids of colour i; ``colour_of`` is the
-    inverse map.  Classes may be empty (padding keeps index arithmetic
-    simple for interval assignment).
+    ``classes[i]`` holds the edge ids of colour i.  Classes may be empty
+    (padding keeps index arithmetic simple for interval assignment).
     """
 
     graph: Graph
     classes: tuple[tuple[int, ...], ...]
-
-    @property
-    def colour_of(self) -> dict[int, int]:
-        return {e: i for i, cls in enumerate(self.classes) for e in cls}
 
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
@@ -149,14 +144,12 @@ class _Palette:
             self.assign(e, c)
         return cur
 
-    def to_classes(self, drop_empty: bool = True) -> tuple[tuple[int, ...], ...]:
+    def to_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The non-empty colour classes, each sorted, in colour order."""
         buckets: list[list[int]] = [[] for _ in range(self.k)]
         for e, c in self.colour_of.items():
             buckets[c].append(e)
-        out = [tuple(sorted(b)) for b in buckets]
-        if drop_empty:
-            out = [c for c in out if c]
-        return tuple(out)
+        return tuple(tuple(sorted(b)) for b in buckets if b)
 
 
 def koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:

@@ -25,7 +25,7 @@ from .errors import (
     NotUniversalVertex,
     ProofViolation,
 )
-from .graph import Graph, InstanceDecomposition, Regime
+from .graph import Graph, InstanceDecomposition, Regime, degenerate_index
 from .labelling import Labelling
 
 
@@ -63,14 +63,6 @@ def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[tuple[int, int]
     return out
 
 
-def _r_edge_of(g: Graph, d: InstanceDecomposition) -> dict[int, int]:
-    return {g.other_end(e, d.r): e for e in d.e1}
-
-
-def _sigma_sorted_h(lab: Labelling, d: InstanceDecomposition) -> list[int]:
-    return sorted(d.h_vertices, key=lambda v: (lab.sums[v], v))
-
-
 def _build_offset_maps(g: Graph, d: InstanceDecomposition, lab: Labelling):
     m = g.m
     u_set = set(d.u)
@@ -104,21 +96,40 @@ def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     return lab
 
 
-def _finish_with_root_edges(g: Graph, d: InstanceDecomposition, lab: Labelling,
-                            e1_labels_ascending: list[int]) -> list[int]:
-    """Sort H by partial sum and assign the reserved root labels in the
-    same increasing order.  Returns the sorted H list."""
-    h_sorted = _sigma_sorted_h(lab, d)
-    r_edge = _r_edge_of(g, d)
-    assert len(e1_labels_ascending) == len(h_sorted)
-    for v, lbl in zip(h_sorted, e1_labels_ascending):
-        lab.assign(r_edge[v], lbl)
-    return h_sorted
-
-
 def _check(condition: bool, message: str, g: Graph, **details) -> None:
     if not condition:
         raise ProofViolation(message, reproducer=_reproducer(g), details=details)
+
+
+def _fill_rest_and_root(g: Graph, lab: Labelling, r: int, root_labels,
+                        rng=None) -> list[int]:
+    """Finish a partial labelling the way every stage 1 ends.
+
+    Every still-unlabelled edge away from r takes the free labels outside
+    ``root_labels`` in increasing order, the edges in ascending id (or
+    shuffled by ``rng``).  Then r's neighbours are sorted by (partial
+    sum, id) and their edges to r take ``root_labels`` in increasing
+    order, so the neighbours' final sums keep that order, spaced at least
+    as far apart as the root labels.  Returns the sorted neighbours.
+    """
+    roots = set(root_labels)
+    root_edge = {g.other_end(e, r): e for e in g.incident[r]}
+    at_root = set(g.incident[r])
+    rest = [e for e, lbl in enumerate(lab.label_of)
+            if lbl == 0 and e not in at_root]
+    if rng is not None:
+        rng.shuffle(rest)
+    free = [lbl for lbl, e in enumerate(lab.edge_with)
+            if e == -1 and lbl != 0 and lbl not in roots]
+    _check(len(free) == len(rest) and len(roots) == len(root_edge),
+           "label accounting is off", g, free=len(free), rest=len(rest),
+           root_labels=len(roots), root_edges=len(root_edge))
+    for e, lbl in zip(rest, free):
+        lab.assign(e, lbl)
+    order = sorted(root_edge, key=lambda v: (lab.sums[v], v))
+    for v, lbl in zip(order, sorted(roots)):
+        lab.assign(root_edge[v], lbl)
+    return order
 
 
 def _stage_checks(g: Graph, d: InstanceDecomposition, stage: StageOneResult) -> None:
@@ -195,31 +206,13 @@ def label_main(g: Graph, d: InstanceDecomposition,
             lab.assign(rest[0], base - 2)
             lab.assign(rest[1], base - 3)
         else:
-            chosen = sorted(cls)[:3]
-            for k, e in enumerate(chosen, start=1):
+            _check(len(cls) >= 3, f"class for interval {j} too small", g)
+            for k, e in enumerate(sorted(cls)[:3], start=1):
                 lab.assign(e, base - k)
 
-    # Remaining (small) labels to the remaining non-root edges.
-    leftovers = [e for e in d.e2 if lab.label_of[e] == 0]
-    if arbitrary_rng is not None:
-        arbitrary_rng.shuffle(leftovers)
-    else:
-        leftovers.sort()
-    small_labels = [lbl for lbl in range(1, m - 4 * (n - 5))
-                    if lab.edge_with[lbl] == -1]
-    assert len(small_labels) == len(leftovers), "label accounting is off"
-    for e, lbl in zip(leftovers, small_labels):
-        lab.assign(e, lbl)
-
-    h_sorted = _finish_with_root_edges(
-        g, d, lab, [m - 4 * k for k in range(n - 5, -1, -1)])
-
-    # The reserved block [m - 4(n-5), m] is exactly the root labels plus
-    # the interval labels; every root label must sit on a root edge.
-    for k in range(n - 4):
-        eid = lab.edge_with[m - 4 * k]
-        _check(d.r in g.edges[eid],
-               f"reserved root label m - {4 * k} is not on a root edge", g)
+    # The remaining (small) labels go to the remaining non-root edges.
+    h_sorted = _fill_rest_and_root(
+        g, lab, d.r, [m - 4 * k for k in range(n - 4)], arbitrary_rng)
 
     intervals = tuple(
         tuple(m - 4 * (j - 1) - k for k in (1, 2, 3)) for j in range(1, n - 4))
@@ -252,11 +245,7 @@ def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         for _, e in _h_edges(g, d, u):
             lab.assign(e, nxt)
             nxt += 1
-    hh = sorted(e for e in d.e2 if lab.label_of[e] == 0)
-    for e, lbl in zip(hh, range(nxt, m - (n - 4) + 1)):
-        lab.assign(e, lbl)
-    h_sorted = _finish_with_root_edges(
-        g, d, lab, list(range(m - (n - 4) + 1, m + 1)))
+    h_sorted = _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
 
     sums = lab.sums
     _check(sums[u1] <= 38, f"sum(u1) = {sums[u1]} > 38", g)
@@ -300,17 +289,8 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for (_, e), lbl in zip(_h_edges(g, d, u1), u1_labels):
         lab.assign(e, lbl)
 
-    r_labels = sorted([m - (2 * k + 1) for k in range(n - 5)]
-                      + [m - 2 * (n - 5) - 1])
-    reserved = set(r_labels)
-    avail = [lbl for lbl in range(1, m + 1)
-             if lab.edge_with[lbl] == -1 and lbl not in reserved]
-    rest = sorted(e for e in d.e2 if lab.label_of[e] == 0)
-    assert len(avail) == len(rest), "label accounting is off"
-    for e, lbl in zip(rest, avail):
-        lab.assign(e, lbl)
-
-    h_sorted = _finish_with_root_edges(g, d, lab, r_labels)
+    r_labels = [m - (2 * k + 1) for k in range(n - 5)] + [m - 2 * (n - 5) - 1]
+    h_sorted = _fill_rest_and_root(g, lab, d.r, r_labels)
 
     sums = lab.sums
     _check(sums[u3] < sums[u2] < 30,
@@ -392,16 +372,8 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                 lab.assign(cls[0], m - 1 - 3 * k)
                 lab.assign(cls[1], m - 2 - 3 * k)
 
-    r_labels = sorted(m - 3 * k for k in range(n - 4))
-    reserved = set(r_labels)
-    avail = [lbl for lbl in range(1, m + 1)
-             if lab.edge_with[lbl] == -1 and lbl not in reserved]
-    rest = sorted(e for e in d.e2 if lab.label_of[e] == 0)
-    assert len(avail) == len(rest), "label accounting is off"
-    for e, lbl in zip(rest, avail):
-        lab.assign(e, lbl)
-
-    h_sorted = _finish_with_root_edges(g, d, lab, r_labels)
+    h_sorted = _fill_rest_and_root(g, lab, d.r,
+                                   [m - 3 * k for k in range(n - 4)])
 
     sums = lab.sums
     _check(sums[u3] <= 18, f"sum(u3) = {sums[u3]} > 18", g)
@@ -421,14 +393,6 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     return stage
 
 
-def degenerate_index(d: InstanceDecomposition) -> int:
-    """min { j : d'(u_j) <= 3 }; raises if the triple is non-degenerate."""
-    for j, dp in enumerate(d.d_prime, start=1):
-        if dp <= 3:
-            return j
-    raise HypothesisViolated(f"d' = {d.d_prime} has no degenerate index")
-
-
 def label_disconnected(g: Graph, d: InstanceDecomposition,
                        regime: Regime) -> StageOneResult:
     """The two disconnected families.
@@ -436,15 +400,14 @@ def label_disconnected(g: Graph, d: InstanceDecomposition,
     With u3 isolated, the degenerate construction for i = min{j : d'(u_j)
     <= 3} applies verbatim.  When the triple is its own component (K3 or
     P3), it takes the smallest labels and the universal-vertex
-    construction labels H plus the root with the rest.
+    construction labels H plus the root with the rest.  The caller has
+    already rejected the shapes that cannot be antimagic.
     """
-    from .graph import has_isolated_edge, isolated_vertices
-    if has_isolated_edge(g) or len(isolated_vertices(g)) >= 2:
-        raise NotAntimagicShape(
-            "isolated edge or two isolated vertices: provably not antimagic")
-
     if regime == Regime.DISC_U3_ISOLATED:
         i = degenerate_index(d)
+        if i is None:
+            raise HypothesisViolated(
+                f"d' = {d.d_prime} has no degenerate index")
         builder = {1: label_case_i1, 2: label_case_i2, 3: label_case_i3}[i]
         return builder(g, d)
 
@@ -454,12 +417,7 @@ def label_disconnected(g: Graph, d: InstanceDecomposition,
         raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
     lab = Labelling(g)
     label_triple_edges(d, lab)
-    nxt = lab.assigned + 1
-    hh = sorted(e for e in d.e2 if lab.label_of[e] == 0)
-    for e, lbl in zip(hh, range(nxt, m - (n - 4) + 1)):
-        lab.assign(e, lbl)
-    h_sorted = _finish_with_root_edges(
-        g, d, lab, list(range(m - (n - 4) + 1, m + 1)))
+    h_sorted = _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
 
     y_map, w_map = _build_offset_maps(g, d, lab)
     stage = StageOneResult(lab, Regime.DISC_TRIPLE_COMPONENT, (),
@@ -482,17 +440,7 @@ def label_delta_n1(g: Graph, r: int) -> Labelling:
         raise NotAntimagicShape("a single edge has equal endpoint sums")
 
     lab = Labelling(g)
-    star = set(g.incident[r])
-    nxt = 1
-    for e in range(m):
-        if e not in star:
-            lab.assign(e, nxt)
-            nxt += 1
-    others = sorted((v for v in range(1, n + 1) if v != r),
-                    key=lambda v: (lab.sums[v], v))
-    for i, v in enumerate(others, start=1):
-        eid = next(e for e in g.incident[v] if e in star)
-        lab.assign(eid, m - (n - 1) + i)
+    _fill_rest_and_root(g, lab, r, range(m - (n - 1) + 1, m + 1))
 
     from .verification import verify_antimagic
     rep = verify_antimagic(g, lab)

@@ -121,13 +121,6 @@ class InstanceDecomposition:
     m_h: int
     h_set: frozenset[int] = field(repr=False)
 
-    def u_rank(self, v: int) -> int | None:
-        """1-based position of v in the u-triple, or None."""
-        for k, x in enumerate(self.u, start=1):
-            if x == v:
-                return k
-        return None
-
 
 def decompose(g: Graph) -> InstanceDecomposition:
     """Decompose a graph with maximum degree n - 4.
@@ -172,6 +165,12 @@ def decompose(g: Graph) -> InstanceDecomposition:
     )
 
 
+def degenerate_index(d: InstanceDecomposition) -> int | None:
+    """min { j : d'(u_j) <= 3 }, or None when the triple is non-degenerate."""
+    return next((j for j, dp in enumerate(d.d_prime, start=1) if dp <= 3),
+                None)
+
+
 def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
     """Route a decomposition to its labelling pipeline.
 
@@ -188,9 +187,9 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
         return Regime.DISC_TRIPLE_COMPONENT
     if g.degree(u3) == 0 and d.d_prime[0] > 0:
         return Regime.DISC_U3_ISOLATED
-    low = [k for k, dp in enumerate(d.d_prime, start=1) if dp <= 3]
-    if low:
-        return Regime(f"DEGEN_I{low[0]}")
+    i = degenerate_index(d)
+    if i is not None:
+        return Regime(f"DEGEN_I{i}")
     # m >= 7n forces n >= 16 (the feasibility bound); check it holds.
     assert g.n >= 16, f"MAIN instance with n = {g.n} < 16 should not exist"
     return Regime.MAIN

@@ -53,9 +53,6 @@ class Labelling:
     def m(self) -> int:
         return self.graph.m
 
-    def is_complete(self) -> bool:
-        return self.assigned == self.graph.m
-
     def assign(self, eid: int, label: int) -> None:
         assert 1 <= label <= self.graph.m, f"label {label} out of range"
         assert self.label_of[eid] == 0, f"edge {eid} already labelled"
@@ -66,9 +63,6 @@ class Labelling:
         self.sums[a] += label
         self.sums[b] += label
         self.assigned += 1
-
-    def sum_of(self, v: int) -> int:
-        return self.sums[v]
 
     def swap_labels(self, x: int, y: int) -> None:
         """Exchange the edges carrying labels x and y; only the (at most
@@ -95,9 +89,6 @@ class Labelling:
         lab.sums = list(self.sums)
         lab.assigned = self.assigned
         return lab
-
-    def all_sums(self) -> list[int]:
-        return self.sums[1:]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Labelling)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
+from .construction import _check
 from .errors import SearchFailed, TooLarge
 from .graph import Graph
 from .labelling import Labelling
@@ -44,7 +45,9 @@ def exhaustive_search(g: Graph) -> Labelling | None:
             seen.add(sums[v])
         if ok:
             lab = Labelling.from_labels(g, list(perm))
-            assert verify_antimagic(g, lab).ok
+            _check(verify_antimagic(g, lab).ok,
+                   "exhaustive search returned a labelling that is not "
+                   "antimagic", g)
             return lab
     return None
 
@@ -108,7 +111,9 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     for _ in range(budget):
         if state.conflicts == 0:
             lab = Labelling.from_labels(g, state.labels)
-            assert verify_antimagic(g, lab).ok
+            _check(verify_antimagic(g, lab).ok,
+                   "randomized search returned a labelling that is not "
+                   "antimagic", g)
             return lab
         i = rng.randrange(m)
         j = rng.randrange(m - 1)

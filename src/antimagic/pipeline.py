@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .construction import (
     StageOneResult,
+    _check,
     label_case_i1,
     label_case_i2,
     label_case_i3,
@@ -39,7 +40,7 @@ from .graph import (
 from .labelling import Labelling
 from .oracle import randomized_search
 from .resolution import ResolutionTrace, resolve
-from .verification import recompute_sums, verify_antimagic
+from .verification import margins, recompute_sums, verify_antimagic
 
 STATUS_CONSTRUCTED = "constructed"
 STATUS_SEARCHED = "searched_fallback"
@@ -113,7 +114,8 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
 
     final, trace = resolve(stage, d)
     report = verify_antimagic(g, final)
-    assert report.ok, "resolution returned an unverified labelling"
+    _check(report.ok, "resolution returned a labelling that is not antimagic",
+           g, conflicts=report.conflicts)
     return LabelOutcome(final, STATUS_CONSTRUCTED, regime, d, stage, trace)
 
 
@@ -139,16 +141,7 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
     if outcome.stage is not None and d is not None:
         sums = recompute_sums(g, outcome.stage.labelling)
         doc["stage_sums"] = [[v, sums[v]] for v in range(1, g.n + 1)]
-        u1, u2, u3 = d.u
-        h_sums = sorted(sums[v] for v in d.h_vertices)
-        doc["properties"] = {"gaps": {
-            "u3_u2": sums[u2] - sums[u3],
-            "u2_u1": sums[u1] - sums[u2],
-            "root_margin": min(sums[d.r] - sums[x]
-                               for x in range(1, g.n + 1) if x != d.r),
-            "h_min_gap": min((b - a for a, b in zip(h_sums, h_sums[1:])),
-                             default=0),
-        }}
+        doc["properties"] = {"gaps": margins(g, d, sums)}
     tr = outcome.resolution
     if tr is not None:
         doc["resolution"] = {

@@ -71,15 +71,8 @@ def find_conflicts(l: Labelling, d: InstanceDecomposition) -> ConflictSet:
     """Equal-sum pairs plus, for each u_k, its rival: the H vertex whose
     sum is closest (ties by smallest id)."""
     g = l.graph
+    pairs = [(a, b) for a, b, _ in verify_antimagic(g, l).conflicts]
     sums = recompute_sums(g, l)
-    by_sum: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        by_sum.setdefault(sums[v], []).append(v)
-    pairs = []
-    for s, vs in sorted(by_sum.items()):
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                pairs.append((vs[i], vs[j]))
     ranks = tuple(k for k, u in enumerate(d.u, start=1)
                   if any(u in p for p in pairs))
     rivals = {}
@@ -232,10 +225,10 @@ def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,
                 reproducer=_reproducer(l.graph))
 
 
-def resolve(s, d: InstanceDecomposition, *, use_safety_net: bool = True
-            ) -> tuple[Labelling, ResolutionTrace]:
-    """Try the regime's exchange plans in order; accept the first one
-    whose outcome verifies antimagic.
+def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
+    """Try the regime's exchange plans in order, then the safety net of
+    every single and paired tabled exchange; accept the first plan whose
+    outcome verifies antimagic.
 
     Regimes whose stage 1 is already provably antimagic (i=1, the
     disconnected triple component) admit no exchanges: a conflict there
@@ -285,21 +278,20 @@ def resolve(s, d: InstanceDecomposition, *, use_safety_net: bool = True
         return found, ResolutionTrace(case, tried, applied, True,
                                       rejections=tuple(rejections))
 
-    if use_safety_net:
-        menu = (main_menu_exchanges(g.m) if regime == Regime.MAIN
-                else i3_menu_exchanges(g.m) if regime == Regime.DEGEN_I3
-                else [p[0] for p in plans])
-        net: list[list[Exchange]] = [[e] for e in menu]
-        net += [[e1, e2] for e1 in menu for e2 in menu if e1 != e2]
-        found, applied, tried2 = try_plans(net)
-        if found is not None:
-            warnings.warn(ProofGapWarning(
-                f"paper-directed case {case} menu failed; safety net "
-                f"applied {[e.describe() for e in applied]}"))
-            return found, ResolutionTrace(case, tried + tried2, applied,
-                                          False, gap_warning=True,
-                                          rejections=tuple(rejections))
-        tried += tried2
+    menu = (main_menu_exchanges(g.m) if regime == Regime.MAIN
+            else i3_menu_exchanges(g.m) if regime == Regime.DEGEN_I3
+            else [p[0] for p in plans])
+    net: list[list[Exchange]] = [[e] for e in menu]
+    net += [[e1, e2] for e1 in menu for e2 in menu if e1 != e2]
+    found, applied, tried2 = try_plans(net)
+    if found is not None:
+        warnings.warn(ProofGapWarning(
+            f"paper-directed case {case} menu failed; safety net "
+            f"applied {[e.describe() for e in applied]}"))
+        return found, ResolutionTrace(case, tried + tried2, applied,
+                                      False, gap_warning=True,
+                                      rejections=tuple(rejections))
+    tried += tried2
 
     raise ProofViolation(
         f"no exchange plan resolved case {case} after {tried} candidates",

@@ -77,6 +77,21 @@ def verify_antimagic(g: Graph, l: Labelling) -> AntimagicReport:
     return AntimagicReport(not conflicts, tuple(conflicts))
 
 
+def margins(g: Graph, d: InstanceDecomposition, sums: list[int]) -> dict:
+    """The gap margins of a sum vector: u3 to u2, u2 to u1, the root over
+    every other vertex, and the smallest gap between consecutive H sums."""
+    u1, u2, u3 = d.u
+    h_sums = sorted(sums[v] for v in d.h_vertices)
+    return {
+        "u3_u2": sums[u2] - sums[u3],
+        "u2_u1": sums[u1] - sums[u2],
+        "root_margin": min(sums[d.r] - sums[x]
+                           for x in range(1, g.n + 1) if x != d.r),
+        "h_min_gap": min((b - a for a, b in zip(h_sums, h_sums[1:])),
+                         default=0),
+    }
+
+
 def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyReport:
     """Gap properties of a stage-1 result.
 
@@ -93,29 +108,21 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     sums = recompute_sums(g, stage.labelling)
     u1, u2, u3 = d.u
     failures: list[str] = []
-    gaps: dict = {}
+    gaps = margins(g, d, sums)
 
     regime = stage.regime
     h_gap = {Regime.MAIN: 4, Regime.DEGEN_I2: 2, Regime.DEGEN_I3: 3}.get(regime, 1)
 
-    gaps["u3_u2"] = sums[u2] - sums[u3]
-    gaps["u2_u1"] = sums[u1] - sums[u2]
     if regime == Regime.MAIN:
-        if sums[u3] + 4 > sums[u2]:
+        if gaps["u3_u2"] < 4:
             failures.append(f"u-gap: sum(u3)={sums[u3]} + 4 > sum(u2)={sums[u2]}")
-        if sums[u2] + 4 > sums[u1]:
+        if gaps["u2_u1"] < 4:
             failures.append(f"u-gap: sum(u2)={sums[u2]} + 4 > sum(u1)={sums[u1]}")
-        root_margin = min(sums[d.r] - sums[x]
-                          for x in range(1, g.n + 1) if x != d.r)
-        gaps["root_margin"] = root_margin
-        if root_margin < 4:
-            failures.append(f"root margin {root_margin} < 4")
+        if gaps["root_margin"] < 4:
+            failures.append(f"root margin {gaps['root_margin']} < 4")
 
-    h_sums = sorted(sums[v] for v in d.h_vertices)
-    min_gap = min((b - a for a, b in zip(h_sums, h_sums[1:])), default=h_gap)
-    gaps["h_min_gap"] = min_gap
-    if min_gap < h_gap:
-        failures.append(f"H spacing {min_gap} < {h_gap}")
+    if gaps["h_min_gap"] < h_gap:
+        failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
 
     for v in range(1, g.n + 1):
         if v == d.r:
@@ -127,10 +134,9 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
                 failures.append(
                     f"vertex {v} carries {hits} labels of interval {labels}")
 
-    if regime != Regime.DEGEN_I2:
-        top = max(sums[v] for v in range(1, g.n + 1) if v != d.r)
-        if sums[d.r] <= top:
-            failures.append(
-                f"root sum {sums[d.r]} not the unique maximum (top other {top})")
+    if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
+        top = sums[d.r] - gaps["root_margin"]
+        failures.append(
+            f"root sum {sums[d.r]} not the unique maximum (top other {top})")
 
     return StagePropertyReport(not failures, tuple(failures), gaps)

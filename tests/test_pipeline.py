@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import antimagic
 from antimagic import (
     Regime,
     build_graph,
@@ -94,3 +101,55 @@ def test_trace_shape():
     res = doc["resolution"]
     assert {"case", "plans_tried", "applied", "paper_directed",
             "gap_warning"} <= set(res)
+
+
+# Run under ``python -O``, where a bare assert would vanish: resolve is
+# patched to hand back a labelling with an equal-sum pair, and the final
+# check must still refuse it, in the library and at the command line.
+_UNVERIFIED_RESOLUTION = textwrap.dedent("""
+    import sys
+    from pathlib import Path
+
+    import antimagic.pipeline as pipeline
+    from antimagic import gen_instance, label, verify_antimagic
+    from antimagic.cli import main
+    from antimagic.errors import ProofViolation
+    from antimagic.fileio import emit_graph
+
+    assert sys.flags.optimize, "run me under python -O"
+    g = gen_instance(20, "main", seed=7)
+    real_resolve = pipeline.resolve
+
+    def conflicting_resolve(stage, d):
+        good, trace = real_resolve(stage, d)
+        for x in range(1, g.m + 1):
+            for y in range(x + 1, g.m + 1):
+                bad = good.copy()
+                bad.swap_labels(x, y)
+                if not verify_antimagic(g, bad).ok:
+                    return bad, trace
+        raise SystemExit("no label swap makes a conflict")
+
+    pipeline.resolve = conflicting_resolve
+    try:
+        label(g, seed=7)
+    except ProofViolation as exc:
+        assert exc.reproducer and exc.details["conflicts"]
+    else:
+        raise SystemExit("label() returned a labelling that is not antimagic")
+    path = Path(sys.argv[1]) / "g.graph"
+    path.write_text(emit_graph(g))
+    print("exit", main(["label", str(path), "--seed", "7"]))
+""")
+
+
+def test_unverified_resolution_rejected_under_optimize(tmp_path):
+    src = str(Path(antimagic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNVERIFIED_RESOLUTION, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip() == "exit 4"
+    assert "proof violation" in proc.stderr
+    assert "reproducer:" in proc.stderr
