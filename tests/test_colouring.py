@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -11,10 +13,12 @@ from antimagic import (
     decompose,
     gen_instance,
     koenig_colour,
+    label_case_i3,
+    label_main,
     order_classes_for_vertex,
     vizing_colour,
 )
-from antimagic.colouring import pad_classes, properness_violations
+from antimagic.colouring import _donor_path, pad_classes, properness_violations
 from antimagic.errors import (
     DegreeExceedsColours,
     InfeasibleBalance,
@@ -202,3 +206,57 @@ def test_properness_violations_detects_shared_endpoint():
     g = build_graph(3, [(1, 2), (2, 3)])
     assert properness_violations(g, ((0, 1),))
     assert not properness_violations(g, ((0,), (1,)))
+
+
+def _stage1_colourings(monkeypatch, n, target, seed):
+    """Every (Vizing, balanced) class pair stage 1 computes on one
+    generator graph, captured at the constructor's own call sites."""
+    from antimagic import construction
+    seen = []
+
+    def capture(col, min_size):
+        out = balance_classes(col, min_size)
+        seen.append([col.classes, min_size, out.classes])
+        return out
+
+    monkeypatch.setattr(construction, "balance_classes", capture)
+    g = gen_instance(n, target, seed=seed)
+    d = decompose(g)
+    label_main(g, d) if target == "main" else label_case_i3(g, d)
+    return g, seen
+
+
+@pytest.mark.parametrize("n, target, seed, digest", [
+    (100, "main", 1,
+     "c8407af2c1d08b116cf2b1347b31f469049e1c367925134c35907192aa800026"),
+    (80, "degen_i3", 1,
+     "2220483808750e383d1afbbcafeccf7a52a935dada63d345342a5099cc89069b"),
+])
+def test_stage1_colouring_pinned_at_scale(monkeypatch, n, target, seed, digest):
+    # The golden corpus stops at n = 37; this pins the Vizing colouring
+    # and its balancing byte for byte where the benchmark runs them.
+    g, seen = _stage1_colourings(monkeypatch, n, target, seed)
+    assert len(seen) == 1
+    vizing, min_size, balanced = seen[0]
+    assert min(len(c) for c in balanced) >= min_size
+    assert brute_proper(g, balanced)
+    text = json.dumps(seen, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_donor_path_skips_cycles_and_recv_ends():
+    # Edges 0-3: an alternating 4-cycle; 4-5: a path ending in a recv
+    # edge; 6-8: the donor-ended path, the only one that qualifies even
+    # though both other components hold smaller edge ids.
+    g = build_graph(13, [(1, 2), (2, 3), (3, 4), (4, 1),
+                         (5, 6), (6, 7),
+                         (8, 9), (9, 10), (10, 11)])
+    recv = [0, 2, 5, 7]
+    donor = [1, 3, 4, 6, 8]
+    assert sorted(_donor_path(g, recv, donor)) == [6, 7, 8]
+
+
+def test_donor_path_takes_smallest_qualifying_component():
+    g = build_graph(10, [(1, 2), (3, 4), (4, 5), (5, 6), (7, 8)])
+    assert sorted(_donor_path(g, [2], [4, 1, 3, 0])) == [0]
+    assert sorted(_donor_path(g, [0, 2], [4, 1, 3])) == [1, 2, 3]

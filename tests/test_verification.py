@@ -9,6 +9,7 @@ from antimagic import (
     build_graph,
     decompose,
     gen_instance,
+    label_case_i3,
     label_main,
     verify_antimagic,
     verify_bijection,
@@ -107,4 +108,56 @@ def test_stage_properties_pass_then_fail_after_mutation():
                          stage.h_sorted, stage.y_map, stage.w_map)
     rep = verify_stage_properties(bad, d)
     assert not rep.ok
-    assert rep.failures
+    assert g.m == 142 and d.u == (2, 3, 4)
+    assert rep.failures == (
+        "H spacing 1 < 4",
+        "vertex 2 carries 2 labels of interval (141, 140, 139)",
+        "vertex 3 carries 2 labels of interval (137, 136, 135)",
+    )
+
+
+def test_stage_properties_report_in_vertex_then_interval_order():
+    # u1 gets two labels in each of the first two intervals and u2 in
+    # the third and fourth.  The intervals are handed over reversed, so
+    # each vertex's failures follow the stage's interval order, not
+    # label order; the root may carry any number of labels of the extra
+    # root-label interval.
+    g = gen_instance(20, "main", seed=5)
+    d = decompose(g)
+    stage = label_main(g, d)
+    m = g.m
+    tampered = stage.labelling.copy()
+    tampered.swap_labels(m - 9, m - 2)
+    tampered.swap_labels(m - 13, m - 6)
+    intervals = tuple(reversed(stage.intervals)) + ((m, m - 4, m - 8),)
+    bad = StageOneResult(tampered, stage.regime, intervals,
+                         stage.h_sorted, stage.y_map, stage.w_map)
+    rep = verify_stage_properties(bad, d)
+    assert d.r == 1 and d.u == (2, 3, 4)
+    assert rep.failures == (
+        "H spacing 2 < 4",
+        "vertex 2 carries 2 labels of interval (137, 136, 135)",
+        "vertex 2 carries 2 labels of interval (141, 140, 139)",
+        "vertex 3 carries 2 labels of interval (129, 128, 127)",
+        "vertex 3 carries 2 labels of interval (133, 132, 131)",
+    )
+
+
+def test_stage_properties_catch_i3_two_label_interval():
+    # In i = 3 the intervals hold two labels: u1 takes m - 1 - 3k and u2
+    # m - 2 - 3k.  Swapping m - 2 with m - 4 gives u1 both labels of the
+    # first interval and u2 both of the second.
+    g = gen_instance(19, "degen_i3", seed=1)
+    d = decompose(g)
+    stage = label_case_i3(g, d)
+    assert verify_stage_properties(stage, d).ok
+    tampered = stage.labelling.copy()
+    tampered.swap_labels(g.m - 2, g.m - 4)
+    bad = StageOneResult(tampered, stage.regime, stage.intervals,
+                         stage.h_sorted, stage.y_map, stage.w_map)
+    rep = verify_stage_properties(bad, d)
+    assert g.m == 133 and d.u == (2, 3, 4)
+    assert rep.failures == (
+        "vertex 2 carries 2 labels of interval (132, 131)",
+        "vertex 3 carries 2 labels of interval (129, 128)",
+    )
