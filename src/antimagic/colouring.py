@@ -16,6 +16,7 @@ All operations are pure; they return new EdgeColouring values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .errors import (
     DegreeExceedsColours,
@@ -109,11 +110,11 @@ class _Palette:
         return c not in self.at.get(v, {})
 
     def first_free(self, v: int) -> int:
-        used = self.at.get(v, {})
-        for c in range(self.k):
-            if c not in used:
-                return c
-        raise DegreeExceedsColours(f"no free colour at vertex {v}")
+        c = next(filterfalse(self.at.get(v, {}).__contains__,
+                             range(self.k)), None)
+        if c is None:
+            raise DegreeExceedsColours(f"no free colour at vertex {v}")
+        return c
 
     def assign(self, e: int, c: int) -> None:
         for v in self.g.edges[e]:
@@ -181,7 +182,8 @@ def koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
         alpha = pal.first_free(u)
         beta = pal.first_free(v)
         pal.flip_path(v, alpha, beta)
-        assert pal.is_free(u, alpha) and pal.is_free(v, alpha)
+        if not (pal.is_free(u, alpha) and pal.is_free(v, alpha)):
+            raise ProofViolation(f"Koenig path flip left edge {e} no colour")
         pal.assign(e, alpha)
     return EdgeColouring(g, pal.to_classes())
 
@@ -195,49 +197,38 @@ def vizing_colour(g: Graph, edge_ids) -> EdgeColouring:
     deg = _subset_degrees(g, edge_ids)
     k = max(deg.values()) + 1
     pal = _Palette(g, k)
-    incident: dict[int, list[int]] = {}
-    for e in edge_ids:
-        for v in g.edges[e]:
-            incident.setdefault(v, []).append(e)
-
     for eid in edge_ids:
         a, b = g.edges[eid]
         x, f = (a, b) if a < b else (b, a)
-        _mg_colour_edge(g, pal, incident, x, f, eid)
+        _mg_colour_edge(g, pal, x, f, eid)
     return EdgeColouring(g, pal.to_classes())
 
 
-def _mg_colour_edge(g: Graph, pal: _Palette, incident, x: int, f: int,
+def _mg_colour_edge(g: Graph, pal: _Palette, x: int, f: int,
                     eid: int) -> None:
-    # Maximal fan of x starting at f: each next fan edge's colour is free
-    # at the previous fan vertex.
+    # Maximal fan of x starting at f: each next fan edge is the smallest
+    # coloured edge at x, not yet in the fan, whose colour is free at the
+    # previous fan vertex.  The graph is simple, so the far ends differ.
+    at_x = pal.at.get(x, {})
+    cands = sorted(at_x, key=at_x.__getitem__)  # colours, by edge id
     fan_v = [f]
     fan_e = [eid]
-    in_fan = {f}
     while True:
-        last = fan_v[-1]
-        ext = None
-        for e2 in incident[x]:
-            c2 = pal.colour_of.get(e2)
-            if c2 is None:
-                continue
-            z = g.other_end(e2, x)
-            if z in in_fan:
-                continue
-            if pal.is_free(last, c2):
-                ext = (e2, z)
-                break
-        if ext is None:
+        c2 = next(filterfalse(pal.at.get(fan_v[-1], {}).__contains__, cands),
+                  None)
+        if c2 is None:
             break
-        fan_e.append(ext[0])
-        fan_v.append(ext[1])
-        in_fan.add(ext[1])
+        cands.remove(c2)
+        fan_e.append(at_x[c2])
+        fan_v.append(g.other_end(at_x[c2], x))
 
     c = pal.first_free(x)
     d = pal.first_free(fan_v[-1])
     if not pal.is_free(x, d):
         pal.flip_path(x, d, c)
-        assert pal.is_free(x, d)
+        if not pal.is_free(x, d):
+            raise ProofViolation(f"Misra-Gries path flip left colour {d} "
+                                 f"used at vertex {x}")
 
     # First fan prefix whose tip has d free; the Misra-Gries lemma
     # guarantees one survives the path inversion.
@@ -265,38 +256,41 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     """Grow undersized classes to >= min_size edges.
 
     Each round takes the smallest class as receiver and the largest as
-    donor, forms the two-colour subgraph, and swaps colours along an
-    alternating path whose first and last edges belong to the donor
-    (deterministically, the qualifying path containing the smallest edge
-    id).  Every swap reduces the total deficit by one, so the loop
-    terminates.
+    donor (lowest index on ties), forms the two-colour subgraph, and
+    swaps colours along an alternating path whose first and last edges
+    belong to the donor (deterministically, the qualifying path
+    containing the smallest edge id).  Every swap reduces the total
+    deficit by one, so the loop terminates.
     """
     g = c.graph
     classes = [list(cls) for cls in c.classes]
-    if sum(len(cl) for cl in classes) < min_size * len(classes):
+    sizes = [len(cl) for cl in classes]
+    if sum(sizes) < min_size * len(classes):
         raise InfeasibleBalance(
-            f"{sum(len(cl) for cl in classes)} edges cannot fill "
+            f"{sum(sizes)} edges cannot fill "
             f"{len(classes)} classes of {min_size}")
 
-    def deficit() -> int:
-        return sum(max(0, min_size - len(cl)) for cl in classes)
+    def short(i: int) -> int:
+        return max(0, min_size - sizes[i])
 
-    guard = deficit()
+    guard = sum(map(short, range(len(sizes))))
     while True:
-        sizes = [len(cl) for cl in classes]
-        small = min(range(len(classes)), key=lambda i: (sizes[i], i))
+        small = sizes.index(min(sizes))
         if sizes[small] >= min_size:
             break
-        big = min(range(len(classes)), key=lambda i: (-sizes[i], i))
-        assert sizes[big] > sizes[small]
+        big = sizes.index(max(sizes))
+        if sizes[big] <= sizes[small]:
+            raise ProofViolation("class balancing found no larger donor")
         path = _donor_path(g, classes[small], classes[big])
+        new_deficit = guard - short(small) - short(big)
         path_set = set(path)
         small_set, big_set = set(classes[small]), set(classes[big])
         classes[small] = [e for e in small_set - path_set] + \
             [e for e in path if e in big_set]
         classes[big] = [e for e in big_set - path_set] + \
             [e for e in path if e in small_set]
-        new_deficit = deficit()
+        sizes[small], sizes[big] = len(classes[small]), len(classes[big])
+        new_deficit += short(small) + short(big)
         if new_deficit >= guard:
             raise ProofViolation("class balancing failed to make progress")
         guard = new_deficit
@@ -306,43 +300,36 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
 def _donor_path(g: Graph, recv: list[int], donor: list[int]) -> list[int]:
     """Edges of an alternating path in the recv/donor two-colour subgraph
     whose first and last edges are donor edges (a single donor edge
-    qualifies).  Exists whenever |donor| > |recv|."""
-    colour = {e: 0 for e in recv}
-    colour.update({e: 1 for e in donor})
-    adj: dict[int, list[int]] = {}
-    for e in colour:
-        for v in g.edges[e]:
-            adj.setdefault(v, []).append(e)
+    qualifies).  Exists whenever |donor| > |recv|.
 
+    Components are disjoint paths and cycles; visiting edges in ascending
+    id, the first qualifying path met is the one holding the smallest
+    edge id among all qualifying paths.
+    """
+    at = ({v: e for e in recv for v in g.edges[e]},   # colour 0
+          {v: e for e in donor for v in g.edges[e]})  # colour 1
+    donor_set = set(donor)
     seen: set[int] = set()
-    best: list[int] | None = None
-    endpoints = [v for v, es in adj.items() if len(es) == 1]
-    for v in sorted(endpoints):
-        e = adj[v][0]
-        if e in seen:
+    for first in sorted(recv + donor):
+        if first in seen:
             continue
-        comp = _walk_path(g, adj, v)
+        # Walk the component both ways from ``first``; a cycle closes
+        # back onto ``first`` in the first walk.
+        comp, closed = [first], False
+        for cur in g.edges[first]:
+            col = first in donor_set
+            while not closed:
+                e = at[not col].get(cur)
+                if e is None:
+                    break
+                closed, col = e == first, not col
+                comp.append(e)
+                cur = g.other_end(e, cur)
+            comp.reverse()
         seen.update(comp)
-        if colour[comp[0]] == 1 and colour[comp[-1]] == 1:
-            if best is None or min(comp) < min(best):
-                best = comp
-    if best is None:
-        raise ProofViolation("no alternating path with donor-coloured ends")
-    return best
-
-
-def _walk_path(g: Graph, adj, start_v: int) -> list[int]:
-    comp: list[int] = []
-    prev_e = None
-    cur = start_v
-    while True:
-        nxt = [e for e in adj[cur] if e != prev_e]
-        if not nxt:
+        if not closed and comp[0] in donor_set and comp[-1] in donor_set:
             return comp
-        e = nxt[0]
-        comp.append(e)
-        cur = g.other_end(e, cur)
-        prev_e = e
+    raise ProofViolation("no alternating path with donor-coloured ends")
 
 
 def order_classes_for_vertex(c: EdgeColouring, v: int, count: int) -> EdgeColouring:

@@ -186,7 +186,8 @@ def label_main(g: Graph, d: InstanceDecomposition,
     # Everything else not incident to r, Vizing-coloured and balanced.
     g2_edges = [e for e in d.e2 if lab.label_of[e] == 0]
     col2 = vizing_colour(g, g2_edges)
-    assert len(col2.classes) <= n - 4, "Vizing exceeded Delta(G2) + 1 classes"
+    _check(len(col2.classes) <= n - 4,
+           "Vizing exceeded Delta(G2) + 1 classes", g)
     col2 = pad_classes(col2, n - 4)
     col2 = balance_classes(col2, 3)
     a1 = d.d_prime[0] - t

@@ -8,7 +8,7 @@ vertices have sum 0.
 
 from __future__ import annotations
 
-from .errors import LabelMissing
+from .errors import LabelMissing, ProofViolation
 from .graph import Graph
 
 
@@ -54,9 +54,13 @@ class Labelling:
         return self.graph.m
 
     def assign(self, eid: int, label: int) -> None:
-        assert 1 <= label <= self.graph.m, f"label {label} out of range"
-        assert self.label_of[eid] == 0, f"edge {eid} already labelled"
-        assert self.edge_with[label] == -1, f"label {label} already used"
+        edge_with = self.edge_with
+        if not 0 < label < len(edge_with) or edge_with[label] != -1 \
+                or self.label_of[eid]:
+            raise ProofViolation(
+                f"label {label} out of range" if not 0 < label < len(edge_with)
+                else f"label {label} already used" if edge_with[label] != -1
+                else f"edge {eid} already labelled")
         self.label_of[eid] = label
         self.edge_with[label] = eid
         a, b = self.graph.edges[eid]

@@ -71,8 +71,9 @@ def find_conflicts(l: Labelling, d: InstanceDecomposition) -> ConflictSet:
     """Equal-sum pairs plus, for each u_k, its rival: the H vertex whose
     sum is closest (ties by smallest id)."""
     g = l.graph
-    pairs = [(a, b) for a, b, _ in verify_antimagic(g, l).conflicts]
-    sums = recompute_sums(g, l)
+    report = verify_antimagic(g, l)
+    pairs = [(a, b) for a, b, _ in report.conflicts]
+    sums = report.sums
     ranks = tuple(k for k, u in enumerate(d.u, start=1)
                   if any(u in p for p in pairs))
     rivals = {}
@@ -262,9 +263,8 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
             cand = s.labelling.copy()
             for ex in plan:
                 cand.swap_labels(ex.hi, ex.lo)
-            after = recompute_sums(g, cand)
-            _plan_is_sound(before, after, d.r, regime)
             report = verify_antimagic(g, cand)
+            _plan_is_sound(before, report.sums, d.r, regime)
             if report.ok:
                 return cand, tuple(plan), tried
             if len(rejections) < 64:

@@ -25,6 +25,7 @@ class BijectionReport:
 class AntimagicReport:
     ok: bool
     conflicts: tuple[tuple[int, int, int], ...] = ()  # (vertex, vertex, sum)
+    sums: list[int] = field(default_factory=list, repr=False)  # recomputed
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,7 @@ def verify_antimagic(g: Graph, l: Labelling) -> AntimagicReport:
             for i in range(len(vs)):
                 for j in range(i + 1, len(vs)):
                     conflicts.append((vs[i], vs[j], s))
-    return AntimagicReport(not conflicts, tuple(conflicts))
+    return AntimagicReport(not conflicts, tuple(conflicts), sums)
 
 
 def margins(g: Graph, d: InstanceDecomposition, sums: list[int]) -> dict:
@@ -124,15 +125,23 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     if gaps["h_min_gap"] < h_gap:
         failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
 
-    for v in range(1, g.n + 1):
-        if v == d.r:
-            continue
-        for labels in stage.intervals:
-            hits = sum(1 for e in g.incident[v]
-                       if stage.labelling.label_of[e] in labels)
-            if hits > 1:
-                failures.append(
-                    f"vertex {v} carries {hits} labels of interval {labels}")
+    if stage.intervals:
+        # label -> the intervals holding it, then hits per (vertex,
+        # interval) in one pass over the raw labels.
+        owners: dict[int, list[int]] = {}
+        for i, labels in enumerate(stage.intervals):
+            for lbl in set(labels):
+                owners.setdefault(lbl, []).append(i)
+        hits: dict[tuple[int, int], int] = {}
+        for eid, lbl in enumerate(stage.labelling.label_of):
+            for i in owners.get(lbl, ()):
+                for v in g.edges[eid]:
+                    if v != d.r:
+                        hits[v, i] = hits.get((v, i), 0) + 1
+        for (v, i), count in sorted(hits.items()):
+            if count > 1:
+                failures.append(f"vertex {v} carries {count} labels of "
+                                f"interval {stage.intervals[i]}")
 
     if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
         top = sums[d.r] - gaps["root_margin"]

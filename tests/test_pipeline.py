@@ -153,3 +153,50 @@ def test_unverified_resolution_rejected_under_optimize(tmp_path):
     assert proc.stdout.strip() == "exit 4"
     assert "proof violation" in proc.stderr
     assert "reproducer:" in proc.stderr
+
+
+# Under ``python -O`` as well: a label out of range, a label already
+# used and an edge already labelled must each be refused by
+# ``Labelling.assign``, also through ``Labelling.from_labels``.
+_BAD_ASSIGNMENTS = textwrap.dedent("""
+    import sys
+
+    from antimagic import Labelling, build_graph
+    from antimagic.errors import ProofViolation
+
+    if not sys.flags.optimize:
+        raise SystemExit("run me under python -O")
+    g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
+    for eid, value in ((0, 0), (0, 4), (0, -1), (1, 1), (0, 2)):
+        lab = Labelling(g)
+        lab.assign(0, 1)
+        try:
+            lab.assign(eid, value)
+        except ProofViolation as exc:
+            print(exc)
+        else:
+            raise SystemExit(f"assign({eid}, {value}) was accepted")
+    try:
+        Labelling.from_labels(g, [1, 1, 3])
+    except ProofViolation as exc:
+        print(exc)
+    else:
+        raise SystemExit("a repeated label was accepted")
+""")
+
+
+def test_bad_assignment_rejected_under_optimize():
+    src = str(Path(antimagic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BAD_ASSIGNMENTS],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "label 0 out of range",
+        "label 4 out of range",
+        "label -1 out of range",
+        "label 1 already used",
+        "edge 0 already labelled",
+        "label 1 already used",
+    ]
