@@ -282,7 +282,7 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
         if sizes[big] <= sizes[small]:
             raise ProofViolation("class balancing found no larger donor")
         path = _donor_path(g, classes[small], classes[big])
-        new_deficit = guard - short(small) - short(big)
+        before = short(small) + short(big)
         path_set = set(path)
         small_set, big_set = set(classes[small]), set(classes[big])
         classes[small] = [e for e in small_set - path_set] + \
@@ -290,7 +290,7 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
         classes[big] = [e for e in big_set - path_set] + \
             [e for e in path if e in small_set]
         sizes[small], sizes[big] = len(classes[small]), len(classes[big])
-        new_deficit += short(small) + short(big)
+        new_deficit = guard - before + short(small) + short(big)
         if new_deficit >= guard:
             raise ProofViolation("class balancing failed to make progress")
         guard = new_deficit
@@ -306,8 +306,10 @@ def _donor_path(g: Graph, recv: list[int], donor: list[int]) -> list[int]:
     id, the first qualifying path met is the one holding the smallest
     edge id among all qualifying paths.
     """
-    at = ({v: e for e in recv for v in g.edges[e]},   # colour 0
-          {v: e for e in donor for v in g.edges[e]})  # colour 1
+    # The recv edge and the donor edge at each vertex, indexed by "is a
+    # donor edge": from a donor edge the walk goes on along at[False].
+    at = ({v: e for e in recv for v in g.edges[e]},
+          {v: e for e in donor for v in g.edges[e]})
     donor_set = set(donor)
     seen: set[int] = set()
     for first in sorted(recv + donor):
@@ -317,12 +319,12 @@ def _donor_path(g: Graph, recv: list[int], donor: list[int]) -> list[int]:
         # back onto ``first`` in the first walk.
         comp, closed = [first], False
         for cur in g.edges[first]:
-            col = first in donor_set
+            on_donor = first in donor_set
             while not closed:
-                e = at[not col].get(cur)
+                e = at[not on_donor].get(cur)
                 if e is None:
                     break
-                closed, col = e == first, not col
+                closed, on_donor = e == first, not on_donor
                 comp.append(e)
                 cur = g.other_end(e, cur)
             comp.reverse()
