@@ -222,7 +222,7 @@ def _stage1_colourings(monkeypatch, n, target, seed):
     monkeypatch.setattr(construction, "balance_classes", capture)
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
-    label_main(g, d) if target == "main" else label_case_i3(g, d)
+    (label_main if target == "main" else label_case_i3)(g, d)
     return g, seen
 
 
