@@ -1,11 +1,13 @@
 """Golden check: stage-1 output, traces and ``explain`` text stay byte-identical.
 
-One SHA-256 over three renderings of a fixed corpus pins the observable
+One SHA-256 per corpus group over three renderings pins the observable
 behaviour of the whole pipeline, so a refactor that claims "same
-behaviour" can prove it.  The corpus is every generator target at five
-seeds (n <= 40), five maximum-degree n - 1 graphs and three runs forced
-onto the randomized fallback.  A change that alters any output on
-purpose must say so and re-pin the digest.
+behaviour" can prove it.  The groups are each generator target at five
+seeds (n <= 40), five maximum-degree n - 1 graphs (``universal``), the
+pinned conflicted seeds (``conflicted``) and three runs forced onto the
+randomized fallback (``forced``).  A change that alters output on
+purpose must say so and re-pin exactly the groups it moves; the others
+prove that nothing else changed.
 """
 
 from __future__ import annotations
@@ -23,8 +25,30 @@ from antimagic.generator import TARGETS, min_feasible_n
 from conftest import random_universal_graph
 from test_resolution import CONFLICTED
 
-GOLDEN_SHA256 = (
-    "75500f629e29c52fe350152912668e6d65ffbe394705b83b3deaabb942ec0573")
+GOLDEN_SHA256 = {
+    "main":
+        "14430d99458d54efabe622637d7e2246f8bf76990f18b40b8158007a1a368d70",
+    "main_triple":
+        "1068aae5ca0b5954eca04ac049aff7c68292dffc84d42d9b9f8320a47dce8c9a",
+    "degen_i1":
+        "9bcb28f60ae2205fb983503f01f0321cba8df4e724e8e6c52c6b1ae9eaafc9fa",
+    "degen_i2":
+        "9a3d1c730298043014e4440b6528f1853a6a7355d51dcf4d168aefebbfe0c2eb",
+    "degen_i3":
+        "dfcbf1e62d2d25c80cb3d1f22377ac1cd57f4cd824d351a11466cada7e2c4d17",
+    "disc_u3_isolated":
+        "349087bfd79520b71ac98e65d2416c513405728561d7cd66bb0ff08956a2c267",
+    "disc_triple":
+        "f4b202c4d0889ad8e7c13ae23d8db9dbb65cc9d8aa01f3f044acddcbfd87c766",
+    "yilma":
+        "2b95f6269aa31c8659923f54dc6b3dcaf31b7fd67a2bee2add5e7d59adea5cc0",
+    "universal":
+        "23316aa36604f9cc4f457c22517e50db4e355672f550e1a4dbab4a704be0da4b",
+    "conflicted":
+        "528769f9840b554a98089f08f11b52fc6fd94fb43b59d12cedaa3998cd5ee9c9",
+    "forced":
+        "fa4d2332c961333822a1a53f2115d916e42a30fae8eb93f4c98482a3a0a378ef",
+}
 
 
 def _explain_stdout(g, tmp_path, name: str) -> str:
@@ -38,26 +62,28 @@ def _explain_stdout(g, tmp_path, name: str) -> str:
 
 
 def _corpus():
-    """(name, graph, seed, forced regime) for every golden instance."""
+    """(group, name, graph, seed, forced regime) for every golden instance."""
     for target in TARGETS:
         lo = min_feasible_n(target)
         for k in range(5):
-            yield (f"{target}_{k}",
+            yield (target, f"{target}_{k}",
                    gen_instance(lo + 4 * k, target, seed=k + 1), k + 1, None)
     rng = random.Random(20240901)
     for n in (5, 8, 11, 14, 17):
-        yield f"universal_{n}", random_universal_graph(n, rng), 1, None
-    for target, n, seed in CONFLICTED:
-        yield (f"conflicted_{target}_{n}_{seed}",
+        yield ("universal", f"universal_{n}", random_universal_graph(n, rng),
+               1, None)
+    for target, n, seed, _ in CONFLICTED:
+        yield ("conflicted", f"conflicted_{target}_{n}_{seed}",
                gen_instance(n, target, seed=seed), seed, None)
     for n, seed in ((19, 2), (20, 3), (21, 4)):
-        yield (f"forced_{n}", gen_instance(n, "main", seed=seed), seed,
-               Regime.YILMA_FALLBACK)
+        yield ("forced", f"forced_{n}", gen_instance(n, "main", seed=seed),
+               seed, Regime.YILMA_FALLBACK)
 
 
-def golden_digest(tmp_path) -> str:
-    h = hashlib.sha256()
-    for name, g, seed, force in _corpus():
+def golden_digests(tmp_path) -> dict[str, str]:
+    hashes = {}
+    for group, name, g, seed, force in _corpus():
+        h = hashes.setdefault(group, hashlib.sha256())
         outcome = label(g, seed=seed, force_regime=force)
         h.update(f"== {name}\n".encode())
         h.update(emit_labelling(outcome.labelling).encode())
@@ -65,8 +91,8 @@ def golden_digest(tmp_path) -> str:
                             sort_keys=True).encode())
         if force is None:
             h.update(_explain_stdout(g, tmp_path, name).encode())
-    return h.hexdigest()
+    return {group: h.hexdigest() for group, h in hashes.items()}
 
 
 def test_golden_outputs_unchanged(tmp_path):
-    assert golden_digest(tmp_path) == GOLDEN_SHA256
+    assert golden_digests(tmp_path) == GOLDEN_SHA256

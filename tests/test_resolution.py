@@ -31,22 +31,23 @@ from antimagic.resolution import (
 )
 from antimagic.verification import recompute_sums
 
-# Instances whose stage-1 labelling has a conflict, found by seed scan;
-# the generator is deterministic so these stay valid.
+# Instances whose stage-1 labelling has a conflict, found by seed scan,
+# with the case the resolver must name; the generator is deterministic
+# so these stay valid until stage-1 output changes on purpose.
 CONFLICTED = [
-    ("main", 19, 690),         # case 3
-    ("main", 23, 254),         # case 5
-    ("main", 22, 43),          # case 6
-    ("main", 27, 28),          # case 7.1
-    ("main", 22, 2523),        # case 7.2
-    ("main_triple", 29, 3070),  # case 2
-    ("main_triple", 25, 2238),  # case 7.3
-    ("main_triple", 26, 57),
-    ("main_triple", 19, 80),
-    ("degen_i2", 28, 58),      # top named exchange
-    ("degen_i2", 27, 1708),    # low named exchange
-    ("degen_i3", 23, 4),       # u1 conflict
-    ("degen_i3", 22, 33),      # u2 conflict
+    ("main", 19, 690, "3"),
+    ("main", 23, 254, "5"),
+    ("main", 22, 43, "6"),
+    ("main", 27, 28, "7.1"),
+    ("main", 22, 2523, "7.2"),
+    ("main_triple", 29, 3070, "2"),
+    ("main_triple", 25, 2238, "7.3"),
+    ("main_triple", 26, 57, "5"),
+    ("main_triple", 19, 80, "6"),
+    ("degen_i2", 28, 58, "i2"),      # top named exchange
+    ("degen_i2", 27, 1708, "i2"),    # low named exchange
+    ("degen_i3", 23, 4, "i3:u1"),
+    ("degen_i3", 22, 33, "i3:u2"),
 ]
 
 
@@ -223,14 +224,16 @@ def test_resolve_fixpoint_when_conflict_free(main_stage):
     assert final.label_of == stage.labelling.label_of
 
 
-@pytest.mark.parametrize("target,n,seed", CONFLICTED)
-def test_resolve_conflicted_instances(target, n, seed):
+@pytest.mark.parametrize("target,n,seed,case", CONFLICTED,
+                         ids=[f"{t}-{n}-{s}" for t, n, s, _ in CONFLICTED])
+def test_resolve_conflicted_instances(target, n, seed, case):
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
     out = label(g, seed=seed)
     tr = out.resolution
     assert tr is not None and tr.case not in (None, "none"), \
         "seed no longer produces a conflict; rescan"
+    assert tr.case == case
     assert 1 <= len(tr.applied) <= 2
     assert tr.paper_directed and not tr.gap_warning
     assert verify_antimagic(g, out.labelling).ok
