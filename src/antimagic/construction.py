@@ -84,8 +84,8 @@ def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     triangle gets u2u3 -> 1, u1u3 -> 2, u1u2 -> 3; absent edges shift the
     later labels down.
     """
-    assert lab.assigned == 0, "triple edges must be labelled first"
     g = lab.graph
+    _check(lab.assigned == 0, "triple edges must be labelled first", g)
     u1, u2, u3 = d.u
     nxt = 1
     for a, b in ((u2, u3), (u1, u3), (u1, u2)):
@@ -151,6 +151,12 @@ def label_main(g: Graph, d: InstanceDecomposition,
     colouring of the bipartite u-H subgraph supplies the grouping); the
     remaining intervals each take three edges of one Vizing colour class
     of the rest, with u1's surplus edges pinned to the interval tops.
+
+    Only 3(n - 4) of the rest are coloured: u1's surplus edges, then the
+    others in ascending id.  A subset has no larger maximum degree, so
+    there are still at most n - 4 classes, enough edges to balance each
+    to three, and u1's surplus edges in distinct classes; the edges left
+    uncoloured take small labels like the unused classes do.
     """
     n, m = g.n, g.m
     if m < 7 * n:
@@ -183,9 +189,10 @@ def label_main(g: Graph, d: InstanceDecomposition,
         lab.assign(by_u[u2], base - 2)
         lab.assign(by_u[u3], base - 3)
 
-    # Everything else not incident to r, Vizing-coloured and balanced.
-    g2_edges = [e for e in d.e2 if lab.label_of[e] == 0]
-    col2 = vizing_colour(g, g2_edges)
+    # u1's surplus edges first, then the rest of G2, by ascending id.
+    g2_edges = sorted((e for e in d.e2 if lab.label_of[e] == 0),
+                      key=lambda e: u1 not in g.edges[e])
+    col2 = vizing_colour(g, g2_edges[:3 * (n - 4)])
     _check(len(col2.classes) <= n - 4,
            "Vizing exceeded Delta(G2) + 1 classes", g)
     col2 = pad_classes(col2, n - 4)
@@ -315,7 +322,12 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     """Degenerate case d'(u2) >= 4 > 3 >= d'(u3): root labels step by 3;
     the two labels between consecutive root labels pair one u1-edge with
     one u2-edge (Koenig classes of the bipartite u-H subgraph) while
-    they last, then H-H edges fill the remaining two-label intervals."""
+    they last, then H-H edges fill the remaining two-label intervals.
+
+    Only the 2(n - 4) lowest-id H-H edges are coloured: their maximum
+    degree is at most that of H-H, so there are at most n - 4 classes
+    and enough edges to balance each to two; the rest take small labels.
+    """
     n, m = g.n, g.m
     if m < 7 * n:
         raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
@@ -357,7 +369,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     # H-H edges for the remaining interval slots.
     pending = list(range(d2, n - 5))  # interval indices needing H-H edges
     if pending:
-        hh = [e for e in d.e2 if lab.label_of[e] == 0]
+        hh = [e for e in d.e2 if lab.label_of[e] == 0][:2 * (n - 4)]
         colh = vizing_colour(g, hh)
         colh = pad_classes(colh, max(len(colh.classes), len(pending)))
         colh = balance_classes(colh, 2)
@@ -412,7 +424,8 @@ def label_disconnected(g: Graph, d: InstanceDecomposition,
         builder = {1: label_case_i1, 2: label_case_i2, 3: label_case_i3}[i]
         return builder(g, d)
 
-    assert regime == Regime.DISC_TRIPLE_COMPONENT
+    _check(regime == Regime.DISC_TRIPLE_COMPONENT,
+           f"{regime.value} is not a disconnected regime", g)
     n, m = g.n, g.m
     if m < 7 * n:
         raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")

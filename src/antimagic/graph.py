@@ -137,7 +137,8 @@ def decompose(g: Graph) -> InstanceDecomposition:
     r = min(v for v in range(1, n + 1) if g.degree(v) == delta)
     h_set = frozenset(g.adjacency[r])
     us = [v for v in range(1, n + 1) if v != r and v not in h_set]
-    assert len(us) == 3, "non-neighbour count must be exactly 3"
+    if len(us) != 3:
+        raise ProofViolation(f"{len(us)} non-neighbours of r, not exactly 3")
 
     d_prime_of = {v: sum(1 for w in g.adjacency[v] if w in h_set) for v in us}
     us.sort(key=lambda v: (-g.degree(v), -d_prime_of[v], v))
@@ -191,7 +192,8 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
     if i is not None:
         return Regime(f"DEGEN_I{i}")
     # m >= 7n forces n >= 16 (the feasibility bound); check it holds.
-    assert g.n >= 16, f"MAIN instance with n = {g.n} < 16 should not exist"
+    if g.n < 16:
+        raise ProofViolation(f"MAIN instance with n = {g.n} < 16")
     return Regime.MAIN
 
 

@@ -44,7 +44,8 @@ class Exchange:
     lo: int
 
     def __post_init__(self):
-        assert self.hi - self.lo == 1, "exchanged labels must differ by 1"
+        if self.hi - self.lo != 1:
+            raise ProofViolation("exchanged labels must differ by 1")
 
     def describe(self) -> str:
         return f"{self.family}_{self.offset}"
@@ -156,7 +157,8 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
         return "5", [[mu[k]] for k in MU_OFFSETS]
     if ranks == {3}:
         return "6", [[rho[k]] for k in RHO_OFFSETS]
-    assert ranks == {2}
+    if ranks != {2}:
+        raise ProofViolation(f"conflict ranks {sorted(ranks)} fit no case")
     d1 = sums[v1] - sums[u1]
     d3 = sums[v3] - sums[u3]
     if abs(d1) >= 2 or d1 == 1:
@@ -182,8 +184,10 @@ def _degen_menu(regime: Regime, c: ConflictSet, g_m: int, n: int
         low_hi = g_m - 2 * (n - 5) - 1
         lo = Exchange("named", 2 * (n - 5) + 1, low_hi, low_hi - 1)
         return "i2", [[hi], [lo]]
-    assert regime == Regime.DEGEN_I3
     ranks = set(c.u_ranks)
+    if regime != Regime.DEGEN_I3 or not ranks or 3 in ranks:
+        raise ProofViolation(f"{regime.value} conflict ranks {sorted(ranks)} "
+                             "fit no case")
     lam = [_mk("lambda", i, g_m) for i in I3_LAMBDA]
     mu = [_mk("mu", i, g_m) for i in I3_MU]
     rho = [_mk("rho", i, g_m) for i in I3_RHO]
@@ -191,16 +195,15 @@ def _degen_menu(regime: Regime, c: ConflictSet, g_m: int, n: int
         return "i3:both", [[e] for e in lam]
     if ranks == {1}:
         return "i3:u1", [[e] for e in mu]
-    assert ranks == {2}
     return "i3:u2", [[e] for e in rho]
 
 
 def _plan_is_sound(before: list[int], after: list[int], r: int,
                    regime: Regime) -> None:
-    deltas = [abs(a - b) for a, b in zip(before, after)]
-    assert max(deltas) <= 2, "a vertex sum moved by more than 2"
-    if regime in (Regime.MAIN, Regime.DEGEN_I3):
-        assert after[r] >= before[r] - 1, "root sum dropped by more than 1"
+    if max(abs(a - b) for a, b in zip(before, after)) > 2:
+        raise ProofViolation("a vertex sum moved by more than 2")
+    if regime in (Regime.MAIN, Regime.DEGEN_I3) and after[r] < before[r] - 1:
+        raise ProofViolation("root sum dropped by more than 1")
 
 
 def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,

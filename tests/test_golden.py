@@ -27,17 +27,17 @@ from test_resolution import CONFLICTED
 
 GOLDEN_SHA256 = {
     "main":
-        "14430d99458d54efabe622637d7e2246f8bf76990f18b40b8158007a1a368d70",
+        "867f8e7b9b73619e8a5ed49655b037aa1599dac4a90a9866c91b3b43a00dac8b",
     "main_triple":
-        "1068aae5ca0b5954eca04ac049aff7c68292dffc84d42d9b9f8320a47dce8c9a",
+        "1195a12b7d1210127ba2edefcd65ca5a1df1ac39926d2bb00ded109dbbdb2fe2",
     "degen_i1":
         "9bcb28f60ae2205fb983503f01f0321cba8df4e724e8e6c52c6b1ae9eaafc9fa",
     "degen_i2":
         "9a3d1c730298043014e4440b6528f1853a6a7355d51dcf4d168aefebbfe0c2eb",
     "degen_i3":
-        "dfcbf1e62d2d25c80cb3d1f22377ac1cd57f4cd824d351a11466cada7e2c4d17",
+        "903e729176fe04a899aa499f21bd41c555918ace615cc79f385dece4431a4885",
     "disc_u3_isolated":
-        "349087bfd79520b71ac98e65d2416c513405728561d7cd66bb0ff08956a2c267",
+        "06788ef84f32449fd88f3b78b945d2671b092e6fea57adb98fa63f1053c2b863",
     "disc_triple":
         "f4b202c4d0889ad8e7c13ae23d8db9dbb65cc9d8aa01f3f044acddcbfd87c766",
     "yilma":
@@ -45,7 +45,7 @@ GOLDEN_SHA256 = {
     "universal":
         "23316aa36604f9cc4f457c22517e50db4e355672f550e1a4dbab4a704be0da4b",
     "conflicted":
-        "528769f9840b554a98089f08f11b52fc6fd94fb43b59d12cedaa3998cd5ee9c9",
+        "fd4b5ec0ad0e0072651021cd67195664cd45463e467ec216ad9358c9c7436e83",
     "forced":
         "fa4d2332c961333822a1a53f2115d916e42a30fae8eb93f4c98482a3a0a378ef",
 }

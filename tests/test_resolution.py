@@ -35,19 +35,22 @@ from antimagic.verification import recompute_sums
 # with the case the resolver must name; the generator is deterministic
 # so these stay valid until stage-1 output changes on purpose.
 CONFLICTED = [
-    ("main", 19, 690, "3"),
-    ("main", 23, 254, "5"),
-    ("main", 22, 43, "6"),
-    ("main", 27, 28, "7.1"),
-    ("main", 22, 2523, "7.2"),
-    ("main_triple", 29, 3070, "2"),
-    ("main_triple", 25, 2238, "7.3"),
-    ("main_triple", 26, 57, "5"),
-    ("main_triple", 19, 80, "6"),
+    ("main", 19, 4348, "3"),
+    ("main", 21, 4699, "4a"),    # lambda + rho pair
+    ("main", 19, 1136, "5"),
+    ("main", 19, 68, "6"),
+    ("main", 19, 23, "7.1"),
+    ("main", 20, 195, "7.2"),
+    ("main_triple", 24, 5197, "2"),
+    ("main_triple", 19, 26, "5"),
+    ("main_triple", 19, 11, "6"),
+    ("main_triple", 22, 3427, "7.3"),
+    ("main_triple", 19, 2125, "7.4"),
     ("degen_i2", 28, 58, "i2"),      # top named exchange
     ("degen_i2", 27, 1708, "i2"),    # low named exchange
-    ("degen_i3", 23, 4, "i3:u1"),
-    ("degen_i3", 22, 33, "i3:u2"),
+    ("degen_i3", 20, 2136, "i3:both"),
+    ("degen_i3", 19, 640, "i3:u1"),
+    ("degen_i3", 19, 240, "i3:u2"),
 ]
 
 
@@ -74,7 +77,7 @@ def test_offset_tables_match_families():
 
 
 def test_exchange_requires_adjacent_labels():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ProofViolation):
         Exchange("rho", 11, 985, 988 - 6)
 
 

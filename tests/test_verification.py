@@ -100,10 +100,11 @@ def test_stage_properties_pass_then_fail_after_mutation():
     stage = label_main(g, d)
     assert verify_stage_properties(stage, d).ok
 
-    # Swapping across two intervals gives both u1 and u2 a second label
-    # inside one interval, which the discipline check must catch.
+    # Swapping u1's label of the first interval with u2's of the fourth
+    # gives both u1 and u2 a second label inside one interval, which the
+    # discipline check must catch.
     tampered = stage.labelling.copy()
-    tampered.swap_labels(g.m - 2, g.m - 5)
+    tampered.swap_labels(g.m - 1, g.m - 14)
     bad = StageOneResult(tampered, stage.regime, stage.intervals,
                          stage.h_sorted, stage.y_map, stage.w_map)
     rep = verify_stage_properties(bad, d)
@@ -111,24 +112,24 @@ def test_stage_properties_pass_then_fail_after_mutation():
     assert g.m == 142 and d.u == (2, 3, 4)
     assert rep.failures == (
         "H spacing 1 < 4",
-        "vertex 2 carries 2 labels of interval (141, 140, 139)",
-        "vertex 3 carries 2 labels of interval (137, 136, 135)",
+        "vertex 2 carries 2 labels of interval (129, 128, 127)",
+        "vertex 3 carries 2 labels of interval (141, 140, 139)",
     )
 
 
 def test_stage_properties_report_in_vertex_then_interval_order():
-    # u1 gets two labels in each of the first two intervals and u2 in
-    # the third and fourth.  The intervals are handed over reversed, so
-    # each vertex's failures follow the stage's interval order, not
-    # label order; the root may carry any number of labels of the extra
-    # root-label interval.
+    # u1 gets two labels in each of the first and fourth intervals and
+    # u2 in the second and fifth.  The intervals are handed over
+    # reversed, so each vertex's failures follow the stage's interval
+    # order, not label order; the root may carry any number of labels of
+    # the extra root-label interval.
     g = gen_instance(20, "main", seed=5)
     d = decompose(g)
     stage = label_main(g, d)
     m = g.m
     tampered = stage.labelling.copy()
-    tampered.swap_labels(m - 9, m - 2)
-    tampered.swap_labels(m - 13, m - 6)
+    tampered.swap_labels(m - 5, m - 2)
+    tampered.swap_labels(m - 17, m - 14)
     intervals = tuple(reversed(stage.intervals)) + ((m, m - 4, m - 8),)
     bad = StageOneResult(tampered, stage.regime, intervals,
                          stage.h_sorted, stage.y_map, stage.w_map)
@@ -136,10 +137,10 @@ def test_stage_properties_report_in_vertex_then_interval_order():
     assert d.r == 1 and d.u == (2, 3, 4)
     assert rep.failures == (
         "H spacing 2 < 4",
-        "vertex 2 carries 2 labels of interval (137, 136, 135)",
+        "vertex 2 carries 2 labels of interval (129, 128, 127)",
         "vertex 2 carries 2 labels of interval (141, 140, 139)",
-        "vertex 3 carries 2 labels of interval (129, 128, 127)",
-        "vertex 3 carries 2 labels of interval (133, 132, 131)",
+        "vertex 3 carries 2 labels of interval (125, 124, 123)",
+        "vertex 3 carries 2 labels of interval (137, 136, 135)",
     )
 
 
