@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from antimagic import (
@@ -29,7 +32,7 @@ from antimagic.resolution import (
     i3_menu_exchanges,
     main_menu_exchanges,
 )
-from antimagic.verification import recompute_sums
+from antimagic.verification import recompute_sums, verify_stage_properties
 
 # Instances whose stage-1 labelling has a conflict, found by seed scan,
 # with the case the resolver must name; the generator is deterministic
@@ -52,6 +55,24 @@ CONFLICTED = [
     ("degen_i3", 19, 640, "i3:u1"),
     ("degen_i3", 19, 240, "i3:u2"),
 ]
+
+# Conflicted stage-1 labellings recorded while stage 1 still coloured all
+# of G2 (or H-H for i = 3).  Their seeds no longer conflict live, but they
+# are genuine stage-1 outputs, so the resolver must still settle each one
+# with the same case and the same exchanges.
+RECORDED = json.loads(
+    (Path(__file__).parent / "data" / "recorded_conflicts.json").read_text())
+
+RESOLVED = ([(t, n, s, case, None) for t, n, s, case in CONFLICTED]
+            + [(r["target"], r["n"], r["seed"], r["case"], r)
+               for r in RECORDED])
+
+
+def _recorded_stage(g, rec) -> StageOneResult:
+    return StageOneResult(
+        Labelling.from_labels(g, rec["labels"]), Regime(rec["regime"]),
+        tuple(map(tuple, rec["intervals"])), tuple(rec["h_sorted"]),
+        dict(rec["y_map"]), dict(rec["w_map"]))
 
 
 @pytest.fixture(scope="module")
@@ -227,28 +248,36 @@ def test_resolve_fixpoint_when_conflict_free(main_stage):
     assert final.label_of == stage.labelling.label_of
 
 
-@pytest.mark.parametrize("target,n,seed,case", CONFLICTED,
-                         ids=[f"{t}-{n}-{s}" for t, n, s, _ in CONFLICTED])
-def test_resolve_conflicted_instances(target, n, seed, case):
+@pytest.mark.parametrize("target,n,seed,case,recorded", RESOLVED,
+                         ids=[f"{t}-{n}-{s}" for t, n, s, _, _ in RESOLVED])
+def test_resolve_conflicted_instances(target, n, seed, case, recorded):
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
-    out = label(g, seed=seed)
-    tr = out.resolution
+    if recorded is None:
+        out = label(g, seed=seed)
+        stage, final, tr = out.stage, out.labelling, out.resolution
+        regime = out.regime
+    else:
+        stage = _recorded_stage(g, recorded)
+        assert verify_stage_properties(stage, d).ok
+        final, tr = resolve(stage, d)
+        regime = stage.regime
+        assert [e.describe() for e in tr.applied] == recorded["applied"]
     assert tr is not None and tr.case not in (None, "none"), \
         "seed no longer produces a conflict; rescan"
     assert tr.case == case
     assert 1 <= len(tr.applied) <= 2
     assert tr.paper_directed and not tr.gap_warning
-    assert verify_antimagic(g, out.labelling).ok
+    assert verify_antimagic(g, final).ok
     # Exchange effects stay local: every sum moves by at most 2, and in
     # the regimes that promise it the root keeps the strict maximum.
-    if out.stage is not None:
-        before = recompute_sums(g, out.stage.labelling)
-        after = recompute_sums(g, out.labelling)
+    if stage is not None:
+        before = recompute_sums(g, stage.labelling)
+        after = recompute_sums(g, final)
         assert max(abs(a - b) for a, b in zip(before, after)) <= 2
         assert after[d.r] >= before[d.r] - 1
-    if out.regime in (Regime.MAIN, Regime.DEGEN_I3):
-        sums = recompute_sums(g, out.labelling)
+    if regime in (Regime.MAIN, Regime.DEGEN_I3):
+        sums = recompute_sums(g, final)
         assert all(sums[d.r] > sums[v]
                    for v in range(1, g.n + 1) if v != d.r)
 
