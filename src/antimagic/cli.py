@@ -3,11 +3,12 @@
 Subcommands: ``label`` (construct and write a labelling), ``verify``
 (check a labelling file against a graph file), ``generate`` (write a
 corpus of instances), ``stress`` (generate-label-verify loop with a
-per-regime table), ``explain`` (print decomposition, regime, and the
-gap margins of the final sums).
+per-regime table and a count of resolution cases), ``explain`` (print
+decomposition, regime, and the gap margins of the final sums).
 
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
-error; 3 hypothesis unmet with no fallback success; 4 proof violation.
+error; 3 hypothesis unmet with no fallback success, or n > 2m + 1 in
+a graph header (two isolated vertices); 4 proof violation.
 The default seed comes from ANTIMAGIC_SEED when set.
 """
 
@@ -123,6 +124,7 @@ def cmd_stress(args) -> int:
     targets = args.regimes.split(",")
     stats = collections.Counter()
     exchange_hist = collections.Counter()
+    cases = collections.Counter()
     failures = []
     for idx in range(args.count):
         t = targets[idx % len(targets)]
@@ -138,13 +140,19 @@ def cmd_stress(args) -> int:
         stats[(t, "ok" if ok else "bad")] += 1
         if outcome.resolution is not None:
             exchange_hist[len(outcome.resolution.applied)] += 1
+            cases[outcome.resolution.case] += 1
+            if outcome.resolution.case != "none":
+                stats[(t, "conflicted")] += 1
         if not ok:
             failures.append((t, n, seed))
-    print(f"{'regime':<18} {'ok':>5} {'bad':>5}")
+    print(f"{'regime':<18} {'ok':>5} {'bad':>5} {'conflicted':>10}")
     for t in targets:
-        print(f"{t:<18} {stats[(t, 'ok')]:>5} {stats[(t, 'bad')]:>5}")
+        print(f"{t:<18} {stats[(t, 'ok')]:>5} {stats[(t, 'bad')]:>5} "
+              f"{stats[(t, 'conflicted')]:>10}")
     print("exchanges applied histogram: "
           + ", ".join(f"{k}: {v}" for k, v in sorted(exchange_hist.items())))
+    print("resolution cases: "
+          + ", ".join(f"{k}: {v}" for k, v in sorted(cases.items())))
     if failures:
         print(f"failures: {failures}")
         return EXIT_VERIFY_FAILED

@@ -3,9 +3,12 @@
 Each constructor produces a complete labelling plus the bookkeeping the
 conflict-resolution stage needs (reserved intervals, the sigma'-sorted
 order of H, and the maps from label offsets to the H-endpoints of u-edges
-and root edges).  Every property the underlying proof guarantees at this
-stage is asserted before returning; a failure raises ProofViolation with
-a reproducer.
+and root edges).  Every regime follows one skeleton: ``_begin`` checks
+the hypotheses and labels the triple edges, the constructor places its
+reserved labels, ``_fill_rest_and_root`` gives out the small and the
+root labels, and ``_finish`` checks every property the underlying proof
+guarantees at this stage; a failure raises ProofViolation with a
+reproducer.
 """
 
 from __future__ import annotations
@@ -27,6 +30,9 @@ from .errors import (
 )
 from .graph import Graph, InstanceDecomposition, Regime, degenerate_index
 from .labelling import Labelling
+
+# Regimes whose stage 1 is antimagic outright: resolution never exchanges.
+ANTIMAGIC_OUTRIGHT = frozenset({Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT})
 
 
 @dataclass(frozen=True)
@@ -63,20 +69,6 @@ def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[tuple[int, int]
     return out
 
 
-def _build_offset_maps(g: Graph, d: InstanceDecomposition, lab: Labelling):
-    m = g.m
-    u_set = set(d.u)
-    y_map: dict[int, int] = {}
-    w_map: dict[int, int] = {}
-    for eid, (a, b) in enumerate(g.edges):
-        off = m - lab.label_of[eid]
-        if a == d.r or b == d.r:
-            w_map[off] = b if a == d.r else a
-        elif (a in u_set) != (b in u_set):
-            y_map[off] = b if a in u_set else a
-    return y_map, w_map
-
-
 def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     """Give the edges among the u-triple the smallest labels.
 
@@ -87,12 +79,10 @@ def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     g = lab.graph
     _check(lab.assigned == 0, "triple edges must be labelled first", g)
     u1, u2, u3 = d.u
-    nxt = 1
     for a, b in ((u2, u3), (u1, u3), (u1, u2)):
         if g.has_edge(a, b):
             eid = next(e for e in g.incident[a] if g.other_end(e, a) == b)
-            lab.assign(eid, nxt)
-            nxt += 1
+            lab.assign(eid, lab.assigned + 1)
     return lab
 
 
@@ -101,24 +91,34 @@ def _check(condition: bool, message: str, g: Graph, **details) -> None:
         raise ProofViolation(message, reproducer=_reproducer(g), details=details)
 
 
-def _fill_rest_and_root(g: Graph, lab: Labelling, r: int, root_labels,
-                        rng=None) -> list[int]:
+def _begin(g: Graph, d: InstanceDecomposition, in_regime: bool,
+           why: str) -> Labelling:
+    """Open every stage 1: raise HypothesisViolated unless m >= 7n and
+    the graph is in the constructor's regime (``why`` says why not),
+    then give the triple edges the smallest labels."""
+    if g.m < 7 * g.n:
+        raise HypothesisViolated(f"m = {g.m} < 7n = {7 * g.n}")
+    if not in_regime:
+        raise HypothesisViolated(why)
+    return label_triple_edges(d, Labelling(g))
+
+
+def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
+                        root_labels) -> list[int]:
     """Finish a partial labelling the way every stage 1 ends.
 
     Every still-unlabelled edge away from r takes the free labels outside
-    ``root_labels`` in increasing order, the edges in ascending id (or
-    shuffled by ``rng``).  Then r's neighbours are sorted by (partial
-    sum, id) and their edges to r take ``root_labels`` in increasing
-    order, so the neighbours' final sums keep that order, spaced at least
-    as far apart as the root labels.  Returns the sorted neighbours.
+    ``root_labels`` in increasing order, the edges in ascending id.  Then
+    r's neighbours are sorted by (partial sum, id) and their edges to r
+    take ``root_labels`` in increasing order, so the neighbours' final
+    sums keep that order, spaced at least as far apart as the root
+    labels.  Returns the sorted neighbours.
     """
     roots = set(root_labels)
     root_edge = {g.other_end(e, r): e for e in g.incident[r]}
     at_root = set(g.incident[r])
     rest = [e for e, lbl in enumerate(lab.label_of)
             if lbl == 0 and e not in at_root]
-    if rng is not None:
-        rng.shuffle(rest)
     free = [lbl for lbl, e in enumerate(lab.edge_with)
             if e == -1 and lbl != 0 and lbl not in roots]
     _check(len(free) == len(rest) and len(roots) == len(root_edge),
@@ -132,17 +132,42 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int, root_labels,
     return order
 
 
-def _stage_checks(g: Graph, d: InstanceDecomposition, stage: StageOneResult) -> None:
-    from .verification import verify_bijection, verify_stage_properties
-    rep = verify_bijection(g, stage.labelling)
+def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
+            regime: Regime, h_sorted, intervals=()) -> StageOneResult:
+    """Close every stage 1: build the resolution bookkeeping and check,
+    from the raw labels, the bijection, the stage properties and, where
+    the regime promises it, antimagic outright."""
+    from .verification import (
+        verify_antimagic,
+        verify_bijection,
+        verify_stage_properties,
+    )
+    u_set = set(d.u)
+    y_map: dict[int, int] = {}
+    w_map: dict[int, int] = {}
+    for eid, (a, b) in enumerate(g.edges):
+        off = g.m - lab.label_of[eid]
+        if a == d.r or b == d.r:
+            w_map[off] = b if a == d.r else a
+        elif (a in u_set) != (b in u_set):
+            y_map[off] = b if a in u_set else a
+    _check(set(w_map.values()) == set(d.h_vertices),
+           "root edges do not cover H", g)
+    _check(set(y_map.values()) <= set(d.h_vertices), "Y is not inside H", g)
+    stage = StageOneResult(lab, regime, intervals, tuple(h_sorted),
+                           y_map, w_map)
+    rep = verify_bijection(g, lab)
     _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
     props = verify_stage_properties(stage, d)
     _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
            g, gaps=props.gaps)
+    if regime in ANTIMAGIC_OUTRIGHT:
+        _check(verify_antimagic(g, lab).ok,
+               f"{regime.value} stage 1 is not antimagic", g)
+    return stage
 
 
-def label_main(g: Graph, d: InstanceDecomposition,
-               arbitrary_rng=None) -> StageOneResult:
+def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     """Main-regime stage 1 (d'(u3) >= 4, m >= 7n; triple edges allowed).
 
     Reserved labels, counting down from m: root edges take every fourth
@@ -158,16 +183,10 @@ def label_main(g: Graph, d: InstanceDecomposition,
     to three, and u1's surplus edges in distinct classes; the edges left
     uncoloured take small labels like the unused classes do.
     """
-    n, m = g.n, g.m
-    if m < 7 * n:
-        raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
     t = d.d_prime[2]
-    if t < 4:
-        raise HypothesisViolated(f"d'(u3) = {t} < 4 is not the main regime")
+    lab = _begin(g, d, t >= 4, f"d'(u3) = {t} < 4 is not the main regime")
+    n, m = g.n, g.m
     u1, u2, u3 = d.u
-
-    lab = Labelling(g)
-    label_triple_edges(d, lab)
 
     # The bipartite graph of t chosen H-edges per u_i, Koenig-coloured
     # with t colours: every class holds exactly one edge of each u_i.
@@ -185,9 +204,8 @@ def label_main(g: Graph, d: InstanceDecomposition,
             by_u[a if a in (u1, u2, u3) else b] = e
         _check(len(cls) == 3 and set(by_u) == {u1, u2, u3},
                f"G1 class {j} does not hit u1, u2, u3 exactly once", g)
-        lab.assign(by_u[u1], base - 1)
-        lab.assign(by_u[u2], base - 2)
-        lab.assign(by_u[u3], base - 3)
+        for k, u in enumerate((u1, u2, u3), start=1):
+            lab.assign(by_u[u], base - k)
 
     # u1's surplus edges first, then the rest of G2, by ascending id.
     g2_edges = sorted((e for e in d.e2 if lab.label_of[e] == 0),
@@ -202,57 +220,34 @@ def label_main(g: Graph, d: InstanceDecomposition,
 
     for j in range(t + 1, n - 4):  # intervals I_{t+1} .. I_{n-5}
         cls = col2.classes[j - t - 1]
-        base = m - 4 * (j - 1)
         u1_edge = next((e for e in cls if u1 in g.edges[e]), None)
-        if j - t <= a1:
-            _check(u1_edge is not None,
-                   f"class for interval {j} lost its u1 edge", g)
-        if u1_edge is not None:
-            rest = sorted(e for e in cls if e != u1_edge)[:2]
-            _check(len(rest) == 2, f"class for interval {j} too small", g)
-            lab.assign(u1_edge, base - 1)
-            lab.assign(rest[0], base - 2)
-            lab.assign(rest[1], base - 3)
-        else:
-            _check(len(cls) >= 3, f"class for interval {j} too small", g)
-            for k, e in enumerate(sorted(cls)[:3], start=1):
-                lab.assign(e, base - k)
+        _check(u1_edge is not None or j - t > a1,
+               f"class for interval {j} lost its u1 edge", g)
+        # The u1 edge (if any) takes the interval top, the rest by id.
+        picked = sorted(cls, key=lambda e: (e != u1_edge, e))[:3]
+        _check(len(picked) == 3, f"class for interval {j} too small", g)
+        base = m - 4 * (j - 1)
+        for k, e in enumerate(picked, start=1):
+            lab.assign(e, base - k)
 
-    # The remaining (small) labels go to the remaining non-root edges.
-    h_sorted = _fill_rest_and_root(
-        g, lab, d.r, [m - 4 * k for k in range(n - 4)], arbitrary_rng)
-
+    h_sorted = _fill_rest_and_root(g, lab, d.r,
+                                   [m - 4 * k for k in range(n - 4)])
     intervals = tuple(
         tuple(m - 4 * (j - 1) - k for k in (1, 2, 3)) for j in range(1, n - 4))
-    y_map, w_map = _build_offset_maps(g, d, lab)
-    _check(set(w_map.values()) == set(d.h_vertices),
-           "root edges do not cover H", g)
-    _check(set(y_map.values()) <= set(d.h_vertices), "Y is not inside H", g)
-
-    stage = StageOneResult(lab, Regime.MAIN, intervals, tuple(h_sorted),
-                           y_map, w_map)
-    _stage_checks(g, d, stage)
-    return stage
+    return _finish(g, d, lab, Regime.MAIN, h_sorted, intervals)
 
 
 def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     """Degenerate case d'(u1) <= 3: all u-edges take the smallest labels
     (u3's first, then u2's, then u1's), the root edges the n-4 largest.
     The outcome is antimagic outright."""
+    lab = _begin(g, d, d.d_prime[0] <= 3,
+                 f"d'(u1) = {d.d_prime[0]} > 3 is not case i=1")
     n, m = g.n, g.m
-    if m < 7 * n:
-        raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
-    if d.d_prime[0] > 3:
-        raise HypothesisViolated(f"d'(u1) = {d.d_prime[0]} > 3 is not case i=1")
     u1, u2, u3 = d.u
-
-    lab = Labelling(g)
-    label_triple_edges(d, lab)
-    nxt = lab.assigned + 1
     for u in (u3, u2, u1):
         for _, e in _h_edges(g, d, u):
-            lab.assign(e, nxt)
-            nxt += 1
+            lab.assign(e, lab.assigned + 1)
     h_sorted = _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
 
     sums = lab.sums
@@ -262,14 +257,7 @@ def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     min_h = min(sums[v] for v in d.h_vertices)
     _check(min_h >= m - (n - 5) and min_h >= 101,
            f"min H sum {min_h} below bound", g)
-
-    y_map, w_map = _build_offset_maps(g, d, lab)
-    stage = StageOneResult(lab, Regime.DEGEN_I1, (), tuple(h_sorted),
-                           y_map, w_map)
-    _stage_checks(g, d, stage)
-    from .verification import verify_antimagic
-    _check(verify_antimagic(g, lab).ok, "i=1 labelling is not antimagic", g)
-    return stage
+    return _finish(g, d, lab, Regime.DEGEN_I1, h_sorted)
 
 
 def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
@@ -277,21 +265,14 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     label from the top, the root edges the interleaved odd offsets, so H
     sums are spaced by 2.  The only conflict left for resolution involves
     u1 (the root sum need not dominate u1 here)."""
-    n, m = g.n, g.m
-    if m < 7 * n:
-        raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
     d1 = d.d_prime[0]
-    if d1 < 4 or d.d_prime[1] > 3:
-        raise HypothesisViolated(f"d' = {d.d_prime} is not case i=2")
+    lab = _begin(g, d, d1 >= 4 and d.d_prime[1] <= 3,
+                 f"d' = {d.d_prime} is not case i=2")
+    n, m = g.n, g.m
     u1, u2, u3 = d.u
-
-    lab = Labelling(g)
-    label_triple_edges(d, lab)
-    nxt = lab.assigned + 1
     for u in (u3, u2):
         for _, e in _h_edges(g, d, u):
-            lab.assign(e, nxt)
-            nxt += 1
+            lab.assign(e, lab.assigned + 1)
 
     u1_labels = [m - 2 * k for k in range(d1 - 1)] + [m - 2 * (n - 5) - 2]
     for (_, e), lbl in zip(_h_edges(g, d, u1), u1_labels):
@@ -310,12 +291,7 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
            f"min H sum {min_h} below bound", g)
     _check(all(sums[d.r] >= sums[v] + 4 for v in d.h_vertices),
            "root does not dominate H by 4", g)
-
-    y_map, w_map = _build_offset_maps(g, d, lab)
-    stage = StageOneResult(lab, Regime.DEGEN_I2, (), tuple(h_sorted),
-                           y_map, w_map)
-    _stage_checks(g, d, stage)
-    return stage
+    return _finish(g, d, lab, Regime.DEGEN_I2, h_sorted)
 
 
 def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
@@ -328,20 +304,13 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     degree is at most that of H-H, so there are at most n - 4 classes
     and enough edges to balance each to two; the rest take small labels.
     """
-    n, m = g.n, g.m
-    if m < 7 * n:
-        raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
     d1, d2, d3 = d.d_prime
-    if d2 < 4 or d3 > 3:
-        raise HypothesisViolated(f"d' = {d.d_prime} is not case i=3")
+    lab = _begin(g, d, d2 >= 4 and d3 <= 3,
+                 f"d' = {d.d_prime} is not case i=3")
+    n, m = g.n, g.m
     u1, u2, u3 = d.u
-
-    lab = Labelling(g)
-    label_triple_edges(d, lab)
-    nxt = lab.assigned + 1
     for _, e in _h_edges(g, d, u3):
-        lab.assign(e, nxt)
-        nxt += 1
+        lab.assign(e, lab.assigned + 1)
 
     # Koenig classes over u1's and u2's H-edges: one u1-edge per class,
     # the d'(u2) classes holding a u2-edge first.  Class k feeds interval
@@ -366,8 +335,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
             _check(k < d2, "u2 edge escaped the first d'(u2) classes", g)
             lab.assign(u2_edge, m - 2 - 3 * k)
 
-    # H-H edges for the remaining interval slots.
-    pending = list(range(d2, n - 5))  # interval indices needing H-H edges
+    pending = list(range(d2, n - 5))  # intervals still needing H-H edges
     if pending:
         hh = [e for e in d.e2 if lab.label_of[e] == 0][:2 * (n - 4)]
         colh = vizing_colour(g, hh)
@@ -399,11 +367,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     _check(sums[u3] + 4 <= min_h, "u3 too close to H", g)
 
     intervals = tuple((m - 3 * k - 1, m - 3 * k - 2) for k in range(n - 5))
-    y_map, w_map = _build_offset_maps(g, d, lab)
-    stage = StageOneResult(lab, Regime.DEGEN_I3, intervals, tuple(h_sorted),
-                           y_map, w_map)
-    _stage_checks(g, d, stage)
-    return stage
+    return _finish(g, d, lab, Regime.DEGEN_I3, h_sorted, intervals)
 
 
 def label_disconnected(g: Graph, d: InstanceDecomposition,
@@ -426,21 +390,11 @@ def label_disconnected(g: Graph, d: InstanceDecomposition,
 
     _check(regime == Regime.DISC_TRIPLE_COMPONENT,
            f"{regime.value} is not a disconnected regime", g)
+    lab = _begin(g, d, d.d_prime == (0, 0, 0),
+                 f"d' = {d.d_prime}: the triple is not its own component")
     n, m = g.n, g.m
-    if m < 7 * n:
-        raise HypothesisViolated(f"m = {m} < 7n = {7 * n}")
-    lab = Labelling(g)
-    label_triple_edges(d, lab)
     h_sorted = _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
-
-    y_map, w_map = _build_offset_maps(g, d, lab)
-    stage = StageOneResult(lab, Regime.DISC_TRIPLE_COMPONENT, (),
-                           tuple(h_sorted), y_map, w_map)
-    _stage_checks(g, d, stage)
-    from .verification import verify_antimagic
-    _check(verify_antimagic(g, lab).ok,
-           "triple-component labelling is not antimagic", g)
-    return stage
+    return _finish(g, d, lab, Regime.DISC_TRIPLE_COMPONENT, h_sorted)
 
 
 def label_delta_n1(g: Graph, r: int) -> Labelling:
@@ -459,6 +413,6 @@ def label_delta_n1(g: Graph, r: int) -> Labelling:
     from .verification import verify_antimagic
     rep = verify_antimagic(g, lab)
     _check(rep.ok, f"universal-vertex labelling has conflicts {rep.conflicts}", g)
-    top = max(lab.sums[v] for v in range(1, n + 1) if v != r)
-    _check(lab.sums[r] > top, "root sum is not maximal", g)
+    _check(all(lab.sums[r] > lab.sums[v] for v in range(1, n + 1) if v != r),
+           "root sum is not maximal", g)
     return lab

@@ -8,7 +8,7 @@ with '#' and blank lines are ignored in both.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import NotAntimagicShape, ParseError
 from .graph import Graph, build_graph
 from .labelling import Labelling
 
@@ -37,6 +37,11 @@ def parse_graph(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header promises {m} edges, file has {len(body)}")
+    # Two isolated vertices: not antimagic, and rejected before a hostile
+    # header can allocate memory in proportion to n.
+    if n > 2 * m + 1:
+        raise NotAntimagicShape(
+            f"n = {n} > 2m + 1 = {2 * m + 1}: two isolated vertices")
     pairs = []
     for no, line in body:
         parts = line.split()

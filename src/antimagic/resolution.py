@@ -21,17 +21,16 @@ from .graph import InstanceDecomposition, Regime
 from .labelling import Labelling
 from .verification import recompute_sums, verify_antimagic
 
-LAMBDA_OFFSETS = (1, 5, 9, 13)
-GAMMA_OFFSETS = (2, 6, 10, 14)
-MU_OFFSETS = (0, 4, 8, 12)
-RHO_OFFSETS = (3, 7, 11, 15)
-
-# Positions for the i=3 regime (root labels step by 3).  The published
-# table's last rho row reads m-15 <-> m-12; the family pattern forces
-# m-11 <-> m-12, which is what we implement.
-I3_LAMBDA = (1, 4, 7, 10)
-I3_MU = (0, 3, 6, 9)
-I3_RHO = (2, 5, 8, 11)
+# The exchange table: per regime, each family's offsets, in the order
+# plans and the safety net try them.  In the i=3 regime the root labels
+# step by 3.  The published i=3 table's last rho row reads m-15 <-> m-12;
+# the family pattern forces m-11 <-> m-12, which is what we implement.
+FAMILIES = {
+    Regime.MAIN: {"lambda": (1, 5, 9, 13), "gamma": (2, 6, 10, 14),
+                  "mu": (0, 4, 8, 12), "rho": (3, 7, 11, 15)},
+    Regime.DEGEN_I3: {"lambda": (1, 4, 7, 10), "mu": (0, 3, 6, 9),
+                      "rho": (2, 5, 8, 11)},
+}
 
 
 @dataclass(frozen=True)
@@ -91,23 +90,11 @@ def apply_exchange(l: Labelling, e: Exchange) -> Labelling:
     return out
 
 
-def _mk(family: str, offset: int, m: int) -> Exchange:
-    return Exchange(family, offset, m - offset, m - offset - 1)
-
-
-def main_menu_exchanges(m: int) -> list[Exchange]:
-    out = [_mk("lambda", i, m) for i in LAMBDA_OFFSETS]
-    out += [_mk("gamma", i, m) for i in GAMMA_OFFSETS]
-    out += [_mk("mu", i, m) for i in MU_OFFSETS]
-    out += [_mk("rho", i, m) for i in RHO_OFFSETS]
-    return out
-
-
-def i3_menu_exchanges(m: int) -> list[Exchange]:
-    out = [_mk("lambda", i, m) for i in I3_LAMBDA]
-    out += [_mk("mu", i, m) for i in I3_MU]
-    out += [_mk("rho", i, m) for i in I3_RHO]
-    return out
+def exchanges(regime: Regime, m: int) -> dict[str, dict[int, Exchange]]:
+    """The regime's tabled exchanges for m edges: family -> offset ->
+    the swap of m - offset and m - offset - 1, in table order."""
+    return {family: {i: Exchange(family, i, m - i, m - i - 1) for i in offsets}
+            for family, offsets in FAMILIES[regime].items()}
 
 
 def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
@@ -125,54 +112,52 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     y = s.y_map
     u1, u2, u3 = d.u
     v1, v2, v3 = c.rivals[1], c.rivals[2], c.rivals[3]
-    lam = {i: _mk("lambda", i, m) for i in LAMBDA_OFFSETS}
-    gam = {i: _mk("gamma", i, m) for i in GAMMA_OFFSETS}
-    mu = {i: _mk("mu", i, m) for i in MU_OFFSETS}
-    rho = {i: _mk("rho", i, m) for i in RHO_OFFSETS}
+    ex = exchanges(Regime.MAIN, m)
+    lam, gam, mu, rho = ex["lambda"], ex["gamma"], ex["mu"], ex["rho"]
     ranks = set(c.u_ranks)
 
     if ranks == {1, 2, 3}:
-        ok = [i for i in LAMBDA_OFFSETS if y[i] != v1 and y[i + 1] != v2]
+        ok = [i for i in lam if y[i] != v1 and y[i + 1] != v2]
         if len(ok) < 2:
             raise ProofViolation(
                 f"case 1 admissible lambda count {len(ok)} < 2")
         plans = [[lam[i]] for i in ok]
-        plans += [[lam[i], rho[k]] for i in ok for k in RHO_OFFSETS]
+        plans += [[lam[i], rho[k]] for i in ok for k in rho]
         return "1", plans
     if ranks == {1, 2}:
-        return "2", [[lam[i]] for i in LAMBDA_OFFSETS]
+        return "2", [[e] for e in lam.values()]
     if ranks == {2, 3}:
-        return "3", [[gam[i]] for i in GAMMA_OFFSETS]
+        return "3", [[e] for e in gam.values()]
     if ranks == {1, 3}:
         if abs(sums[v2] - sums[u2]) >= 2:
-            ok = [i for i in LAMBDA_OFFSETS if y[i] not in (v1, v2)]
+            ok = [i for i in lam if y[i] not in (v1, v2)]
             plans = [[lam[i]] for i in ok]
-            plans += [[lam[i], rho[k]] for i in ok for k in RHO_OFFSETS]
+            plans += [[lam[i], rho[k]] for i in ok for k in rho]
             return "4a", plans
-        plans = [[rho[j]] for j in RHO_OFFSETS]
-        plans += [[mu[i]] for i in MU_OFFSETS]
-        plans += [[mu[i], rho[j]] for i in MU_OFFSETS for j in RHO_OFFSETS]
+        plans = [[e] for e in rho.values()]
+        plans += [[e] for e in mu.values()]
+        plans += [[mu[i], rho[j]] for i in mu for j in rho]
         return "4b", plans
     if ranks == {1}:
-        return "5", [[mu[k]] for k in MU_OFFSETS]
+        return "5", [[e] for e in mu.values()]
     if ranks == {3}:
-        return "6", [[rho[k]] for k in RHO_OFFSETS]
+        return "6", [[e] for e in rho.values()]
     if ranks != {2}:
         raise ProofViolation(f"conflict ranks {sorted(ranks)} fit no case")
     d1 = sums[v1] - sums[u1]
     d3 = sums[v3] - sums[u3]
     if abs(d1) >= 2 or d1 == 1:
         case = "7.1" if abs(d1) >= 2 else "7.2"
-        return case, [[lam[i]] for i in LAMBDA_OFFSETS]
+        return case, [[e] for e in lam.values()]
     if abs(d3) >= 2 or d3 == -1:
         case = "7.3" if abs(d3) >= 2 else "7.4"
-        return case, [[gam[i]] for i in GAMMA_OFFSETS]
+        return case, [[e] for e in gam.values()]
     # 7.5: sums[v1] = sums[u1] - 1 and sums[v3] = sums[u3] + 1.
-    pref = [j for j in MU_OFFSETS if y.get(j + 1) == v3]
-    rest = [j for j in MU_OFFSETS if j not in pref]
+    pref = [j for j in mu if y.get(j + 1) == v3]
+    rest = [j for j in mu if j not in pref]
     order = pref + rest
     plans = [[mu[j]] for j in order]
-    plans += [[mu[j], lam[i]] for j in order for i in LAMBDA_OFFSETS
+    plans += [[mu[j], lam[i]] for j in order for i in lam
               if i != j + 1]
     return "7.5", plans
 
@@ -188,14 +173,9 @@ def _degen_menu(regime: Regime, c: ConflictSet, g_m: int, n: int
     if regime != Regime.DEGEN_I3 or not ranks or 3 in ranks:
         raise ProofViolation(f"{regime.value} conflict ranks {sorted(ranks)} "
                              "fit no case")
-    lam = [_mk("lambda", i, g_m) for i in I3_LAMBDA]
-    mu = [_mk("mu", i, g_m) for i in I3_MU]
-    rho = [_mk("rho", i, g_m) for i in I3_RHO]
-    if ranks == {1, 2}:
-        return "i3:both", [[e] for e in lam]
-    if ranks == {1}:
-        return "i3:u1", [[e] for e in mu]
-    return "i3:u2", [[e] for e in rho]
+    case, family = {(1, 2): ("i3:both", "lambda"), (1,): ("i3:u1", "mu"),
+                    (2,): ("i3:u2", "rho")}[tuple(sorted(ranks))]
+    return case, [[e] for e in exchanges(Regime.DEGEN_I3, g_m)[family].values()]
 
 
 def _plan_is_sound(before: list[int], after: list[int], r: int,
@@ -238,14 +218,14 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     disconnected triple component) admit no exchanges: a conflict there
     raises ProofViolation immediately.
     """
-    from .construction import _reproducer
+    from .construction import ANTIMAGIC_OUTRIGHT, _reproducer
     g = s.labelling.graph
     conflicts = find_conflicts(s.labelling, d)
     if not conflicts.pairs:
         return s.labelling, ResolutionTrace("none", 0, (), True)
 
     regime = s.regime
-    if regime in (Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT):
+    if regime in ANTIMAGIC_OUTRIGHT:
         raise ProofViolation(
             f"{regime.value} stage 1 must be conflict-free, found "
             f"{conflicts.pairs}", reproducer=_reproducer(g))
@@ -281,8 +261,8 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
         return found, ResolutionTrace(case, tried, applied, True,
                                       rejections=tuple(rejections))
 
-    menu = (main_menu_exchanges(g.m) if regime == Regime.MAIN
-            else i3_menu_exchanges(g.m) if regime == Regime.DEGEN_I3
+    menu = ([e for family in exchanges(regime, g.m).values()
+             for e in family.values()] if regime in FAMILIES
             else [p[0] for p in plans])
     net: list[list[Exchange]] = [[e] for e in menu]
     net += [[e1, e2] for e1 in menu for e2 in menu if e1 != e2]

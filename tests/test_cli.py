@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -6,7 +7,7 @@ from antimagic import build_graph, gen_instance
 from antimagic.cli import main
 from antimagic.fileio import emit_graph, parse_graph, parse_labelling
 from antimagic.labelling import Labelling
-from antimagic.errors import ParseError
+from antimagic.errors import NotAntimagicShape, ParseError
 
 
 @pytest.fixture()
@@ -35,6 +36,20 @@ def test_parse_rejects_malformed_header():
         parse_graph("q 3 2\ne 1 2\ne 2 3\n")
 
 
+def test_hostile_header_rejected_before_allocating():
+    # n > 2m + 1 means two isolated vertices; the header alone decides,
+    # so the n + 1 adjacency sets are never allocated.
+    text = "p 100000 3\ne 1 2\ne 2 3\ne 3 4\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotAntimagicShape):
+            parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_label_verify_round_trip(main_graph_file, tmp_path):
     _, path = main_graph_file
     out = tmp_path / "labels.txt"
@@ -58,6 +73,15 @@ def test_k2_exit_3(tmp_path):
     f = tmp_path / "k2.graph"
     f.write_text("p 2 1\ne 1 2\n")
     assert main(["label", str(f)]) == 3
+
+
+def test_k1_label_verify(tmp_path, capsys):
+    f = tmp_path / "k1.graph"
+    f.write_text("p 1 0\n")
+    out = tmp_path / "k1.lab"
+    assert main(["label", str(f), "--out", str(out)]) == 0
+    assert "status Constructed" in capsys.readouterr().err
+    assert main(["verify", str(f), str(out)]) == 0
 
 
 def test_verify_conflicting_labelling_exit_1(main_graph_file, tmp_path):
@@ -130,6 +154,13 @@ def test_stress_smoke(capsys):
                  "--regimes", "main,degen_i3", "--seed", "2"]) == 0
     text = capsys.readouterr().out
     assert "exchanges applied histogram" in text
+    assert text.splitlines()[0].split() == ["regime", "ok", "bad",
+                                            "conflicted"]
+    cases = next(line for line in text.splitlines()
+                 if line.startswith("resolution cases: "))
+    counts = [int(x.split(": ")[1])
+              for x in cases.removeprefix("resolution cases: ").split(", ")]
+    assert sum(counts) == 8
 
 
 def test_force_regime_hook(main_graph_file):

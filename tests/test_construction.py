@@ -173,11 +173,34 @@ def test_main_offset_maps(main_stage):
         assert len(set(ys)) == 3
 
 
-def test_main_rejects_degenerate():
-    g = gen_instance(20, "degen_i2", seed=2)
+# Each constructor with a generator target outside its regime.
+GATED = {
+    "label_main": (label_main, "degen_i2"),
+    "label_case_i1": (label_case_i1, "main"),
+    "label_case_i2": (label_case_i2, "main"),
+    "label_case_i3": (label_case_i3, "main"),
+    "label_disconnected_u3": (
+        lambda g, d: label_disconnected(g, d, Regime.DISC_U3_ISOLATED), "main"),
+    "label_disconnected_triple": (
+        lambda g, d: label_disconnected(g, d, Regime.DISC_TRIPLE_COMPONENT),
+        "main"),
+}
+
+
+@pytest.mark.parametrize("graph", ["wrong_regime", "below_7n"])
+@pytest.mark.parametrize("name", list(GATED))
+def test_constructors_gate_hypotheses(name, graph):
+    build, wrong = GATED[name]
+    if graph == "wrong_regime":
+        g = gen_instance(20, wrong, seed=2)
+    else:
+        # r = 1 has degree n - 4 and u1, u2, u3 = 2, 3, 4 are isolated.
+        g = build_graph(8, [(1, 5), (1, 6), (1, 7), (1, 8),
+                            (5, 6), (5, 7), (5, 8)])
+        assert g.m < 7 * g.n
     d = decompose(g)
     with pytest.raises(HypothesisViolated):
-        label_main(g, d)
+        build(g, d)
 
 
 # -- degenerate case i = 1 --------------------------------------------------

@@ -20,17 +20,10 @@ from antimagic import (
 )
 from antimagic.errors import LabelMissing, ProofViolation
 from antimagic.resolution import (
+    FAMILIES,
     ConflictSet,
     Exchange,
-    GAMMA_OFFSETS,
-    I3_LAMBDA,
-    I3_MU,
-    I3_RHO,
-    LAMBDA_OFFSETS,
-    MU_OFFSETS,
-    RHO_OFFSETS,
-    i3_menu_exchanges,
-    main_menu_exchanges,
+    exchanges,
 )
 from antimagic.verification import recompute_sums, verify_stage_properties
 
@@ -83,18 +76,25 @@ def main_stage():
 
 
 def test_offset_tables_match_families():
-    assert LAMBDA_OFFSETS == (1, 5, 9, 13)
-    assert GAMMA_OFFSETS == (2, 6, 10, 14)
-    assert MU_OFFSETS == (0, 4, 8, 12)
-    assert RHO_OFFSETS == (3, 7, 11, 15)
-    assert I3_LAMBDA == (1, 4, 7, 10)
-    assert I3_MU == (0, 3, 6, 9)
-    assert I3_RHO == (2, 5, 8, 11)
+    # Family order is plan and safety-net order.
+    assert list(FAMILIES[Regime.MAIN].items()) == [
+        ("lambda", (1, 5, 9, 13)), ("gamma", (2, 6, 10, 14)),
+        ("mu", (0, 4, 8, 12)), ("rho", (3, 7, 11, 15))]
+    assert list(FAMILIES[Regime.DEGEN_I3].items()) == [
+        ("lambda", (1, 4, 7, 10)), ("mu", (0, 3, 6, 9)),
+        ("rho", (2, 5, 8, 11))]
+    assert list(FAMILIES) == [Regime.MAIN, Regime.DEGEN_I3]
     # Every exchange swaps adjacent labels (the published i=3 table's
     # last rho row is a typo; the pattern forces m-11 <-> m-12).
-    for ex in main_menu_exchanges(1000) + i3_menu_exchanges(1000):
-        assert ex.hi - ex.lo == 1
-        assert ex.hi == 1000 - ex.offset
+    for regime, families in FAMILIES.items():
+        table = exchanges(regime, 1000)
+        assert [(f, tuple(row)) for f, row in table.items()] == list(
+            families.items())
+        for family, row in table.items():
+            for offset, ex in row.items():
+                assert (ex.family, ex.offset) == (family, offset)
+                assert ex.hi - ex.lo == 1
+                assert ex.hi == 1000 - ex.offset
 
 
 def test_exchange_requires_adjacent_labels():
