@@ -14,6 +14,7 @@ reproducer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress, filterfalse, islice
 
 from .colouring import (
     balance_classes,
@@ -107,25 +108,27 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
                         root_labels) -> list[int]:
     """Finish a partial labelling the way every stage 1 ends.
 
-    Every still-unlabelled edge away from r takes the free labels outside
-    ``root_labels`` in increasing order, the edges in ascending id.  Then
-    r's neighbours are sorted by (partial sum, id) and their edges to r
-    take ``root_labels`` in increasing order, so the neighbours' final
-    sums keep that order, spaced at least as far apart as the root
-    labels.  Returns the sorted neighbours.
+    Every still-unlabelled edge away from r takes, in one batch, the
+    free labels outside ``root_labels`` in increasing order, the edges in
+    ascending id.  Then r's neighbours are sorted by (partial sum, id)
+    and their edges to r take ``root_labels`` in increasing order, so
+    the neighbours' final sums keep that order, spaced at least as far
+    apart as the root labels.  Returns the sorted neighbours.
     """
     roots = set(root_labels)
     root_edge = {g.other_end(e, r): e for e in g.incident[r]}
     at_root = set(g.incident[r])
-    rest = [e for e, lbl in enumerate(lab.label_of)
-            if lbl == 0 and e not in at_root]
-    free = [lbl for lbl, e in enumerate(lab.edge_with)
-            if e == -1 and lbl != 0 and lbl not in roots]
+    # Ascending: the edges neither at r nor labelled, and the labels
+    # neither in root_labels nor given out.
+    labelled = compress(range(g.m), lab.label_of)
+    rest = list(filterfalse(at_root.union(labelled).__contains__,
+                            range(g.m)))
+    free = list(filterfalse(roots.union(lab.label_of).__contains__,
+                            range(1, g.m + 1)))
     _check(len(free) == len(rest) and len(roots) == len(root_edge),
            "label accounting is off", g, free=len(free), rest=len(rest),
            root_labels=len(roots), root_edges=len(root_edge))
-    for e, lbl in zip(rest, free):
-        lab.assign(e, lbl)
+    lab.assign_all(rest, free)
     order = sorted(root_edge, key=lambda v: (lab.sums[v], v))
     for v, lbl in zip(order, sorted(roots)):
         lab.assign(root_edge[v], lbl)
@@ -138,32 +141,32 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     from the raw labels, the bijection, the stage properties and, where
     the regime promises it, antimagic outright."""
     from .verification import (
+        one_pass,
         verify_antimagic,
         verify_bijection,
         verify_stage_properties,
     )
-    u_set = set(d.u)
-    y_map: dict[int, int] = {}
-    w_map: dict[int, int] = {}
-    for eid, (a, b) in enumerate(g.edges):
-        off = g.m - lab.label_of[eid]
-        if a == d.r or b == d.r:
-            w_map[off] = b if a == d.r else a
-        elif (a in u_set) != (b in u_set):
-            y_map[off] = b if a in u_set else a
+    # No u is adjacent to r: r's edges are the root edges, and the u's
+    # edges that leave the triple are the u-edges into H.
+    m, r, label_of = g.m, d.r, lab.label_of
+    w_map = {m - label_of[e]: g.other_end(e, r) for e in g.incident[r]}
+    y_map = {m - label_of[e]: w for u in d.u for e in g.incident[u]
+             if (w := g.other_end(e, u)) not in d.u}
     _check(set(w_map.values()) == set(d.h_vertices),
            "root edges do not cover H", g)
     _check(set(y_map.values()) <= set(d.h_vertices), "Y is not inside H", g)
     stage = StageOneResult(lab, regime, intervals, tuple(h_sorted),
                            y_map, w_map)
-    rep = verify_bijection(g, lab)
-    _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
-    props = verify_stage_properties(stage, d)
-    _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
-           g, gaps=props.gaps)
-    if regime in ANTIMAGIC_OUTRIGHT:
-        _check(verify_antimagic(g, lab).ok,
-               f"{regime.value} stage 1 is not antimagic", g)
+    with one_pass(lab):
+        rep = verify_bijection(g, lab)
+        _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
+        props = verify_stage_properties(stage, d)
+        _check(props.ok,
+               "stage-1 property failure: " + "; ".join(props.failures),
+               g, gaps=props.gaps)
+        if regime in ANTIMAGIC_OUTRIGHT:
+            _check(verify_antimagic(g, lab).ok,
+                   f"{regime.value} stage 1 is not antimagic", g)
     return stage
 
 
@@ -208,9 +211,11 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
             lab.assign(by_u[u], base - k)
 
     # u1's surplus edges first, then the rest of G2, by ascending id.
-    g2_edges = sorted((e for e in d.e2 if lab.label_of[e] == 0),
-                      key=lambda e: u1 not in g.edges[e])
-    col2 = vizing_colour(g, g2_edges[:3 * (n - 4)])
+    label_of = lab.label_of
+    g2_edges = chain(
+        (e for e in g.incident[u1] if not label_of[e]),
+        (e for e in d.e2 if not label_of[e] and u1 not in g.edges[e]))
+    col2 = vizing_colour(g, list(islice(g2_edges, 3 * (n - 4))))
     _check(len(col2.classes) <= n - 4,
            "Vizing exceeded Delta(G2) + 1 classes", g)
     col2 = pad_classes(col2, n - 4)
@@ -337,7 +342,8 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
 
     pending = list(range(d2, n - 5))  # intervals still needing H-H edges
     if pending:
-        hh = [e for e in d.e2 if lab.label_of[e] == 0][:2 * (n - 4)]
+        hh = list(islice((e for e in d.e2 if not lab.label_of[e]),
+                         2 * (n - 4)))
         colh = vizing_colour(g, hh)
         colh = pad_classes(colh, max(len(colh.classes), len(pending)))
         colh = balance_classes(colh, 2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from .errors import (
     DuplicateEdge,
@@ -154,11 +155,11 @@ def decompose(g: Graph) -> InstanceDecomposition:
         if g.has_edge(a, b)
     )
     e1 = tuple(g.incident[r])
-    e1_set = set(e1)
-    e2 = tuple(e for e in range(g.m) if e not in e1_set)
-    m_h = sum(
-        1 for a, b in g.edges if a in h_set and b in h_set
-    )
+    e2 = tuple(filterfalse(set(e1).__contains__, range(g.m)))
+    # r has no u-neighbour, so every edge touches r, touches a u (the
+    # triple edges twice) or lies inside H.
+    m_h = (g.m - len(e1) - sum(g.degree(v) for v in u)
+           + len(triple))
     return InstanceDecomposition(
         r=r, u=u, h_vertices=tuple(sorted(h_set)), d_prime=d_prime,
         triple_edges=triple, e1=e1, e2=e2, n_h=len(h_set), m_h=m_h,
@@ -204,4 +205,5 @@ def isolated_vertices(g: Graph) -> list[int]:
 def has_isolated_edge(g: Graph) -> bool:
     """An isolated edge (a component that is a single edge) forces equal
     sums at its two endpoints, so the graph cannot be antimagic."""
-    return any(g.degree(a) == 1 and g.degree(b) == 1 for a, b in g.edges)
+    return any(g.degree(v) == 1 and g.degree(next(iter(g.adjacency[v]))) == 1
+               for v in range(1, g.n + 1))

@@ -1,13 +1,17 @@
 """Independent checking of labellings.
 
 Everything here recomputes from the graph and the raw label assignment;
-the cached sums inside Labelling are never trusted.  Reports carry full
-witness data so a failure is actionable.
+the cached sums and the label -> edge inverse inside Labelling are never
+trusted.  Inside a ``one_pass`` block the checks of one labelling share
+one recompute of its vertex sums; everywhere else each check recomputes
+afresh.  Reports carry full witness data so a failure is actionable.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
+from itertools import compress
 
 from .graph import Graph, InstanceDecomposition
 from .labelling import Labelling
@@ -35,31 +39,51 @@ class StagePropertyReport:
     gaps: dict = field(default_factory=dict)
 
 
+# While a one_pass block is open: [its labelling, that labelling's sums
+# once a check has recomputed them].
+_shared: list = []
+
+
+@contextlib.contextmanager
+def one_pass(l: Labelling):
+    """Let the checks of ``l`` inside the block share one recompute of
+    its vertex sums from the raw labels; ``l`` must not change inside
+    the block."""
+    _shared[:] = [l, None]
+    try:
+        yield
+    finally:
+        _shared.clear()
+
+
 def recompute_sums(g: Graph, l: Labelling) -> list[int]:
     """Vertex sums from scratch; isolated vertices get 0."""
-    sums = [0] * (g.n + 1)
-    for eid, (a, b) in enumerate(g.edges):
-        lbl = l.label_of[eid]
-        sums[a] += lbl
-        sums[b] += lbl
+    if _shared and _shared[0] is l and _shared[1] is not None:
+        return list(_shared[1])
+    labels = l.label_of
+    sums = [sum(map(labels.__getitem__, inc)) for inc in g.incident]
+    if _shared and _shared[0] is l:
+        _shared[1] = list(sums)
     return sums
 
 
 def verify_bijection(g: Graph, l: Labelling) -> BijectionReport:
-    """Labels must be exactly {1..m} with no repeats."""
-    m = g.m
+    """Labels must be exactly {1..m} with no repeats.  The detailed report
+    is built only when the labels are not."""
+    labels, m = l.label_of, g.m
+    if not labels or (0 < min(labels) and max(labels) <= m
+                      and len(set(labels)) == m):
+        return BijectionReport(True)
     counts: dict[int, int] = {}
     out_of_range = []
-    for eid in range(m):
-        lbl = l.label_of[eid]
+    for lbl in labels:
         if not 1 <= lbl <= m:
             out_of_range.append(lbl)
             continue
         counts[lbl] = counts.get(lbl, 0) + 1
     duplicated = sorted(lbl for lbl, c in counts.items() if c > 1)
     missing = sorted(set(range(1, m + 1)) - set(counts))
-    ok = not duplicated and not missing and not out_of_range
-    return BijectionReport(ok, tuple(missing), tuple(duplicated),
+    return BijectionReport(False, tuple(missing), tuple(duplicated),
                            tuple(sorted(out_of_range)))
 
 
@@ -127,14 +151,16 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
 
     if stage.intervals:
         # label -> the intervals holding it, then hits per (vertex,
-        # interval) in one pass over the raw labels.
+        # interval) over the edges that carry a reserved label.
         owners: dict[int, list[int]] = {}
         for i, labels in enumerate(stage.intervals):
             for lbl in set(labels):
                 owners.setdefault(lbl, []).append(i)
+        label_of = stage.labelling.label_of
         hits: dict[tuple[int, int], int] = {}
-        for eid, lbl in enumerate(stage.labelling.label_of):
-            for i in owners.get(lbl, ()):
+        for eid in compress(range(len(label_of)),
+                            map(owners.__contains__, label_of)):
+            for i in owners[label_of[eid]]:
                 for v in g.edges[eid]:
                     if v != d.r:
                         hits[v, i] = hits.get((v, i), 0) + 1

@@ -22,6 +22,7 @@ from antimagic.errors import (
     HypothesisViolated,
     NotAntimagicShape,
     NotUniversalVertex,
+    ProofViolation,
 )
 from antimagic.verification import recompute_sums
 from conftest import random_universal_graph
@@ -344,3 +345,24 @@ def test_disc_u3_isolated_runs_degenerate_machinery():
     assert stage.regime == Regime.DEGEN_I3
     sums = recompute_sums(g, stage.labelling)
     assert sums[d.u[2]] == 0
+
+
+def test_assign_all_writes_a_batch_and_refuses_reuse():
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    lab = Labelling(g)
+    lab.assign(0, 4)
+    lab.assign_all([1, 3, 2], [1, 2, 3])
+    assert lab.label_of == [4, 1, 3, 2]
+    assert lab.edge_with == [-1, 1, 3, 2, 0]
+    assert lab.assigned == 4 and lab.sums == recompute_sums(g, lab)
+    lab.assign_all([], [])
+    assert lab.assigned == 4
+    # With edge 0 holding label 1: a used label, a labelled edge, a
+    # repeated label, a repeated edge, labels out of range, a short list.
+    bad = (([1], [1]), ([0], [2]), ([1, 2], [2, 2]), ([1, 1], [2, 3]),
+           ([1], [0]), ([1], [5]), ([1, 2], [2]))
+    for eids, labels in bad:
+        lab = Labelling(g)
+        lab.assign(0, 1)
+        with pytest.raises(ProofViolation):
+            lab.assign_all(eids, labels)

@@ -145,3 +145,26 @@ def test_shape_helpers():
     g = build_graph(5, [(1, 2), (3, 4)])
     assert has_isolated_edge(g)
     assert isolated_vertices(g) == [5]
+
+
+@pytest.mark.parametrize("target", ["main", "main_triple", "degen_i1",
+                                    "degen_i3", "disc_u3_isolated",
+                                    "disc_triple", "yilma"])
+def test_decompose_m_h_counts_h_edges(target):
+    # m_h comes from the degrees; an edge scan must agree.
+    for seed in (1, 2, 3):
+        g = gen_instance(24, target, seed=seed)
+        d = decompose(g)
+        assert d.m_h == sum(1 for a, b in g.edges
+                            if a in d.h_set and b in d.h_set)
+        assert d.e2 == tuple(e for e in range(g.m) if e not in d.e1)
+
+
+def test_has_isolated_edge_matches_edge_scan(rng):
+    from conftest import random_graph
+    for _ in range(300):
+        g = random_graph(rng.randrange(2, 9), rng.choice((0.1, 0.2, 0.4)),
+                         rng)
+        expect = any(g.degree(a) == 1 and g.degree(b) == 1
+                     for a, b in g.edges)
+        assert has_isolated_edge(g) == expect

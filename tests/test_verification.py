@@ -1,3 +1,4 @@
+import functools
 import random
 
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from antimagic import (
     verify_bijection,
     verify_stage_properties,
 )
+from antimagic.generator import min_feasible_n
 from conftest import brute_sums
 
 
@@ -162,3 +164,171 @@ def test_stage_properties_catch_i3_two_label_interval():
         "vertex 2 carries 2 labels of interval (132, 131)",
         "vertex 3 carries 2 labels of interval (129, 128)",
     )
+
+
+# Naive references for the verifiers: one loop over the edges, the way
+# the checks read before they shared a pass.  The rewritten verifiers
+# must agree with them exactly, faults included.
+
+def _naive_sums(g, labels):
+    sums = [0] * (g.n + 1)
+    for eid, (a, b) in enumerate(g.edges):
+        sums[a] += labels[eid]
+        sums[b] += labels[eid]
+    return sums
+
+
+def _naive_bijection(g, labels):
+    counts = {}
+    out_of_range = []
+    for lbl in labels:
+        if not 1 <= lbl <= g.m:
+            out_of_range.append(lbl)
+        else:
+            counts[lbl] = counts.get(lbl, 0) + 1
+    duplicated = sorted(lbl for lbl, c in counts.items() if c > 1)
+    missing = sorted(set(range(1, g.m + 1)) - set(counts))
+    return (not (duplicated or missing or out_of_range), tuple(missing),
+            tuple(duplicated), tuple(sorted(out_of_range)))
+
+
+def _naive_stage_properties(stage, d):
+    from antimagic import Regime
+    from antimagic.verification import margins
+
+    g = stage.labelling.graph
+    labels = stage.labelling.label_of
+    sums = _naive_sums(g, labels)
+    u1, u2, u3 = d.u
+    gaps = margins(g, d, sums)
+    failures = []
+    regime = stage.regime
+    h_gap = {Regime.MAIN: 4, Regime.DEGEN_I2: 2,
+             Regime.DEGEN_I3: 3}.get(regime, 1)
+    if regime == Regime.MAIN:
+        if gaps["u3_u2"] < 4:
+            failures.append(
+                f"u-gap: sum(u3)={sums[u3]} + 4 > sum(u2)={sums[u2]}")
+        if gaps["u2_u1"] < 4:
+            failures.append(
+                f"u-gap: sum(u2)={sums[u2]} + 4 > sum(u1)={sums[u1]}")
+        if gaps["root_margin"] < 4:
+            failures.append(f"root margin {gaps['root_margin']} < 4")
+    if gaps["h_min_gap"] < h_gap:
+        failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
+    hits = {}
+    for eid, lbl in enumerate(labels):
+        for i, block in enumerate(stage.intervals):
+            if lbl in block:
+                for v in g.edges[eid]:
+                    if v != d.r:
+                        hits[v, i] = hits.get((v, i), 0) + 1
+    for (v, i), count in sorted(hits.items()):
+        if count > 1:
+            failures.append(f"vertex {v} carries {count} labels of "
+                            f"interval {stage.intervals[i]}")
+    if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
+        top = sums[d.r] - gaps["root_margin"]
+        failures.append(
+            f"root sum {sums[d.r]} not the unique maximum (top other {top})")
+    return tuple(failures), gaps
+
+
+_STAGE_TARGETS = ("main", "main_triple", "degen_i2", "degen_i3",
+                  "disc_u3_isolated")
+
+
+@functools.lru_cache(maxsize=None)
+def _stage(target, seed):
+    from antimagic import label
+    g = gen_instance(min_feasible_n(target) + seed % 3, target, seed=seed)
+    out = label(g, seed=seed)
+    return g, out.decomposition, out.stage
+
+
+def _tamper(rng, labels, m):
+    """A copy of ``labels`` with a few swaps, zeros, repeats and labels
+    outside 1..m, any of them possibly absent."""
+    out = list(labels)
+    for _ in range(rng.randrange(4)):
+        i, j = rng.randrange(len(out)), rng.randrange(len(out))
+        out[i], out[j] = out[j], out[i]
+    for _ in range(rng.randrange(3)):
+        out[rng.randrange(len(out))] = rng.choice(
+            (0, -rng.randrange(1, 5), m + rng.randrange(1, 5),
+             out[rng.randrange(len(out))]))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 3))
+def test_sums_and_bijection_match_naive_on_any_labels(seed, shape):
+    # Random graphs (isolated vertices included) with complete, partial
+    # or tampered label lists.
+    rng = random.Random(seed)
+    n = rng.randrange(1, 10)
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+             if rng.random() < 0.4]
+    g = build_graph(n, pairs)
+    labels = list(range(1, g.m + 1))
+    rng.shuffle(labels)
+    if shape == 1 and labels:     # partial: some edges still unlabelled
+        for eid in rng.sample(range(g.m), rng.randrange(1, g.m + 1)):
+            labels[eid] = 0
+    elif shape >= 2 and labels:
+        labels = _tamper(rng, labels, g.m)
+    lab = Labelling.from_labels(g, labels, strict=False)
+    from antimagic.verification import recompute_sums
+    assert recompute_sums(g, lab) == _naive_sums(g, labels)
+    rep = verify_bijection(g, lab)
+    assert (rep.ok, rep.missing, rep.duplicated,
+            rep.out_of_range) == _naive_bijection(g, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_STAGE_TARGETS), st.integers(1, 4),
+       st.integers(0, 10_000), st.booleans())
+def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
+    # Genuine stage-1 outputs, as built and tampered, over every regime
+    # with reserved intervals or spacing (u3 isolated included).
+    g, d, stage = _stage(target, seed)
+    labels = stage.labelling.label_of
+    if tamper:
+        labels = _tamper(random.Random(tamper_seed), labels, g.m)
+    lab = Labelling.from_labels(g, labels, strict=False)
+    probe = StageOneResult(lab, stage.regime, stage.intervals,
+                           stage.h_sorted, stage.y_map, stage.w_map)
+    rep = verify_stage_properties(probe, d)
+    failures, gaps = _naive_stage_properties(probe, d)
+    assert rep.failures == failures
+    assert rep.gaps == gaps
+    assert rep.ok == (not failures)
+
+
+def test_shared_pass_serves_every_check_and_closes():
+    # Inside one_pass the checks of one labelling recompute the sums
+    # once; outside it, and for any other labelling, each recomputes.
+    import antimagic.verification as verification
+    g, d, stage = _stage("main", 1)
+    lab = stage.labelling
+    reads = []
+
+    class Counting(list):
+        def __getitem__(self, i):
+            reads.append(i)
+            return list.__getitem__(self, i)
+
+    probe = Labelling.from_labels(g, list(lab.label_of))
+    probe.label_of = Counting(probe.label_of)
+    stage_probe = StageOneResult(probe, stage.regime, stage.intervals,
+                                 stage.h_sorted, stage.y_map, stage.w_map)
+    with verification.one_pass(probe):
+        assert verify_stage_properties(stage_probe, d).ok
+        once = len(reads)
+        assert verify_antimagic(g, probe).ok
+        assert verification.recompute_sums(g, probe) == lab.sums
+        assert len(reads) == once >= 2 * g.m
+        verify_antimagic(g, lab)           # another labelling
+        assert len(reads) == once
+    verify_antimagic(g, probe)             # one recompute: 2m reads
+    assert len(reads) == once + 2 * g.m
