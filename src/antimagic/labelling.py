@@ -69,23 +69,25 @@ class Labelling:
         self.assigned += 1
 
     def assign_all(self, eids: list[int], labels: list[int]) -> None:
-        """``assign`` for a batch: direct writes, one count over the whole
-        labelling that shows no write reused an edge or a label, and one
-        pass over the sums.  A failed check leaves the labelling
-        unusable."""
+        """``assign`` for a batch: one pass of direct writes to the labels,
+        the inverse and the sums, then one count over the whole labelling
+        that shows no write reused an edge or a label.  A failed check
+        leaves the labelling unusable."""
         label_of, edge_with = self.label_of, self.edge_with
+        sums, edges = self.sums, self.graph.edges
         if len(eids) != len(labels) or (
                 labels and not 0 < min(labels) <= max(labels) < len(edge_with)):
             raise ProofViolation("batch labels out of range or unmatched")
         for eid, label in zip(eids, labels):
             label_of[eid] = label
             edge_with[label] = eid
+            a, b = edges[eid]
+            sums[a] += label
+            sums[b] += label
         self.assigned += len(eids)
         free = len(label_of) - self.assigned
         if label_of.count(0) != free or edge_with.count(-1) != free + 1:
             raise ProofViolation("a batch edge or label was already used")
-        self.sums = [sum(map(label_of.__getitem__, inc))
-                     for inc in self.graph.incident]
 
     def swap_labels(self, x: int, y: int) -> None:
         """Exchange the edges carrying labels x and y; only the (at most

@@ -311,12 +311,12 @@ def test_shared_pass_serves_every_check_and_closes():
     import antimagic.verification as verification
     g, d, stage = _stage("main", 1)
     lab = stage.labelling
-    reads = []
+    passes = []
 
     class Counting(list):
-        def __getitem__(self, i):
-            reads.append(i)
-            return list.__getitem__(self, i)
+        def __iter__(self):
+            passes.append(1)
+            return list.__iter__(self)
 
     probe = Labelling.from_labels(g, list(lab.label_of))
     probe.label_of = Counting(probe.label_of)
@@ -324,11 +324,10 @@ def test_shared_pass_serves_every_check_and_closes():
                                  stage.h_sorted, stage.y_map, stage.w_map)
     with verification.one_pass(probe):
         assert verify_stage_properties(stage_probe, d).ok
-        once = len(reads)
+        assert len(passes) == 2           # the sums, the interval hits
         assert verify_antimagic(g, probe).ok
         assert verification.recompute_sums(g, probe) == lab.sums
-        assert len(reads) == once >= 2 * g.m
-        verify_antimagic(g, lab)           # another labelling
-        assert len(reads) == once
-    verify_antimagic(g, probe)             # one recompute: 2m reads
-    assert len(reads) == once + 2 * g.m
+        verify_antimagic(g, lab)          # another labelling
+        assert len(passes) == 2
+    verify_antimagic(g, probe)
+    assert len(passes) == 3
