@@ -141,7 +141,6 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     from the raw labels, the bijection, the stage properties and, where
     the regime promises it, antimagic outright."""
     from .verification import (
-        one_pass,
         verify_antimagic,
         verify_bijection,
         verify_stage_properties,
@@ -157,16 +156,14 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     _check(set(y_map.values()) <= set(d.h_vertices), "Y is not inside H", g)
     stage = StageOneResult(lab, regime, intervals, tuple(h_sorted),
                            y_map, w_map)
-    with one_pass(lab):
-        rep = verify_bijection(g, lab)
-        _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
-        props = verify_stage_properties(stage, d)
-        _check(props.ok,
-               "stage-1 property failure: " + "; ".join(props.failures),
-               g, gaps=props.gaps)
-        if regime in ANTIMAGIC_OUTRIGHT:
-            _check(verify_antimagic(g, lab).ok,
-                   f"{regime.value} stage 1 is not antimagic", g)
+    rep = verify_bijection(g, lab)
+    _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
+    props = verify_stage_properties(stage, d)
+    _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
+           g, gaps=props.gaps)
+    if regime in ANTIMAGIC_OUTRIGHT:
+        _check(verify_antimagic(g, lab).ok,
+               f"{regime.value} stage 1 is not antimagic", g)
     return stage
 
 

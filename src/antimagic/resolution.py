@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import ProofGapWarning, ProofViolation
 from .graph import InstanceDecomposition, Regime
 from .labelling import Labelling
-from .verification import one_pass, recompute_sums, verify_antimagic
+from .verification import recompute_sums, verify_antimagic
 
 # The exchange table: per regime, each family's offsets, in the order
 # plans and the safety net try them.  In the i=3 regime the root labels
@@ -276,23 +276,22 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     """
     from .construction import ANTIMAGIC_OUTRIGHT, _reproducer
     g = s.labelling.graph
-    with one_pass(s.labelling):
-        conflicts = find_conflicts(s.labelling, d)
-        if not conflicts.pairs:
-            return s.labelling, ResolutionTrace("none", 0, (), True)
+    conflicts = find_conflicts(s.labelling, d)
+    if not conflicts.pairs:
+        return s.labelling, ResolutionTrace("none", 0, (), True)
 
-        regime = s.regime
-        if regime in ANTIMAGIC_OUTRIGHT:
-            raise ProofViolation(
-                f"{regime.value} stage 1 must be conflict-free, found "
-                f"{conflicts.pairs}", reproducer=_reproducer(g))
+    regime = s.regime
+    if regime in ANTIMAGIC_OUTRIGHT:
+        raise ProofViolation(
+            f"{regime.value} stage 1 must be conflict-free, found "
+            f"{conflicts.pairs}", reproducer=_reproducer(g))
 
-        _assert_conflict_shape(conflicts, d, regime, s.labelling)
-        if regime == Regime.MAIN:
-            case, plans = candidate_plans(conflicts, s, d)
-        else:
-            case, plans = _degen_menu(regime, conflicts, g.m, g.n)
-        score = delta_scorer(s.labelling, recompute_sums(g, s.labelling))
+    _assert_conflict_shape(conflicts, d, regime, s.labelling)
+    if regime == Regime.MAIN:
+        case, plans = candidate_plans(conflicts, s, d)
+    else:
+        case, plans = _degen_menu(regime, conflicts, g.m, g.n)
+    score = delta_scorer(s.labelling, recompute_sums(g, s.labelling))
 
     rejections: list[str] = []
 

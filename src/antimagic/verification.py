@@ -3,7 +3,7 @@
 Everything here recomputes from the graph and the raw label assignment;
 the cached sums and the label -> edge inverse inside Labelling are never
 trusted.  Inside a ``one_pass`` block the checks of one labelling share
-one recompute of its vertex sums; everywhere else each check recomputes
+one recompute of its vertex sums; outside one each check recomputes
 afresh.  Reports carry full witness data so a failure is actionable.
 """
 
@@ -39,26 +39,27 @@ class StagePropertyReport:
     gaps: dict = field(default_factory=dict)
 
 
-# While a one_pass block is open: [its labelling, that labelling's sums
-# once a check has recomputed them].
-_shared: list = []
+# None outside a one_pass block; inside it, [] or [the labelling checked
+# last, its sums].
+_shared: list | None = None
 
 
 @contextlib.contextmanager
-def one_pass(l: Labelling):
-    """Let the checks of ``l`` inside the block share one recompute of
-    its vertex sums from the raw labels; ``l`` must not change inside
-    the block."""
-    _shared[:] = [l, None]
+def one_pass():
+    """Inside the block a labelling's sums are recomputed from its raw
+    labels once and shared by its later checks, until another labelling
+    is checked.  A labelling must not change once checked in the block."""
+    global _shared
+    _shared = []
     try:
         yield
     finally:
-        _shared.clear()
+        _shared = None
 
 
 def recompute_sums(g: Graph, l: Labelling) -> list[int]:
     """Vertex sums from scratch; isolated vertices get 0."""
-    if _shared and _shared[0] is l and _shared[1] is not None:
+    if _shared and _shared[0] is l:
         return list(_shared[1])
     # Edge order reads the labels sequentially; summing per vertex over
     # g.incident jumps around them and was 6x slower at m = 211,647.
@@ -66,8 +67,8 @@ def recompute_sums(g: Graph, l: Labelling) -> list[int]:
     for (a, b), lbl in zip(g.edges, l.label_of):
         sums[a] += lbl
         sums[b] += lbl
-    if _shared and _shared[0] is l:
-        _shared[1] = list(sums)
+    if _shared is not None:
+        _shared[:] = [l, list(sums)]
     return sums
 
 

@@ -148,8 +148,9 @@ def test_shape_helpers():
 
 
 @pytest.mark.parametrize("target", ["main", "main_triple", "degen_i1",
-                                    "degen_i3", "disc_u3_isolated",
-                                    "disc_triple", "yilma"])
+                                    "degen_i2", "degen_i3",
+                                    "disc_u3_isolated", "disc_triple",
+                                    "yilma"])
 def test_decompose_m_h_counts_h_edges(target):
     # m_h comes from the degrees; an edge scan must agree.
     for seed in (1, 2, 3):

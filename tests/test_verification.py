@@ -306,8 +306,9 @@ def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
 
 
 def test_shared_pass_serves_every_check_and_closes():
-    # Inside one_pass the checks of one labelling recompute the sums
-    # once; outside it, and for any other labelling, each recomputes.
+    # Inside one_pass the checks of one labelling recompute its sums
+    # once, until another labelling is checked; outside the block each
+    # check recomputes.
     import antimagic.verification as verification
     g, d, stage = _stage("main", 1)
     lab = stage.labelling
@@ -322,12 +323,15 @@ def test_shared_pass_serves_every_check_and_closes():
     probe.label_of = Counting(probe.label_of)
     stage_probe = StageOneResult(probe, stage.regime, stage.intervals,
                                  stage.h_sorted, stage.y_map, stage.w_map)
-    with verification.one_pass(probe):
+    with verification.one_pass():
         assert verify_stage_properties(stage_probe, d).ok
         assert len(passes) == 2           # the sums, the interval hits
         assert verify_antimagic(g, probe).ok
         assert verification.recompute_sums(g, probe) == lab.sums
-        verify_antimagic(g, lab)          # another labelling
         assert len(passes) == 2
+        verify_antimagic(g, lab)          # another labelling
+        verify_antimagic(g, probe)
+        assert len(passes) == 3
     verify_antimagic(g, probe)
-    assert len(passes) == 3
+    verify_antimagic(g, probe)
+    assert len(passes) == 5
