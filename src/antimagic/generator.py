@@ -55,35 +55,35 @@ def _as_target(regime) -> str:
     raise InfeasibleRegime(f"unknown generation target {regime!r}")
 
 
+# Per target, the range of d'(u1), d'(u2), d'(u3); None stands for n - 6.
+_DPRIME_RANGES = {
+    "main": ((4, None), (4, None), (4, None)),
+    "main_triple": ((4, None), (4, None), (4, None)),
+    "yilma": ((4, None), (4, None), (4, None)),
+    "degen_i3": ((4, None), (4, None), (1, 3)),
+    "degen_i2": ((4, None), (1, 3), (1, 3)),
+    "degen_i1": ((1, 3), (1, 3), (1, 3)),
+    "disc_u3_isolated": ((4, None), (4, None), (0, 0)),
+    "disc_triple": ((0, 0), (0, 0), (0, 0)),
+}
+
+_ALL_TRIPLES = ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+# Per target, the index sets into _TRIPLE_PAIRS it may use.
+_TRIPLE_OPTIONS = {
+    "main": ((),),
+    "main_triple": _ALL_TRIPLES[1:],
+    "degen_i1": _ALL_TRIPLES,
+    "degen_i2": _ALL_TRIPLES,
+    "degen_i3": _ALL_TRIPLES,
+    "yilma": _ALL_TRIPLES,
+    "disc_u3_isolated": ((), (0,)),  # only u1u2 keeps u3 isolated
+    "disc_triple": ((0, 1, 2), (0, 1), (0, 2), (1, 2)),  # K3 or a P3
+}
+
+
 def _dprime_bounds(target: str, n: int) -> tuple[tuple[int, int], ...]:
-    hi = n - 6
-    if target in ("main", "main_triple", "yilma"):
-        return ((4, hi), (4, hi), (4, hi))
-    if target == "degen_i3":
-        return ((4, hi), (4, hi), (1, 3))
-    if target == "degen_i2":
-        return ((4, hi), (1, 3), (1, 3))
-    if target == "degen_i1":
-        return ((1, 3), (1, 3), (1, 3))
-    if target == "disc_u3_isolated":
-        return ((4, hi), (4, hi), (0, 0))
-    assert target == "disc_triple"
-    return ((0, 0), (0, 0), (0, 0))
-
-
-def _triple_options(target: str) -> tuple[tuple[int, ...], ...]:
-    """Index sets into _TRIPLE_PAIRS the target may use."""
-    all_subsets = ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-    if target == "main":
-        return ((),)
-    if target == "main_triple":
-        return all_subsets[1:]
-    if target in ("degen_i1", "degen_i2", "degen_i3", "yilma"):
-        return all_subsets
-    if target == "disc_u3_isolated":
-        return ((), (0,))  # only u1u2 keeps u3 isolated
-    assert target == "disc_triple"
-    return ((0, 1, 2), (0, 1), (0, 2), (1, 2))  # K3 or one of the P3s
+    return tuple((lo, n - 6 if hi is None else hi)
+                 for lo, hi in _DPRIME_RANGES[target])
 
 
 def _witnesses(target: str) -> int:
@@ -111,7 +111,7 @@ def _feasible_split(target: str, n: int, a: int, b: int, c: int,
 
 
 def _any_split(target: str, n: int, bounds) -> bool:
-    for triple_idx in _triple_options(target):
+    for triple_idx in _TRIPLE_OPTIONS[target]:
         for a in range(bounds[0][0], bounds[0][1] + 1):
             for b in range(bounds[1][0], min(bounds[1][1], a) + 1):
                 for c in range(bounds[2][0], min(bounds[2][1], b) + 1):
@@ -167,7 +167,7 @@ def _try_generate(target: str, n: int, rng: random.Random,
         triple = tuple(tuple(sorted(p)) for p in triple_fixed)
         triple_idx = tuple(i for i, p in enumerate(_TRIPLE_PAIRS) if p in triple)
     else:
-        triple_idx = rng.choice(_triple_options(target))
+        triple_idx = rng.choice(_TRIPLE_OPTIONS[target])
     triple_pairs = [_TRIPLE_PAIRS[i] for i in triple_idx]
 
     if d_fixed is not None:

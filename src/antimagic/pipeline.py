@@ -88,17 +88,15 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
         regime = Regime.UNSUPPORTED
     if force_regime is not None:
         regime = force_regime
-        if d is None and regime not in (Regime.YILMA_FALLBACK,
-                                        Regime.UNSUPPORTED):
-            raise WrongMaxDegree(
-                f"cannot force {regime.value}: the graph has no "
-                f"max-degree-(n-4) decomposition")
 
     if regime in (Regime.YILMA_FALLBACK, Regime.UNSUPPORTED):
         lab = randomized_search(g, budget=fallback_iters, seed=seed)
         return LabelOutcome(lab, STATUS_SEARCHED, regime, d)
-
-    assert d is not None
+    # Without a decomposition the regime is UNSUPPORTED unless forced.
+    if d is None:
+        raise WrongMaxDegree(
+            f"cannot force {regime.value}: the graph has no "
+            f"max-degree-(n-4) decomposition")
 
     # Stage 1's checks and the resolver share one recompute of the stage
     # sums; the final check below recomputes on its own.
