@@ -3,8 +3,9 @@
 Subcommands: ``label`` (construct and write a labelling), ``verify``
 (check a labelling file against a graph file), ``generate`` (write a
 corpus of instances), ``stress`` (generate-label-verify loop with a
-per-regime table and a count of resolution cases), ``explain`` (print
-decomposition, regime, and the gap margins of the final sums).
+per-regime table and a count of resolution cases), ``explain`` (label,
+then print the regime, the status and, where the graph has one, the
+decomposition and the gap margins of the final sums).
 
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
 error; 3 hypothesis unmet with no fallback success, or n > 2m + 1 in
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .fileio import emit_graph, emit_labelling, parse_graph, parse_labelling
 from .generator import TARGETS, gen_instance, min_feasible_n
-from .graph import Regime, decompose, degenerate_index
+from .graph import Regime, degenerate_index
 from .pipeline import label, outcome_trace
 from .verification import (
     margins,
@@ -163,25 +164,29 @@ def cmd_explain(args) -> int:
     g = parse_graph(_read(args.graph))
     print(f"n = {g.n}, m = {g.m}, max degree = {g.max_degree()}, "
           f"7n = {7 * g.n}")
-    d = decompose(g)
-    print(f"root r = {d.r}; u-triple = {d.u}; d' = {d.d_prime}; "
-          f"triple edges = {d.triple_edges or 'none'}")
     outcome = label(g, seed=args.seed)
+    # Graphs without a max-degree-(n-4) decomposition (Delta = n - 1,
+    # the fallback's other degrees) print the regime and the status.
+    d = outcome.decomposition
+    if d is not None:
+        print(f"root r = {d.r}; u-triple = {d.u}; d' = {d.d_prime}; "
+              f"triple edges = {d.triple_edges or 'none'}")
     print(f"regime = {outcome.regime.value}")
-    i = degenerate_index(d)
+    i = None if d is None else degenerate_index(d)
     if i is not None:
         print(f"degenerate index i = {i}")
-    sums = recompute_sums(g, outcome.labelling)
-    gaps = margins(g, d, sums)
-    u1, u2, u3 = d.u
     print(f"status = {outcome.status}")
-    print(f"sums: r = {sums[d.r]}, u1 = {sums[u1]}, u2 = {sums[u2]}, "
-          f"u3 = {sums[u3]}")
-    print(f"margins: u3->u2 {gaps['u3_u2']}, u2->u1 {gaps['u2_u1']}, "
-          f"root {gaps['root_margin']}, H spacing {gaps['h_min_gap']}")
-    if outcome.regime == Regime.DEGEN_I1:
-        print(f"i=1 bounds: sum(u1) = {sums[u1]} <= 38, "
-              f"min H sum = {min(sums[v] for v in d.h_vertices)} >= 101")
+    if d is not None:
+        sums = recompute_sums(g, outcome.labelling)
+        gaps = margins(g, d, sums)
+        u1, u2, u3 = d.u
+        print(f"sums: r = {sums[d.r]}, u1 = {sums[u1]}, u2 = {sums[u2]}, "
+              f"u3 = {sums[u3]}")
+        print(f"margins: u3->u2 {gaps['u3_u2']}, u2->u1 {gaps['u2_u1']}, "
+              f"root {gaps['root_margin']}, H spacing {gaps['h_min_gap']}")
+        if outcome.regime == Regime.DEGEN_I1:
+            print(f"i=1 bounds: sum(u1) = {sums[u1]} <= 38, "
+                  f"min H sum = {min(sums[v] for v in d.h_vertices)} >= 101")
     if outcome.resolution is not None:
         tr = outcome.resolution
         print(f"resolution: case {tr.case}, plans tried {tr.plans_tried}, "

@@ -149,6 +149,25 @@ def test_explain_degen_i1_mentions_bound(tmp_path, capsys):
     assert "<= 38" in text
 
 
+@pytest.mark.parametrize("name,n,edges", [
+    ("triangle", 3, [(1, 2), (2, 3), (1, 3)]),
+    ("universal", 6, [(1, v) for v in range(2, 7)]
+     + [(2, 3), (3, 4), (4, 5), (5, 6)]),
+])
+def test_explain_handles_delta_n1(tmp_path, capsys, name, n, edges):
+    # Delta = n - 1 graphs have no max-degree-(n-4) decomposition;
+    # explain must still exit 0 wherever label does.
+    path = tmp_path / f"{name}.graph"
+    path.write_text(emit_graph(build_graph(n, edges)))
+    assert main(["label", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["explain", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "regime = DELTA_N1" in lines
+    assert "status = constructed" in lines
+    assert not any(line.startswith("root r =") for line in lines)
+
+
 def test_stress_smoke(capsys):
     assert main(["stress", "--count", "8", "--n-min", "16", "--n-max", "24",
                  "--regimes", "main,degen_i3", "--seed", "2"]) == 0

@@ -43,7 +43,7 @@ GOLDEN_SHA256 = {
     "yilma":
         "2b95f6269aa31c8659923f54dc6b3dcaf31b7fd67a2bee2add5e7d59adea5cc0",
     "universal":
-        "23316aa36604f9cc4f457c22517e50db4e355672f550e1a4dbab4a704be0da4b",
+        "21c1c517afe8b91f5389b6a93ff2b867fc6b56cb57c79edf626ce43e6e91a799",
     "conflicted":
         "fd4b5ec0ad0e0072651021cd67195664cd45463e467ec216ad9358c9c7436e83",
     "forced":
