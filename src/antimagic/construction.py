@@ -141,7 +141,7 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     from the raw labels, the bijection, the stage properties and, where
     the regime promises it, antimagic outright."""
     from .verification import (
-        verify_antimagic,
+        _antimagic_from_sums,
         verify_bijection,
         verify_stage_properties,
     )
@@ -162,7 +162,7 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
            g, gaps=props.gaps)
     if regime in ANTIMAGIC_OUTRIGHT:
-        _check(verify_antimagic(g, lab).ok,
+        _check(_antimagic_from_sums(g, props.sums).ok,
                f"{regime.value} stage 1 is not antimagic", g)
     return stage
 

@@ -40,7 +40,7 @@ from .graph import (
 from .labelling import Labelling
 from .oracle import randomized_search
 from .resolution import ResolutionTrace, resolve
-from .verification import margins, one_pass, recompute_sums, verify_antimagic
+from .verification import margins, recompute_sums, verify_antimagic
 
 STATUS_CONSTRUCTED = "constructed"
 STATUS_SEARCHED = "searched_fallback"
@@ -98,23 +98,20 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
             f"cannot force {regime.value}: the graph has no "
             f"max-degree-(n-4) decomposition")
 
-    # Stage 1's checks and the resolver share one recompute of the stage
-    # sums; the final check below recomputes on its own.
-    with one_pass():
-        if regime == Regime.MAIN:
-            stage = label_main(g, d)
-        elif regime == Regime.DEGEN_I1:
-            stage = label_case_i1(g, d)
-        elif regime == Regime.DEGEN_I2:
-            stage = label_case_i2(g, d)
-        elif regime == Regime.DEGEN_I3:
-            stage = label_case_i3(g, d)
-        elif regime in (Regime.DISC_U3_ISOLATED, Regime.DISC_TRIPLE_COMPONENT):
-            stage = label_disconnected(g, d, regime)
-        else:
-            raise WrongMaxDegree(f"regime {regime} has no constructor")
+    if regime == Regime.MAIN:
+        stage = label_main(g, d)
+    elif regime == Regime.DEGEN_I1:
+        stage = label_case_i1(g, d)
+    elif regime == Regime.DEGEN_I2:
+        stage = label_case_i2(g, d)
+    elif regime == Regime.DEGEN_I3:
+        stage = label_case_i3(g, d)
+    elif regime in (Regime.DISC_U3_ISOLATED, Regime.DISC_TRIPLE_COMPONENT):
+        stage = label_disconnected(g, d, regime)
+    else:
+        raise WrongMaxDegree(f"regime {regime} has no constructor")
 
-        final, trace = resolve(stage, d)
+    final, trace = resolve(stage, d)
     report = verify_antimagic(g, final)
     _check(report.ok, "resolution returned a labelling that is not antimagic",
            g, conflicts=report.conflicts)

@@ -5,11 +5,10 @@ vertex of H (for the main regime; the degenerate regimes have their own
 short lists).  Each exchange swaps two labels differing by one, chosen
 from a fixed table of positions, so every vertex sum moves by at most 1
 per exchange.  The resolver enumerates the case analysis's menu of
-plans, scores each from the few sums its exchanges move, and applies
-the first antimagic one to a copy, which must then verify in full.  An
-exhaustive safety net over all tabled exchanges backs the
-paper-directed menu; needing it is reported as a ProofGapWarning, never
-silently.
+plans, applies each to a copy, and accepts the first fully verified
+antimagic outcome.  An exhaustive safety net over all tabled exchanges
+backs the paper-directed menu; needing it is reported as a
+ProofGapWarning, never silently.
 """
 
 from __future__ import annotations
@@ -179,64 +178,11 @@ def _degen_menu(regime: Regime, c: ConflictSet, g_m: int, n: int
     return case, [[e] for e in exchanges(Regime.DEGEN_I3, g_m)[family].values()]
 
 
-def delta_scorer(l: Labelling, sums: list[int]):
-    """Score exchange plans against ``l`` without copying it.
-
-    ``sums`` are l's vertex sums.  ``score(plan)`` returns (conflicts,
-    moved): the conflicts ``verify_antimagic`` would report once the
-    plan's exchanges are applied to ``l``, in the same order, and the
-    sum change of every vertex whose sum moves.  A plan touches at most
-    eight endpoints; scoring reads their sums and a sum -> vertices map
-    built once, so its cost does not grow with m.
-    """
-    g, edge_with = l.graph, l.edge_with
-    by_sum: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        by_sum.setdefault(sums[v], []).append(v)
-    clashing = {s for s, vs in by_sum.items() if len(vs) > 1}
-
-    def score(plan):
-        carrier: dict[int, int] = {}  # label -> its edge after the swaps
-        moved: dict[int, int] = {}
-        for ex in plan:
-            hi_edge = carrier.get(ex.hi, edge_with[ex.hi])
-            lo_edge = carrier.get(ex.lo, edge_with[ex.lo])
-            carrier[ex.hi], carrier[ex.lo] = lo_edge, hi_edge
-            for v in g.edges[hi_edge]:
-                moved[v] = moved.get(v, 0) - 1
-            for v in g.edges[lo_edge]:
-                moved[v] = moved.get(v, 0) + 1
-        moved = {v: dv for v, dv in moved.items() if dv}
-        after = {v: sums[v] + dv for v, dv in moved.items()}
-        # A sum shared after the plan either holds a moved vertex or was
-        # already shared before it.
-        conflicts = []
-        for s in sorted(clashing.union(after.values())):
-            vs = sorted([v for v in by_sum.get(s, ()) if v not in moved]
-                        + [v for v, t in after.items() if t == s])
-            conflicts.extend((a, b, s) for i, a in enumerate(vs)
-                             for b in vs[i + 1:])
-        return tuple(conflicts), moved
-
-    return score
-
-
-def safety_net(regime: Regime, plans: list[list[Exchange]], m: int
-               ) -> list[list[Exchange]]:
-    """Every single and every ordered pair of distinct tabled exchanges;
-    a regime without a table uses its menu's single exchanges."""
-    menu = ([e for family in exchanges(regime, m).values()
-             for e in family.values()] if regime in FAMILIES
-            else [p[0] for p in plans])
-    net: list[list[Exchange]] = [[e] for e in menu]
-    net += [[e1, e2] for e1 in menu for e2 in menu if e1 != e2]
-    return net
-
-
-def _plan_is_sound(moved: dict[int, int], r: int, regime: Regime) -> None:
-    if any(abs(dv) > 2 for dv in moved.values()):
+def _plan_is_sound(before: list[int], after: list[int], r: int,
+                   regime: Regime) -> None:
+    if max(abs(a - b) for a, b in zip(before, after)) > 2:
         raise ProofViolation("a vertex sum moved by more than 2")
-    if regime in (Regime.MAIN, Regime.DEGEN_I3) and moved.get(r, 0) < -1:
+    if regime in (Regime.MAIN, Regime.DEGEN_I3) and after[r] < before[r] - 1:
         raise ProofViolation("root sum dropped by more than 1")
 
 
@@ -266,72 +212,69 @@ def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,
 def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     """Try the regime's exchange plans in order, then the safety net of
     every single and paired tabled exchange; accept the first plan whose
-    outcome is antimagic.
+    outcome verifies antimagic.
 
-    Plans are scored from the sums their exchanges move; only the
-    accepted plan is applied to a copy, which must then verify.
     Regimes whose stage 1 is already provably antimagic (i=1, the
-    disconnected triple component) admit no exchanges: a conflict there
-    raises ProofViolation immediately.
+    disconnected triple component) admit no exchanges; their stage 1
+    has been checked antimagic from the raw labels, so they are
+    returned as they are.
     """
     from .construction import ANTIMAGIC_OUTRIGHT, _reproducer
     g = s.labelling.graph
+    regime = s.regime
+    if regime in ANTIMAGIC_OUTRIGHT:
+        return s.labelling, ResolutionTrace("none", 0, (), True)
     conflicts = find_conflicts(s.labelling, d)
     if not conflicts.pairs:
         return s.labelling, ResolutionTrace("none", 0, (), True)
-
-    regime = s.regime
-    if regime in ANTIMAGIC_OUTRIGHT:
-        raise ProofViolation(
-            f"{regime.value} stage 1 must be conflict-free, found "
-            f"{conflicts.pairs}", reproducer=_reproducer(g))
 
     _assert_conflict_shape(conflicts, d, regime, s.labelling)
     if regime == Regime.MAIN:
         case, plans = candidate_plans(conflicts, s, d)
     else:
         case, plans = _degen_menu(regime, conflicts, g.m, g.n)
-    score = delta_scorer(s.labelling, recompute_sums(g, s.labelling))
 
+    before = recompute_sums(g, s.labelling)
     rejections: list[str] = []
 
     def try_plans(plan_list):
         tried = 0
         for plan in plan_list:
             tried += 1
-            remaining, moved = score(plan)
-            _plan_is_sound(moved, d.r, regime)
-            if not remaining:
-                return tuple(plan), tried
+            cand = s.labelling.copy()
+            for ex in plan:
+                cand.swap_labels(ex.hi, ex.lo)
+            report = verify_antimagic(g, cand)
+            _plan_is_sound(before, report.sums, d.r, regime)
+            if report.ok:
+                return cand, tuple(plan), tried
             if len(rejections) < 64:
                 names = "+".join(ex.describe() for ex in plan)
                 rejections.append(f"{names}: conflicts remain "
-                                  f"{remaining[:2]}")
-        return None, tried
+                                  f"{report.conflicts[:2]}")
+        return None, None, tried
 
-    applied, tried = try_plans(plans)
-    paper_directed = applied is not None
-    if not paper_directed:
-        applied, tried2 = try_plans(safety_net(regime, plans, g.m))
-        tried += tried2
-        if applied is None:
-            raise ProofViolation(
-                f"no exchange plan resolved case {case} after {tried} "
-                "candidates", reproducer=_reproducer(g),
-                details={"case": case, "conflicts": conflicts.pairs})
+    found, applied, tried = try_plans(plans)
+    if found is not None:
+        return found, ResolutionTrace(case, tried, applied, True,
+                                      rejections=tuple(rejections))
+
+    menu = ([e for family in exchanges(regime, g.m).values()
+             for e in family.values()] if regime in FAMILIES
+            else [p[0] for p in plans])
+    net: list[list[Exchange]] = [[e] for e in menu]
+    net += [[e1, e2] for e1 in menu for e2 in menu if e1 != e2]
+    found, applied, tried2 = try_plans(net)
+    if found is not None:
         warnings.warn(ProofGapWarning(
             f"paper-directed case {case} menu failed; safety net "
             f"applied {[e.describe() for e in applied]}"))
+        return found, ResolutionTrace(case, tried + tried2, applied,
+                                      False, gap_warning=True,
+                                      rejections=tuple(rejections))
+    tried += tried2
 
-    final = s.labelling.copy()
-    for ex in applied:
-        final.swap_labels(ex.hi, ex.lo)
-    report = verify_antimagic(g, final)
-    if not report.ok:
-        raise ProofViolation(
-            f"plan {[e.describe() for e in applied]} scored antimagic but "
-            f"verifies with conflicts {report.conflicts}",
-            reproducer=_reproducer(g))
-    return final, ResolutionTrace(case, tried, applied, paper_directed,
-                                  gap_warning=not paper_directed,
-                                  rejections=tuple(rejections))
+    raise ProofViolation(
+        f"no exchange plan resolved case {case} after {tried} candidates",
+        reproducer=_reproducer(g),
+        details={"case": case, "conflicts": conflicts.pairs})

@@ -2,14 +2,14 @@
 
 Everything here recomputes from the graph and the raw label assignment;
 the cached sums and the label -> edge inverse inside Labelling are never
-trusted.  Inside a ``one_pass`` block the checks of one labelling share
-one recompute of its vertex sums; outside one each check recomputes
-afresh.  Reports carry full witness data so a failure is actionable.
+trusted.  Each check that needs vertex sums recomputes them and returns
+them in its report, so a caller that needs them again for the same,
+unchanged labelling reads them from there instead of making another
+pass.  Reports carry full witness data so a failure is actionable.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from itertools import compress
 
@@ -37,38 +37,17 @@ class StagePropertyReport:
     ok: bool
     failures: tuple[str, ...] = ()
     gaps: dict = field(default_factory=dict)
-
-
-# None outside a one_pass block; inside it, [] or [the labelling checked
-# last, its sums].
-_shared: list | None = None
-
-
-@contextlib.contextmanager
-def one_pass():
-    """Inside the block a labelling's sums are recomputed from its raw
-    labels once and shared by its later checks, until another labelling
-    is checked.  A labelling must not change once checked in the block."""
-    global _shared
-    _shared = []
-    try:
-        yield
-    finally:
-        _shared = None
+    sums: list[int] = field(default_factory=list, repr=False)  # recomputed
 
 
 def recompute_sums(g: Graph, l: Labelling) -> list[int]:
     """Vertex sums from scratch; isolated vertices get 0."""
-    if _shared and _shared[0] is l:
-        return list(_shared[1])
     # Edge order reads the labels sequentially; summing per vertex over
     # g.incident jumps around them and was 6x slower at m = 211,647.
     sums = [0] * (g.n + 1)
     for (a, b), lbl in zip(g.edges, l.label_of):
         sums[a] += lbl
         sums[b] += lbl
-    if _shared is not None:
-        _shared[:] = [l, list(sums)]
     return sums
 
 
@@ -94,7 +73,11 @@ def verify_bijection(g: Graph, l: Labelling) -> BijectionReport:
 
 def verify_antimagic(g: Graph, l: Labelling) -> AntimagicReport:
     """All vertex sums pairwise distinct (bijection assumed verified)."""
-    sums = recompute_sums(g, l)
+    return _antimagic_from_sums(g, recompute_sums(g, l))
+
+
+def _antimagic_from_sums(g: Graph, sums: list[int]) -> AntimagicReport:
+    """verify_antimagic's verdict on sums recomputed from raw labels."""
     by_sum: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         by_sum.setdefault(sums[v], []).append(v)
@@ -179,4 +162,4 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
         failures.append(
             f"root sum {sums[d.r]} not the unique maximum (top other {top})")
 
-    return StagePropertyReport(not failures, tuple(failures), gaps)
+    return StagePropertyReport(not failures, tuple(failures), gaps, sums)

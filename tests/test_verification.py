@@ -1,6 +1,7 @@
 import functools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,33 +306,34 @@ def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
     assert rep.ok == (not failures)
 
 
-def test_shared_pass_serves_every_check_and_closes():
-    # Inside one_pass the checks of one labelling recompute its sums
-    # once, until another labelling is checked; outside the block each
-    # check recomputes.
-    import antimagic.verification as verification
+def test_reports_carry_the_sums_they_checked():
+    from antimagic.verification import recompute_sums
     g, d, stage = _stage("main", 1)
-    lab = stage.labelling
-    passes = []
+    sums = recompute_sums(g, stage.labelling)
+    assert verify_stage_properties(stage, d).sums == sums
+    assert verify_antimagic(g, stage.labelling).sums == sums
 
-    class Counting(list):
-        def __iter__(self):
-            passes.append(1)
-            return list.__iter__(self)
 
-    probe = Labelling.from_labels(g, list(lab.label_of))
-    probe.label_of = Counting(probe.label_of)
-    stage_probe = StageOneResult(probe, stage.regime, stage.intervals,
-                                 stage.h_sorted, stage.y_map, stage.w_map)
-    with verification.one_pass():
-        assert verify_stage_properties(stage_probe, d).ok
-        assert len(passes) == 2           # the sums, the interval hits
-        assert verify_antimagic(g, probe).ok
-        assert verification.recompute_sums(g, probe) == lab.sums
-        assert len(passes) == 2
-        verify_antimagic(g, lab)          # another labelling
-        verify_antimagic(g, probe)
-        assert len(passes) == 3
-    verify_antimagic(g, probe)
-    verify_antimagic(g, probe)
-    assert len(passes) == 5
+@pytest.mark.parametrize("target,n", [
+    ("degen_i1", 20), ("disc_triple", 21), ("degen_i2", 20), ("main", 19)])
+def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
+    # Stage 1's checks share the recompute the property report carries;
+    # the resolver makes one for its conflicts, except in the regimes
+    # stage 1 checks antimagic outright; label()'s final check makes its
+    # own.
+    import antimagic.verification as verification
+    from antimagic import label
+    from antimagic.construction import ANTIMAGIC_OUTRIGHT
+    calls = []
+    original = verification.recompute_sums
+
+    def counting(g, l):
+        calls.append(l)
+        return original(g, l)
+
+    monkeypatch.setattr(verification, "recompute_sums", counting)
+    out = label(gen_instance(n, target, seed=1), seed=1)
+    assert out.resolution.case == "none"
+    stage_passes = 1 if out.regime in ANTIMAGIC_OUTRIGHT else 2
+    expected = [out.stage.labelling] * stage_passes + [out.labelling]
+    assert [id(l) for l in calls] == [id(l) for l in expected]
