@@ -31,15 +31,10 @@ from .errors import (
     SearchFailed,
 )
 from .fileio import emit_graph, emit_labelling, parse_graph, parse_labelling
-from .generator import TARGETS, gen_instance, min_feasible_n
-from .graph import Regime, degenerate_index
+from .generator import TARGETS, corpus_schedule, gen_instance
+from .graph import Regime
 from .pipeline import label, outcome_trace
-from .verification import (
-    margins,
-    recompute_sums,
-    verify_antimagic,
-    verify_bijection,
-)
+from .verification import verify_antimagic, verify_bijection
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -127,14 +122,8 @@ def cmd_stress(args) -> int:
     exchange_hist = collections.Counter()
     cases = collections.Counter()
     failures = []
-    for idx in range(args.count):
-        t = targets[idx % len(targets)]
-        lo = max(args.n_min, min_feasible_n(t))
-        if lo > args.n_max:
-            raise InfeasibleRegime(
-                f"{t} needs n >= {min_feasible_n(t)} > {args.n_max}")
-        n = lo + (idx // len(targets)) % (args.n_max - lo + 1)
-        seed = args.seed + idx
+    for t, n, seed in corpus_schedule(args.count, (args.n_min, args.n_max),
+                                      targets, args.seed):
         g = gen_instance(n, t, seed=seed)
         outcome = label(g, seed=seed)
         ok = verify_antimagic(g, outcome.labelling).ok
@@ -164,33 +153,32 @@ def cmd_explain(args) -> int:
     g = parse_graph(_read(args.graph))
     print(f"n = {g.n}, m = {g.m}, max degree = {g.max_degree()}, "
           f"7n = {7 * g.n}")
-    outcome = label(g, seed=args.seed)
+    doc = outcome_trace(label(g, seed=args.seed), args.seed)
     # Graphs without a max-degree-(n-4) decomposition (Delta = n - 1,
     # the fallback's other degrees) print the regime and the status.
-    d = outcome.decomposition
+    d = doc["decomposition"]
     if d is not None:
-        print(f"root r = {d.r}; u-triple = {d.u}; d' = {d.d_prime}; "
-              f"triple edges = {d.triple_edges or 'none'}")
-    print(f"regime = {outcome.regime.value}")
-    i = None if d is None else degenerate_index(d)
-    if i is not None:
-        print(f"degenerate index i = {i}")
-    print(f"status = {outcome.status}")
+        print(f"root r = {d['r']}; u-triple = {tuple(d['u'])}; "
+              f"d' = {tuple(d['d_prime'])}; triple edges = "
+              f"{tuple(map(tuple, d['triple_edges'])) or 'none'}")
+    print(f"regime = {doc['regime']}")
+    if d is not None and d["degenerate_index"] is not None:
+        print(f"degenerate index i = {d['degenerate_index']}")
+    print(f"status = {doc['status']}")
     if d is not None:
-        sums = recompute_sums(g, outcome.labelling)
-        gaps = margins(g, d, sums)
-        u1, u2, u3 = d.u
-        print(f"sums: r = {sums[d.r]}, u1 = {sums[u1]}, u2 = {sums[u2]}, "
-              f"u3 = {sums[u3]}")
+        final = doc["final"]
+        (u1, u2, u3), gaps = final["u_sums"], final["gaps"]
+        print(f"sums: r = {final['r_sum']}, u1 = {u1}, u2 = {u2}, u3 = {u3}")
         print(f"margins: u3->u2 {gaps['u3_u2']}, u2->u1 {gaps['u2_u1']}, "
               f"root {gaps['root_margin']}, H spacing {gaps['h_min_gap']}")
-        if outcome.regime == Regime.DEGEN_I1:
-            print(f"i=1 bounds: sum(u1) = {sums[u1]} <= 38, "
-                  f"min H sum = {min(sums[v] for v in d.h_vertices)} >= 101")
-    if outcome.resolution is not None:
-        tr = outcome.resolution
-        print(f"resolution: case {tr.case}, plans tried {tr.plans_tried}, "
-              f"applied {[e.describe() for e in tr.applied]}")
+        if doc["regime"] == Regime.DEGEN_I1.value:
+            print(f"i=1 bounds: sum(u1) = {u1} <= 38, "
+                  f"min H sum = {final['min_h_sum']} >= 101")
+    res = doc["resolution"]
+    if res is not None:
+        applied = [f"{e['family']}_{e['offset']}" for e in res["applied"]]
+        print(f"resolution: case {res['case']}, plans tried "
+              f"{res['plans_tried']}, applied {applied}")
     return EXIT_OK
 
 

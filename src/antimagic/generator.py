@@ -263,23 +263,28 @@ def _key(x: int, y: int) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def corpus_schedule(count: int, n_range: tuple[int, int], regimes, seed: int):
+    """Yield (target, n, seed) for each corpus instance, in order.
+
+    Round robin through the regimes; each regime cycles n through the
+    feasible part of the range, and instance idx gets seed + idx.  A
+    regime is checked only when the schedule first reaches it."""
+    targets = list(regimes)
+    n_lo, n_hi = n_range
+    lows: dict[str, int] = {}
+    for idx in range(count):
+        t = _as_target(targets[idx % len(targets)])
+        if t not in lows:
+            lows[t] = max(n_lo, min_feasible_n(t))
+            if lows[t] > n_hi:
+                raise InfeasibleRegime(
+                    f"{t} needs n >= {min_feasible_n(t)} > {n_hi}")
+        lo = lows[t]
+        yield t, lo + (idx // len(targets)) % (n_hi - lo + 1), seed + idx
+
+
 def gen_corpus(count: int, n_range: tuple[int, int], regimes, seed: int
                ) -> list[Graph]:
-    """Deterministic corpus cycling round-robin through the requested
-    regimes; each regime draws n from the feasible part of the range."""
-    targets = [_as_target(r) for r in regimes]
-    n_lo, n_hi = n_range
-    spans = {}
-    for t in targets:
-        lo = max(n_lo, min_feasible_n(t))
-        if lo > n_hi:
-            raise InfeasibleRegime(
-                f"{t} needs n >= {min_feasible_n(t)} > {n_hi}")
-        spans[t] = (lo, n_hi)
-    out = []
-    for idx in range(count):
-        t = targets[idx % len(targets)]
-        lo, hi = spans[t]
-        n = lo + (idx // len(targets)) % (hi - lo + 1)
-        out.append(gen_instance(n, t, seed + idx))
-    return out
+    """Deterministic corpus over ``corpus_schedule``."""
+    return [gen_instance(n, t, s)
+            for t, n, s in corpus_schedule(count, n_range, regimes, seed)]

@@ -118,8 +118,6 @@ class InstanceDecomposition:
     triple_edges: tuple[tuple[int, int], ...]  # present edges among the u's
     e1: tuple[int, ...]  # edge ids incident to r
     e2: tuple[int, ...]  # all other edge ids
-    n_h: int
-    m_h: int
     h_set: frozenset[int] = field(repr=False)
 
 
@@ -156,14 +154,9 @@ def decompose(g: Graph) -> InstanceDecomposition:
     )
     e1 = tuple(g.incident[r])
     e2 = tuple(filterfalse(set(e1).__contains__, range(g.m)))
-    # r has no u-neighbour, so every edge touches r, touches a u (the
-    # triple edges twice) or lies inside H.
-    m_h = (g.m - len(e1) - sum(g.degree(v) for v in u)
-           + len(triple))
     return InstanceDecomposition(
         r=r, u=u, h_vertices=tuple(sorted(h_set)), d_prime=d_prime,
-        triple_edges=triple, e1=e1, e2=e2, n_h=len(h_set), m_h=m_h,
-        h_set=h_set,
+        triple_edges=triple, e1=e1, e2=e2, h_set=h_set,
     )
 
 

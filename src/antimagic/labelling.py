@@ -49,10 +49,6 @@ class Labelling:
             lab.assigned += 1
         return lab
 
-    @property
-    def m(self) -> int:
-        return self.graph.m
-
     def assign(self, eid: int, label: int) -> None:
         edge_with = self.edge_with
         if not 0 < label < len(edge_with) or edge_with[label] != -1 \

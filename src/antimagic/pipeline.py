@@ -34,6 +34,7 @@ from .graph import (
     Regime,
     classify_regime,
     decompose,
+    degenerate_index,
     has_isolated_edge,
     isolated_vertices,
 )
@@ -119,7 +120,13 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
 
 
 def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
-    """JSON-ready trace of one labelling run."""
+    """JSON-ready trace of one labelling run.
+
+    Every number that describes the run is derived here once; ``explain``
+    prints from this dict.  ``final`` (the final sums of r, the u's and
+    the smallest H sum, and their gap margins) is present only when the
+    graph has a decomposition.
+    """
     g = outcome.labelling.graph
     doc: dict = {
         "status": outcome.status,
@@ -136,7 +143,14 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
     d = outcome.decomposition
     if d is not None:
         doc["decomposition"] = {
-            "r": d.r, "u": list(d.u), "d_prime": list(d.d_prime)}
+            "r": d.r, "u": list(d.u), "d_prime": list(d.d_prime),
+            "triple_edges": [list(e) for e in d.triple_edges],
+            "degenerate_index": degenerate_index(d)}
+        sums = recompute_sums(g, outcome.labelling)
+        doc["final"] = {
+            "r_sum": sums[d.r], "u_sums": [sums[u] for u in d.u],
+            "min_h_sum": min(sums[v] for v in d.h_vertices),
+            "gaps": margins(g, d, sums)}
     if outcome.stage is not None and d is not None:
         sums = recompute_sums(g, outcome.stage.labelling)
         doc["stage_sums"] = [[v, sums[v]] for v in range(1, g.n + 1)]
@@ -150,5 +164,6 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
                         for e in tr.applied],
             "paper_directed": tr.paper_directed,
             "gap_warning": tr.gap_warning,
+            "rejections": list(tr.rejections),
         }
     return doc

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import antimagic.cli as cli
 from antimagic import build_graph, gen_instance
 from antimagic.cli import main
 from antimagic.fileio import emit_graph, parse_graph, parse_labelling
@@ -147,6 +154,71 @@ def test_explain_degen_i1_mentions_bound(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "degenerate index i = 1" in text
     assert "<= 38" in text
+
+
+def test_explain_prints_from_the_trace(main_graph_file, monkeypatch, capsys):
+    # explain labels once, takes one trace and prints its numbers from
+    # it: altered numbers in the trace show up altered in the output.
+    _, path = main_graph_file
+    real_label, real_trace = cli.label, cli.outcome_trace
+    calls = []
+
+    def counted_label(*args, **kwargs):
+        calls.append("label")
+        return real_label(*args, **kwargs)
+
+    def altered_trace(*args, **kwargs):
+        calls.append("outcome_trace")
+        doc = real_trace(*args, **kwargs)
+        doc["regime"] = "DEGEN_I1"
+        doc["decomposition"]["degenerate_index"] = 9
+        doc["final"].update(r_sum=-101, u_sums=[-1, -2, -3], min_h_sum=-11)
+        doc["final"]["gaps"].update(u3_u2=-7, u2_u1=-8, root_margin=-9,
+                                    h_min_gap=-10)
+        doc["resolution"]["plans_tried"] = 77
+        return doc
+
+    monkeypatch.setattr(cli, "label", counted_label)
+    monkeypatch.setattr(cli, "outcome_trace", altered_trace)
+    assert main(["explain", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert calls == ["label", "outcome_trace"]
+    assert "regime = DEGEN_I1" in lines
+    assert "degenerate index i = 9" in lines
+    assert "sums: r = -101, u1 = -1, u2 = -2, u3 = -3" in lines
+    assert "margins: u3->u2 -7, u2->u1 -8, root -9, H spacing -10" in lines
+    assert "i=1 bounds: sum(u1) = -1 <= 38, min H sum = -11 >= 101" in lines
+    assert any(line.startswith("resolution: case none, plans tried 77,")
+               for line in lines)
+    for name in ("recompute_sums", "margins", "degenerate_index"):
+        assert not hasattr(cli, name)
+
+
+@st.composite
+def connected_graphs(draw):
+    """(n, edges): a random spanning tree on 1..n plus random extra edges,
+    in a random order."""
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(1, v - 1)), v) for v in range(2, n + 1)}
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    if pairs:
+        edges |= draw(st.sets(st.sampled_from(pairs)))
+    return n, draw(st.permutations(sorted(edges)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(connected_graphs())
+def test_label_and_explain_agree_on_exit_code(graph):
+    n, edges = graph
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.graph"
+        path.write_text(emit_graph(build_graph(n, edges)))
+        codes = []
+        for command in ("label", "explain"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes.append(main([command, str(path)]))
+    assert codes[0] == codes[1]
 
 
 @pytest.mark.parametrize("name,n,edges", [

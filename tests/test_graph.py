@@ -152,12 +152,12 @@ def test_shape_helpers():
                                     "disc_u3_isolated", "disc_triple",
                                     "yilma"])
 def test_decompose_m_h_counts_h_edges(target):
-    # m_h comes from the degrees; an edge scan must agree.
+    # Off the root, the edges without a u-endpoint are exactly H's edges.
     for seed in (1, 2, 3):
         g = gen_instance(24, target, seed=seed)
         d = decompose(g)
-        assert d.m_h == sum(1 for a, b in g.edges
-                            if a in d.h_set and b in d.h_set)
+        assert [e for e in d.e2 if not set(g.edges[e]) & set(d.u)] == [
+            e for e in range(g.m) if set(g.edges[e]) <= d.h_set]
         assert d.e2 == tuple(e for e in range(g.m) if e not in d.e1)
 
 

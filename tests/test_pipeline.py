@@ -94,13 +94,17 @@ def test_trace_shape():
     doc = outcome_trace(out, seed=4)
     assert doc["status"] == "constructed"
     assert doc["regime"] == "MAIN"
-    assert set(doc["decomposition"]) == {"r", "u", "d_prime"}
+    assert set(doc["decomposition"]) == {
+        "r", "u", "d_prime", "triple_edges", "degenerate_index"}
     assert len(doc["stage_sums"]) == g.n
     assert set(doc["properties"]["gaps"]) == {
         "u3_u2", "u2_u1", "root_margin", "h_min_gap"}
+    final = doc["final"]
+    assert set(final) == {"r_sum", "u_sums", "min_h_sum", "gaps"}
+    assert set(final["gaps"]) == set(doc["properties"]["gaps"])
     res = doc["resolution"]
     assert {"case", "plans_tried", "applied", "paper_directed",
-            "gap_warning"} <= set(res)
+            "gap_warning", "rejections"} <= set(res)
 
 
 # Run under ``python -O``, where a bare assert would vanish: resolve is
