@@ -27,27 +27,27 @@ from test_resolution import CONFLICTED
 
 GOLDEN_SHA256 = {
     "main":
-        "867f8e7b9b73619e8a5ed49655b037aa1599dac4a90a9866c91b3b43a00dac8b",
+        "363b9298d8d4ac9e1e2bcfa197d49d1898bad2cee670939baad35524a0e7c9da",
     "main_triple":
-        "1195a12b7d1210127ba2edefcd65ca5a1df1ac39926d2bb00ded109dbbdb2fe2",
+        "141d6637d403072c950d9cf67bf29e0eec0f437cfd59f97cae970f1992307aad",
     "degen_i1":
-        "9bcb28f60ae2205fb983503f01f0321cba8df4e724e8e6c52c6b1ae9eaafc9fa",
+        "13d6817a3672628a02cfbc48a09f997a8f2c57cce541ddc03daae4513c31e9f5",
     "degen_i2":
-        "9a3d1c730298043014e4440b6528f1853a6a7355d51dcf4d168aefebbfe0c2eb",
+        "95cde74abdaa877501fcf417abd29bcfed01d07fa7bdb5cce59dcd76213d2ed0",
     "degen_i3":
-        "903e729176fe04a899aa499f21bd41c555918ace615cc79f385dece4431a4885",
+        "2fd02fa65012a9ae1086dd72291b25bd2b0795a96ff32be4f32ab10e444edc23",
     "disc_u3_isolated":
-        "06788ef84f32449fd88f3b78b945d2671b092e6fea57adb98fa63f1053c2b863",
+        "bcf4ec38b1f60721692dda45a40f1cc18ed2f60163bb4116092a7c2720ebc417",
     "disc_triple":
-        "f4b202c4d0889ad8e7c13ae23d8db9dbb65cc9d8aa01f3f044acddcbfd87c766",
+        "0c9d86b854dbddf743694a8f66f73eab32f0e42ca88cc337e2a11abbccec8a7b",
     "yilma":
-        "2b95f6269aa31c8659923f54dc6b3dcaf31b7fd67a2bee2add5e7d59adea5cc0",
+        "cbafaeadcdf618bdff6addc21a3632edc168c545fbabe7e2d6c0ebfbc22b6147",
     "universal":
         "21c1c517afe8b91f5389b6a93ff2b867fc6b56cb57c79edf626ce43e6e91a799",
     "conflicted":
-        "fd4b5ec0ad0e0072651021cd67195664cd45463e467ec216ad9358c9c7436e83",
+        "4bed5ae821f27d266d5ad7bcf3ef4fa363be1d4179b2bb52af4b0eb6d785b1ff",
     "forced":
-        "fa4d2332c961333822a1a53f2115d916e42a30fae8eb93f4c98482a3a0a378ef",
+        "f863d4b00e29a313d101c77c572b8cba0f2a45cbedd845379ce7cb2a843f5dc7",
 }
 
 
