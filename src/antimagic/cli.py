@@ -4,8 +4,8 @@ Subcommands: ``label`` (construct and write a labelling), ``verify``
 (check a labelling file against a graph file), ``generate`` (write a
 corpus of instances), ``stress`` (generate-label-verify loop with a
 per-regime table and a count of resolution cases), ``explain`` (label,
-then print the regime, the status and, where the graph has one, the
-decomposition and the gap margins of the final sums).
+then print the run's trace: the regime, the status and, where the graph
+has one, the decomposition and the gap margins of the final sums).
 
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
 error; 3 hypothesis unmet with no fallback success, or n > 2m + 1 in
