@@ -50,7 +50,7 @@ def _default_seed() -> int:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -103,14 +103,15 @@ def cmd_generate(args) -> int:
         if t not in TARGETS:
             raise ParseError(f"unknown regime {t!r}; choose from "
                              + ",".join(sorted(TARGETS)))
+    # The whole schedule first: an infeasible regime raises before a write.
+    schedule = list(corpus_schedule(args.count, (args.n, args.n), targets,
+                                    args.seed))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for idx in range(args.count):
-        t = targets[idx % len(targets)]
-        g = gen_instance(args.n, t, seed=args.seed + idx)
-        name = f"{t}_n{args.n}_s{args.seed + idx}.graph"
-        _write_text(str(out_dir / name), emit_graph(g))
+    for t, n, seed in schedule:
+        name = f"{t}_n{n}_s{seed}.graph"
+        _write_text(str(out_dir / name), emit_graph(gen_instance(n, t, seed)))
         written.append(name)
     print("\n".join(written))
     return EXIT_OK

@@ -2,15 +2,24 @@
 
 Graph files are DIMACS-flavoured: a header line ``p <n> <m>`` followed
 by m lines ``e <u> <v>`` with 1-based vertex ids.  Labelling files have
-one line ``<u> <v> <label>`` per edge, in edge-id order.  Lines starting
-with '#' and blank lines are ignored in both.
+one line ``<u> <v> <label>`` per edge.  Lines starting with '#' and
+blank lines are ignored in both.  The emitters' layout (ASCII digits,
+single spaces, ``\n`` endings, nothing else, labelling lines in edge-id
+order) is decoded in bulk; other layouts and every fault go through a
+line walk, which names the first fault by its line.
 """
 
 from __future__ import annotations
 
+import re
+from contextlib import suppress
+
 from .errors import NotAntimagicShape, ParseError
 from .graph import Graph, build_graph
 from .labelling import Labelling
+
+_GRAPH_LAYOUT = re.compile(r"p [0-9]+ [0-9]+\n(?:e [0-9]+ [0-9]+\n)*")
+_LABELLING_LAYOUT = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -23,6 +32,22 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_graph(text: str) -> Graph:
+    pairs = None
+    if _GRAPH_LAYOUT.fullmatch(text):
+        tok = text.split()
+        with suppress(ValueError):  # a field past int()'s digit limit
+            n, m = int(tok[1]), int(tok[2])
+            if len(tok) == 3 * m + 3 and n <= 2 * m + 1:
+                pairs = list(zip(map(int, tok[4::3]), map(int, tok[5::3])))
+    if pairs is None:
+        n, pairs = _walk_graph(text)
+    try:
+        return build_graph(n, pairs)
+    except Exception as exc:
+        raise ParseError(f"invalid graph: {exc}") from exc
+
+
+def _walk_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
     lines = _content_lines(text)
     if not lines:
         raise ParseError("empty graph file")
@@ -51,10 +76,7 @@ def parse_graph(text: str) -> Graph:
             pairs.append((int(parts[1]), int(parts[2])))
         except ValueError as exc:
             raise ParseError(f"line {no}: non-integer vertex id") from exc
-    try:
-        return build_graph(n, pairs)
-    except Exception as exc:
-        raise ParseError(f"invalid graph: {exc}") from exc
+    return n, pairs
 
 
 def emit_graph(g: Graph) -> str:
@@ -64,6 +86,21 @@ def emit_graph(g: Graph) -> str:
 
 
 def parse_labelling(text: str, g: Graph) -> Labelling:
+    labels = None
+    if _LABELLING_LAYOUT.fullmatch(text):
+        tok = text.split()
+        with suppress(ValueError):  # a field past int()'s digit limit
+            us, vs, bulk = (list(map(int, tok[k::3])) for k in range(3))
+            if tuple(zip(us, vs)) == g.edges:
+                labels = bulk
+    if labels is None:  # another line order, reversed pairs, or a fault
+        labels = _walk_labelling(text, g)
+    # Bad labels (duplicates, out of range) are kept for the verifier to
+    # report; only structural problems are parse errors.
+    return Labelling.from_labels(g, labels, strict=False)
+
+
+def _walk_labelling(text: str, g: Graph) -> list[int]:
     lines = _content_lines(text)
     if len(lines) != g.m:
         raise ParseError(f"labelling has {len(lines)} lines for m = {g.m}")
@@ -88,9 +125,7 @@ def parse_labelling(text: str, g: Graph) -> Labelling:
             raise ParseError(f"line {no}: edge ({u},{v}) labelled twice")
         seen.add(eid)
         labels[eid] = lbl
-    # Bad labels (duplicates, out of range) are kept for the verifier to
-    # report; only structural problems are parse errors.
-    return Labelling.from_labels(g, labels, strict=False)
+    return labels
 
 
 def emit_labelling(l: Labelling) -> str:

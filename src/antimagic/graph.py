@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import filterfalse
+from itertools import chain, filterfalse
 
 from .errors import (
     DuplicateEdge,
@@ -69,13 +69,18 @@ class Graph:
 def build_graph(n: int, edge_pairs: list[tuple[int, int]]) -> Graph:
     """Validate and build a Graph; edge ids follow input order.
 
-    Raises SelfLoop, DuplicateEdge or VertexOutOfRange on bad input.
+    Raises SelfLoop, DuplicateEdge or VertexOutOfRange at the first bad edge.
     """
     if n < 1:
         raise VertexOutOfRange(f"vertex count {n} must be positive")
+    edges = tuple(map(tuple, edge_pairs))
+    if set(chain.from_iterable(edges)).issubset(range(1, n + 1)):
+        g = Graph(n, edges)
+        # A self-loop or a repeated pair adds less than 2 to the degree sum.
+        if sum(g._degrees) == 2 * len(edges):
+            return g
     seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
-    for u, v in edge_pairs:
+    for u, v in edges:
         if not (1 <= u <= n and 1 <= v <= n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside 1..{n}")
         if u == v:
@@ -84,8 +89,7 @@ def build_graph(n: int, edge_pairs: list[tuple[int, int]]) -> Graph:
         if key in seen:
             raise DuplicateEdge(f"duplicate edge ({u},{v})")
         seen.add(key)
-        edges.append((u, v))
-    return Graph(n, tuple(edges))
+    return Graph(n, edges)
 
 
 class Regime(enum.Enum):

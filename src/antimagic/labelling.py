@@ -39,14 +39,14 @@ class Labelling:
                 if value:
                     lab.assign(eid, value)
             return lab
-        for eid, value in enumerate(labels):
-            lab.label_of[eid] = value
-            if 1 <= value <= graph.m and lab.edge_with[value] == -1:
-                lab.edge_with[value] = eid
-            a, b = graph.edges[eid]
+        lab.label_of[:] = labels
+        lab.assigned = len(labels)
+        # Read backwards, so the first edge with a label is the one kept.
+        first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
+        lab.edge_with[1:] = [first.get(v, -1) for v in range(1, graph.m + 1)]
+        for (a, b), value in zip(graph.edges, labels):
             lab.sums[a] += value
             lab.sums[b] += value
-            lab.assigned += 1
         return lab
 
     def assign(self, eid: int, label: int) -> None:

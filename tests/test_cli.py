@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import tempfile
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 import antimagic.cli as cli
 from antimagic import build_graph, gen_instance
 from antimagic.cli import main
-from antimagic.fileio import emit_graph, parse_graph, parse_labelling
+from antimagic.fileio import (
+    emit_graph,
+    emit_labelling,
+    parse_graph,
+    parse_labelling,
+)
+from antimagic.pipeline import label
 from antimagic.labelling import Labelling
 from antimagic.errors import NotAntimagicShape, ParseError
 
@@ -76,6 +83,13 @@ def test_malformed_header_exit_2(tmp_path):
     assert main(["label", str(bad)]) == 2
 
 
+def test_undecodable_bytes_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.graph"
+    bad.write_bytes(b"p 3 2\ne 1 2\ne 2 \xff3\n")
+    assert main(["label", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: cannot read")
+
+
 def test_k2_exit_3(tmp_path):
     f = tmp_path / "k2.graph"
     f.write_text("p 2 1\ne 1 2\n")
@@ -113,12 +127,23 @@ def test_generate_infeasible_n_exit_3(tmp_path):
                  "--out-dir", str(tmp_path)]) == 3
 
 
-def test_generate_writes_parseable_files(tmp_path):
+def test_generate_infeasible_later_regime_writes_nothing(tmp_path):
+    # disc_triple needs n >= 21: the whole schedule is checked before
+    # main_n19_s1.graph could be written.
+    out = tmp_path / "out"
+    assert main(["generate", "--n", "19", "--count", "2",
+                 "--regimes", "main,disc_triple", "--out-dir", str(out)]) == 3
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_generate_writes_parseable_files(tmp_path, capsys):
     assert main(["generate", "--n", "20", "--count", "2",
                  "--regimes", "main,degen_i3", "--seed", "5",
                  "--out-dir", str(tmp_path)]) == 0
+    names = ["main_n20_s5.graph", "degen_i3_n20_s6.graph"]
+    assert capsys.readouterr().out.split() == names
     files = sorted(tmp_path.glob("*.graph"))
-    assert len(files) == 2
+    assert sorted(f.name for f in files) == sorted(names)
     for f in files:
         g = parse_graph(f.read_text())
         assert g.m >= 7 * g.n
@@ -269,3 +294,125 @@ def test_fallback_status_for_yilma(tmp_path, capsys):
     assert main(["label", str(path), "--out", str(out), "--seed", "1"]) == 0
     assert "SearchedFallback" in capsys.readouterr().err
     assert main(["verify", str(path), str(out)]) == 0
+
+
+# -- fuzzing the trust boundary ------------------------------------------
+#
+# Graph and labelling files from three small graphs (a constructed main
+# graph, a fallback graph and the triangle), each broken in one way, go
+# through label, verify and explain.  Every input class must get its
+# documented exit code, and no exception may escape main().  Headers
+# with n > 2m + 1 keep n small, so that a regression in their early
+# rejection cannot allocate much.
+
+_BAD_TOKENS = ["x", "1.5", "", "9" * 5000]
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_bases():
+    graphs = [gen_instance(19, "main", seed=1),
+              gen_instance(19, "yilma", seed=1),
+              build_graph(3, [(1, 2), (2, 3), (1, 3)])]
+    return [(g, emit_labelling(label(g, seed=1).labelling)) for g in graphs]
+
+
+def _break_line(draw, line, bad_tokens):
+    parts = line.split()
+    if draw(st.booleans()):
+        return " ".join(parts[:-1])                    # truncated
+    k = draw(st.integers(1 if parts[0] == "e" else 0, len(parts) - 1))
+    parts[k] = draw(st.sampled_from(bad_tokens))
+    return " ".join(parts)                             # malformed
+
+
+@st.composite
+def graph_files(draw, g):
+    """(bytes, exit code of label and explain) for a broken graph file."""
+    lines = emit_graph(g).splitlines()
+    n, m = g.n, g.m
+    i = draw(st.integers(1, m))
+    fault = draw(st.sampled_from(
+        ["none", "drop", "break", "header", "count", "isolated",
+         "duplicate", "self_loop", "out_of_range", "bytes"]))
+    code = 2
+    if fault == "none":
+        code = 0
+    elif fault == "drop":
+        del lines[i]
+    elif fault == "break":
+        lines[i] = _break_line(draw, lines[i], _BAD_TOKENS + ["-1", "0"])
+    elif fault == "header":
+        lines[0] = draw(st.sampled_from(
+            [f"q {n} {m}", f"p {n}", f"p x {m}", f"p {n} {m} 1", "e 1 2"]))
+    elif fault == "count":
+        lines[0] = f"p {n} {m + draw(st.sampled_from([-1, 1]))}"
+    elif fault == "isolated":
+        lines[0], code = f"p {2 * m + draw(st.integers(2, 999))} {m}", 3
+    else:
+        u, v = g.edges[i - 1]
+        lines[0] = f"p {n} {m + 1}"
+        lines.append({"duplicate": f"e {v} {u}", "self_loop": f"e {u} {u}",
+                      "out_of_range": f"e {u} {n + 1}"}.get(fault, ""))
+    data = ("\n".join(lines) + "\n").encode()
+    if fault == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, code
+
+
+@st.composite
+def labelling_files(draw, g, text):
+    """(bytes, exit code of verify on a good graph) for a broken
+    labelling file."""
+    lines = [line.split() for line in text.splitlines()]
+    if draw(st.booleans()):                            # still legal
+        lines = [[v, u, lbl] for u, v, lbl in draw(st.permutations(lines))]
+    j, k = draw(st.lists(st.integers(0, g.m - 1), min_size=2, max_size=2,
+                         unique=True))
+    fault = draw(st.sampled_from(
+        ["none", "repeat", "range", "drop", "break", "not_in_graph",
+         "twice", "bytes"]))
+    code = {"none": 0, "repeat": 1, "range": 1}.get(fault, 2)
+    if fault == "repeat":
+        lines[j][2] = lines[k][2]
+    elif fault == "range":
+        lines[j][2] = str(draw(st.sampled_from([0, g.m + 1, -3])))
+    elif fault == "drop":
+        del lines[j]
+    elif fault == "not_in_graph":
+        lines[j][:2] = ["1", str(g.n + 1)]
+    elif fault == "twice":
+        lines[j][:2] = lines[k][:2]
+    rows = [" ".join(line) for line in lines]
+    if fault == "break":
+        rows[j] = _break_line(draw, rows[j], _BAD_TOKENS)
+    data = ("\n".join(rows) + "\n").encode()
+    if fault == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, code
+
+
+@st.composite
+def cli_cases(draw):
+    g, text = draw(st.sampled_from(_fuzz_bases()))
+    return draw(graph_files(g)), draw(labelling_files(g, text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_cases())
+def test_fuzzed_files_get_documented_exit_codes(case):
+    (graph_bytes, graph_code), (lab_bytes, lab_code) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, lab_path = Path(tmp) / "g.graph", Path(tmp) / "l.lab"
+        graph_path.write_bytes(graph_bytes)
+        lab_path.write_bytes(lab_bytes)
+        codes = {}
+        for argv in (["label", str(graph_path), "--seed", "1"],
+                     ["verify", str(graph_path), str(lab_path)],
+                     ["explain", str(graph_path)]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                codes[argv[0]] = main(argv)
+    assert codes == {"label": graph_code, "explain": graph_code,
+                     "verify": graph_code or lab_code}
