@@ -38,7 +38,6 @@ def test_graph_round_trip():
 
 
 def test_labelling_round_trip():
-    from antimagic.fileio import emit_labelling
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     lab = Labelling.from_labels(g, [3, 1, 2])
     parsed = parse_labelling(emit_labelling(lab), g)
@@ -348,11 +347,11 @@ def graph_files(draw, g):
         lines[0] = f"p {n} {m + draw(st.sampled_from([-1, 1]))}"
     elif fault == "isolated":
         lines[0], code = f"p {2 * m + draw(st.integers(2, 999))} {m}", 3
-    else:
+    elif fault != "bytes":
         u, v = g.edges[i - 1]
         lines[0] = f"p {n} {m + 1}"
         lines.append({"duplicate": f"e {v} {u}", "self_loop": f"e {u} {u}",
-                      "out_of_range": f"e {u} {n + 1}"}.get(fault, ""))
+                      "out_of_range": f"e {u} {n + 1}"}[fault])
     data = ("\n".join(lines) + "\n").encode()
     if fault == "bytes":
         at = draw(st.integers(0, len(data)))

@@ -279,44 +279,50 @@ def test_parse_labelling_matches_line_walk(case):
     _same(parse_labelling, ref_parse_labelling, text, g)
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "\n",
-    "p 3 2\ne 1 2\ne 2 3",                     # no final newline
-    "p 3 2\r\ne 1 2\r\ne 2 3\r\n",             # CRLF
-    "# c\np 3 2\ne 1 2\n\ne 2 3\n",            # comment, blank line
-    "p\t3 2\ne  1 2\ne 2 3\n",                 # tab, double space
-    "p 3 2\ne 1 2\ne 2 ３\n",                   # a Unicode digit
-    f"p 3 2\ne 1 2\ne 2 {_HUGE}\n",            # past int()'s digit limit
-    f"p {_HUGE} 2\ne 1 2\ne 2 3\n",
-    "p 3 2\ne 1 2\ne 2 2\n",                   # self-loop
-    "p 3 2\ne 1 2\ne 2 1\n",                   # duplicate
-    "p 3 2\ne 1 2\ne 2 4\n",                   # out of range
-    "p 3 2\ne 1 2\ne 0 3\n",
-    "p 0 0\n",
-    "p 1 0\n",
-    "p 9 2\ne 1 2\ne 2 3\n",                   # n > 2m + 1
-    "p 9 3\ne 1 2\ne 2 3\n",                   # count before n > 2m + 1
-    "p 3 2\ne 1 2\ne 2 3\ne 1 3\n",
-    "p 3 02\ne 01 2\ne 2 3\n",                 # leading zeros
-])
+GRAPH_CASES = {
+    "empty": "",
+    "blank": "\n",
+    "no_final_newline": "p 3 2\ne 1 2\ne 2 3",
+    "crlf": "p 3 2\r\ne 1 2\r\ne 2 3\r\n",
+    "comment_and_blank": "# c\np 3 2\ne 1 2\n\ne 2 3\n",
+    "tab_and_double_space": "p\t3 2\ne  1 2\ne 2 3\n",
+    "unicode_digit": "p 3 2\ne 1 2\ne 2 \uff13\n",
+    "huge_vertex_id": f"p 3 2\ne 1 2\ne 2 {_HUGE}\n",
+    "huge_header": f"p {_HUGE} 2\ne 1 2\ne 2 3\n",
+    "self_loop": "p 3 2\ne 1 2\ne 2 2\n",
+    "duplicate": "p 3 2\ne 1 2\ne 2 1\n",
+    "above_n": "p 3 2\ne 1 2\ne 2 4\n",
+    "vertex_zero": "p 3 2\ne 1 2\ne 0 3\n",
+    "n_zero": "p 0 0\n",
+    "k1": "p 1 0\n",
+    "two_isolated": "p 9 2\ne 1 2\ne 2 3\n",
+    "count_before_isolated": "p 9 3\ne 1 2\ne 2 3\n",
+    "line_over": "p 3 2\ne 1 2\ne 2 3\ne 1 3\n",
+    "leading_zeros": "p 3 02\ne 01 2\ne 2 3\n",
+}
+
+LABELLING_CASES = {
+    "canonical": "1 2 1\n2 3 2\n1 3 3\n",
+    "reversed_pairs": "2 1 1\n3 2 2\n3 1 3\n",
+    "another_order": "1 3 3\n1 2 1\n2 3 2\n",
+    "no_final_newline": "1 2 1\n2 3 2\n1 3 3",
+    "line_short": "1 2 1\n2 3 2\n",
+    "line_over": "1 2 1\n2 3 2\n1 3 3\n1 3 3\n",
+    "edge_twice": "1 2 1\n2 1 2\n1 3 3\n",
+    "not_in_graph": "1 2 1\n2 3 2\n1 4 3\n",
+    "bad_labels_left_to_verifier": "1 2 1\n2 3 1\n1 3 9\n",
+    "huge_label": f"1 2 1\n2 3 2\n1 3 {_HUGE}\n",
+    "unicode_digit": "1 2 1\n2 3 2\n1 3 \uff13\n",
+}
+
+
+@pytest.mark.parametrize("text", GRAPH_CASES.values(), ids=GRAPH_CASES)
 def test_parse_graph_named_cases(text):
     _same(parse_graph, ref_parse_graph, text)
 
 
-@pytest.mark.parametrize("text", [
-    "1 2 1\n2 3 2\n1 3 3\n",                   # canonical
-    "2 1 1\n3 2 2\n3 1 3\n",                   # reversed pairs
-    "1 3 3\n1 2 1\n2 3 2\n",                   # another line order
-    "1 2 1\n2 3 2\n1 3 3",                     # no final newline
-    "1 2 1\n2 3 2\n",                          # a line short
-    "1 2 1\n2 3 2\n1 3 3\n1 3 3\n",            # a line over
-    "1 2 1\n2 1 2\n1 3 3\n",                   # an edge twice
-    "1 2 1\n2 3 2\n1 4 3\n",                   # not in the graph
-    "1 2 1\n2 3 1\n1 3 9\n",                   # bad labels: the verifier's
-    f"1 2 1\n2 3 2\n1 3 {_HUGE}\n",
-    "1 2 1\n2 3 2\n1 3 ３\n",
-])
+@pytest.mark.parametrize("text", LABELLING_CASES.values(),
+                         ids=LABELLING_CASES)
 def test_parse_labelling_named_cases(text):
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     _same(parse_labelling, ref_parse_labelling, text, g)
