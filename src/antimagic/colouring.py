@@ -15,6 +15,7 @@ All operations are pure; they return new EdgeColouring values.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import filterfalse
 
@@ -44,9 +45,6 @@ class EdgeColouring:
 
     def edge_count(self) -> int:
         return sum(len(c) for c in self.classes)
-
-    def with_classes(self, classes: list[list[int]]) -> "EdgeColouring":
-        return EdgeColouring(self.graph, tuple(tuple(sorted(c)) for c in classes))
 
 
 def properness_violations(g: Graph, classes) -> list[tuple[int, int, int]]:
@@ -252,6 +250,29 @@ def _mg_colour_edge(g: Graph, pal: _Palette, x: int, f: int,
     pal.assign(fan_e[j], d)
 
 
+class _ColourClass:
+    """One colour class during balancing: its edges as a sorted list and
+    its vertex -> edge map, both updated in place along each swapped
+    path rather than rebuilt every round."""
+
+    __slots__ = ("g", "edges", "at")
+
+    def __init__(self, g: Graph, edge_ids):
+        self.g = g
+        self.edges = sorted(edge_ids)
+        self.at = {v: e for e in self.edges for v in g.edges[e]}
+
+    def remove(self, e: int) -> None:
+        del self.edges[bisect_left(self.edges, e)]
+        for v in self.g.edges[e]:
+            del self.at[v]
+
+    def add(self, e: int) -> None:
+        insort(self.edges, e)
+        for v in self.g.edges[e]:
+            self.at[v] = e
+
+
 def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     """Grow undersized classes to >= min_size edges.
 
@@ -261,77 +282,117 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     belong to the donor (deterministically, the qualifying path
     containing the smallest edge id).  Every swap reduces the total
     deficit by one, so the loop terminates.
+
+    A round costs O(|path| + |receiver|) plus two C-level scans of the
+    size list: the classes keep their sorted edges and vertex maps
+    across rounds, and a size -> count array tracks the smallest and
+    largest size (the smallest only rises, the largest only falls).
     """
     g = c.graph
-    classes = [list(cls) for cls in c.classes]
-    sizes = [len(cl) for cl in classes]
-    if sum(sizes) < min_size * len(classes):
+    if not c.classes:
+        return c
+    sizes = c.sizes()
+    if sum(sizes) < min_size * len(sizes):
         raise InfeasibleBalance(
             f"{sum(sizes)} edges cannot fill "
-            f"{len(classes)} classes of {min_size}")
+            f"{len(sizes)} classes of {min_size}")
+    classes = [_ColourClass(g, cls) for cls in c.classes]
 
-    def short(i: int) -> int:
-        return max(0, min_size - sizes[i])
+    def short(size: int) -> int:
+        return max(0, min_size - size)
 
-    guard = sum(map(short, range(len(sizes))))
-    while True:
-        small = sizes.index(min(sizes))
-        if sizes[small] >= min_size:
-            break
-        big = sizes.index(max(sizes))
-        if sizes[big] <= sizes[small]:
+    count = [0] * (max(sizes) + 1)
+    for s in sizes:
+        count[s] += 1
+    lo, hi = min(sizes), max(sizes)
+    while lo < min_size:
+        if hi <= lo:
             raise ProofViolation("class balancing found no larger donor")
-        path = _donor_path(g, classes[small], classes[big])
-        before = short(small) + short(big)
-        path_set = set(path)
-        small_set, big_set = set(classes[small]), set(classes[big])
-        classes[small] = [e for e in small_set - path_set] + \
-            [e for e in path if e in big_set]
-        classes[big] = [e for e in big_set - path_set] + \
-            [e for e in path if e in small_set]
-        sizes[small], sizes[big] = len(classes[small]), len(classes[big])
-        new_deficit = guard - before + short(small) + short(big)
-        if new_deficit >= guard:
+        small, big = sizes.index(lo), sizes.index(hi)
+        recv, donor = classes[small], classes[big]
+        path = _donor_path(g, recv, donor)
+        # The path alternates donor, recv, ..., donor.  Every edge
+        # leaves its class before any arrives, so no vertex map entry
+        # is overwritten and then deleted.
+        gained, lost = path[0::2], path[1::2]
+        for e in lost:
+            recv.remove(e)
+        for e in gained:
+            donor.remove(e)
+        for e in gained:
+            recv.add(e)
+        for e in lost:
+            donor.add(e)
+        sizes[small], sizes[big] = len(recv.edges), len(donor.edges)
+        if (short(sizes[small]) + short(sizes[big])
+                >= short(lo) + short(hi)):
             raise ProofViolation("class balancing failed to make progress")
-        guard = new_deficit
-    return c.with_classes(classes)
+        count[lo] -= 1
+        count[hi] -= 1
+        count[sizes[small]] += 1
+        count[sizes[big]] += 1
+        while not count[lo]:
+            lo += 1
+        while not count[hi]:
+            hi -= 1
+    return EdgeColouring(g, tuple(tuple(cls.edges) for cls in classes))
 
 
-def _donor_path(g: Graph, recv: list[int], donor: list[int]) -> list[int]:
+def _donor_path(g: Graph, recv: _ColourClass,
+                donor: _ColourClass) -> list[int]:
     """Edges of an alternating path in the recv/donor two-colour subgraph
     whose first and last edges are donor edges (a single donor edge
-    qualifies).  Exists whenever |donor| > |recv|.
+    qualifies), in walk order from a donor end.  Exists whenever
+    |donor| > |recv|.  Of all qualifying paths, returns the one holding
+    the smallest edge id.
 
-    Components are disjoint paths and cycles; visiting edges in ascending
-    id, the first qualifying path met is the one holding the smallest
-    edge id among all qualifying paths.
+    Components are disjoint paths and cycles.  Only those holding a
+    receiver edge need a walk: the donor class is a matching, so a
+    component without a receiver edge is a single donor edge, and the
+    lowest of these is the first donor edge, in ascending order, with
+    neither endpoint in the receiver's vertex map.  Each donor edge
+    skipped on the way touches a receiver edge, so the scan stops within
+    2|recv| + 1 steps, and the walks cover O(|recv|) edges in all.
     """
     # The recv edge and the donor edge at each vertex, indexed by "is a
     # donor edge": from a donor edge the walk goes on along at[False].
-    at = ({v: e for e in recv for v in g.edges[e]},
-          {v: e for e in donor for v in g.edges[e]})
-    donor_set = set(donor)
+    at = (recv.at, donor.at)
+    best, low = None, None
+    for e in donor.edges:
+        a, b = g.edges[e]
+        if a not in recv.at and b not in recv.at:
+            best, low = [e], e
+            break
     seen: set[int] = set()
-    for first in sorted(recv + donor):
+    for first in recv.edges:
         if first in seen:
             continue
-        # Walk the component both ways from ``first``; a cycle closes
-        # back onto ``first`` in the first walk.
-        comp, closed = [first], False
+        # Walk away from ``first`` at each endpoint; a cycle closes back
+        # onto ``first`` in the first walk.
+        ends, closed = [], False
         for cur in g.edges[first]:
-            on_donor = first in donor_set
+            side, on_donor = [], False
             while not closed:
                 e = at[not on_donor].get(cur)
                 if e is None:
                     break
                 closed, on_donor = e == first, not on_donor
-                comp.append(e)
+                side.append(e)
                 cur = g.other_end(e, cur)
-            comp.reverse()
+            ends.append(side)
+        if closed:
+            seen.update(ends[0])
+            continue
+        comp = ends[0][::-1] + [first] + ends[1]
         seen.update(comp)
-        if not closed and comp[0] in donor_set and comp[-1] in donor_set:
-            return comp
-    raise ProofViolation("no alternating path with donor-coloured ends")
+        # Both ends are donor edges iff each side has odd length.
+        if len(ends[0]) % 2 and len(ends[1]) % 2:
+            top = min(comp)
+            if low is None or top < low:
+                best, low = comp, top
+    if best is None:
+        raise ProofViolation("no alternating path with donor-coloured ends")
+    return best
 
 
 def order_classes_for_vertex(c: EdgeColouring, v: int, count: int) -> EdgeColouring:

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import antimagic.cli as cli
@@ -22,6 +22,7 @@ from antimagic.fileio import (
 from antimagic.pipeline import label
 from antimagic.labelling import Labelling
 from antimagic.errors import NotAntimagicShape, ParseError
+from antimagic.generator import TARGETS, min_feasible_n
 
 
 @pytest.fixture()
@@ -415,3 +416,69 @@ def test_fuzzed_files_get_documented_exit_codes(case):
                 codes[argv[0]] = main(argv)
     assert codes == {"label": graph_code, "explain": graph_code,
                      "verify": graph_code or lab_code}
+
+
+# -- fuzzing every small graph shape -------------------------------------
+#
+# Any simple graph on at most 12 vertices, connected or not: label must
+# exit 0 (and its file must verify) or 3 (not antimagic-shaped, or the
+# search gave up); any other exception escapes main() and fails here.
+
+@st.composite
+def small_graphs(draw):
+    """(n, edges): any simple graph on 1..12 vertices, edges in a random
+    order and orientation."""
+    n = draw(st.integers(1, 12))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    k = draw(st.integers(0, len(pairs)))
+    edges = draw(st.permutations(pairs))[:k]
+    return n, [(b, a) if draw(st.booleans()) else (a, b) for a, b in edges]
+
+
+def _quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+@example((1, []))                                        # K1
+@example((5, []))                                        # edgeless
+@example((4, [(1, 2), (2, 3), (1, 3)]))                  # isolated vertex
+@example((6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]))
+@example((7, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]))  # two paths
+def test_label_any_small_graph(graph):
+    n, edges = graph
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "g.graph", Path(tmp) / "g.lab"
+        path.write_text(emit_graph(build_graph(n, edges)))
+        code = _quiet_main(["label", str(path), "--out", str(out),
+                            "--seed", "1"])
+        assert code in (0, 3)
+        if code == 0:
+            assert _quiet_main(["verify", str(path), str(out)]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([-1, 0, 1, 17, 18, 19, 20, 21, 22]),
+       st.integers(-1, 3),
+       st.lists(st.sampled_from(sorted(TARGETS) + ["", "nope", "MAIN"]),
+                min_size=1, max_size=4))
+def test_generate_exit_codes(n, count, regimes):
+    # Unknown names are a parse error before anything else; a regime the
+    # schedule reaches below its smallest feasible n is exit 3.  Either
+    # way no file is written.
+    if any(t not in TARGETS for t in regimes):
+        want = 2
+    elif any(min_feasible_n(t) > n for t in regimes[:max(count, 0)]):
+        want = 3
+    else:
+        want = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        assert _quiet_main(["generate", "--n", str(n), "--count", str(count),
+                            "--regimes", ",".join(regimes),
+                            "--out-dir", str(out)]) == want
+        files = list(out.iterdir()) if out.exists() else []
+        assert len(files) == (0 if want else max(count, 0))

@@ -18,13 +18,20 @@ from antimagic import (
     order_classes_for_vertex,
     vizing_colour,
 )
-from antimagic.colouring import _donor_path, pad_classes, properness_violations
+from antimagic.colouring import (
+    _ColourClass,
+    _donor_path,
+    pad_classes,
+    properness_violations,
+)
 from antimagic.errors import (
     DegreeExceedsColours,
     InfeasibleBalance,
     NotBipartite,
     NotEnoughClasses,
+    ProofViolation,
 )
+from antimagic.graph import Graph
 from conftest import brute_proper, random_graph
 
 
@@ -256,10 +263,202 @@ def test_donor_path_skips_cycles_and_recv_ends():
                          (8, 9), (9, 10), (10, 11)])
     recv = [0, 2, 5, 7]
     donor = [1, 3, 4, 6, 8]
-    assert sorted(_donor_path(g, recv, donor)) == [6, 7, 8]
+    assert sorted(_donor_path(g, _ColourClass(g, recv),
+                              _ColourClass(g, donor))) == [6, 7, 8]
 
 
 def test_donor_path_takes_smallest_qualifying_component():
     g = build_graph(10, [(1, 2), (3, 4), (4, 5), (5, 6), (7, 8)])
-    assert sorted(_donor_path(g, [2], [4, 1, 3, 0])) == [0]
-    assert sorted(_donor_path(g, [0, 2], [4, 1, 3])) == [1, 2, 3]
+    assert sorted(_donor_path(g, _ColourClass(g, [2]),
+                              _ColourClass(g, [4, 1, 3, 0]))) == [0]
+    assert sorted(_donor_path(g, _ColourClass(g, [0, 2]),
+                              _ColourClass(g, [4, 1, 3]))) == [1, 2, 3]
+
+
+def test_balance_no_classes_is_unchanged():
+    g = build_graph(4, [(1, 2), (3, 4)])
+    col = EdgeColouring(g, ())
+    assert balance_classes(col, 3) is col
+
+
+# -- the balancer against the one it replaced ----------------------------
+#
+# ``ref_balance_classes`` and ``ref_donor_path`` are the per-round
+# rebuilding implementations, kept verbatim as the reference (only the
+# removed ``EdgeColouring.with_classes`` is inlined).  On proper
+# colourings the rewrite must give identical classes, or raise the same
+# exception class with the same message.
+
+def ref_balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
+    """Grow undersized classes to >= min_size edges.
+
+    Each round takes the smallest class as receiver and the largest as
+    donor (lowest index on ties), forms the two-colour subgraph, and
+    swaps colours along an alternating path whose first and last edges
+    belong to the donor (deterministically, the qualifying path
+    containing the smallest edge id).  Every swap reduces the total
+    deficit by one, so the loop terminates.
+    """
+    g = c.graph
+    classes = [list(cls) for cls in c.classes]
+    sizes = [len(cl) for cl in classes]
+    if sum(sizes) < min_size * len(classes):
+        raise InfeasibleBalance(
+            f"{sum(sizes)} edges cannot fill "
+            f"{len(classes)} classes of {min_size}")
+
+    def short(i: int) -> int:
+        return max(0, min_size - sizes[i])
+
+    guard = sum(map(short, range(len(sizes))))
+    while True:
+        small = sizes.index(min(sizes))
+        if sizes[small] >= min_size:
+            break
+        big = sizes.index(max(sizes))
+        if sizes[big] <= sizes[small]:
+            raise ProofViolation("class balancing found no larger donor")
+        path = ref_donor_path(g, classes[small], classes[big])
+        before = short(small) + short(big)
+        path_set = set(path)
+        small_set, big_set = set(classes[small]), set(classes[big])
+        classes[small] = [e for e in small_set - path_set] + \
+            [e for e in path if e in big_set]
+        classes[big] = [e for e in big_set - path_set] + \
+            [e for e in path if e in small_set]
+        sizes[small], sizes[big] = len(classes[small]), len(classes[big])
+        new_deficit = guard - before + short(small) + short(big)
+        if new_deficit >= guard:
+            raise ProofViolation("class balancing failed to make progress")
+        guard = new_deficit
+    # c.with_classes(classes), inlined: the method is gone.
+    return EdgeColouring(c.graph, tuple(tuple(sorted(cl)) for cl in classes))
+
+
+def ref_donor_path(g: Graph, recv: list[int], donor: list[int]) -> list[int]:
+    """Edges of an alternating path in the recv/donor two-colour subgraph
+    whose first and last edges are donor edges (a single donor edge
+    qualifies).  Exists whenever |donor| > |recv|.
+
+    Components are disjoint paths and cycles; visiting edges in ascending
+    id, the first qualifying path met is the one holding the smallest
+    edge id among all qualifying paths.
+    """
+    # The recv edge and the donor edge at each vertex, indexed by "is a
+    # donor edge": from a donor edge the walk goes on along at[False].
+    at = ({v: e for e in recv for v in g.edges[e]},
+          {v: e for e in donor for v in g.edges[e]})
+    donor_set = set(donor)
+    seen: set[int] = set()
+    for first in sorted(recv + donor):
+        if first in seen:
+            continue
+        # Walk the component both ways from ``first``; a cycle closes
+        # back onto ``first`` in the first walk.
+        comp, closed = [first], False
+        for cur in g.edges[first]:
+            on_donor = first in donor_set
+            while not closed:
+                e = at[not on_donor].get(cur)
+                if e is None:
+                    break
+                closed, on_donor = e == first, not on_donor
+                comp.append(e)
+                cur = g.other_end(e, cur)
+            comp.reverse()
+        seen.update(comp)
+        if not closed and comp[0] in donor_set and comp[-1] in donor_set:
+            return comp
+    raise ProofViolation("no alternating path with donor-coloured ends")
+
+
+def _outcome(balance, col, min_size):
+    try:
+        return balance(col, min_size).classes
+    except Exception as exc:  # compared by class and message
+        return type(exc), str(exc)
+
+
+@st.composite
+def vizing_cases(draw):
+    """(colouring, min_size): a Vizing colouring of a random edge subset
+    of a random graph, padded with empty classes (within what min_size
+    can fill, half of the time), classes shuffled and each class in
+    shuffled order."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(draw(st.integers(2, 14)), draw(st.floats(0.1, 0.9)),
+                     rng)
+    keep = draw(st.floats(0.2, 1.0))
+    subset = [e for e in range(g.m) if rng.random() < keep]
+    classes = [list(cls) for cls in vizing_colour(g, subset).classes]
+    min_size = draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 10))
+    if draw(st.booleans()):  # no more padding than min_size can fill
+        pad = min(pad, max(0, len(subset) // min_size - len(classes)))
+    classes += [[] for _ in range(pad)]
+    rng.shuffle(classes)
+    for cls in classes:
+        rng.shuffle(cls)
+    return EdgeColouring(g, tuple(map(tuple, classes))), min_size
+
+
+@st.composite
+def two_colour_cases(draw):
+    """(colouring, min_size) whose first two classes form chosen
+    two-colour components: even alternating cycles, paths ending in
+    either colour and lone edges, on disjoint vertices, with edge ids
+    scattered at random."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shapes = draw(st.lists(st.sampled_from(["cycle", "path"]),
+                           min_size=1, max_size=6))
+    edges, colour = [], []
+    v = 1
+    for shape in shapes:
+        if shape == "cycle":
+            k = 2 * rng.randint(2, 4)
+            ring = list(range(v, v + k))
+            edges += [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+        else:
+            k = rng.randint(1, 7)
+            edges += [(v + i, v + i + 1) for i in range(k)]
+        first = rng.randrange(2)
+        colour += [(first + i) % 2 for i in range(k)]
+        v += k + 1
+    order = list(range(len(edges)))
+    rng.shuffle(order)
+    g = Graph(v, tuple(edges[i] for i in order))
+    classes = [[], []]
+    for eid, i in enumerate(order):
+        classes[colour[i]].append(eid)
+    classes += [[] for _ in range(draw(st.integers(0, 3)))]
+    col = EdgeColouring(g, tuple(map(tuple, classes)))
+    return col, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(vizing_cases(), two_colour_cases()))
+def test_balance_matches_reference(case):
+    col, min_size = case
+    out = _outcome(balance_classes, col, min_size)
+    if not col.classes:
+        assert out == ()
+        return
+    assert out == _outcome(ref_balance_classes, col, min_size)
+    if not isinstance(out[0], type):
+        assert brute_proper(col.graph, out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_colour_cases())
+def test_donor_path_matches_reference(case):
+    col, _ = case
+    g, (a, b) = col.graph, col.classes[:2]
+    for recv, donor in ((a, b), (b, a)):
+        if len(donor) > len(recv):
+            path = _donor_path(g, _ColourClass(g, recv),
+                               _ColourClass(g, donor))
+            assert sorted(path) == sorted(
+                ref_donor_path(g, list(recv), list(donor)))
+            # Walk order from a donor end: donor edges at even places.
+            assert set(path[0::2]) <= set(donor)
+            assert set(path[1::2]) <= set(recv)
