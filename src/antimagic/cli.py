@@ -8,9 +8,11 @@ then print the run's trace: the regime, the status and, where the graph
 has one, the decomposition and the gap margins of the final sums).
 
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
-error; 3 hypothesis unmet with no fallback success, or n > 2m + 1 in
-a graph header (two isolated vertices); 4 proof violation.
-The default seed comes from ANTIMAGIC_SEED when set.
+error, or an output file or directory that cannot be written; 3
+hypothesis unmet with no fallback success, or n > 2m + 1 in a graph
+header (two isolated vertices); 4 proof violation.  The default seed
+comes from ANTIMAGIC_SEED when set; a value that is not an integer is
+a usage error (exit 2) of the subcommands that take ``--seed``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_PROOF_VIOLATION = 4
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ANTIMAGIC_SEED", "1"))
 
 
 def _read(path: str) -> str:
@@ -189,7 +187,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Constructive antimagic edge labellings for graphs "
                     "with maximum degree n - 4 and m >= 7n.")
     sub = p.add_subparsers(dest="command", required=True)
-    seed_kw = dict(type=int, default=_default_seed(),
+    # A string default is converted by ``type`` only when a subcommand
+    # with --seed is parsed, so a bad ANTIMAGIC_SEED fails only there.
+    seed_kw = dict(type=int, default=os.environ.get("ANTIMAGIC_SEED", "1"),
                    help="random seed (default: ANTIMAGIC_SEED or 1)")
 
     lp = sub.add_parser("label", help="construct an antimagic labelling")
@@ -238,6 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as exc:  # the only I/O left is writing the outputs
+        print(f"write error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ProofViolation as exc:
         print(f"proof violation: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .graph import Graph, InstanceDecomposition, Regime, degenerate_index
 from .labelling import Labelling
+from .verification import recompute_sums
 
 # Regimes whose stage 1 is antimagic outright: resolution never exchanges.
 ANTIMAGIC_OUTRIGHT = frozenset({Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT})
@@ -105,7 +106,7 @@ def _begin(g: Graph, d: InstanceDecomposition, in_regime: bool,
 
 
 def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
-                        root_labels) -> list[int]:
+                        root_labels) -> tuple[list[int], list[int]]:
     """Finish a partial labelling the way every stage 1 ends.
 
     Every still-unlabelled edge away from r takes, in one batch, the
@@ -113,7 +114,8 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
     ascending id.  Then r's neighbours are sorted by (partial sum, id)
     and their edges to r take ``root_labels`` in increasing order, so
     the neighbours' final sums keep that order, spaced at least as far
-    apart as the root labels.  Returns the sorted neighbours.
+    apart as the root labels.  Returns the sorted neighbours and the
+    vertex sums of the labelling as it then stands.
     """
     roots = set(root_labels)
     root_edge = {g.other_end(e, r): e for e in g.incident[r]}
@@ -129,10 +131,13 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
            "label accounting is off", g, free=len(free), rest=len(rest),
            root_labels=len(roots), root_edges=len(root_edge))
     lab.assign_all(rest, free)
-    order = sorted(root_edge, key=lambda v: (lab.sums[v], v))
+    sums = recompute_sums(g, lab)
+    order = sorted(root_edge, key=lambda v: (sums[v], v))
     for v, lbl in zip(order, sorted(roots)):
         lab.assign(root_edge[v], lbl)
-    return order
+        sums[v] += lbl
+        sums[r] += lbl
+    return order, sums
 
 
 def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
@@ -232,8 +237,8 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         for k, e in enumerate(picked, start=1):
             lab.assign(e, base - k)
 
-    h_sorted = _fill_rest_and_root(g, lab, d.r,
-                                   [m - 4 * k for k in range(n - 4)])
+    h_sorted, _ = _fill_rest_and_root(g, lab, d.r,
+                                      [m - 4 * k for k in range(n - 4)])
     intervals = tuple(
         tuple(m - 4 * (j - 1) - k for k in (1, 2, 3)) for j in range(1, n - 4))
     return _finish(g, d, lab, Regime.MAIN, h_sorted, intervals)
@@ -250,9 +255,9 @@ def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for u in (u3, u2, u1):
         for _, e in _h_edges(g, d, u):
             lab.assign(e, lab.assigned + 1)
-    h_sorted = _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
+    h_sorted, sums = _fill_rest_and_root(g, lab, d.r,
+                                         range(m - (n - 4) + 1, m + 1))
 
-    sums = lab.sums
     _check(sums[u1] <= 38, f"sum(u1) = {sums[u1]} > 38", g)
     _check(sums[u3] < sums[u2] < sums[u1],
            f"u sums not increasing: {sums[u3]}, {sums[u2]}, {sums[u1]}", g)
@@ -281,9 +286,8 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         lab.assign(e, lbl)
 
     r_labels = [m - (2 * k + 1) for k in range(n - 5)] + [m - 2 * (n - 5) - 1]
-    h_sorted = _fill_rest_and_root(g, lab, d.r, r_labels)
+    h_sorted, sums = _fill_rest_and_root(g, lab, d.r, r_labels)
 
-    sums = lab.sums
     _check(sums[u3] < sums[u2] < 30,
            f"u2/u3 sums out of bounds: {sums[u3]}, {sums[u2]}", g)
     _check(sums[u1] >= sums[u2] + 4,
@@ -356,10 +360,9 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                 lab.assign(cls[0], m - 1 - 3 * k)
                 lab.assign(cls[1], m - 2 - 3 * k)
 
-    h_sorted = _fill_rest_and_root(g, lab, d.r,
-                                   [m - 3 * k for k in range(n - 4)])
+    h_sorted, sums = _fill_rest_and_root(g, lab, d.r,
+                                         [m - 3 * k for k in range(n - 4)])
 
-    sums = lab.sums
     _check(sums[u3] <= 18, f"sum(u3) = {sums[u3]} > 18", g)
     _check(sums[d.r] >= sums[u1] + 4 and sums[u1] >= sums[u2] + 4,
            f"top sums out of order: r={sums[d.r]} u1={sums[u1]} u2={sums[u2]}", g)
@@ -396,7 +399,8 @@ def label_disconnected(g: Graph, d: InstanceDecomposition,
     lab = _begin(g, d, d.d_prime == (0, 0, 0),
                  f"d' = {d.d_prime}: the triple is not its own component")
     n, m = g.n, g.m
-    h_sorted = _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
+    h_sorted, _ = _fill_rest_and_root(g, lab, d.r,
+                                      range(m - (n - 4) + 1, m + 1))
     return _finish(g, d, lab, Regime.DISC_TRIPLE_COMPONENT, h_sorted)
 
 
@@ -416,6 +420,6 @@ def label_delta_n1(g: Graph, r: int) -> Labelling:
     from .verification import verify_antimagic
     rep = verify_antimagic(g, lab)
     _check(rep.ok, f"universal-vertex labelling has conflicts {rep.conflicts}", g)
-    _check(all(lab.sums[r] > lab.sums[v] for v in range(1, n + 1) if v != r),
+    _check(all(rep.sums[r] > rep.sums[v] for v in range(1, n + 1) if v != r),
            "root sum is not maximal", g)
     return lab

@@ -48,10 +48,12 @@ _TRIPLE_PAIRS = ((2, 3), (2, 4), (3, 4))  # u1u2, u1u3, u2u3
 
 
 def _as_target(regime) -> str:
-    if isinstance(regime, Regime):
-        return _REGIME_TO_TARGET[regime]
-    if regime in TARGETS:
-        return regime
+    """The target's name; a Regime maps to its target, and a regime with
+    none (DELTA_N1, UNSUPPORTED) is as unknown as a misspelt name."""
+    target = (_REGIME_TO_TARGET.get(regime) if isinstance(regime, Regime)
+              else regime)
+    if target in TARGETS:
+        return target
     raise InfeasibleRegime(f"unknown generation target {regime!r}")
 
 

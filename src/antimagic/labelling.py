@@ -1,9 +1,9 @@
-"""Edge labellings with cached vertex sums.
+"""Edge labellings: the labels and their label -> edge inverse.
 
 A complete labelling is a bijection from edge ids to {1..m}; during
-construction the same structure holds a partial assignment, and the
-cached sums are then the partial sums over labelled edges.  Isolated
-vertices have sum 0.
+construction the same structure holds a partial assignment.  Vertex
+sums are not kept here: ``verification.recompute_sums`` computes them
+from the labels whenever a stage needs them.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from .graph import Graph
 class Labelling:
     """Mutable while a stage builds it; treated as a value afterwards."""
 
-    __slots__ = ("graph", "label_of", "edge_with", "sums", "assigned")
+    __slots__ = ("graph", "label_of", "edge_with", "assigned")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         m = graph.m
         self.label_of = [0] * m            # edge id -> label, 0 = unassigned
         self.edge_with = [-1] * (m + 1)    # label -> edge id
-        self.sums = [0] * (graph.n + 1)    # vertex -> sum over labelled edges
         self.assigned = 0
 
     @classmethod
@@ -44,9 +43,6 @@ class Labelling:
         # Read backwards, so the first edge with a label is the one kept.
         first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
         lab.edge_with[1:] = [first.get(v, -1) for v in range(1, graph.m + 1)]
-        for (a, b), value in zip(graph.edges, labels):
-            lab.sums[a] += value
-            lab.sums[b] += value
         return lab
 
     def assign(self, eid: int, label: int) -> None:
@@ -59,27 +55,20 @@ class Labelling:
                 else f"edge {eid} already labelled")
         self.label_of[eid] = label
         self.edge_with[label] = eid
-        a, b = self.graph.edges[eid]
-        self.sums[a] += label
-        self.sums[b] += label
         self.assigned += 1
 
     def assign_all(self, eids: list[int], labels: list[int]) -> None:
-        """``assign`` for a batch: one pass of direct writes to the labels,
-        the inverse and the sums, then one count over the whole labelling
-        that shows no write reused an edge or a label.  A failed check
-        leaves the labelling unusable."""
+        """``assign`` for a batch: one pass of direct writes to the labels
+        and the inverse, then one count over the whole labelling that
+        shows no write reused an edge or a label.  A failed check leaves
+        the labelling unusable."""
         label_of, edge_with = self.label_of, self.edge_with
-        sums, edges = self.sums, self.graph.edges
         if len(eids) != len(labels) or (
                 labels and not 0 < min(labels) <= max(labels) < len(edge_with)):
             raise ProofViolation("batch labels out of range or unmatched")
         for eid, label in zip(eids, labels):
             label_of[eid] = label
             edge_with[label] = eid
-            a, b = edges[eid]
-            sums[a] += label
-            sums[b] += label
         self.assigned += len(eids)
         free = len(label_of) - self.assigned
         if label_of.count(0) != free or edge_with.count(-1) != free + 1:
@@ -96,18 +85,12 @@ class Labelling:
         ex, ey = self.edge_with[x], self.edge_with[y]
         self.label_of[ex], self.label_of[ey] = y, x
         self.edge_with[x], self.edge_with[y] = ey, ex
-        d = y - x
-        for v in self.graph.edges[ex]:
-            self.sums[v] += d
-        for v in self.graph.edges[ey]:
-            self.sums[v] -= d
 
     def copy(self) -> "Labelling":
         lab = Labelling.__new__(Labelling)
         lab.graph = self.graph
         lab.label_of = list(self.label_of)
         lab.edge_with = list(self.edge_with)
-        lab.sums = list(self.sums)
         lab.assigned = self.assigned
         return lab
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import ProofGapWarning, ProofViolation
 from .graph import InstanceDecomposition, Regime
 from .labelling import Labelling
-from .verification import recompute_sums, verify_antimagic
+from .verification import verify_antimagic
 
 # The exchange table: per regime, each family's offsets, in the order
 # plans and the safety net try them.  In the i=3 regime the root labels
@@ -55,6 +55,7 @@ class ConflictSet:
     pairs: tuple[tuple[int, int], ...]
     u_ranks: tuple[int, ...]          # which of u1,u2,u3 are in conflict
     rivals: dict[int, int]            # u rank -> H vertex with closest sum
+    sums: list[int] = field(repr=False)  # recomputed from the raw labels
 
 
 @dataclass
@@ -69,7 +70,8 @@ class ResolutionTrace:
 
 def find_conflicts(l: Labelling, d: InstanceDecomposition) -> ConflictSet:
     """Equal-sum pairs plus, for each u_k, its rival: the H vertex whose
-    sum is closest (ties by smallest id)."""
+    sum is closest (ties by smallest id).  The sums are recomputed from
+    the raw labels and carried along for the caller to read."""
     g = l.graph
     report = verify_antimagic(g, l)
     pairs = [(a, b) for a, b, _ in report.conflicts]
@@ -80,7 +82,7 @@ def find_conflicts(l: Labelling, d: InstanceDecomposition) -> ConflictSet:
     for k, u in enumerate(d.u, start=1):
         rivals[k] = min(d.h_vertices,
                         key=lambda v: (abs(sums[v] - sums[u]), v))
-    return ConflictSet(tuple(pairs), ranks, rivals)
+    return ConflictSet(tuple(pairs), ranks, rivals, sums)
 
 
 def apply_exchange(l: Labelling, e: Exchange) -> Labelling:
@@ -108,7 +110,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     if not c.pairs:
         return "none", []
     m = s.labelling.graph.m
-    sums = recompute_sums(s.labelling.graph, s.labelling)
+    sums = c.sums
     y = s.y_map
     u1, u2, u3 = d.u
     v1, v2, v3 = c.rivals[1], c.rivals[2], c.rivals[3]
@@ -234,7 +236,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     else:
         case, plans = _degen_menu(regime, conflicts, g.m, g.n)
 
-    before = recompute_sums(g, s.labelling)
+    before = conflicts.sums
     rejections: list[str] = []
 
     def try_plans(plan_list):

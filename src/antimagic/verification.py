@@ -1,9 +1,10 @@
 """Independent checking of labellings.
 
 Everything here recomputes from the graph and the raw label assignment;
-the cached sums and the label -> edge inverse inside Labelling are never
-trusted.  Each check that needs vertex sums recomputes them and returns
-them in its report, so a caller that needs them again for the same,
+the label -> edge inverse inside Labelling is never trusted.
+``recompute_sums`` is the one computation of vertex sums outside the
+oracle's search state.  Each check that needs them recomputes them and returns them
+in its report, so a caller that needs them again for the same,
 unchanged labelling reads them from there instead of making another
 pass.  Reports carry full witness data so a failure is actionable.
 """

@@ -149,6 +149,49 @@ def test_generate_writes_parseable_files(tmp_path, capsys):
         assert g.m >= 7 * g.n
 
 
+def test_label_out_unwritable_exit_2(main_graph_file, tmp_path, capsys):
+    _, path = main_graph_file
+    out = tmp_path / "missing" / "x.lab"
+    assert main(["label", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("write error:") and str(out) in err
+    assert "Traceback" not in err
+
+
+def test_label_trace_unwritable_exit_2(main_graph_file, tmp_path, capsys):
+    _, path = main_graph_file
+    trace = tmp_path / "missing" / "trace.json"
+    assert main(["label", str(path), "--out", str(tmp_path / "x.lab"),
+                 "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("write error:") and str(trace) in err
+
+
+def test_generate_out_dir_uncreatable_exit_2(tmp_path, capsys):
+    # A directory cannot be made below a regular file.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "corpus"
+    assert main(["generate", "--n", "20", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("write error:") and str(out) in err
+
+
+def test_bad_seed_env_fails_only_commands_with_seed(main_graph_file,
+                                                    tmp_path, monkeypatch,
+                                                    capsys):
+    g, path = main_graph_file
+    lab = tmp_path / "x.lab"
+    lab.write_text(emit_labelling(label(g).labelling))
+    monkeypatch.setenv("ANTIMAGIC_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["label", str(path), "--out", str(lab)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(["verify", str(path), str(lab)]) == 0
+    assert main(["label", str(path), "--out", str(lab), "--seed", "3"]) == 0
+
+
 def test_determinism_byte_identical(main_graph_file, tmp_path):
     _, path = main_graph_file
     outs, traces = [], []

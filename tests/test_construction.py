@@ -354,7 +354,7 @@ def test_assign_all_writes_a_batch_and_refuses_reuse():
     lab.assign_all([1, 3, 2], [1, 2, 3])
     assert lab.label_of == [4, 1, 3, 2]
     assert lab.edge_with == [-1, 1, 3, 2, 0]
-    assert lab.assigned == 4 and lab.sums == recompute_sums(g, lab)
+    assert lab.assigned == 4
     lab.assign_all([], [])
     assert lab.assigned == 4
     # With edge 0 holding label 1: a used label, a labelled edge, a
@@ -366,3 +366,40 @@ def test_assign_all_writes_a_batch_and_refuses_reuse():
         lab.assign(0, 1)
         with pytest.raises(ProofViolation):
             lab.assign_all(eids, labels)
+
+
+# -- the sums stage 1 reads ----------------------------------------------------
+
+# Each gated constructor's own generator target and vertex count.
+OWN_TARGET = {
+    "label_main": ("main", 19),
+    "label_case_i1": ("degen_i1", 20),
+    "label_case_i2": ("degen_i2", 20),
+    "label_case_i3": ("degen_i3", 20),
+    "label_disconnected_u3": ("disc_u3_isolated", 20),
+    "label_disconnected_triple": ("disc_triple", 21),
+}
+
+
+@pytest.mark.parametrize("name", [*GATED, "label_delta_n1"])
+def test_fill_rest_and_root_returns_the_final_sums(name, monkeypatch):
+    """The sums the stage-1 checks read are those of the finished
+    labelling, recomputed from its labels."""
+    from antimagic import construction
+    returned = []
+    fill = construction._fill_rest_and_root
+
+    def recording(*args):
+        out = fill(*args)
+        returned.append(list(out[1]))
+        return out
+
+    monkeypatch.setattr(construction, "_fill_rest_and_root", recording)
+    if name == "label_delta_n1":
+        g = random_universal_graph(7, random.Random(3))
+        lab = label_delta_n1(g, 1)
+    else:
+        target, n = OWN_TARGET[name]
+        g = gen_instance(n, target, seed=2)
+        lab = GATED[name][0](g, decompose(g)).labelling
+    assert returned == [recompute_sums(g, lab)]

@@ -116,9 +116,6 @@ def ref_parse_labelling(text, g):
         lab.label_of[eid] = value
         if 1 <= value <= g.m and lab.edge_with[value] == -1:
             lab.edge_with[value] = eid
-        a, b = g.edges[eid]
-        lab.sums[a] += value
-        lab.sums[b] += value
         lab.assigned += 1
     return lab
 
@@ -134,7 +131,7 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
     if isinstance(out, Graph):
         return out.n, out.edges, out.adjacency, out.incident
-    return out.label_of, out.edge_with, out.sums, out.assigned
+    return out.label_of, out.edge_with, out.assigned
 
 
 def _same(new, ref, *args):

@@ -48,6 +48,14 @@ def test_accepts_regime_enum():
     assert classify_regime(g, decompose(g)) == Regime.DEGEN_I3
 
 
+@pytest.mark.parametrize("regime", [Regime.DELTA_N1, Regime.UNSUPPORTED])
+def test_regime_without_a_target_is_infeasible(regime):
+    with pytest.raises(InfeasibleRegime):
+        gen_instance(20, regime, 1)
+    with pytest.raises(InfeasibleRegime):
+        min_feasible_n(regime)
+
+
 @pytest.mark.parametrize("target", ALL_TARGETS)
 def test_rejects_small_n(target):
     # m >= 7n cannot hold below n = 18 at this maximum degree, so every

@@ -173,9 +173,11 @@ def test_find_conflicts_empty_on_stage(main_stage):
         assert c.rivals[k] == expect
 
 
-def _synthetic_conflicts(d, ranks, rivals):
+def _synthetic_conflicts(stage, d, ranks, rivals):
     pairs = tuple((d.u[k - 1], rivals[k]) for k in ranks)
-    return ConflictSet(pairs, tuple(sorted(ranks)), rivals)
+    lab = stage.labelling
+    return ConflictSet(pairs, tuple(sorted(ranks)), rivals,
+                       recompute_sums(lab.graph, lab))
 
 
 def test_candidate_plans_empty():
@@ -183,7 +185,8 @@ def test_candidate_plans_empty():
     d = decompose(g)
     stage = label_main(g, d)
     c = ConflictSet((), (), {1: d.h_vertices[0], 2: d.h_vertices[0],
-                             3: d.h_vertices[0]})
+                             3: d.h_vertices[0]},
+                    recompute_sums(g, stage.labelling))
     case, plans = candidate_plans(c, stage, d)
     assert case == "none" and plans == []
 
@@ -192,7 +195,7 @@ def test_candidate_plans_case6_is_four_rho_singles(main_stage):
     g, d, stage = main_stage
     rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
     case, plans = candidate_plans(
-        _synthetic_conflicts(d, {3}, rivals), stage, d)
+        _synthetic_conflicts(stage, d, {3}, rivals), stage, d)
     assert case == "6"
     assert [[e.describe() for e in p] for p in plans] == [
         ["rho_3"], ["rho_7"], ["rho_11"], ["rho_15"]]
@@ -202,7 +205,7 @@ def test_candidate_plans_case2_is_four_lambda_singles(main_stage):
     g, d, stage = main_stage
     rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
     case, plans = candidate_plans(
-        _synthetic_conflicts(d, {1, 2}, rivals), stage, d)
+        _synthetic_conflicts(stage, d, {1, 2}, rivals), stage, d)
     assert case == "2"
     assert [[e.describe() for e in p] for p in plans] == [
         ["lambda_1"], ["lambda_5"], ["lambda_9"], ["lambda_13"]]
@@ -215,7 +218,7 @@ def test_candidate_plans_case1_filters_and_pairs(main_stage):
     if rivals[2] == rivals[1]:
         rivals[2] = d.h_vertices[2]
     case, plans = candidate_plans(
-        _synthetic_conflicts(d, {1, 2, 3}, rivals), stage, d)
+        _synthetic_conflicts(stage, d, {1, 2, 3}, rivals), stage, d)
     assert case == "1"
     singles = [p for p in plans if len(p) == 1]
     pairs = [p for p in plans if len(p) == 2]
@@ -235,7 +238,7 @@ def test_candidate_plans_case7_subcases(main_stage):
     rivals = {1: far, 2: d.h_vertices[0], 3: far}
     if abs(sums[far] - sums[u1]) >= 2:
         case, plans = candidate_plans(
-            _synthetic_conflicts(d, {2}, rivals), stage, d)
+            _synthetic_conflicts(stage, d, {2}, rivals), stage, d)
         assert case == "7.1"
         assert all(p[0].family == "lambda" for p in plans)
 

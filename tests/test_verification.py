@@ -83,18 +83,22 @@ def test_antimagic_counts_isolated_vertices_as_zero():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10_000))
-def test_cached_sums_match_recomputation_after_swaps(seed):
-    from antimagic.verification import recompute_sums
+def test_swaps_keep_the_inverse_and_the_bijection(seed):
     rng = random.Random(seed)
     g = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6),
                         (2, 5)])
     labels = list(range(1, g.m + 1))
     rng.shuffle(labels)
     lab = Labelling.from_labels(g, labels)
-    for _ in range(10):
-        x, y = rng.sample(range(1, g.m + 1), 2)
-        lab.swap_labels(x, y)
-        assert lab.sums == recompute_sums(g, lab)
+    for _ in range(5):
+        twin, kept = lab.copy(), list(lab.label_of)
+        for each in (twin, lab):
+            assert lab.label_of == kept  # a copy's swap leaves it alone
+            x, y = rng.sample(range(1, g.m + 1), 2)
+            each.swap_labels(x, y)
+            assert all(each.label_of[each.edge_with[v]] == v
+                       for v in range(1, g.m + 1))
+            assert verify_bijection(g, each).ok
 
 
 def test_stage_properties_pass_then_fail_after_mutation():
