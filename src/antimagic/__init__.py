@@ -25,7 +25,6 @@ from .resolution import (
     ConflictSet,
     Exchange,
     ResolutionTrace,
-    apply_exchange,
     candidate_plans,
     find_conflicts,
     resolve,
@@ -51,11 +50,11 @@ __all__ = [
     "classify_regime", "decompose", "Labelling", "StageOneResult",
     "label_case_i1", "label_case_i2", "label_case_i3", "label_delta_n1",
     "label_disconnected", "label_main", "label_triple_edges",
-    "ConflictSet", "Exchange", "ResolutionTrace", "apply_exchange",
-    "candidate_plans", "find_conflicts", "resolve", "EdgeColouring",
-    "balance_classes", "koenig_colour", "order_classes_for_vertex",
-    "vizing_colour", "verify_antimagic", "verify_bijection",
-    "verify_stage_properties", "exhaustive_search", "randomized_search",
-    "gen_corpus", "gen_instance", "min_feasible_n", "LabelOutcome",
-    "label", "outcome_trace",
+    "ConflictSet", "Exchange", "ResolutionTrace", "candidate_plans",
+    "find_conflicts", "resolve", "EdgeColouring", "balance_classes",
+    "koenig_colour", "order_classes_for_vertex", "vizing_colour",
+    "verify_antimagic", "verify_bijection", "verify_stage_properties",
+    "exhaustive_search", "randomized_search", "gen_corpus",
+    "gen_instance", "min_feasible_n", "LabelOutcome", "label",
+    "outcome_trace",
 ]

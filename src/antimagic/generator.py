@@ -33,27 +33,15 @@ TARGETS = {
     "yilma": Regime.YILMA_FALLBACK,
 }
 
-_REGIME_TO_TARGET = {
-    Regime.MAIN: "main",
-    Regime.DEGEN_I1: "degen_i1",
-    Regime.DEGEN_I2: "degen_i2",
-    Regime.DEGEN_I3: "degen_i3",
-    Regime.DISC_U3_ISOLATED: "disc_u3_isolated",
-    Regime.DISC_TRIPLE_COMPONENT: "disc_triple",
-    Regime.YILMA_FALLBACK: "yilma",
-}
-
 _U_IDS = (2, 3, 4)
 _TRIPLE_PAIRS = ((2, 3), (2, 4), (3, 4))  # u1u2, u1u3, u2u3
 
 
 def _as_target(regime) -> str:
-    """The target's name; a Regime maps to its target, and a regime with
-    none (DELTA_N1, UNSUPPORTED) is as unknown as a misspelt name."""
-    target = (_REGIME_TO_TARGET.get(regime) if isinstance(regime, Regime)
-              else regime)
-    if target in TARGETS:
-        return target
+    """The target's name, checked: anything that is not a ``TARGETS``
+    key, a Regime included, is infeasible."""
+    if regime in TARGETS:
+        return regime
     raise InfeasibleRegime(f"unknown generation target {regime!r}")
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .errors import ProofGapWarning, ProofViolation
 from .graph import InstanceDecomposition, Regime
 from .labelling import Labelling
-from .verification import verify_antimagic
+from .verification import ANTIMAGIC_OUTRIGHT, verify_antimagic
 
 # The exchange table: per regime, each family's offsets, in the order
 # plans and the safety net try them.  In the i=3 regime the root labels
@@ -83,13 +83,6 @@ def find_conflicts(l: Labelling, d: InstanceDecomposition) -> ConflictSet:
         rivals[k] = min(d.h_vertices,
                         key=lambda v: (abs(sums[v] - sums[u]), v))
     return ConflictSet(tuple(pairs), ranks, rivals, sums)
-
-
-def apply_exchange(l: Labelling, e: Exchange) -> Labelling:
-    """Fresh labelling with the two labels swapped."""
-    out = l.copy()
-    out.swap_labels(e.hi, e.lo)
-    return out
 
 
 def exchanges(regime: Regime, m: int) -> dict[str, dict[int, Exchange]]:
@@ -221,7 +214,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     has been checked antimagic from the raw labels, so they are
     returned as they are.
     """
-    from .construction import ANTIMAGIC_OUTRIGHT, _reproducer
+    from .construction import _reproducer
     g = s.labelling.graph
     regime = s.regime
     if regime in ANTIMAGIC_OUTRIGHT:

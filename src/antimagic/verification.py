@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .graph import Graph, InstanceDecomposition
+from .graph import Graph, InstanceDecomposition, Regime
 from .labelling import Labelling
+
+# Regimes whose stage 1 is antimagic outright: resolution never exchanges.
+ANTIMAGIC_OUTRIGHT = frozenset({Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT})
 
 
 @dataclass(frozen=True)
@@ -107,20 +110,35 @@ def margins(g: Graph, d: InstanceDecomposition, sums: list[int]) -> dict:
 
 
 def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyReport:
-    """Gap properties of a stage-1 result.
+    """Every property the proof guarantees of a stage-1 result, checked
+    for the stage's own regime from the raw labels.
 
-    For the main regime: the u-sums are separated by >= 4, the root sum
-    dominates every other sum by >= 4, consecutive sums over H differ by
-    >= 4, no vertex other than the root carries two labels of one
-    reserved interval, and the root sum is the unique maximum.  The
-    degenerate regimes check their own spacing (2 for i=2, 3 for i=3);
-    i=2 does not promise root maximality before conflict resolution.
+    * MAIN: the u-sums are separated by >= 4 (u3 < u2 < u1), the root sum
+      dominates every other sum by >= 4, and consecutive sums over H
+      differ by >= 4.
+    * DEGEN_I1: sum(u1) <= 38, sum(u3) < sum(u2) < sum(u1), and
+      min sum over H >= max(m - (n - 5), 101).
+    * DEGEN_I2: sum(u3) < sum(u2) < 30, sum(u1) >= sum(u2) + 4,
+      min sum over H >= max(m - 2(n - 5) - 1, 89), the root sum
+      dominates H by >= 4 and H sums are spaced by >= 2.  The root need
+      not dominate u1 before conflict resolution.
+    * DEGEN_I3: sum(u3) <= 18, the root sum dominates u1 and H by >= 4,
+      sum(u1) >= sum(u2) + 4, sum(u2) and min sum over H are both
+      >= sum(u3) + 4, and H sums are spaced by >= 3.
+    * Any other regime: H sums are distinct.
+    * Every regime but DEGEN_I2: the root sum is the unique maximum.
+    * Regimes with reserved intervals (MAIN, DEGEN_I3): no vertex other
+      than the root carries two labels of one interval.
+    * ``ANTIMAGIC_OUTRIGHT`` (DEGEN_I1, DISC_TRIPLE_COMPONENT): all
+      vertex sums are pairwise distinct.
     """
-    from .graph import Regime
-
     g = stage.labelling.graph
     sums = recompute_sums(g, stage.labelling)
+    n, m, r = g.n, g.m, d.r
     u1, u2, u3 = d.u
+    s1, s2, s3 = sums[u1], sums[u2], sums[u3]
+    min_h = min(sums[v] for v in d.h_vertices)
+    max_h = max(sums[v] for v in d.h_vertices)
     failures: list[str] = []
     gaps = margins(g, d, sums)
 
@@ -129,11 +147,38 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
 
     if regime == Regime.MAIN:
         if gaps["u3_u2"] < 4:
-            failures.append(f"u-gap: sum(u3)={sums[u3]} + 4 > sum(u2)={sums[u2]}")
+            failures.append(f"u-gap: sum(u3)={s3} + 4 > sum(u2)={s2}")
         if gaps["u2_u1"] < 4:
-            failures.append(f"u-gap: sum(u2)={sums[u2]} + 4 > sum(u1)={sums[u1]}")
+            failures.append(f"u-gap: sum(u2)={s2} + 4 > sum(u1)={s1}")
         if gaps["root_margin"] < 4:
             failures.append(f"root margin {gaps['root_margin']} < 4")
+    elif regime == Regime.DEGEN_I1:
+        if s1 > 38:
+            failures.append(f"sum(u1) = {s1} > 38")
+        if not s3 < s2 < s1:
+            failures.append(f"u sums not increasing: {s3}, {s2}, {s1}")
+        if min_h < max(m - (n - 5), 101):
+            failures.append(f"min H sum {min_h} < {max(m - (n - 5), 101)}")
+    elif regime == Regime.DEGEN_I2:
+        if not s3 < s2 < 30:
+            failures.append(f"u2/u3 sums out of bounds: {s3}, {s2}")
+        if s1 < s2 + 4:
+            failures.append(f"sum(u1) = {s1} < sum(u2) + 4 = {s2 + 4}")
+        if min_h < max(m - 2 * (n - 5) - 1, 89):
+            failures.append(
+                f"min H sum {min_h} < {max(m - 2 * (n - 5) - 1, 89)}")
+    elif regime == Regime.DEGEN_I3:
+        if s3 > 18:
+            failures.append(f"sum(u3) = {s3} > 18")
+        if not (sums[r] >= s1 + 4 and s1 >= s2 + 4):
+            failures.append(
+                f"top sums out of order: r={sums[r]} u1={s1} u2={s2}")
+        if s3 + 4 > min(s2, min_h):
+            failures.append(f"sum(u3) = {s3} within 4 of sum(u2) = {s2} "
+                            f"or min H sum {min_h}")
+    if regime in (Regime.DEGEN_I2, Regime.DEGEN_I3) and sums[r] < max_h + 4:
+        failures.append(f"root sum {sums[r]} does not dominate H by 4 "
+                        f"(max H sum {max_h})")
 
     if gaps["h_min_gap"] < h_gap:
         failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
@@ -162,5 +207,12 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
         top = sums[d.r] - gaps["root_margin"]
         failures.append(
             f"root sum {sums[d.r]} not the unique maximum (top other {top})")
+
+    if regime in ANTIMAGIC_OUTRIGHT:
+        conflicts = _antimagic_from_sums(g, sums).conflicts
+        if conflicts:
+            a, b, s = conflicts[0]
+            failures.append(f"{regime.value} stage 1 is not antimagic: "
+                            f"vertices {a} and {b} share sum {s}")
 
     return StagePropertyReport(not failures, tuple(failures), gaps, sums)

@@ -160,14 +160,13 @@ def test_main_interval_discipline_recomputed(main_stage):
 def test_main_h_sums_spaced_by_four(main_stage):
     g, d, stage = main_stage
     sums = recompute_sums(g, stage.labelling)
-    ordered = [sums[v] for v in stage.h_sorted]
+    ordered = sorted(sums[v] for v in d.h_vertices)
     assert all(b - a >= 4 for a, b in zip(ordered, ordered[1:]))
 
 
 def test_main_offset_maps(main_stage):
     g, d, stage = main_stage
-    # Root edges cover H; the y vertices of one interval are distinct.
-    assert set(stage.w_map.values()) == set(d.h_vertices)
+    # The y vertices lie in H, and those of one interval are distinct.
     assert set(stage.y_map.values()) <= set(d.h_vertices)
     for j in range(1, d.d_prime[2] + 1):
         ys = [stage.y_map[4 * (j - 1) + k] for k in (1, 2, 3)]
@@ -367,39 +366,3 @@ def test_assign_all_writes_a_batch_and_refuses_reuse():
         with pytest.raises(ProofViolation):
             lab.assign_all(eids, labels)
 
-
-# -- the sums stage 1 reads ----------------------------------------------------
-
-# Each gated constructor's own generator target and vertex count.
-OWN_TARGET = {
-    "label_main": ("main", 19),
-    "label_case_i1": ("degen_i1", 20),
-    "label_case_i2": ("degen_i2", 20),
-    "label_case_i3": ("degen_i3", 20),
-    "label_disconnected_u3": ("disc_u3_isolated", 20),
-    "label_disconnected_triple": ("disc_triple", 21),
-}
-
-
-@pytest.mark.parametrize("name", [*GATED, "label_delta_n1"])
-def test_fill_rest_and_root_returns_the_final_sums(name, monkeypatch):
-    """The sums the stage-1 checks read are those of the finished
-    labelling, recomputed from its labels."""
-    from antimagic import construction
-    returned = []
-    fill = construction._fill_rest_and_root
-
-    def recording(*args):
-        out = fill(*args)
-        returned.append(list(out[1]))
-        return out
-
-    monkeypatch.setattr(construction, "_fill_rest_and_root", recording)
-    if name == "label_delta_n1":
-        g = random_universal_graph(7, random.Random(3))
-        lab = label_delta_n1(g, 1)
-    else:
-        target, n = OWN_TARGET[name]
-        g = gen_instance(n, target, seed=2)
-        lab = GATED[name][0](g, decompose(g)).labelling
-    assert returned == [recompute_sums(g, lab)]

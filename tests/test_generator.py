@@ -43,11 +43,6 @@ def test_deterministic_per_seed():
     assert c.edges != a.edges
 
 
-def test_accepts_regime_enum():
-    g = gen_instance(21, Regime.DEGEN_I3, seed=1)
-    assert classify_regime(g, decompose(g)) == Regime.DEGEN_I3
-
-
 @pytest.mark.parametrize("regime", [Regime.DELTA_N1, Regime.UNSUPPORTED])
 def test_regime_without_a_target_is_infeasible(regime):
     with pytest.raises(InfeasibleRegime):

@@ -7,7 +7,6 @@ from antimagic import (
     Labelling,
     Regime,
     StageOneResult,
-    apply_exchange,
     build_graph,
     candidate_plans,
     decompose,
@@ -64,8 +63,7 @@ RESOLVED = ([(t, n, s, case, None) for t, n, s, case in CONFLICTED]
 def _recorded_stage(g, rec) -> StageOneResult:
     return StageOneResult(
         Labelling.from_labels(g, rec["labels"]), Regime(rec["regime"]),
-        tuple(map(tuple, rec["intervals"])), tuple(rec["h_sorted"]),
-        dict(rec["y_map"]), dict(rec["w_map"]))
+        tuple(map(tuple, rec["intervals"])), dict(rec["y_map"]))
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +104,8 @@ def test_lambda1_sum_deltas(main_stage):
     g, d, stage = main_stage
     m = g.m
     before = recompute_sums(g, stage.labelling)
-    out = apply_exchange(stage.labelling, Exchange("lambda", 1, m - 1, m - 2))
+    out = stage.labelling.copy()
+    out.swap_labels(m - 1, m - 2)
     after = recompute_sums(g, out)
     u1, u2, _ = d.u
     y1, y2 = stage.y_map[1], stage.y_map[2]
@@ -122,10 +121,12 @@ def test_mu0_sum_deltas(main_stage):
     g, d, stage = main_stage
     m = g.m
     before = recompute_sums(g, stage.labelling)
-    after = recompute_sums(
-        g, apply_exchange(stage.labelling, Exchange("mu", 0, m, m - 1)))
+    out = stage.labelling.copy()
+    out.swap_labels(m, m - 1)
+    after = recompute_sums(g, out)
     u1 = d.u[0]
-    y1, w0 = stage.y_map[1], stage.w_map[0]
+    y1 = stage.y_map[1]
+    w0 = g.other_end(stage.labelling.edge_with[m], d.r)
     assert after[u1] == before[u1] + 1
     assert after[y1] == before[y1] + 1
     assert after[w0] == before[w0] - 1
@@ -136,10 +137,12 @@ def test_rho3_sum_deltas(main_stage):
     g, d, stage = main_stage
     m = g.m
     before = recompute_sums(g, stage.labelling)
-    after = recompute_sums(
-        g, apply_exchange(stage.labelling, Exchange("rho", 3, m - 3, m - 4)))
+    out = stage.labelling.copy()
+    out.swap_labels(m - 3, m - 4)
+    after = recompute_sums(g, out)
     u3 = d.u[2]
-    y3, w4 = stage.y_map[3], stage.w_map[4]
+    y3 = stage.y_map[3]
+    w4 = g.other_end(stage.labelling.edge_with[m - 4], d.r)
     assert after[u3] == before[u3] - 1
     assert after[y3] == before[y3] - 1
     assert after[w4] == before[w4] + 1
@@ -148,8 +151,9 @@ def test_rho3_sum_deltas(main_stage):
 
 def test_exchange_is_involution(main_stage):
     g, _, stage = main_stage
-    ex = Exchange("lambda", 5, g.m - 5, g.m - 6)
-    twice = apply_exchange(apply_exchange(stage.labelling, ex), ex)
+    twice = stage.labelling.copy()
+    for _ in range(2):
+        twice.swap_labels(g.m - 5, g.m - 6)
     assert twice.label_of == stage.labelling.label_of
 
 
@@ -292,7 +296,7 @@ def test_resolve_rejects_illegal_conflict_shape(main_stage):
     scrambled = Labelling.from_labels(
         g, list(range(g.m, 0, -1)))
     fake = StageOneResult(scrambled, Regime.MAIN, stage.intervals,
-                          stage.h_sorted, stage.y_map, stage.w_map)
+                          stage.y_map)
     if find_conflicts(scrambled, d).pairs:
         with pytest.raises(ProofViolation):
             resolve(fake, d)

@@ -113,7 +113,7 @@ def test_stage_properties_pass_then_fail_after_mutation():
     tampered = stage.labelling.copy()
     tampered.swap_labels(g.m - 1, g.m - 14)
     bad = StageOneResult(tampered, stage.regime, stage.intervals,
-                         stage.h_sorted, stage.y_map, stage.w_map)
+                         stage.y_map)
     rep = verify_stage_properties(bad, d)
     assert not rep.ok
     assert g.m == 142 and d.u == (2, 3, 4)
@@ -139,7 +139,7 @@ def test_stage_properties_report_in_vertex_then_interval_order():
     tampered.swap_labels(m - 17, m - 14)
     intervals = tuple(reversed(stage.intervals)) + ((m, m - 4, m - 8),)
     bad = StageOneResult(tampered, stage.regime, intervals,
-                         stage.h_sorted, stage.y_map, stage.w_map)
+                         stage.y_map)
     rep = verify_stage_properties(bad, d)
     assert d.r == 1 and d.u == (2, 3, 4)
     assert rep.failures == (
@@ -162,13 +162,58 @@ def test_stage_properties_catch_i3_two_label_interval():
     tampered = stage.labelling.copy()
     tampered.swap_labels(g.m - 2, g.m - 4)
     bad = StageOneResult(tampered, stage.regime, stage.intervals,
-                         stage.h_sorted, stage.y_map, stage.w_map)
+                         stage.y_map)
     rep = verify_stage_properties(bad, d)
     assert g.m == 133 and d.u == (2, 3, 4)
     assert rep.failures == (
         "vertex 2 carries 2 labels of interval (132, 131)",
         "vertex 3 carries 2 labels of interval (129, 128)",
     )
+
+
+@pytest.mark.parametrize("target,n,swap,zero,failures", [
+    # u1 = 2 holds labels 2, 5, 6 and u2 = 3 labels 1, 2, 4.
+    ("degen_i1", 20, (6, 40), None, ("sum(u1) = 47 > 38",)),
+    ("degen_i1", 20, (1, 6), None, ("u sums not increasing: 9, 12, 8",)),
+    ("degen_i1", 20, None, 5, ("min H sum 0 < 125",)),
+    # u2 = 3 holds labels 1, 3, 4.
+    ("degen_i2", 20, (4, 30), None, ("u2/u3 sums out of bounds: 3, 34",)),
+    ("degen_i2", 20, None, 2, ("sum(u1) = 0 < sum(u2) + 4 = 12",)),
+    ("degen_i2", 20, None, 6, ("min H sum 0 < 113",)),
+    ("degen_i2", 20, None, 1, (
+        "root sum 0 does not dominate H by 4 (max H sum 1233)",
+        "H spacing 1 < 2")),
+    # u3 = 4 holds labels 1..4.
+    ("degen_i3", 19, (4, 22), None, ("sum(u3) = 28 > 18",)),
+    ("degen_i3", 19, None, 2, ("top sums out of order: r=1680 u1=0 u2=1176",)),
+    ("degen_i3", 19, None, 3, (
+        "sum(u3) = 9 within 4 of sum(u2) = 0 or min H sum 563",)),
+    # The triple is a P3 on labels 1, 2; 1 <-> 17 gives H vertices 8
+    # and 11 one sum.
+    ("disc_triple", 21, (1, 17), None, (
+        "H spacing 0 < 1",
+        "DISC_TRIPLE_COMPONENT stage 1 is not antimagic: vertices 8 and "
+        "11 share sum 1082")),
+])
+def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
+                                                 failures):
+    # A stage-1 output with two labels swapped, or with every label at
+    # vertex ``zero`` set to 0, fails exactly the pinned checks.
+    from antimagic import label
+    g = gen_instance(n, target, seed=1)
+    out = label(g, seed=1)
+    d, stage = out.decomposition, out.stage
+    assert d.u == (2, 3, 4) and verify_stage_properties(stage, d).ok
+    labels = list(stage.labelling.label_of)
+    if swap:
+        i, j = (labels.index(x) for x in swap)
+        labels[i], labels[j] = labels[j], labels[i]
+    if zero is not None:
+        for e in g.incident[zero]:
+            labels[e] = 0
+    bad = StageOneResult(Labelling.from_labels(g, labels, strict=False),
+                         stage.regime, stage.intervals, stage.y_map)
+    assert verify_stage_properties(bad, d).failures == failures
 
 
 # Naive references for the verifiers: one loop over the edges, the way
@@ -219,6 +264,40 @@ def _naive_stage_properties(stage, d):
                 f"u-gap: sum(u2)={sums[u2]} + 4 > sum(u1)={sums[u1]}")
         if gaps["root_margin"] < 4:
             failures.append(f"root margin {gaps['root_margin']} < 4")
+    h = [sums[v] for v in range(1, g.n + 1) if v in d.h_set]
+    m, n, r = g.m, g.n, d.r
+    if regime == Regime.DEGEN_I1:
+        if sums[u1] > 38:
+            failures.append(f"sum(u1) = {sums[u1]} > 38")
+        if not (sums[u3] < sums[u2] and sums[u2] < sums[u1]):
+            failures.append(f"u sums not increasing: {sums[u3]}, "
+                            f"{sums[u2]}, {sums[u1]}")
+        bound = max(m - n + 5, 101)
+        if min(h) < bound:
+            failures.append(f"min H sum {min(h)} < {bound}")
+    if regime == Regime.DEGEN_I2:
+        if not (sums[u3] < sums[u2] and sums[u2] < 30):
+            failures.append(
+                f"u2/u3 sums out of bounds: {sums[u3]}, {sums[u2]}")
+        if sums[u1] - sums[u2] < 4:
+            failures.append(f"sum(u1) = {sums[u1]} < sum(u2) + 4 = "
+                            f"{sums[u2] + 4}")
+        bound = max(m - 2 * n + 9, 89)
+        if min(h) < bound:
+            failures.append(f"min H sum {min(h)} < {bound}")
+    if regime == Regime.DEGEN_I3:
+        if sums[u3] > 18:
+            failures.append(f"sum(u3) = {sums[u3]} > 18")
+        if sums[r] - sums[u1] < 4 or sums[u1] - sums[u2] < 4:
+            failures.append(f"top sums out of order: r={sums[r]} "
+                            f"u1={sums[u1]} u2={sums[u2]}")
+        if sums[u2] - sums[u3] < 4 or min(h) - sums[u3] < 4:
+            failures.append(f"sum(u3) = {sums[u3]} within 4 of sum(u2) = "
+                            f"{sums[u2]} or min H sum {min(h)}")
+    if regime in (Regime.DEGEN_I2, Regime.DEGEN_I3):
+        if any(sums[r] - x < 4 for x in h):
+            failures.append(f"root sum {sums[r]} does not dominate H by 4 "
+                            f"(max H sum {max(h)})")
     if gaps["h_min_gap"] < h_gap:
         failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
     hits = {}
@@ -236,11 +315,19 @@ def _naive_stage_properties(stage, d):
         top = sums[d.r] - gaps["root_margin"]
         failures.append(
             f"root sum {sums[d.r]} not the unique maximum (top other {top})")
+    if regime in (Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT):
+        conflicts = sorted((sums[a], a, b) for a in range(1, g.n + 1)
+                           for b in range(a + 1, g.n + 1)
+                           if sums[a] == sums[b])
+        if conflicts:
+            s, a, b = conflicts[0]
+            failures.append(f"{regime.value} stage 1 is not antimagic: "
+                            f"vertices {a} and {b} share sum {s}")
     return tuple(failures), gaps
 
 
-_STAGE_TARGETS = ("main", "main_triple", "degen_i2", "degen_i3",
-                  "disc_u3_isolated")
+_STAGE_TARGETS = ("main", "main_triple", "degen_i1", "degen_i2",
+                  "degen_i3", "disc_u3_isolated", "disc_triple")
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,10 +386,17 @@ def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
     g, d, stage = _stage(target, seed)
     labels = stage.labelling.label_of
     if tamper:
-        labels = _tamper(random.Random(tamper_seed), labels, g.m)
+        rng = random.Random(tamper_seed)
+        labels = _tamper(rng, labels, g.m)
+        # Swaps at the root and the triple reach the regimes' own bounds.
+        for _ in range(rng.randrange(3)):
+            edges = g.incident[rng.choice((d.r, *d.u))]
+            if edges:
+                i, j = rng.choice(edges), rng.randrange(g.m)
+                labels[i], labels[j] = labels[j], labels[i]
     lab = Labelling.from_labels(g, labels, strict=False)
     probe = StageOneResult(lab, stage.regime, stage.intervals,
-                           stage.h_sorted, stage.y_map, stage.w_map)
+                           stage.y_map)
     rep = verify_stage_properties(probe, d)
     failures, gaps = _naive_stage_properties(probe, d)
     assert rep.failures == failures
@@ -327,7 +421,7 @@ def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
     # own.
     import antimagic.verification as verification
     from antimagic import label
-    from antimagic.construction import ANTIMAGIC_OUTRIGHT
+    from antimagic.verification import ANTIMAGIC_OUTRIGHT
     calls = []
     original = verification.recompute_sums
 
