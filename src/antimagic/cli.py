@@ -70,13 +70,13 @@ def cmd_label(args) -> int:
 
 def cmd_verify(args) -> int:
     g = parse_graph(_read(args.graph))
-    lab = parse_labelling(_read(args.labelling), g)
-    bij = verify_bijection(g, lab)
+    labels = parse_labelling(_read(args.labelling), g)
+    bij = verify_bijection(g, labels)
     if not bij.ok:
         print(f"bijection FAILED: missing={bij.missing} "
               f"duplicated={bij.duplicated} out_of_range={bij.out_of_range}")
         return EXIT_VERIFY_FAILED
-    rep = verify_antimagic(g, lab)
+    rep = verify_antimagic(g, labels)
     if not rep.ok:
         print("antimagic FAILED: conflicting pairs "
               + ", ".join(f"({a},{b}) sum {s}" for a, b, s in rep.conflicts))

@@ -14,7 +14,7 @@ vertex sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain, compress, filterfalse, islice
 
 from .colouring import (
@@ -42,12 +42,15 @@ class StageOneResult:
     ``y_map[i]`` is the H-endpoint of the u-edge labelled m - i.
     ``intervals`` lists the reserved label blocks subject to the
     one-label-per-vertex discipline (empty for regimes without one).
+    ``sums`` are the vertex sums the stage-property check recomputed
+    from the raw labels; None for a stage that did not pass ``_finish``.
     """
 
     labelling: Labelling
     regime: Regime
     intervals: tuple[tuple[int, ...], ...]
     y_map: dict[int, int]
+    sums: list[int] | None = field(default=None, repr=False)
 
 
 def _reproducer(g: Graph) -> str:
@@ -133,8 +136,9 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
 
 def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
             regime: Regime, intervals=()) -> StageOneResult:
-    """Close every stage 1: build the resolution bookkeeping and check,
-    from the raw labels, the bijection and every stage property."""
+    """Close every stage 1: build the resolution bookkeeping, check from
+    the raw labels the bijection and every stage property, and carry the
+    sums that check recomputed."""
     # Imported here so the span wrappers on these bindings see the calls.
     from .verification import verify_bijection, verify_stage_properties
     # No u is adjacent to r, so the u's edges that leave the triple are
@@ -149,7 +153,7 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     props = verify_stage_properties(stage, d)
     _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
            g, gaps=props.gaps)
-    return stage
+    return replace(stage, sums=props.sums)
 
 
 def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:

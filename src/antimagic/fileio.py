@@ -85,7 +85,10 @@ def emit_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_labelling(text: str, g: Graph) -> Labelling:
+def parse_labelling(text: str, g: Graph) -> list[int]:
+    """The per-edge labels of a labelling file, in edge-id order.  The
+    checks in ``verification`` read this list as they read a Labelling's
+    ``label_of``; no label -> edge inverse is built."""
     labels = None
     if _LABELLING_LAYOUT.fullmatch(text):
         tok = text.split()
@@ -97,7 +100,7 @@ def parse_labelling(text: str, g: Graph) -> Labelling:
         labels = _walk_labelling(text, g)
     # Bad labels (duplicates, out of range) are kept for the verifier to
     # report; only structural problems are parse errors.
-    return Labelling.from_labels(g, labels, strict=False)
+    return labels
 
 
 def _walk_labelling(text: str, g: Graph) -> list[int]:

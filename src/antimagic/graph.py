@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse
+from itertools import accumulate, chain, filterfalse
+from operator import itemgetter
 
 from .errors import (
     DuplicateEdge,
@@ -27,9 +28,15 @@ class Graph:
 
     Vertices are 1-based ids 1..n; edge ids are 0-based positions in the
     input edge list.  Instances are never mutated after construction.
+
+    ``_gather`` picks, from a per-edge list, the entries of the incidence
+    lists of vertices 0..n laid end to end (None when m = 0), and
+    ``_spans[v]`` is vertex v's slice of that order; both are derived
+    from ``incident`` once, here, so a sums pass runs in C.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "incident", "_degrees")
+    __slots__ = ("n", "edges", "adjacency", "incident", "_degrees",
+                 "_gather", "_spans")
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
@@ -44,6 +51,12 @@ class Graph:
         self.adjacency = adjacency
         self.incident = incident
         self._degrees = [len(adjacency[v]) for v in range(n + 1)]
+        # Every edge sits in two lists, so m >= 1 gives itemgetter at
+        # least two items and it returns a tuple.
+        self._gather = (itemgetter(*chain.from_iterable(incident))
+                        if edges else None)
+        ends = list(accumulate(map(len, incident)))
+        self._spans = list(map(slice, [0] + ends[:-1], ends))
 
     @property
     def m(self) -> int:

@@ -113,9 +113,15 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
         raise WrongMaxDegree(f"regime {regime} has no constructor")
 
     final, trace = resolve(stage, d)
-    report = verify_antimagic(g, final)
-    _check(report.ok, "resolution returned a labelling that is not antimagic",
-           g, conflicts=report.conflicts)
+    # An unchanged stage labelling already has its verdict from its
+    # raw-label sums: the stage check's outright test, or the conflict
+    # search on those sums.  Only a labelling resolution changed is
+    # checked again.
+    if final is not stage.labelling:
+        report = verify_antimagic(g, final)
+        _check(report.ok,
+               "resolution returned a labelling that is not antimagic",
+               g, conflicts=report.conflicts)
     return LabelOutcome(final, STATUS_CONSTRUCTED, regime, d, stage, trace)
 
 
@@ -146,15 +152,17 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
             "r": d.r, "u": list(d.u), "d_prime": list(d.d_prime),
             "triple_edges": [list(e) for e in d.triple_edges],
             "degenerate_index": degenerate_index(d)}
-        sums = recompute_sums(g, outcome.labelling)
+        stage = outcome.stage
+        if stage is not None:
+            doc["stage_sums"] = [[v, stage.sums[v]] for v in range(1, g.n + 1)]
+            doc["properties"] = {"gaps": margins(g, d, stage.sums)}
+        sums = (stage.sums
+                if stage is not None and outcome.labelling is stage.labelling
+                else recompute_sums(g, outcome.labelling))
         doc["final"] = {
             "r_sum": sums[d.r], "u_sums": [sums[u] for u in d.u],
             "min_h_sum": min(sums[v] for v in d.h_vertices),
             "gaps": margins(g, d, sums)}
-    if outcome.stage is not None and d is not None:
-        sums = recompute_sums(g, outcome.stage.labelling)
-        doc["stage_sums"] = [[v, sums[v]] for v in range(1, g.n + 1)]
-        doc["properties"] = {"gaps": margins(g, d, sums)}
     tr = outcome.resolution
     if tr is not None:
         doc["resolution"] = {

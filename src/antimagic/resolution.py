@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 from .errors import ProofGapWarning, ProofViolation
 from .graph import InstanceDecomposition, Regime
 from .labelling import Labelling
-from .verification import ANTIMAGIC_OUTRIGHT, verify_antimagic
+from .verification import (
+    ANTIMAGIC_OUTRIGHT,
+    antimagic_from_sums,
+    verify_antimagic,
+)
 
 # The exchange table: per regime, each family's offsets, in the order
 # plans and the safety net try them.  In the i=3 regime the root labels
@@ -68,12 +72,16 @@ class ResolutionTrace:
     rejections: tuple[str, ...] = field(default=())
 
 
-def find_conflicts(l: Labelling, d: InstanceDecomposition) -> ConflictSet:
+def find_conflicts(l: Labelling, d: InstanceDecomposition,
+                   sums: list[int] | None = None) -> ConflictSet:
     """Equal-sum pairs plus, for each u_k, its rival: the H vertex whose
-    sum is closest (ties by smallest id).  The sums are recomputed from
-    the raw labels and carried along for the caller to read."""
+    sum is closest (ties by smallest id).  ``sums`` are ``l``'s sums as a
+    check already recomputed them from the raw labels (a finished
+    stage's ``sums``); without them they are recomputed here.  Either
+    way they are carried along for the caller to read."""
     g = l.graph
-    report = verify_antimagic(g, l)
+    report = (verify_antimagic(g, l) if sums is None
+              else antimagic_from_sums(g, sums))
     pairs = [(a, b) for a, b, _ in report.conflicts]
     sums = report.sums
     ranks = tuple(k for k, u in enumerate(d.u, start=1)
@@ -212,14 +220,17 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     Regimes whose stage 1 is already provably antimagic (i=1, the
     disconnected triple component) admit no exchanges; their stage 1
     has been checked antimagic from the raw labels, so they are
-    returned as they are.
+    returned as they are.  The conflicts of any other stage are read
+    from the sums its property check recomputed, when it carries them.
+    A returned labelling that is the stage's own has thus had its
+    antimagic verdict from its raw labels; any other has not.
     """
     from .construction import _reproducer
     g = s.labelling.graph
     regime = s.regime
     if regime in ANTIMAGIC_OUTRIGHT:
         return s.labelling, ResolutionTrace("none", 0, (), True)
-    conflicts = find_conflicts(s.labelling, d)
+    conflicts = find_conflicts(s.labelling, d, s.sums)
     if not conflicts.pairs:
         return s.labelling, ResolutionTrace("none", 0, (), True)
 

@@ -1,12 +1,14 @@
 """Independent checking of labellings.
 
 Everything here recomputes from the graph and the raw label assignment;
-the label -> edge inverse inside Labelling is never trusted.
-``recompute_sums`` is the one computation of vertex sums outside the
-oracle's search state.  Each check that needs them recomputes them and returns them
-in its report, so a caller that needs them again for the same,
-unchanged labelling reads them from there instead of making another
-pass.  Reports carry full witness data so a failure is actionable.
+the label -> edge inverse inside Labelling is never trusted, and the
+bijection and antimagic checks take either a Labelling or its bare
+per-edge label list, as read from a file.  ``recompute_sums`` is the one
+computation of vertex sums outside the oracle's search state.  Each
+check that needs them recomputes them and returns them in its report, so
+a caller that needs them again for the same, unchanged labelling reads
+them from there instead of making another pass.  Reports carry full
+witness data so a failure is actionable.
 """
 
 from __future__ import annotations
@@ -44,21 +46,26 @@ class StagePropertyReport:
     sums: list[int] = field(default_factory=list, repr=False)  # recomputed
 
 
-def recompute_sums(g: Graph, l: Labelling) -> list[int]:
+def _labels(l: Labelling | list[int]) -> list[int]:
+    return l if isinstance(l, list) else l.label_of
+
+
+def recompute_sums(g: Graph, l: Labelling | list[int]) -> list[int]:
     """Vertex sums from scratch; isolated vertices get 0."""
-    # Edge order reads the labels sequentially; summing per vertex over
-    # g.incident jumps around them and was 6x slower at m = 211,647.
-    sums = [0] * (g.n + 1)
-    for (a, b), lbl in zip(g.edges, l.label_of):
-        sums[a] += lbl
-        sums[b] += lbl
-    return sums
+    # One C-level gather of the labels in incidence order, then one sum
+    # per vertex slice.  Against a Python loop over the edges (best of
+    # 25, 2-core VM, Python 3.11.7): 0.18 ms against 0.34-0.37 ms at
+    # m = 3,980, 3.2 against 6.2 ms at m = 31,960, 20-38 against
+    # 50-66 ms at m = 211,647.
+    if g._gather is None:
+        return [0] * (g.n + 1)
+    return list(map(sum, map(g._gather(_labels(l)).__getitem__, g._spans)))
 
 
-def verify_bijection(g: Graph, l: Labelling) -> BijectionReport:
+def verify_bijection(g: Graph, l: Labelling | list[int]) -> BijectionReport:
     """Labels must be exactly {1..m} with no repeats.  The detailed report
     is built only when the labels are not."""
-    labels, m = l.label_of, g.m
+    labels, m = _labels(l), g.m
     if not labels or (0 < min(labels) and max(labels) <= m
                       and len(set(labels)) == m):
         return BijectionReport(True)
@@ -75,13 +82,17 @@ def verify_bijection(g: Graph, l: Labelling) -> BijectionReport:
                            tuple(sorted(out_of_range)))
 
 
-def verify_antimagic(g: Graph, l: Labelling) -> AntimagicReport:
+def verify_antimagic(g: Graph, l: Labelling | list[int]) -> AntimagicReport:
     """All vertex sums pairwise distinct (bijection assumed verified)."""
-    return _antimagic_from_sums(g, recompute_sums(g, l))
+    return antimagic_from_sums(g, recompute_sums(g, l))
 
 
-def _antimagic_from_sums(g: Graph, sums: list[int]) -> AntimagicReport:
-    """verify_antimagic's verdict on sums recomputed from raw labels."""
+def antimagic_from_sums(g: Graph, sums: list[int]) -> AntimagicReport:
+    """verify_antimagic's verdict on sums a report recomputed from the raw
+    labels.  The buckets naming the conflicts are built only when two
+    sums are equal."""
+    if len(set(sums[1:])) == g.n:
+        return AntimagicReport(True, (), sums)
     by_sum: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         by_sum.setdefault(sums[v], []).append(v)
@@ -209,7 +220,7 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
             f"root sum {sums[d.r]} not the unique maximum (top other {top})")
 
     if regime in ANTIMAGIC_OUTRIGHT:
-        conflicts = _antimagic_from_sums(g, sums).conflicts
+        conflicts = antimagic_from_sums(g, sums).conflicts
         if conflicts:
             a, b, s = conflicts[0]
             failures.append(f"{regime.value} stage 1 is not antimagic: "

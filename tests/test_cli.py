@@ -41,8 +41,7 @@ def test_graph_round_trip():
 def test_labelling_round_trip():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     lab = Labelling.from_labels(g, [3, 1, 2])
-    parsed = parse_labelling(emit_labelling(lab), g)
-    assert parsed.label_of == lab.label_of
+    assert parse_labelling(emit_labelling(lab), g) == lab.label_of
 
 
 def test_parse_rejects_malformed_header():

@@ -371,10 +371,13 @@ def test_sums_and_bijection_match_naive_on_any_labels(seed, shape):
         labels = _tamper(rng, labels, g.m)
     lab = Labelling.from_labels(g, labels, strict=False)
     from antimagic.verification import recompute_sums
-    assert recompute_sums(g, lab) == _naive_sums(g, labels)
-    rep = verify_bijection(g, lab)
-    assert (rep.ok, rep.missing, rep.duplicated,
-            rep.out_of_range) == _naive_bijection(g, labels)
+    naive = _naive_bijection(g, labels)
+    # A Labelling and its bare label list, as the verify command reads it.
+    for given_labels in (lab, labels):
+        assert recompute_sums(g, given_labels) == _naive_sums(g, labels)
+        rep = verify_bijection(g, given_labels)
+        assert (rep.ok, rep.missing, rep.duplicated,
+                rep.out_of_range) == naive
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,16 +415,11 @@ def test_reports_carry_the_sums_they_checked():
     assert verify_antimagic(g, stage.labelling).sums == sums
 
 
-@pytest.mark.parametrize("target,n", [
-    ("degen_i1", 20), ("disc_triple", 21), ("degen_i2", 20), ("main", 19)])
-def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
-    # Stage 1's checks share the recompute the property report carries;
-    # the resolver makes one for its conflicts, except in the regimes
-    # stage 1 checks antimagic outright; label()'s final check makes its
-    # own.
+def _count_sums_passes(monkeypatch) -> list:
+    """Record what every vertex-sums pass reads, through both module
+    bindings of ``recompute_sums``."""
+    import antimagic.construction as construction
     import antimagic.verification as verification
-    from antimagic import label
-    from antimagic.verification import ANTIMAGIC_OUTRIGHT
     calls = []
     original = verification.recompute_sums
 
@@ -429,9 +427,94 @@ def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
         calls.append(l)
         return original(g, l)
 
-    monkeypatch.setattr(verification, "recompute_sums", counting)
+    for module in (verification, construction):
+        monkeypatch.setattr(module, "recompute_sums", counting)
+    return calls
+
+
+@pytest.mark.parametrize("target,n", [
+    ("degen_i1", 20), ("disc_triple", 21), ("degen_i2", 20), ("main", 19),
+    ("main_triple", 19), ("degen_i3", 19), ("disc_u3_isolated", 19)])
+def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
+    # An unconflicted run makes two passes over its stage labelling: the
+    # partial sums that order the root labels and the stage check.  The
+    # conflict search reads the stage check's sums, and the unchanged
+    # stage labelling is not checked again.
+    from antimagic import label
+    calls = _count_sums_passes(monkeypatch)
     out = label(gen_instance(n, target, seed=1), seed=1)
     assert out.resolution.case == "none"
-    stage_passes = 1 if out.regime in ANTIMAGIC_OUTRIGHT else 2
-    expected = [out.stage.labelling] * stage_passes + [out.labelling]
-    assert [id(l) for l in calls] == [id(l) for l in expected]
+    assert out.labelling is out.stage.labelling
+    assert [id(l) for l in calls] == [id(out.labelling)] * 2
+
+
+def test_label_sums_passes_without_a_stage(monkeypatch):
+    # The universal-vertex construction: its partial sums and its own
+    # antimagic check.  The fallback search: its final check.
+    from antimagic import label
+    calls = _count_sums_passes(monkeypatch)
+    n = 9
+    g = build_graph(n, [(1, v) for v in range(2, n + 1)]
+                    + [(v, v + 1) for v in range(2, n)])
+    out = label(g, seed=1)
+    assert out.stage is None
+    assert [id(l) for l in calls] == [id(out.labelling)] * 2
+    calls.clear()
+    out = label(gen_instance(min_feasible_n("yilma"), "yilma", seed=1),
+                seed=1)
+    assert out.stage is None
+    assert [id(l) for l in calls] == [id(out.labelling)]
+
+
+def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
+    from antimagic import label
+    from test_resolution import CONFLICTED
+    target, n, seed, case = next(c for c in CONFLICTED if c[3] == "4a")
+    calls = _count_sums_passes(monkeypatch)
+    out = label(gen_instance(n, target, seed=seed), seed=seed)
+    tried = out.resolution.plans_tried
+    assert out.resolution.case == case and tried > 1
+    assert out.labelling is not out.stage.labelling
+    assert len(calls) == 2 + tried + 1
+    assert [id(l) for l in calls[:2]] == [id(out.stage.labelling)] * 2
+    assert calls[-1] is out.labelling
+
+
+def test_find_conflicts_recomputes_without_carried_sums(monkeypatch):
+    from antimagic import find_conflicts, resolve
+    g, d, stage = _stage("main", 1)
+    bare = StageOneResult(stage.labelling, stage.regime, stage.intervals,
+                          stage.y_map)
+    assert bare.sums is None and stage.sums is not None
+    calls = _count_sums_passes(monkeypatch)
+    assert find_conflicts(bare.labelling, d).sums == stage.sums
+    assert [id(l) for l in calls] == [id(stage.labelling)]
+    calls.clear()
+    resolve(bare, d)
+    assert [id(l) for l in calls] == [id(stage.labelling)]
+    calls.clear()
+    resolve(stage, d)
+    assert calls == []
+
+
+@pytest.mark.parametrize("target", _STAGE_TARGETS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_unchanged_stage_carries_its_naive_sums(target, seed):
+    from antimagic import label
+    g = gen_instance(min_feasible_n(target), target, seed=seed)
+    out = label(g, seed=seed)
+    assert out.labelling is out.stage.labelling
+    assert out.stage.sums == _naive_sums(g, out.labelling.label_of)
+
+
+@pytest.mark.parametrize("n,pairs,labels", [
+    (1, [], []),
+    (2, [(1, 2)], [1]),
+    (4, [(1, 2), (2, 3), (1, 3)], [2, 3, 1]),
+], ids=["k1_no_edges", "single_edge", "isolated_last_vertex"])
+def test_sums_match_naive_named_cases(n, pairs, labels):
+    from antimagic.verification import recompute_sums
+    g = build_graph(n, pairs)
+    naive = _naive_sums(g, labels)
+    assert recompute_sums(g, Labelling.from_labels(g, labels)) == naive
+    assert recompute_sums(g, labels) == naive
