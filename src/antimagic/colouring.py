@@ -10,14 +10,20 @@ Three classical subroutines the labelling pipeline delegates to:
 * Class rebalancing: move edges between two colour classes along
   alternating paths until every class reaches a minimum size.
 
+The two colourings share one layout, per-vertex colour rows (``_Rows``),
+so a first free colour is one C-level ``row.index(0)`` and a fan step
+one C-level scan of the candidate colours against the tip's row.
+
 All operations are pure; they return new EdgeColouring values.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import chain, compress, filterfalse
+from operator import not_, or_
 
 from .errors import (
     DegreeExceedsColours,
@@ -65,14 +71,6 @@ def properness_violations(g: Graph, classes) -> list[tuple[int, int, int]]:
     return bad
 
 
-def _subset_degrees(g: Graph, edge_ids) -> dict[int, int]:
-    deg: dict[int, int] = {}
-    for e in edge_ids:
-        for v in g.edges[e]:
-            deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
 def _check_bipartite(g: Graph, edge_ids) -> None:
     side: dict[int, int] = {}
     adj: dict[int, list[int]] = {}
@@ -95,60 +93,52 @@ def _check_bipartite(g: Graph, edge_ids) -> None:
                     raise NotBipartite(f"odd cycle through vertex {y}")
 
 
-class _Palette:
-    """Mutable colour bookkeeping shared by the two colouring algorithms."""
+class _Rows:
+    """Colour rows: ``at[v]`` is None for a vertex the subset does not
+    touch, else k ints whose entry c is 1 + the id of v's colour-c edge,
+    or 0 when c is free at v.  ``colour[e]`` is edge e's colour."""
 
-    def __init__(self, g: Graph, k: int):
-        self.g = g
-        self.k = k
-        self.at: dict[int, dict[int, int]] = {}  # vertex -> colour -> edge
-        self.colour_of: dict[int, int] = {}
+    __slots__ = ("g", "k", "at", "colour")
 
-    def is_free(self, v: int, c: int) -> bool:
-        return c not in self.at.get(v, {})
+    def __init__(self, g: Graph, vertices: Counter, k: int):
+        self.g, self.k = g, k
+        self.at = [[0] * k if v in vertices else None
+                   for v in range(g.n + 1)]
+        self.colour: list[int | None] = [None] * g.m
 
     def first_free(self, v: int) -> int:
-        c = next(filterfalse(self.at.get(v, {}).__contains__,
-                             range(self.k)), None)
-        if c is None:
-            raise DegreeExceedsColours(f"no free colour at vertex {v}")
-        return c
+        try:
+            return self.at[v].index(0)
+        except ValueError:
+            raise DegreeExceedsColours(
+                f"no free colour at vertex {v}") from None
 
-    def assign(self, e: int, c: int) -> None:
-        for v in self.g.edges[e]:
-            self.at.setdefault(v, {})[c] = e
-        self.colour_of[e] = c
-
-    def unassign(self, e: int) -> None:
-        c = self.colour_of.pop(e)
-        for v in self.g.edges[e]:
-            del self.at[v][c]
-
-    def flip_path(self, start: int, first: int, second: int) -> int:
+    def flip_path(self, start: int, first: int, second: int) -> None:
         """Swap colours first/second along the maximal alternating path
-        from ``start`` beginning with a ``first``-coloured edge.  Returns
-        the far endpoint of the path."""
-        path: list[int] = []
+        from ``start`` beginning with a ``first``-coloured edge.  As
+        ``second`` is free at ``start``, the path is simple and at each
+        of its vertices both colours are path edges or free, so the flip
+        swaps the two row entries of every path vertex."""
+        at, colour = self.at, self.colour
         cur, col = start, first
-        while not self.is_free(cur, col):
-            e = self.at[cur][col]
-            path.append(e)
-            cur = self.g.other_end(e, cur)
+        path = [cur]
+        while at[cur][col]:
+            e = at[cur][col] - 1
             col = second if col == first else first
-        flipped = {e: (second if self.colour_of[e] == first else first)
-                   for e in path}
-        for e in path:
-            self.unassign(e)
-        for e, c in flipped.items():
-            self.assign(e, c)
-        return cur
+            colour[e] = col
+            cur = self.g.other_end(e, cur)
+            path.append(cur)
+        for v in path:
+            row = at[v]
+            row[first], row[second] = row[second], row[first]
 
-    def to_classes(self) -> tuple[tuple[int, ...], ...]:
-        """The non-empty colour classes, each sorted, in colour order."""
+    def classes(self, edge_ids: list[int]) -> tuple[tuple[int, ...], ...]:
+        """The non-empty classes in colour order, each sorted because
+        ``edge_ids`` is."""
         buckets: list[list[int]] = [[] for _ in range(self.k)]
-        for e, c in self.colour_of.items():
-            buckets[c].append(e)
-        return tuple(tuple(sorted(b)) for b in buckets if b)
+        for e in edge_ids:
+            buckets[self.colour[e]].append(e)
+        return tuple(tuple(b) for b in buckets if b)
 
 
 def koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
@@ -160,94 +150,116 @@ def koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
     endpoint, so the recolouring always frees a shared colour.
     """
     edge_ids = sorted(edge_ids)
-    deg = _subset_degrees(g, edge_ids)
+    deg = Counter(chain.from_iterable(map(g.edges.__getitem__, edge_ids)))
     if any(d > k for d in deg.values()):
         worst = max(deg, key=lambda v: deg[v])
         raise DegreeExceedsColours(
             f"vertex {worst} has degree {deg[worst]} > {k} colours")
     _check_bipartite(g, edge_ids)
 
-    pal = _Palette(g, k)
+    rows = _Rows(g, deg, k)
+    at, colour = rows.at, rows.colour
     for e in edge_ids:
         u, v = g.edges[e]
-        used_u = pal.at.get(u, {})
-        used_v = pal.at.get(v, {})
-        common = next((c for c in range(k)
-                       if c not in used_u and c not in used_v), None)
-        if common is not None:
-            pal.assign(e, common)
-            continue
-        alpha = pal.first_free(u)
-        beta = pal.first_free(v)
-        pal.flip_path(v, alpha, beta)
-        if not (pal.is_free(u, alpha) and pal.is_free(v, alpha)):
-            raise ProofViolation(f"Koenig path flip left edge {e} no colour")
-        pal.assign(e, alpha)
-    return EdgeColouring(g, pal.to_classes())
+        ru, rv = at[u], at[v]
+        alpha, beta = rows.first_free(u), rows.first_free(v)
+        # The first colour free at both ends is at least lo; both ends
+        # are free where the bitwise or of their entries is 0.
+        lo = max(alpha, beta)
+        common = lo if not (ru[lo] or rv[lo]) else next(
+            compress(range(lo, k), map(not_, map(or_, ru[lo:], rv[lo:]))),
+            None)
+        if common is None:
+            rows.flip_path(v, alpha, beta)
+            if ru[alpha] or rv[alpha]:
+                raise ProofViolation(
+                    f"Koenig path flip left edge {e} no colour")
+            common = alpha
+        colour[e] = common
+        ru[common] = rv[common] = e + 1
+    return EdgeColouring(g, rows.classes(edge_ids))
 
 
 def vizing_colour(g: Graph, edge_ids) -> EdgeColouring:
     """Proper colouring of any simple edge subset with <= Delta + 1 colours
-    (Misra-Gries fan rotation scheme)."""
+    (Misra-Gries fan rotation scheme).
+
+    Edges are coloured in ascending id and stay coloured, so x's
+    coloured edges are its subset edges met before, in id order
+    (``seen[x]``).  The fan stays maximal even where a prefix would do:
+    the colour d rotated in is read at its tip, so a shorter fan would
+    change the classes.
+    """
     edge_ids = sorted(edge_ids)
     if not edge_ids:
         return EdgeColouring(g, ())
-    deg = _subset_degrees(g, edge_ids)
-    k = max(deg.values()) + 1
-    pal = _Palette(g, k)
+    deg = Counter(chain.from_iterable(map(g.edges.__getitem__, edge_ids)))
+    rows = _Rows(g, deg, max(deg.values()) + 1)
+    seen: list[list[int]] = [[] for _ in range(g.n + 1)]
     for eid in edge_ids:
         a, b = g.edges[eid]
         x, f = (a, b) if a < b else (b, a)
-        _mg_colour_edge(g, pal, x, f, eid)
-    return EdgeColouring(g, pal.to_classes())
+        _mg_colour_edge(g, rows, seen[x], x, f, eid)
+        seen[x].append(eid)
+        seen[f].append(eid)
+    return EdgeColouring(g, rows.classes(edge_ids))
 
 
-def _mg_colour_edge(g: Graph, pal: _Palette, x: int, f: int,
-                    eid: int) -> None:
+def _mg_colour_edge(g: Graph, rows: _Rows, x_edges: list[int], x: int,
+                    f: int, eid: int) -> None:
     # Maximal fan of x starting at f: each next fan edge is the smallest
     # coloured edge at x, not yet in the fan, whose colour is free at the
     # previous fan vertex.  The graph is simple, so the far ends differ.
-    at_x = pal.at.get(x, {})
-    cands = sorted(at_x, key=at_x.__getitem__)  # colours, by edge id
-    fan_v = [f]
-    fan_e = [eid]
-    while True:
-        c2 = next(filterfalse(pal.at.get(fan_v[-1], {}).__contains__, cands),
-                  None)
+    at, colour, edges = rows.at, rows.colour, g.edges
+    x_row = at[x]
+    cands = [colour[e] for e in x_edges]  # colours, by edge id
+    fan_v, fan_e = [f], [eid]
+    tip_row = at[f]
+    while cands:
+        c2 = next(filterfalse(tip_row.__getitem__, cands), None)
         if c2 is None:
             break
         cands.remove(c2)
-        fan_e.append(at_x[c2])
-        fan_v.append(g.other_end(at_x[c2], x))
+        e = x_row[c2] - 1
+        a, b = edges[e]
+        w = b if a == x else a
+        fan_e.append(e)
+        fan_v.append(w)
+        tip_row = at[w]
 
-    c = pal.first_free(x)
-    d = pal.first_free(fan_v[-1])
-    if not pal.is_free(x, d):
-        pal.flip_path(x, d, c)
-        if not pal.is_free(x, d):
+    c = rows.first_free(x)
+    d = rows.first_free(fan_v[-1])
+    if x_row[d]:
+        rows.flip_path(x, d, c)
+        if x_row[d]:
             raise ProofViolation(f"Misra-Gries path flip left colour {d} "
                                  f"used at vertex {x}")
+    if not at[f][d]:  # j = 0: d is free at both ends of the new edge
+        colour[eid] = d
+        x_row[d] = at[f][d] = eid + 1
+        return
 
     # First fan prefix whose tip has d free; the Misra-Gries lemma
     # guarantees one survives the path inversion.
     j = None
-    for idx, w in enumerate(fan_v):
-        if idx > 0:
-            col = pal.colour_of.get(fan_e[idx])
-            if col is None or not pal.is_free(fan_v[idx - 1], col):
-                break
-        if pal.is_free(w, d):
+    for idx in range(1, len(fan_v)):
+        if at[fan_v[idx - 1]][colour[fan_e[idx]]]:
+            break
+        if not at[fan_v[idx]][d]:
             j = idx
             break
     if j is None:
         raise ProofViolation("Misra-Gries fan rotation found no valid prefix")
 
-    shifted = [pal.colour_of[fan_e[i]] for i in range(1, j + 1)]
-    for i in range(1, j + 1):
-        pal.unassign(fan_e[i])
-    for i in range(j):
-        pal.assign(fan_e[i], shifted[i])
-    pal.assign(fan_e[j], d)
+    # Rotate: fan edge i < j takes fan edge i + 1's colour (free at fan
+    # vertex i), fan edge j takes d.
+    shifted = [colour[e] for e in fan_e[1:j + 1]] + [d]
+    for i, c in enumerate(shifted):
+        e, w = fan_e[i], fan_v[i]
+        if i:
+            at[w][colour[e]] = 0
+        colour[e] = c
+        x_row[c] = at[w][c] = e + 1
 
 
 class _ColourClass:

@@ -25,24 +25,13 @@ class Labelling:
         self.assigned = 0
 
     @classmethod
-    def from_labels(cls, graph: Graph, labels: list[int],
-                    strict: bool = True) -> "Labelling":
-        """Build from a per-edge label list.
-
-        With strict=False, invalid assignments (repeated or out-of-range
-        labels) are stored as-is so the verifier can report them.
-        """
+    def from_labels(cls, graph: Graph, labels: list[int]) -> "Labelling":
+        """Build from a per-edge label list (0 = unlabelled) through
+        ``assign``, so a repeated or out-of-range label raises."""
         lab = cls(graph)
-        if strict:
-            for eid, value in enumerate(labels):
-                if value:
-                    lab.assign(eid, value)
-            return lab
-        lab.label_of[:] = labels
-        lab.assigned = len(labels)
-        # Read backwards, so the first edge with a label is the one kept.
-        first = dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
-        lab.edge_with[1:] = [first.get(v, -1) for v in range(1, graph.m + 1)]
+        for eid, value in enumerate(labels):
+            if value:
+                lab.assign(eid, value)
         return lab
 
     def assign(self, eid: int, label: int) -> None:

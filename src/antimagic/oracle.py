@@ -11,13 +11,14 @@ search returns has passed the independent antimagic check.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations
 
 from .construction import _check
 from .errors import SearchFailed, TooLarge
 from .graph import Graph
 from .labelling import Labelling
-from .verification import verify_antimagic
+from .verification import recompute_sums, verify_antimagic
 
 EXHAUSTIVE_EDGE_LIMIT = 9
 
@@ -59,17 +60,9 @@ class _ConflictState:
     def __init__(self, g: Graph, labels: list[int]):
         self.g = g
         self.labels = labels
-        self.sums = [0] * (g.n + 1)
-        for eid, lbl in enumerate(labels):
-            a, b = g.edges[eid]
-            self.sums[a] += lbl
-            self.sums[b] += lbl
-        self.buckets: dict[int, int] = {}
-        self.conflicts = 0
-        for v in range(1, g.n + 1):
-            c = self.buckets.get(self.sums[v], 0)
-            self.conflicts += c
-            self.buckets[self.sums[v]] = c + 1
+        self.sums = recompute_sums(g, labels)
+        self.buckets = Counter(self.sums[1:])
+        self.conflicts = sum(c * (c - 1) // 2 for c in self.buckets.values())
 
     def swap(self, i: int, j: int) -> None:
         g = self.g
@@ -110,7 +103,8 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     restart_after = max(2000, 20 * m)
     for _ in range(budget):
         if state.conflicts == 0:
-            lab = Labelling.from_labels(g, state.labels)
+            lab = Labelling(g)
+            lab.assign_all(range(m), state.labels)
             _check(verify_antimagic(g, lab).ok,
                    "randomized search returned a labelling that is not "
                    "antimagic", g)

@@ -55,6 +55,9 @@ class LabelOutcome:
     decomposition: InstanceDecomposition | None = None
     stage: StageOneResult | None = None
     resolution: ResolutionTrace | None = None
+    # Final vertex sums from the check that last read the raw labels
+    # (the stage check, or a resolved labelling's); None without a stage.
+    sums: list[int] | None = None
 
 
 def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
@@ -117,12 +120,15 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
     # raw-label sums: the stage check's outright test, or the conflict
     # search on those sums.  Only a labelling resolution changed is
     # checked again.
+    sums = stage.sums
     if final is not stage.labelling:
         report = verify_antimagic(g, final)
         _check(report.ok,
                "resolution returned a labelling that is not antimagic",
                g, conflicts=report.conflicts)
-    return LabelOutcome(final, STATUS_CONSTRUCTED, regime, d, stage, trace)
+        sums = report.sums
+    return LabelOutcome(final, STATUS_CONSTRUCTED, regime, d, stage, trace,
+                        sums)
 
 
 def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
@@ -156,8 +162,7 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
         if stage is not None:
             doc["stage_sums"] = [[v, stage.sums[v]] for v in range(1, g.n + 1)]
             doc["properties"] = {"gaps": margins(g, d, stage.sums)}
-        sums = (stage.sums
-                if stage is not None and outcome.labelling is stage.labelling
+        sums = (outcome.sums if outcome.sums is not None
                 else recompute_sums(g, outcome.labelling))
         doc["final"] = {
             "r_sum": sums[d.r], "u_sums": [sums[u] for u in d.u],

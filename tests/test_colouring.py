@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import filterfalse
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from antimagic import (
     vizing_colour,
 )
 from antimagic.colouring import (
+    _check_bipartite,
     _ColourClass,
     _donor_path,
     pad_classes,
@@ -373,9 +375,9 @@ def ref_donor_path(g: Graph, recv: list[int], donor: list[int]) -> list[int]:
     raise ProofViolation("no alternating path with donor-coloured ends")
 
 
-def _outcome(balance, col, min_size):
+def _outcome(colour, *args):
     try:
-        return "classes", balance(col, min_size).classes
+        return "classes", colour(*args).classes
     except AntimagicError as exc:
         return "raised", type(exc), str(exc)
 
@@ -463,3 +465,238 @@ def test_donor_path_matches_reference(case):
             # Walk order from a donor end: donor edges at even places.
             assert set(path[0::2]) <= set(donor)
             assert set(path[1::2]) <= set(recv)
+
+
+# -- the colourings against the ones they replaced ------------------------
+#
+# ``RefPalette``, ``ref_koenig_colour``, ``ref_vizing_colour`` and
+# ``ref_mg_colour_edge`` are the dict-based implementations the colour
+# rows replaced, kept verbatim as the reference with their degree helper
+# ``ref_subset_degrees`` (the bipartiteness check is unchanged and
+# shared).  On any edge subset the rows must give identical classes, or
+# raise the same exception class with the same message.
+
+def ref_subset_degrees(g: Graph, edge_ids) -> dict[int, int]:
+    deg: dict[int, int] = {}
+    for e in edge_ids:
+        for v in g.edges[e]:
+            deg[v] = deg.get(v, 0) + 1
+    return deg
+
+
+class RefPalette:
+    """Mutable colour bookkeeping shared by the two colouring algorithms."""
+
+    def __init__(self, g: Graph, k: int):
+        self.g = g
+        self.k = k
+        self.at: dict[int, dict[int, int]] = {}  # vertex -> colour -> edge
+        self.colour_of: dict[int, int] = {}
+
+    def is_free(self, v: int, c: int) -> bool:
+        return c not in self.at.get(v, {})
+
+    def first_free(self, v: int) -> int:
+        c = next(filterfalse(self.at.get(v, {}).__contains__,
+                             range(self.k)), None)
+        if c is None:
+            raise DegreeExceedsColours(f"no free colour at vertex {v}")
+        return c
+
+    def assign(self, e: int, c: int) -> None:
+        for v in self.g.edges[e]:
+            self.at.setdefault(v, {})[c] = e
+        self.colour_of[e] = c
+
+    def unassign(self, e: int) -> None:
+        c = self.colour_of.pop(e)
+        for v in self.g.edges[e]:
+            del self.at[v][c]
+
+    def flip_path(self, start: int, first: int, second: int) -> int:
+        """Swap colours first/second along the maximal alternating path
+        from ``start`` beginning with a ``first``-coloured edge.  Returns
+        the far endpoint of the path."""
+        path: list[int] = []
+        cur, col = start, first
+        while not self.is_free(cur, col):
+            e = self.at[cur][col]
+            path.append(e)
+            cur = self.g.other_end(e, cur)
+            col = second if col == first else first
+        flipped = {e: (second if self.colour_of[e] == first else first)
+                   for e in path}
+        for e in path:
+            self.unassign(e)
+        for e, c in flipped.items():
+            self.assign(e, c)
+        return cur
+
+    def to_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The non-empty colour classes, each sorted, in colour order."""
+        buckets: list[list[int]] = [[] for _ in range(self.k)]
+        for e, c in self.colour_of.items():
+            buckets[c].append(e)
+        return tuple(tuple(sorted(b)) for b in buckets if b)
+
+
+def ref_koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
+    """Proper k-colouring of a bipartite edge subset with max degree <= k.
+
+    Incremental insertion: colour each edge with a colour free at both
+    ends, recolouring one alternating path when no common free colour
+    exists.  In a bipartite graph the path never returns to the other
+    endpoint, so the recolouring always frees a shared colour.
+    """
+    edge_ids = sorted(edge_ids)
+    deg = ref_subset_degrees(g, edge_ids)
+    if any(d > k for d in deg.values()):
+        worst = max(deg, key=lambda v: deg[v])
+        raise DegreeExceedsColours(
+            f"vertex {worst} has degree {deg[worst]} > {k} colours")
+    _check_bipartite(g, edge_ids)
+
+    pal = RefPalette(g, k)
+    for e in edge_ids:
+        u, v = g.edges[e]
+        used_u = pal.at.get(u, {})
+        used_v = pal.at.get(v, {})
+        common = next((c for c in range(k)
+                       if c not in used_u and c not in used_v), None)
+        if common is not None:
+            pal.assign(e, common)
+            continue
+        alpha = pal.first_free(u)
+        beta = pal.first_free(v)
+        pal.flip_path(v, alpha, beta)
+        if not (pal.is_free(u, alpha) and pal.is_free(v, alpha)):
+            raise ProofViolation(f"Koenig path flip left edge {e} no colour")
+        pal.assign(e, alpha)
+    return EdgeColouring(g, pal.to_classes())
+
+
+def ref_vizing_colour(g: Graph, edge_ids) -> EdgeColouring:
+    """Proper colouring of any simple edge subset with <= Delta + 1 colours
+    (Misra-Gries fan rotation scheme)."""
+    edge_ids = sorted(edge_ids)
+    if not edge_ids:
+        return EdgeColouring(g, ())
+    deg = ref_subset_degrees(g, edge_ids)
+    k = max(deg.values()) + 1
+    pal = RefPalette(g, k)
+    for eid in edge_ids:
+        a, b = g.edges[eid]
+        x, f = (a, b) if a < b else (b, a)
+        ref_mg_colour_edge(g, pal, x, f, eid)
+    return EdgeColouring(g, pal.to_classes())
+
+
+def ref_mg_colour_edge(g: Graph, pal: RefPalette, x: int, f: int,
+                    eid: int) -> None:
+    # Maximal fan of x starting at f: each next fan edge is the smallest
+    # coloured edge at x, not yet in the fan, whose colour is free at the
+    # previous fan vertex.  The graph is simple, so the far ends differ.
+    at_x = pal.at.get(x, {})
+    cands = sorted(at_x, key=at_x.__getitem__)  # colours, by edge id
+    fan_v = [f]
+    fan_e = [eid]
+    while True:
+        c2 = next(filterfalse(pal.at.get(fan_v[-1], {}).__contains__, cands),
+                  None)
+        if c2 is None:
+            break
+        cands.remove(c2)
+        fan_e.append(at_x[c2])
+        fan_v.append(g.other_end(at_x[c2], x))
+
+    c = pal.first_free(x)
+    d = pal.first_free(fan_v[-1])
+    if not pal.is_free(x, d):
+        pal.flip_path(x, d, c)
+        if not pal.is_free(x, d):
+            raise ProofViolation(f"Misra-Gries path flip left colour {d} "
+                                 f"used at vertex {x}")
+
+    # First fan prefix whose tip has d free; the Misra-Gries lemma
+    # guarantees one survives the path inversion.
+    j = None
+    for idx, w in enumerate(fan_v):
+        if idx > 0:
+            col = pal.colour_of.get(fan_e[idx])
+            if col is None or not pal.is_free(fan_v[idx - 1], col):
+                break
+        if pal.is_free(w, d):
+            j = idx
+            break
+    if j is None:
+        raise ProofViolation("Misra-Gries fan rotation found no valid prefix")
+
+    shifted = [pal.colour_of[fan_e[i]] for i in range(1, j + 1)]
+    for i in range(1, j + 1):
+        pal.unassign(fan_e[i])
+    for i in range(j):
+        pal.assign(fan_e[i], shifted[i])
+    pal.assign(fan_e[j], d)
+
+
+@st.composite
+def vizing_subsets(draw):
+    """(graph, edge ids): a random edge subset, in shuffled order, of a
+    random graph on at most 14 vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(draw(st.integers(1, 14)), draw(st.floats(0.1, 1.0)),
+                     rng)
+    keep = draw(st.floats(0.1, 1.0))
+    subset = [e for e in range(g.m) if rng.random() < keep]
+    rng.shuffle(subset)
+    return g, subset
+
+
+@st.composite
+def koenig_subsets(draw):
+    """(graph, edge ids, k) on at most 14 vertices: a bipartite subset
+    (edges across a random split), a subset holding an odd cycle, or a
+    subset of any graph; k is the subset's maximum degree, one or two
+    below it (so some vertex has too many edges) or one above."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(3, 14))
+    p, keep = draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    shape = draw(st.sampled_from(["bipartite", "odd_cycle", "any"]))
+    if shape == "bipartite":
+        side = [rng.randrange(2) for _ in range(n + 1)]
+        pairs = [(a, b) for a, b in pairs if side[a] != side[b]]
+    kept = [ab for ab in pairs if rng.random() < p]
+    cycle = []
+    if shape == "odd_cycle":
+        ring = rng.sample(range(1, n + 1), 2 * rng.randint(1, (n - 1) // 2)
+                          + 1)
+        cycle = [tuple(sorted((ring[i], ring[i - 1])))
+                 for i in range(len(ring))]
+        kept = [ab for ab in kept if ab not in cycle]
+    g = build_graph(n, cycle + kept)
+    subset = list(range(len(cycle))) + [
+        e for e in range(len(cycle), g.m) if rng.random() < keep]
+    rng.shuffle(subset)
+    degree = max((sum(v in g.edges[e] for e in subset)
+                  for v in range(1, n + 1)), default=0)
+    return g, subset, max(0, degree + draw(st.integers(-2, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vizing_subsets())
+def test_vizing_matches_reference(case):
+    g, subset = case
+    out = _outcome(vizing_colour, g, subset)
+    assert out == _outcome(ref_vizing_colour, g, subset)
+    assert out[0] == "classes" and brute_proper(g, out[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(koenig_subsets())
+def test_koenig_matches_reference(case):
+    g, subset, k = case
+    out = _outcome(koenig_colour, g, subset, k)
+    assert out == _outcome(ref_koenig_colour, g, subset, k)
+    if out[0] == "classes":
+        assert len(out[1]) <= k and brute_proper(g, out[1])

@@ -13,12 +13,22 @@ from antimagic import (
     gen_instance,
     label_case_i3,
     label_main,
+    outcome_trace,
     verify_antimagic,
     verify_bijection,
     verify_stage_properties,
 )
 from antimagic.generator import min_feasible_n
 from conftest import brute_sums
+
+
+def _raw(g, labels):
+    """A Labelling holding ``labels`` exactly as given, faults included.
+    The checks read only the graph and the raw labels; the label -> edge
+    inverse, never trusted by them, stays empty."""
+    lab = Labelling(g)
+    lab.label_of[:] = labels
+    return lab
 
 
 def test_bijection_ok():
@@ -28,16 +38,14 @@ def test_bijection_ok():
 
 def test_bijection_duplicate_reported():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
-    lab = Labelling.from_labels(g, [5, 5, 1], strict=False)
-    rep = verify_bijection(g, lab)
+    rep = verify_bijection(g, [5, 5, 1])
     assert not rep.ok
     assert rep.out_of_range == (5, 5) or rep.duplicated == (5,)
 
 
 def test_bijection_out_of_range_zero():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
-    lab = Labelling.from_labels(g, [0, 2, 3], strict=False)
-    rep = verify_bijection(g, lab)
+    rep = verify_bijection(g, [0, 2, 3])
     assert not rep.ok
     assert 0 in rep.out_of_range
     assert 1 in rep.missing
@@ -45,8 +53,7 @@ def test_bijection_out_of_range_zero():
 
 def test_duplicate_inside_range():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
-    lab = Labelling.from_labels(g, [2, 2, 1], strict=False)
-    rep = verify_bijection(g, lab)
+    rep = verify_bijection(g, [2, 2, 1])
     assert rep.duplicated == (2,)
     assert rep.missing == (3,)
 
@@ -211,8 +218,8 @@ def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
     if zero is not None:
         for e in g.incident[zero]:
             labels[e] = 0
-    bad = StageOneResult(Labelling.from_labels(g, labels, strict=False),
-                         stage.regime, stage.intervals, stage.y_map)
+    bad = StageOneResult(_raw(g, labels), stage.regime, stage.intervals,
+                         stage.y_map)
     assert verify_stage_properties(bad, d).failures == failures
 
 
@@ -369,7 +376,7 @@ def test_sums_and_bijection_match_naive_on_any_labels(seed, shape):
             labels[eid] = 0
     elif shape >= 2 and labels:
         labels = _tamper(rng, labels, g.m)
-    lab = Labelling.from_labels(g, labels, strict=False)
+    lab = _raw(g, labels)
     from antimagic.verification import recompute_sums
     naive = _naive_bijection(g, labels)
     # A Labelling and its bare label list, as the verify command reads it.
@@ -397,8 +404,7 @@ def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
             if edges:
                 i, j = rng.choice(edges), rng.randrange(g.m)
                 labels[i], labels[j] = labels[j], labels[i]
-    lab = Labelling.from_labels(g, labels, strict=False)
-    probe = StageOneResult(lab, stage.regime, stage.intervals,
+    probe = StageOneResult(_raw(g, labels), stage.regime, stage.intervals,
                            stage.y_map)
     rep = verify_stage_properties(probe, d)
     failures, gaps = _naive_stage_properties(probe, d)
@@ -416,9 +422,11 @@ def test_reports_carry_the_sums_they_checked():
 
 
 def _count_sums_passes(monkeypatch) -> list:
-    """Record what every vertex-sums pass reads, through both module
-    bindings of ``recompute_sums``."""
+    """Record what every vertex-sums pass reads, through every module
+    binding of ``recompute_sums``."""
     import antimagic.construction as construction
+    import antimagic.oracle as oracle
+    import antimagic.pipeline as pipeline
     import antimagic.verification as verification
     calls = []
     original = verification.recompute_sums
@@ -427,7 +435,7 @@ def _count_sums_passes(monkeypatch) -> list:
         calls.append(l)
         return original(g, l)
 
-    for module in (verification, construction):
+    for module in (verification, construction, oracle, pipeline):
         monkeypatch.setattr(module, "recompute_sums", counting)
     return calls
 
@@ -446,11 +454,15 @@ def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
     assert out.resolution.case == "none"
     assert out.labelling is out.stage.labelling
     assert [id(l) for l in calls] == [id(out.labelling)] * 2
+    outcome_trace(out)  # reads the stage check's sums
+    assert len(calls) == 2
 
 
 def test_label_sums_passes_without_a_stage(monkeypatch):
     # The universal-vertex construction: its partial sums and its own
-    # antimagic check.  The fallback search: its final check.
+    # antimagic check.  The fallback search: its start, which reads the
+    # shuffled label list it then searches in place, and its final
+    # check, which reads the result.
     from antimagic import label
     calls = _count_sums_passes(monkeypatch)
     n = 9
@@ -463,7 +475,9 @@ def test_label_sums_passes_without_a_stage(monkeypatch):
     out = label(gen_instance(min_feasible_n("yilma"), "yilma", seed=1),
                 seed=1)
     assert out.stage is None
-    assert [id(l) for l in calls] == [id(out.labelling)]
+    start, final = calls
+    assert isinstance(start, list) and start == out.labelling.label_of
+    assert final is out.labelling
 
 
 def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
@@ -478,6 +492,12 @@ def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
     assert len(calls) == 2 + tried + 1
     assert [id(l) for l in calls[:2]] == [id(out.stage.labelling)] * 2
     assert calls[-1] is out.labelling
+    # The trace reads the final check's sums instead of a new pass.
+    doc = outcome_trace(out)
+    assert len(calls) == 2 + tried + 1
+    assert doc["final"]["u_sums"] == [
+        _naive_sums(out.labelling.graph, out.labelling.label_of)[u]
+        for u in out.decomposition.u]
 
 
 def test_find_conflicts_recomputes_without_carried_sums(monkeypatch):
