@@ -254,12 +254,12 @@ def _mg_colour_edge(g: Graph, rows: _Rows, x_edges: list[int], x: int,
     # Rotate: fan edge i < j takes fan edge i + 1's colour (free at fan
     # vertex i), fan edge j takes d.
     shifted = [colour[e] for e in fan_e[1:j + 1]] + [d]
-    for i, c in enumerate(shifted):
+    for i, col in enumerate(shifted):
         e, w = fan_e[i], fan_v[i]
         if i:
             at[w][colour[e]] = 0
-        colour[e] = c
-        x_row[c] = at[w][c] = e + 1
+        colour[e] = col
+        x_row[col] = at[w][col] = e + 1
 
 
 class _ColourClass:
