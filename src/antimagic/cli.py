@@ -85,12 +85,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args) -> int:
-    targets = args.regimes.split(",")
+def _targets(regimes: str) -> list[str]:
+    """A ``--regimes`` list's targets; an unknown one is a parse error."""
+    targets = regimes.split(",")
     for t in targets:
         if t not in TARGETS:
             raise ParseError(f"unknown regime {t!r}; choose from "
                              + ",".join(sorted(TARGETS)))
+    return targets
+
+
+def cmd_generate(args) -> int:
+    targets = _targets(args.regimes)
     # The whole schedule first: an infeasible regime raises before a write.
     schedule = list(corpus_schedule(args.count, (args.n, args.n), targets,
                                     args.seed))
@@ -106,7 +112,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_stress(args) -> int:
-    targets = args.regimes.split(",")
+    targets = _targets(args.regimes)
     stats = collections.Counter()
     exchange_hist = collections.Counter()
     cases = collections.Counter()
@@ -125,7 +131,7 @@ def cmd_stress(args) -> int:
         if not ok:
             failures.append((t, n, seed))
     print(f"{'regime':<18} {'ok':>5} {'bad':>5} {'conflicted':>10}")
-    for t in targets:
+    for t in dict.fromkeys(targets):
         print(f"{t:<18} {stats[(t, 'ok')]:>5} {stats[(t, 'bad')]:>5} "
               f"{stats[(t, 'conflicted')]:>10}")
     print("exchanges applied histogram: "

@@ -49,9 +49,6 @@ class EdgeColouring:
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
 
-    def edge_count(self) -> int:
-        return sum(len(c) for c in self.classes)
-
 
 def properness_violations(g: Graph, classes) -> list[tuple[int, int, int]]:
     """All (class, edge, edge) pairs sharing an endpoint; empty iff proper.

@@ -329,31 +329,22 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     return _finish(g, d, lab, Regime.DEGEN_I3, intervals)
 
 
-def label_disconnected(g: Graph, d: InstanceDecomposition,
-                       regime: Regime) -> StageOneResult:
-    """The two disconnected families.
+def label_disconnected(g: Graph, d: InstanceDecomposition) -> StageOneResult:
+    """Both disconnected families: the degenerate construction for
+    i = min{j : d'(u_j) <= 3}, as it stands (the paper's, for u3 isolated).
 
-    With u3 isolated, the degenerate construction for i = min{j : d'(u_j)
-    <= 3} applies verbatim.  When the triple is its own component (K3 or
-    P3), it takes the smallest labels and the universal-vertex
-    construction labels H plus the root with the rest.  The caller has
-    already rejected the shapes that cannot be antimagic.
+    A triple that is its own component (K3 or P3) has d' = (0, 0, 0), so
+    i = 1, and the i = 1 bounds hold: its edges take labels <= 3 and no
+    u has an H-edge, so u3 < u2 < u1 (sums 3, 4, 5 for K3; 1, 2, 3 for a
+    P3, whose centre is u1).  The graph has at most C(n - 3, 2) + 3
+    edges, so m >= 7n forces n >= 21, and every H vertex holds a root
+    label >= m - (n - 5) >= 131.  The caller rejects unlabellable shapes.
     """
-    if regime == Regime.DISC_U3_ISOLATED:
-        i = degenerate_index(d)
-        if i is None:
-            raise HypothesisViolated(
-                f"d' = {d.d_prime} has no degenerate index")
-        builder = {1: label_case_i1, 2: label_case_i2, 3: label_case_i3}[i]
-        return builder(g, d)
-
-    _check(regime == Regime.DISC_TRIPLE_COMPONENT,
-           f"{regime.value} is not a disconnected regime", g)
-    lab = _begin(g, d, d.d_prime == (0, 0, 0),
-                 f"d' = {d.d_prime}: the triple is not its own component")
-    n, m = g.n, g.m
-    _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
-    return _finish(g, d, lab, Regime.DISC_TRIPLE_COMPONENT)
+    i = degenerate_index(d)
+    if i is None:
+        raise HypothesisViolated(f"d' = {d.d_prime} has no degenerate index")
+    # Built per call, so the span wrappers on these names see the call.
+    return {1: label_case_i1, 2: label_case_i2, 3: label_case_i3}[i](g, d)
 
 
 def label_delta_n1(g: Graph, r: int) -> Labelling:

@@ -85,9 +85,11 @@ class _ConflictState:
 
 
 def randomized_search(g: Graph, budget: int = 1_000_000,
-                      seed: int = 0) -> Labelling:
+                      seed: int = 0) -> tuple[Labelling, list[int]]:
     """Hill-climb the conflict count; raises SearchFailed when the budget
-    runs out.  Identical (input, seed) pairs give identical output."""
+    runs out.  Returns the labelling and the vertex sums its final
+    antimagic check recomputed from the raw labels.  Identical (input,
+    seed) pairs give identical output."""
     rng = random.Random(seed * 1_000_003 + g.n * 10_007 + g.m)
     m = g.m
     if m == 0:
@@ -105,10 +107,10 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
         if state.conflicts == 0:
             lab = Labelling(g)
             lab.assign_all(range(m), state.labels)
-            _check(verify_antimagic(g, lab).ok,
-                   "randomized search returned a labelling that is not "
-                   "antimagic", g)
-            return lab
+            report = verify_antimagic(g, lab)
+            _check(report.ok, "randomized search returned a labelling "
+                   "that is not antimagic", g)
+            return lab, report.sums
         i = rng.randrange(m)
         j = rng.randrange(m - 1)
         if j >= i:

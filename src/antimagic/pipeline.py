@@ -41,7 +41,7 @@ from .graph import (
 from .labelling import Labelling
 from .oracle import randomized_search
 from .resolution import ResolutionTrace, resolve
-from .verification import margins, recompute_sums, verify_antimagic
+from .verification import margins, verify_antimagic
 
 STATUS_CONSTRUCTED = "constructed"
 STATUS_SEARCHED = "searched_fallback"
@@ -55,8 +55,8 @@ class LabelOutcome:
     decomposition: InstanceDecomposition | None = None
     stage: StageOneResult | None = None
     resolution: ResolutionTrace | None = None
-    # Final vertex sums from the check that last read the raw labels
-    # (the stage check, or a resolved labelling's); None without a stage.
+    # Final vertex sums from the check that last read the raw labels (the
+    # stage's, a resolved labelling's, the fallback's); None if Δ = n - 1.
     sums: list[int] | None = None
 
 
@@ -94,8 +94,8 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
         regime = force_regime
 
     if regime in (Regime.YILMA_FALLBACK, Regime.UNSUPPORTED):
-        lab = randomized_search(g, budget=fallback_iters, seed=seed)
-        return LabelOutcome(lab, STATUS_SEARCHED, regime, d)
+        lab, sums = randomized_search(g, budget=fallback_iters, seed=seed)
+        return LabelOutcome(lab, STATUS_SEARCHED, regime, d, sums=sums)
     # Without a decomposition the regime is UNSUPPORTED unless forced.
     if d is None:
         raise WrongMaxDegree(
@@ -111,7 +111,7 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
     elif regime == Regime.DEGEN_I3:
         stage = label_case_i3(g, d)
     elif regime in (Regime.DISC_U3_ISOLATED, Regime.DISC_TRIPLE_COMPONENT):
-        stage = label_disconnected(g, d, regime)
+        stage = label_disconnected(g, d)
     else:
         raise WrongMaxDegree(f"regime {regime} has no constructor")
 
@@ -162,8 +162,7 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
         if stage is not None:
             doc["stage_sums"] = [[v, stage.sums[v]] for v in range(1, g.n + 1)]
             doc["properties"] = {"gaps": margins(g, d, stage.sums)}
-        sums = (outcome.sums if outcome.sums is not None
-                else recompute_sums(g, outcome.labelling))
+        sums = outcome.sums
         doc["final"] = {
             "r_sum": sums[d.r], "u_sums": [sums[u] for u in d.u],
             "min_h_sum": min(sums[v] for v in d.h_vertices),

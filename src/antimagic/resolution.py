@@ -19,11 +19,7 @@ from dataclasses import dataclass, field
 from .errors import ProofGapWarning, ProofViolation
 from .graph import InstanceDecomposition, Regime
 from .labelling import Labelling
-from .verification import (
-    ANTIMAGIC_OUTRIGHT,
-    antimagic_from_sums,
-    verify_antimagic,
-)
+from .verification import antimagic_from_sums, verify_antimagic
 
 # The exchange table: per regime, each family's offsets, in the order
 # plans and the safety net try them.  In the i=3 regime the root labels
@@ -43,12 +39,6 @@ class Exchange:
 
     family: str  # "lambda" | "gamma" | "mu" | "rho" | "named"
     offset: int
-    hi: int
-    lo: int
-
-    def __post_init__(self):
-        if self.hi - self.lo != 1:
-            raise ProofViolation("exchanged labels must differ by 1")
 
     def describe(self) -> str:
         return f"{self.family}_{self.offset}"
@@ -93,10 +83,10 @@ def find_conflicts(l: Labelling, d: InstanceDecomposition,
     return ConflictSet(tuple(pairs), ranks, rivals, sums)
 
 
-def exchanges(regime: Regime, m: int) -> dict[str, dict[int, Exchange]]:
-    """The regime's tabled exchanges for m edges: family -> offset ->
-    the swap of m - offset and m - offset - 1, in table order."""
-    return {family: {i: Exchange(family, i, m - i, m - i - 1) for i in offsets}
+def exchanges(regime: Regime) -> dict[str, dict[int, Exchange]]:
+    """The regime's tabled exchanges: family -> offset -> the swap of
+    m - offset and m - offset - 1, in table order."""
+    return {family: {i: Exchange(family, i) for i in offsets}
             for family, offsets in FAMILIES[regime].items()}
 
 
@@ -110,12 +100,11 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     """
     if not c.pairs:
         return "none", []
-    m = s.labelling.graph.m
     sums = c.sums
     y = s.y_map
     u1, u2, u3 = d.u
     v1, v2, v3 = c.rivals[1], c.rivals[2], c.rivals[3]
-    ex = exchanges(Regime.MAIN, m)
+    ex = exchanges(Regime.MAIN)
     lam, gam, mu, rho = ex["lambda"], ex["gamma"], ex["mu"], ex["rho"]
     ranks = set(c.u_ranks)
 
@@ -165,20 +154,18 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     return "7.5", plans
 
 
-def _degen_menu(regime: Regime, c: ConflictSet, g_m: int, n: int
+def _degen_menu(regime: Regime, c: ConflictSet, n: int
                 ) -> tuple[str, list[list[Exchange]]]:
     if regime == Regime.DEGEN_I2:
-        hi = Exchange("named", 0, g_m, g_m - 1)
-        low_hi = g_m - 2 * (n - 5) - 1
-        lo = Exchange("named", 2 * (n - 5) + 1, low_hi, low_hi - 1)
-        return "i2", [[hi], [lo]]
+        return "i2", [[Exchange("named", 0)],
+                      [Exchange("named", 2 * (n - 5) + 1)]]
     ranks = set(c.u_ranks)
     if regime != Regime.DEGEN_I3 or not ranks or 3 in ranks:
         raise ProofViolation(f"{regime.value} conflict ranks {sorted(ranks)} "
                              "fit no case")
     case, family = {(1, 2): ("i3:both", "lambda"), (1,): ("i3:u1", "mu"),
                     (2,): ("i3:u2", "rho")}[tuple(sorted(ranks))]
-    return case, [[e] for e in exchanges(Regime.DEGEN_I3, g_m)[family].values()]
+    return case, [[e] for e in exchanges(Regime.DEGEN_I3)[family].values()]
 
 
 def _plan_is_sound(before: list[int], after: list[int], r: int,
@@ -217,18 +204,18 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     every single and paired tabled exchange; accept the first plan whose
     outcome verifies antimagic.
 
-    Regimes whose stage 1 is already provably antimagic (i=1, the
-    disconnected triple component) admit no exchanges; their stage 1
-    has been checked antimagic from the raw labels, so they are
-    returned as they are.  The conflicts of any other stage are read
-    from the sums its property check recomputed, when it carries them.
+    An i=1 stage (a triple component's among them) is provably antimagic
+    and admits no exchanges; it has been checked antimagic from the raw
+    labels, so it is returned as it is.  A MAIN, i=2 or i=3 stage's
+    conflicts are read from the sums its property check recomputed,
+    when it carries them.
     A returned labelling that is the stage's own has thus had its
     antimagic verdict from its raw labels; any other has not.
     """
     from .construction import _reproducer
     g = s.labelling.graph
     regime = s.regime
-    if regime in ANTIMAGIC_OUTRIGHT:
+    if regime == Regime.DEGEN_I1:
         return s.labelling, ResolutionTrace("none", 0, (), True)
     conflicts = find_conflicts(s.labelling, d, s.sums)
     if not conflicts.pairs:
@@ -238,7 +225,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     if regime == Regime.MAIN:
         case, plans = candidate_plans(conflicts, s, d)
     else:
-        case, plans = _degen_menu(regime, conflicts, g.m, g.n)
+        case, plans = _degen_menu(regime, conflicts, g.n)
 
     before = conflicts.sums
     rejections: list[str] = []
@@ -249,7 +236,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
             tried += 1
             cand = s.labelling.copy()
             for ex in plan:
-                cand.swap_labels(ex.hi, ex.lo)
+                cand.swap_labels(g.m - ex.offset, g.m - ex.offset - 1)
             report = verify_antimagic(g, cand)
             _plan_is_sound(before, report.sums, d.r, regime)
             if report.ok:
@@ -265,7 +252,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
         return found, ResolutionTrace(case, tried, applied, True,
                                       rejections=tuple(rejections))
 
-    menu = ([e for family in exchanges(regime, g.m).values()
+    menu = ([e for family in exchanges(regime).values()
              for e in family.values()] if regime in FAMILIES
             else [p[0] for p in plans])
     net: list[list[Exchange]] = [[e] for e in menu]

@@ -19,9 +19,6 @@ from itertools import compress
 from .graph import Graph, InstanceDecomposition, Regime
 from .labelling import Labelling
 
-# Regimes whose stage 1 is antimagic outright: resolution never exchanges.
-ANTIMAGIC_OUTRIGHT = frozenset({Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT})
-
 
 @dataclass(frozen=True)
 class BijectionReport:
@@ -122,13 +119,16 @@ def margins(g: Graph, d: InstanceDecomposition, sums: list[int]) -> dict:
 
 def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyReport:
     """Every property the proof guarantees of a stage-1 result, checked
-    for the stage's own regime from the raw labels.
+    for the stage's own regime from the raw labels.  That regime is MAIN
+    or DEGEN_I1/I2/I3: both disconnected families are labelled by a
+    degenerate constructor.
 
     * MAIN: the u-sums are separated by >= 4 (u3 < u2 < u1), the root sum
       dominates every other sum by >= 4, and consecutive sums over H
       differ by >= 4.
-    * DEGEN_I1: sum(u1) <= 38, sum(u3) < sum(u2) < sum(u1), and
-      min sum over H >= max(m - (n - 5), 101).
+    * DEGEN_I1: sum(u1) <= 38, sum(u3) < sum(u2) < sum(u1),
+      min sum over H >= max(m - (n - 5), 101), and stage 1 is antimagic
+      outright: the H sums, and all vertex sums, are pairwise distinct.
     * DEGEN_I2: sum(u3) < sum(u2) < 30, sum(u1) >= sum(u2) + 4,
       min sum over H >= max(m - 2(n - 5) - 1, 89), the root sum
       dominates H by >= 4 and H sums are spaced by >= 2.  The root need
@@ -136,12 +136,9 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     * DEGEN_I3: sum(u3) <= 18, the root sum dominates u1 and H by >= 4,
       sum(u1) >= sum(u2) + 4, sum(u2) and min sum over H are both
       >= sum(u3) + 4, and H sums are spaced by >= 3.
-    * Any other regime: H sums are distinct.
     * Every regime but DEGEN_I2: the root sum is the unique maximum.
     * Regimes with reserved intervals (MAIN, DEGEN_I3): no vertex other
       than the root carries two labels of one interval.
-    * ``ANTIMAGIC_OUTRIGHT`` (DEGEN_I1, DISC_TRIPLE_COMPONENT): all
-      vertex sums are pairwise distinct.
     """
     g = stage.labelling.graph
     sums = recompute_sums(g, stage.labelling)
@@ -154,7 +151,8 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     gaps = margins(g, d, sums)
 
     regime = stage.regime
-    h_gap = {Regime.MAIN: 4, Regime.DEGEN_I2: 2, Regime.DEGEN_I3: 3}.get(regime, 1)
+    h_gap = {Regime.MAIN: 4, Regime.DEGEN_I1: 1, Regime.DEGEN_I2: 2,
+             Regime.DEGEN_I3: 3}[regime]
 
     if regime == Regime.MAIN:
         if gaps["u3_u2"] < 4:
@@ -219,7 +217,7 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
         failures.append(
             f"root sum {sums[d.r]} not the unique maximum (top other {top})")
 
-    if regime in ANTIMAGIC_OUTRIGHT:
+    if regime == Regime.DEGEN_I1:
         conflicts = antimagic_from_sums(g, sums).conflicts
         if conflicts:
             a, b, s = conflicts[0]

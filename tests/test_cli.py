@@ -524,3 +524,15 @@ def test_generate_exit_codes(n, count, regimes):
                             "--out-dir", str(out)]) == want
         files = list(out.iterdir()) if out.exists() else []
         assert len(files) == (0 if want else max(count, 0))
+    # stress reads --regimes the same way, and prints one row per target.
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["stress", "--n-min", str(n), "--n-max", str(n),
+                     "--count", str(count), "--regimes", ",".join(regimes),
+                     "--seed", "1"]) == want
+    if want == 0:
+        rows = stdout.getvalue().splitlines()[1:]
+        assert [row.split()[0] for row in rows[:len(set(regimes))]] == list(
+            dict.fromkeys(regimes))
+        assert rows[len(set(regimes))].startswith("exchanges applied")

@@ -24,6 +24,7 @@ from antimagic.errors import (
     NotUniversalVertex,
     ProofViolation,
 )
+from antimagic.graph import degenerate_index
 from antimagic.verification import recompute_sums
 from conftest import random_universal_graph
 
@@ -179,11 +180,10 @@ GATED = {
     "label_case_i1": (label_case_i1, "main"),
     "label_case_i2": (label_case_i2, "main"),
     "label_case_i3": (label_case_i3, "main"),
-    "label_disconnected_u3": (
-        lambda g, d: label_disconnected(g, d, Regime.DISC_U3_ISOLATED), "main"),
-    "label_disconnected_triple": (
-        lambda g, d: label_disconnected(g, d, Regime.DISC_TRIPLE_COMPONENT),
-        "main"),
+    # Both disconnected families go through label_disconnected; each is
+    # gated on a connected main-regime instance of its own shape.
+    "label_disconnected_u3": (label_disconnected, "main"),
+    "label_disconnected_triple": (label_disconnected, "main_triple"),
 }
 
 
@@ -318,7 +318,7 @@ def test_disc_triple_k3_sums_below_everything():
     g = gen_instance(22, "disc_triple", seed=2,
                      triple=((2, 3), (2, 4), (3, 4)))
     d = decompose(g)
-    stage = label_disconnected(g, d, Regime.DISC_TRIPLE_COMPONENT)
+    stage = label_disconnected(g, d)
     sums = recompute_sums(g, stage.labelling)
     triple_sums = sorted(sums[u] for u in d.u)
     assert triple_sums == [3, 4, 5]
@@ -330,7 +330,7 @@ def test_disc_triple_k3_sums_below_everything():
 def test_disc_triple_p3_sums():
     g = gen_instance(21, "disc_triple", seed=3, triple=((2, 3), (3, 4)))
     d = decompose(g)
-    stage = label_disconnected(g, d, Regime.DISC_TRIPLE_COMPONENT)
+    stage = label_disconnected(g, d)
     sums = recompute_sums(g, stage.labelling)
     assert sorted(sums[u] for u in d.u) == [1, 2, 3]
     assert verify_antimagic(g, stage.labelling).ok
@@ -340,10 +340,25 @@ def test_disc_u3_isolated_runs_degenerate_machinery():
     g = gen_instance(20, "disc_u3_isolated", seed=4)
     d = decompose(g)
     assert g.degree(d.u[2]) == 0
-    stage = label_disconnected(g, d, Regime.DISC_U3_ISOLATED)
+    stage = label_disconnected(g, d)
     assert stage.regime == Regime.DEGEN_I3
     sums = recompute_sums(g, stage.labelling)
     assert sums[d.u[2]] == 0
+
+
+@pytest.mark.parametrize("target", ["disc_triple", "disc_u3_isolated"])
+def test_disconnected_stage_is_its_degenerate_regime(target):
+    # Both families are labelled by the degenerate constructor for their
+    # index, so the stage carries that regime and is checked against its
+    # bounds; the outcome keeps the family's own name.
+    from antimagic import label
+    from antimagic.generator import TARGETS, min_feasible_n
+    for seed in range(1, 6):
+        g = gen_instance(min_feasible_n(target) + seed % 3, target, seed=seed)
+        out = label(g, seed=seed)
+        i = degenerate_index(out.decomposition)
+        assert out.regime == TARGETS[target]
+        assert out.stage.regime == Regime(f"DEGEN_I{i}")
 
 
 def test_assign_all_writes_a_batch_and_refuses_reuse():

@@ -57,10 +57,10 @@ def test_exhaustive_agrees_with_brute_definition():
 
 def test_randomized_search_deterministic():
     g = gen_instance(20, "yilma", seed=3)
-    a = randomized_search(g, budget=200_000, seed=11)
-    b = randomized_search(g, budget=200_000, seed=11)
-    assert a.label_of == b.label_of
-    assert verify_antimagic(g, a).ok
+    a, a_sums = randomized_search(g, budget=200_000, seed=11)
+    b, b_sums = randomized_search(g, budget=200_000, seed=11)
+    assert a.label_of == b.label_of and a_sums == b_sums
+    assert verify_antimagic(g, a).sums == a_sums
 
 
 def test_randomized_search_k2_fails():
@@ -71,5 +71,6 @@ def test_randomized_search_k2_fails():
 
 def test_randomized_search_solves_main_instance():
     g = gen_instance(19, "main", seed=5)
-    lab = randomized_search(g, budget=1_000_000, seed=1)
-    assert verify_antimagic(g, lab).ok
+    lab, sums = randomized_search(g, budget=1_000_000, seed=1)
+    rep = verify_antimagic(g, lab)
+    assert rep.ok and rep.sums == sums

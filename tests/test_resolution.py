@@ -21,7 +21,6 @@ from antimagic.errors import LabelMissing, ProofViolation
 from antimagic.resolution import (
     FAMILIES,
     ConflictSet,
-    Exchange,
     exchanges,
 )
 from antimagic.verification import recompute_sums, verify_stage_properties
@@ -82,22 +81,16 @@ def test_offset_tables_match_families():
         ("lambda", (1, 4, 7, 10)), ("mu", (0, 3, 6, 9)),
         ("rho", (2, 5, 8, 11))]
     assert list(FAMILIES) == [Regime.MAIN, Regime.DEGEN_I3]
-    # Every exchange swaps adjacent labels (the published i=3 table's
-    # last rho row is a typo; the pattern forces m-11 <-> m-12).
+    # An exchange is its family and offset: it swaps m - offset and
+    # m - offset - 1 (the published i=3 table's last rho row is a typo;
+    # the pattern forces m-11 <-> m-12).
     for regime, families in FAMILIES.items():
-        table = exchanges(regime, 1000)
+        table = exchanges(regime)
         assert [(f, tuple(row)) for f, row in table.items()] == list(
             families.items())
         for family, row in table.items():
             for offset, ex in row.items():
                 assert (ex.family, ex.offset) == (family, offset)
-                assert ex.hi - ex.lo == 1
-                assert ex.hi == 1000 - ex.offset
-
-
-def test_exchange_requires_adjacent_labels():
-    with pytest.raises(ProofViolation):
-        Exchange("rho", 11, 985, 988 - 6)
 
 
 def test_lambda1_sum_deltas(main_stage):

@@ -195,12 +195,14 @@ def test_stage_properties_catch_i3_two_label_interval():
     ("degen_i3", 19, None, 2, ("top sums out of order: r=1680 u1=0 u2=1176",)),
     ("degen_i3", 19, None, 3, (
         "sum(u3) = 9 within 4 of sum(u2) = 0 or min H sum 563",)),
-    # The triple is a P3 on labels 1, 2; 1 <-> 17 gives H vertices 8
-    # and 11 one sum.
+    # The triple is a P3 on labels 1, 2 with centre u1 = 2, labelled by
+    # the i = 1 constructor and checked against its bounds; 1 <-> 17
+    # lifts u3 above u2 and gives H vertices 8 and 11 one sum.
     ("disc_triple", 21, (1, 17), None, (
+        "u sums not increasing: 17, 2, 19",
         "H spacing 0 < 1",
-        "DISC_TRIPLE_COMPONENT stage 1 is not antimagic: vertices 8 and "
-        "11 share sum 1082")),
+        "DEGEN_I1 stage 1 is not antimagic: vertices 8 and 11 share sum "
+        "1082")),
 ])
 def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
                                                  failures):
@@ -322,7 +324,7 @@ def _naive_stage_properties(stage, d):
         top = sums[d.r] - gaps["root_margin"]
         failures.append(
             f"root sum {sums[d.r]} not the unique maximum (top other {top})")
-    if regime in (Regime.DEGEN_I1, Regime.DISC_TRIPLE_COMPONENT):
+    if regime == Regime.DEGEN_I1:
         conflicts = sorted((sums[a], a, b) for a in range(1, g.n + 1)
                            for b in range(a + 1, g.n + 1)
                            if sums[a] == sums[b])
@@ -426,7 +428,6 @@ def _count_sums_passes(monkeypatch) -> list:
     binding of ``recompute_sums``."""
     import antimagic.construction as construction
     import antimagic.oracle as oracle
-    import antimagic.pipeline as pipeline
     import antimagic.verification as verification
     calls = []
     original = verification.recompute_sums
@@ -435,7 +436,7 @@ def _count_sums_passes(monkeypatch) -> list:
         calls.append(l)
         return original(g, l)
 
-    for module in (verification, construction, oracle, pipeline):
+    for module in (verification, construction, oracle):
         monkeypatch.setattr(module, "recompute_sums", counting)
     return calls
 
@@ -462,7 +463,8 @@ def test_label_sums_passes_without_a_stage(monkeypatch):
     # The universal-vertex construction: its partial sums and its own
     # antimagic check.  The fallback search: its start, which reads the
     # shuffled label list it then searches in place, and its final
-    # check, which reads the result.
+    # check, which reads the result.  The trace reads the final check's
+    # sums instead of a new pass.
     from antimagic import label
     calls = _count_sums_passes(monkeypatch)
     n = 9
@@ -478,6 +480,11 @@ def test_label_sums_passes_without_a_stage(monkeypatch):
     start, final = calls
     assert isinstance(start, list) and start == out.labelling.label_of
     assert final is out.labelling
+    doc = outcome_trace(out)
+    assert len(calls) == 2
+    assert doc["final"]["u_sums"] == [
+        _naive_sums(out.labelling.graph, out.labelling.label_of)[u]
+        for u in out.decomposition.u]
 
 
 def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
