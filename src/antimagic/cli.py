@@ -8,7 +8,8 @@ then print the run's trace: the regime, the status and, where the graph
 has one, the decomposition and the gap margins of the final sums).
 
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
-error, or an output file or directory that cannot be written; 3
+error (a negative ``--count`` or an ``--n-min`` above ``--n-max``
+among them), or an output file or directory that cannot be written; 3
 hypothesis unmet with no fallback success, or n > 2m + 1 in a graph
 header (two isolated vertices); 4 proof violation.  The default seed
 comes from ANTIMAGIC_SEED when set; a value that is not an integer is
@@ -85,21 +86,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _targets(regimes: str) -> list[str]:
-    """A ``--regimes`` list's targets; an unknown one is a parse error."""
-    targets = regimes.split(",")
+def _schedule(args, n_lo: int, n_hi: int):
+    """The ``--regimes`` targets and the corpus schedule the arguments
+    ask for.  An unknown regime, a negative ``--count`` and an n range
+    whose low end is above its high end are parse errors."""
+    targets = args.regimes.split(",")
     for t in targets:
         if t not in TARGETS:
             raise ParseError(f"unknown regime {t!r}; choose from "
                              + ",".join(sorted(TARGETS)))
-    return targets
+    if args.count < 0:
+        raise ParseError(f"--count {args.count} is negative")
+    if n_lo > n_hi:
+        raise ParseError(f"--n-min {n_lo} is above --n-max {n_hi}")
+    return targets, corpus_schedule(args.count, (n_lo, n_hi), targets,
+                                    args.seed)
 
 
 def cmd_generate(args) -> int:
-    targets = _targets(args.regimes)
     # The whole schedule first: an infeasible regime raises before a write.
-    schedule = list(corpus_schedule(args.count, (args.n, args.n), targets,
-                                    args.seed))
+    schedule = list(_schedule(args, args.n, args.n)[1])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -112,13 +118,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_stress(args) -> int:
-    targets = _targets(args.regimes)
+    targets, schedule = _schedule(args, args.n_min, args.n_max)
     stats = collections.Counter()
     exchange_hist = collections.Counter()
     cases = collections.Counter()
     failures = []
-    for t, n, seed in corpus_schedule(args.count, (args.n_min, args.n_max),
-                                      targets, args.seed):
+    for t, n, seed in schedule:
         g = gen_instance(n, t, seed=seed)
         outcome = label(g, seed=seed)
         ok = verify_antimagic(g, outcome.labelling).ok

@@ -50,24 +50,6 @@ class EdgeColouring:
         return [len(c) for c in self.classes]
 
 
-def properness_violations(g: Graph, classes) -> list[tuple[int, int, int]]:
-    """All (class, edge, edge) pairs sharing an endpoint; empty iff proper.
-
-    Deliberately a dumb pairwise scan so it stays independent of the
-    colouring algorithms it checks.
-    """
-    bad = []
-    for ci, cls in enumerate(classes):
-        cls = list(cls)
-        for i in range(len(cls)):
-            a1, b1 = g.edges[cls[i]]
-            for j in range(i + 1, len(cls)):
-                a2, b2 = g.edges[cls[j]]
-                if {a1, b1} & {a2, b2}:
-                    bad.append((ci, cls[i], cls[j]))
-    return bad
-
-
 def _check_bipartite(g: Graph, edge_ids) -> None:
     side: dict[int, int] = {}
     adj: dict[int, list[int]] = {}

@@ -1,11 +1,13 @@
 """Stage-1 labellings for every regime.
 
-Each constructor produces a complete labelling plus the bookkeeping the
-conflict-resolution stage needs (reserved intervals and the map from
-label offsets to the H-endpoints of u-edges).  Every regime follows one
-skeleton: ``_begin`` checks the hypotheses and labels the triple edges,
-the constructor places its reserved labels, ``_fill_rest_and_root``
-gives out the small and the root labels, and ``_finish`` has
+Each constructor produces a complete labelling, its regime and the
+vertex sums its check recomputed.  The constructors place the reserved
+labels by the paper's formulas; the check and the resolver read where
+they sit from ``graph.STEP``, so a constructor that strays from that
+layout fails its check.  Every regime follows one skeleton: ``_begin``
+checks the hypotheses and labels the triple edges, the constructor
+places its reserved labels, ``_fill_rest_and_root`` gives out the
+small and the root labels, and ``_finish`` has
 ``verification.verify_stage_properties`` check every property the
 underlying proof guarantees at this stage; a failure raises
 ProofViolation with a reproducer.  The constructors themselves check no
@@ -14,7 +16,7 @@ vertex sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse, islice
 
 from .colouring import (
@@ -37,19 +39,14 @@ from .verification import recompute_sums
 
 @dataclass(frozen=True)
 class StageOneResult:
-    """A completed stage-1 labelling with its resolution bookkeeping.
+    """A completed stage-1 labelling and its regime.
 
-    ``y_map[i]`` is the H-endpoint of the u-edge labelled m - i.
-    ``intervals`` lists the reserved label blocks subject to the
-    one-label-per-vertex discipline (empty for regimes without one).
     ``sums`` are the vertex sums the stage-property check recomputed
     from the raw labels; None for a stage that did not pass ``_finish``.
     """
 
     labelling: Labelling
     regime: Regime
-    intervals: tuple[tuple[int, ...], ...]
-    y_map: dict[int, int]
     sums: list[int] | None = field(default=None, repr=False)
 
 
@@ -135,25 +132,17 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
 
 
 def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
-            regime: Regime, intervals=()) -> StageOneResult:
-    """Close every stage 1: build the resolution bookkeeping, check from
-    the raw labels the bijection and every stage property, and carry the
-    sums that check recomputed."""
+            regime: Regime) -> StageOneResult:
+    """Close every stage 1: check from the raw labels the bijection and
+    every stage property, and carry the sums that check recomputed."""
     # Imported here so the span wrappers on these bindings see the calls.
     from .verification import verify_bijection, verify_stage_properties
-    # No u is adjacent to r, so the u's edges that leave the triple are
-    # the u-edges into H.
-    m, label_of = g.m, lab.label_of
-    y_map = {m - label_of[e]: w for u in d.u for e in g.incident[u]
-             if (w := g.other_end(e, u)) not in d.u}
-    _check(set(y_map.values()) <= set(d.h_vertices), "Y is not inside H", g)
-    stage = StageOneResult(lab, regime, intervals, y_map)
     rep = verify_bijection(g, lab)
     _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
-    props = verify_stage_properties(stage, d)
+    props = verify_stage_properties(StageOneResult(lab, regime), d)
     _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
            g, gaps=props.gaps)
-    return replace(stage, sums=props.sums)
+    return StageOneResult(lab, regime, props.sums)
 
 
 def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
@@ -222,9 +211,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
             lab.assign(e, base - k)
 
     _fill_rest_and_root(g, lab, d.r, [m - 4 * k for k in range(n - 4)])
-    intervals = tuple(
-        tuple(m - 4 * (j - 1) - k for k in (1, 2, 3)) for j in range(1, n - 4))
-    return _finish(g, d, lab, Regime.MAIN, intervals)
+    return _finish(g, d, lab, Regime.MAIN)
 
 
 def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
@@ -259,8 +246,7 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for (_, e), lbl in zip(_h_edges(g, d, u1), u1_labels):
         lab.assign(e, lbl)
 
-    r_labels = [m - (2 * k + 1) for k in range(n - 5)] + [m - 2 * (n - 5) - 1]
-    _fill_rest_and_root(g, lab, d.r, r_labels)
+    _fill_rest_and_root(g, lab, d.r, [m - 2 * k - 1 for k in range(n - 4)])
     return _finish(g, d, lab, Regime.DEGEN_I2)
 
 
@@ -325,8 +311,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                 lab.assign(cls[1], m - 2 - 3 * k)
 
     _fill_rest_and_root(g, lab, d.r, [m - 3 * k for k in range(n - 4)])
-    intervals = tuple((m - 3 * k - 1, m - 3 * k - 2) for k in range(n - 5))
-    return _finish(g, d, lab, Regime.DEGEN_I3, intervals)
+    return _finish(g, d, lab, Regime.DEGEN_I3)
 
 
 def label_disconnected(g: Graph, d: InstanceDecomposition) -> StageOneResult:

@@ -110,16 +110,19 @@ def _any_split(target: str, n: int, bounds) -> bool:
     return False
 
 
-def min_feasible_n(regime, n_limit: int = 64) -> int:
+_N_LIMIT = 64  # min_feasible_n's search bound; every target is feasible by 21
+
+
+def min_feasible_n(regime) -> int:
     """Smallest vertex count at which the regime has any instance."""
     target = _as_target(regime)
-    for n in range(16, n_limit + 1):
+    for n in range(16, _N_LIMIT + 1):
         bounds = _dprime_bounds(target, n)
         if bounds[0][1] < bounds[0][0] and bounds[0][0] > 0:
             continue
         if _any_split(target, n, bounds):
             return n
-    raise InfeasibleRegime(f"{target} infeasible up to n = {n_limit}")
+    raise InfeasibleRegime(f"{target} infeasible up to n = {_N_LIMIT}")
 
 
 def gen_instance(n: int, regime, seed: int, *,

@@ -119,6 +119,16 @@ class Regime(enum.Enum):
     UNSUPPORTED = "UNSUPPORTED"
 
 
+# Stage 1 gives out the top labels in blocks k = 0 .. n - 5; block k
+# opens at m - STEP * k.  In MAIN, i = 1 and i = 3 the root takes that
+# label, and in MAIN and i = 3 blocks 0 .. n - 6 hold an interval of the
+# STEP - 1 labels under it.  In i = 2 the root label sits one below the
+# opener, which u1 holds while its edges last.  STEP is also the H
+# spacing stage 1 promises.
+STEP = {Regime.MAIN: 4, Regime.DEGEN_I1: 1, Regime.DEGEN_I2: 2,
+        Regime.DEGEN_I3: 3}
+
+
 @dataclass(frozen=True)
 class InstanceDecomposition:
     """Identification of r, the u-triple, H and the edge split.

@@ -83,10 +83,5 @@ class Labelling:
         lab.assigned = self.assigned
         return lab
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Labelling)
-                and other.graph is self.graph
-                and other.label_of == self.label_of)
-
     def __repr__(self) -> str:
         return f"Labelling({self.assigned}/{self.graph.m} assigned)"

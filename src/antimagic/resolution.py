@@ -15,22 +15,24 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import ProofGapWarning, ProofViolation
-from .graph import InstanceDecomposition, Regime
+from .graph import STEP, InstanceDecomposition, Regime
 from .labelling import Labelling
 from .verification import antimagic_from_sums, verify_antimagic
 
 # The exchange table: per regime, each family's offsets, in the order
-# plans and the safety net try them.  In the i=3 regime the root labels
-# step by 3.  The published i=3 table's last rho row reads m-15 <-> m-12;
-# the family pattern forces m-11 <-> m-12, which is what we implement.
-FAMILIES = {
-    Regime.MAIN: {"lambda": (1, 5, 9, 13), "gamma": (2, 6, 10, 14),
-                  "mu": (0, 4, 8, 12), "rho": (3, 7, 11, 15)},
-    Regime.DEGEN_I3: {"lambda": (1, 4, 7, 10), "mu": (0, 3, 6, 9),
-                      "rho": (2, 5, 8, 11)},
-}
+# plans and the safety net try them.  A family swaps the labels at one
+# position in each of the first four blocks of ``STEP``: position p of
+# block k is offset p + STEP * k.  The published i=3 table's last rho
+# row reads m-15 <-> m-12; the family pattern forces m-11 <-> m-12,
+# which is what we implement.
+_POSITIONS = {Regime.MAIN: {"lambda": 1, "gamma": 2, "mu": 0, "rho": 3},
+              Regime.DEGEN_I3: {"lambda": 1, "mu": 0, "rho": 2}}
+FAMILIES = {regime: {family: tuple(p + STEP[regime] * k for k in range(4))
+                     for family, p in row.items()}
+            for regime, row in _POSITIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,16 @@ def find_conflicts(l: Labelling, d: InstanceDecomposition,
     return ConflictSet(tuple(pairs), ranks, rivals, sums)
 
 
+def y_end(l: Labelling, d: InstanceDecomposition, i: int) -> int | None:
+    """y(i): the H end of the u-edge labelled m - i, or None when that
+    edge is not a u-edge.  No u is adjacent to r, so a u-edge that
+    leaves the triple ends in H."""
+    a, b = l.graph.edges[l.edge_with[l.graph.m - i]]
+    if (a in d.u) == (b in d.u):
+        return None
+    return b if a in d.u else a
+
+
 def exchanges(regime: Regime) -> dict[str, dict[int, Exchange]]:
     """The regime's tabled exchanges: family -> offset -> the swap of
     m - offset and m - offset - 1, in table order."""
@@ -101,7 +113,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     if not c.pairs:
         return "none", []
     sums = c.sums
-    y = s.y_map
+    y = partial(y_end, s.labelling, d)
     u1, u2, u3 = d.u
     v1, v2, v3 = c.rivals[1], c.rivals[2], c.rivals[3]
     ex = exchanges(Regime.MAIN)
@@ -109,7 +121,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     ranks = set(c.u_ranks)
 
     if ranks == {1, 2, 3}:
-        ok = [i for i in lam if y[i] != v1 and y[i + 1] != v2]
+        ok = [i for i in lam if y(i) != v1 and y(i + 1) != v2]
         if len(ok) < 2:
             raise ProofViolation(
                 f"case 1 admissible lambda count {len(ok)} < 2")
@@ -122,7 +134,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
         return "3", [[e] for e in gam.values()]
     if ranks == {1, 3}:
         if abs(sums[v2] - sums[u2]) >= 2:
-            ok = [i for i in lam if y[i] not in (v1, v2)]
+            ok = [i for i in lam if y(i) not in (v1, v2)]
             plans = [[lam[i]] for i in ok]
             plans += [[lam[i], rho[k]] for i in ok for k in rho]
             return "4a", plans
@@ -145,7 +157,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
         case = "7.3" if abs(d3) >= 2 else "7.4"
         return case, [[e] for e in gam.values()]
     # 7.5: sums[v1] = sums[u1] - 1 and sums[v3] = sums[u3] + 1.
-    pref = [j for j in mu if y.get(j + 1) == v3]
+    pref = [j for j in mu if y(j + 1) == v3]
     rest = [j for j in mu if j not in pref]
     order = pref + rest
     plans = [[mu[j]] for j in order]
@@ -158,7 +170,7 @@ def _degen_menu(regime: Regime, c: ConflictSet, n: int
                 ) -> tuple[str, list[list[Exchange]]]:
     if regime == Regime.DEGEN_I2:
         return "i2", [[Exchange("named", 0)],
-                      [Exchange("named", 2 * (n - 5) + 1)]]
+                      [Exchange("named", STEP[regime] * (n - 5) + 1)]]
     ranks = set(c.u_ranks)
     if regime != Regime.DEGEN_I3 or not ranks or 3 in ranks:
         raise ProofViolation(f"{regime.value} conflict ranks {sorted(ranks)} "

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import compress
 
-from .graph import Graph, InstanceDecomposition, Regime
+from .graph import STEP, Graph, InstanceDecomposition, Regime
 from .labelling import Labelling
 
 
@@ -139,6 +139,9 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     * Every regime but DEGEN_I2: the root sum is the unique maximum.
     * Regimes with reserved intervals (MAIN, DEGEN_I3): no vertex other
       than the root carries two labels of one interval.
+
+    The H spacing and the intervals come from ``STEP``: interval k holds
+    the STEP - 1 labels under m - STEP * k, for k = 0 .. n - 6.
     """
     g = stage.labelling.graph
     sums = recompute_sums(g, stage.labelling)
@@ -151,8 +154,7 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     gaps = margins(g, d, sums)
 
     regime = stage.regime
-    h_gap = {Regime.MAIN: 4, Regime.DEGEN_I1: 1, Regime.DEGEN_I2: 2,
-             Regime.DEGEN_I3: 3}[regime]
+    step = STEP[regime]
 
     if regime == Regime.MAIN:
         if gaps["u3_u2"] < 4:
@@ -189,28 +191,28 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
         failures.append(f"root sum {sums[r]} does not dominate H by 4 "
                         f"(max H sum {max_h})")
 
-    if gaps["h_min_gap"] < h_gap:
-        failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
+    if gaps["h_min_gap"] < step:
+        failures.append(f"H spacing {gaps['h_min_gap']} < {step}")
 
-    if stage.intervals:
-        # label -> the intervals holding it, then hits per (vertex,
-        # interval) over the edges that carry a reserved label.
-        owners: dict[int, list[int]] = {}
-        for i, labels in enumerate(stage.intervals):
-            for lbl in set(labels):
-                owners.setdefault(lbl, []).append(i)
+    if regime in (Regime.MAIN, Regime.DEGEN_I3):
+        # Hits per (vertex, interval k).  A C-level filter keeps the
+        # edges labelled above the last interval; of these, block
+        # openers (pos = 0) and labels above m (k < 0) are in none.
         label_of = stage.labelling.label_of
         hits: dict[tuple[int, int], int] = {}
         for eid in compress(range(len(label_of)),
-                            map(owners.__contains__, label_of)):
-            for i in owners[label_of[eid]]:
+                            map((m - step * (n - 5)).__lt__, label_of)):
+            k, pos = divmod(m - label_of[eid], step)
+            if pos and k >= 0:
                 for v in g.edges[eid]:
-                    if v != d.r:
-                        hits[v, i] = hits.get((v, i), 0) + 1
-        for (v, i), count in sorted(hits.items()):
+                    if v != r:
+                        hits[v, k] = hits.get((v, k), 0) + 1
+        for (v, k), count in sorted(hits.items()):
             if count > 1:
+                top = m - step * k
+                interval = tuple(range(top - 1, top - step, -1))
                 failures.append(f"vertex {v} carries {count} labels of "
-                                f"interval {stage.intervals[i]}")
+                                f"interval {interval}")
 
     if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
         top = sums[d.r] - gaps["root_margin"]

@@ -135,6 +135,23 @@ def test_generate_infeasible_later_regime_writes_nothing(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv,bad", [
+    (["generate", "--n", "20", "--count", "-2"], "--count -2"),
+    (["stress", "--count", "-1"], "--count -1"),
+    (["stress", "--n-min", "30", "--n-max", "20"], "--n-min 30"),
+], ids=["generate-count", "stress-count", "stress-range"])
+def test_negative_count_and_inverted_range_exit_2(argv, bad, tmp_path,
+                                                   capsys):
+    # A usage error: one line naming the bad value, nothing written.
+    out = tmp_path / "out"
+    if argv[0] == "generate":
+        argv = argv + ["--out-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert len(captured.err.splitlines()) == 1 and bad in captured.err
+
+
 def test_generate_writes_parseable_files(tmp_path, capsys):
     assert main(["generate", "--n", "20", "--count", "2",
                  "--regimes", "main,degen_i3", "--seed", "5",
@@ -508,12 +525,12 @@ def test_label_any_small_graph(graph):
        st.lists(st.sampled_from(sorted(TARGETS) + ["", "nope", "MAIN"]),
                 min_size=1, max_size=4))
 def test_generate_exit_codes(n, count, regimes):
-    # Unknown names are a parse error before anything else; a regime the
-    # schedule reaches below its smallest feasible n is exit 3.  Either
-    # way no file is written.
-    if any(t not in TARGETS for t in regimes):
+    # Unknown names and a negative count are parse errors before
+    # anything else; a regime the schedule reaches below its smallest
+    # feasible n is exit 3.  Either way no file is written.
+    if any(t not in TARGETS for t in regimes) or count < 0:
         want = 2
-    elif any(min_feasible_n(t) > n for t in regimes[:max(count, 0)]):
+    elif any(min_feasible_n(t) > n for t in regimes[:count]):
         want = 3
     else:
         want = 0
@@ -523,7 +540,7 @@ def test_generate_exit_codes(n, count, regimes):
                             "--regimes", ",".join(regimes),
                             "--out-dir", str(out)]) == want
         files = list(out.iterdir()) if out.exists() else []
-        assert len(files) == (0 if want else max(count, 0))
+        assert len(files) == (0 if want else count)
     # stress reads --regimes the same way, and prints one row per target.
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \

@@ -24,7 +24,6 @@ from antimagic.colouring import (
     _ColourClass,
     _donor_path,
     pad_classes,
-    properness_violations,
 )
 from antimagic.errors import (
     AntimagicError,
@@ -210,12 +209,6 @@ def test_order_classes_on_main_instance_u1_front():
     out = order_classes_for_vertex(col, u1, a1)
     for i in range(a1):
         assert any(u1 in g.edges[e] for e in out.classes[i])
-
-
-def test_properness_violations_detects_shared_endpoint():
-    g = build_graph(3, [(1, 2), (2, 3)])
-    assert properness_violations(g, ((0, 1),))
-    assert not properness_violations(g, ((0,), (1,)))
 
 
 def _stage1_colourings(monkeypatch, n, target, seed):

@@ -24,7 +24,8 @@ from antimagic.errors import (
     NotUniversalVertex,
     ProofViolation,
 )
-from antimagic.graph import degenerate_index
+from antimagic.graph import STEP, degenerate_index
+from antimagic.resolution import y_end
 from antimagic.verification import recompute_sums
 from conftest import random_universal_graph
 
@@ -106,31 +107,38 @@ def test_triple_edges_single_pair():
 
 # -- main regime -----------------------------------------------------------
 
-@pytest.fixture(scope="module", params=[("main", 19, 21), ("main", 24, 31),
-                                        ("main_triple", 20, 41),
-                                        ("main_triple", 26, 55)])
+MAIN_STAGES = [("main", 19, 21), ("main", 24, 31), ("main_triple", 20, 41),
+               ("main_triple", 26, 55)]
+CONSTRUCTORS = {"main": label_main, "main_triple": label_main,
+                "degen_i1": label_case_i1, "degen_i2": label_case_i2,
+                "degen_i3": label_case_i3}
+
+
+@pytest.fixture(scope="module", params=MAIN_STAGES)
 def main_stage(request):
     target, n, seed = request.param
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
-    return g, d, label_main(g, d)
+    return g, d, CONSTRUCTORS[target](g, d)
 
 
+@pytest.mark.parametrize("main_stage", MAIN_STAGES + [
+    ("degen_i1", 20, 1), ("degen_i2", 20, 1), ("degen_i3", 19, 1)],
+    indirect=True)
 def test_main_is_bijection_with_reserved_block(main_stage):
     g, d, stage = main_stage
     lab = stage.labelling
-    n, m = g.n, g.m
+    n, m, step = g.n, g.m, STEP[stage.regime]
     assert sorted(lab.label_of) == list(range(1, m + 1))
-    # The top 4(n-5)+1 labels split exactly into root labels and the
-    # three-label intervals.
-    for k in range(n - 4):
-        assert d.r in g.edges[lab.edge_with[m - 4 * k]]
-    for labels in stage.intervals:
-        for lbl in labels:
-            assert d.r not in g.edges[lab.edge_with[lbl]]
-    covered = {m - 4 * k for k in range(n - 4)}
-    covered.update(lbl for labels in stage.intervals for lbl in labels)
-    assert covered == set(range(m - 4 * (n - 5), m + 1))
+    # The root labels open the blocks k = 0 .. n - 5 (in i = 2 they sit
+    # one below), and no interval label sits on a root edge.
+    shift = 1 if stage.regime == Regime.DEGEN_I2 else 0
+    assert sorted(lab.label_of[e] for e in g.incident[d.r]) == [
+        m - step * k - shift for k in range(n - 5, -1, -1)]
+    if stage.regime in (Regime.MAIN, Regime.DEGEN_I3):
+        for lbl in range(m - step * (n - 5) + 1, m):
+            if (m - lbl) % step:
+                assert d.r not in g.edges[lab.edge_with[lbl]]
 
 
 def test_main_stage_properties(main_stage):
@@ -168,10 +176,11 @@ def test_main_h_sums_spaced_by_four(main_stage):
 def test_main_offset_maps(main_stage):
     g, d, stage = main_stage
     # The y vertices lie in H, and those of one interval are distinct.
-    assert set(stage.y_map.values()) <= set(d.h_vertices)
+    lab = stage.labelling
+    assert {y_end(lab, d, i) for i in range(g.m)} - {None} <= d.h_set
     for j in range(1, d.d_prime[2] + 1):
-        ys = [stage.y_map[4 * (j - 1) + k] for k in (1, 2, 3)]
-        assert len(set(ys)) == 3
+        ys = {y_end(lab, d, 4 * (j - 1) + k) for k in (1, 2, 3)}
+        assert len(ys) == 3 and None not in ys
 
 
 # Each constructor with a generator target outside its regime.

@@ -22,6 +22,7 @@ from antimagic.resolution import (
     FAMILIES,
     ConflictSet,
     exchanges,
+    y_end,
 )
 from antimagic.verification import recompute_sums, verify_stage_properties
 
@@ -61,8 +62,7 @@ RESOLVED = ([(t, n, s, case, None) for t, n, s, case in CONFLICTED]
 
 def _recorded_stage(g, rec) -> StageOneResult:
     return StageOneResult(
-        Labelling.from_labels(g, rec["labels"]), Regime(rec["regime"]),
-        tuple(map(tuple, rec["intervals"])), dict(rec["y_map"]))
+        Labelling.from_labels(g, rec["labels"]), Regime(rec["regime"]))
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ def test_lambda1_sum_deltas(main_stage):
     out.swap_labels(m - 1, m - 2)
     after = recompute_sums(g, out)
     u1, u2, _ = d.u
-    y1, y2 = stage.y_map[1], stage.y_map[2]
+    y1, y2 = y_end(stage.labelling, d, 1), y_end(stage.labelling, d, 2)
     assert after[u1] == before[u1] - 1
     assert after[u2] == before[u2] + 1
     assert after[y1] == before[y1] - 1
@@ -118,7 +118,7 @@ def test_mu0_sum_deltas(main_stage):
     out.swap_labels(m, m - 1)
     after = recompute_sums(g, out)
     u1 = d.u[0]
-    y1 = stage.y_map[1]
+    y1 = y_end(stage.labelling, d, 1)
     w0 = g.other_end(stage.labelling.edge_with[m], d.r)
     assert after[u1] == before[u1] + 1
     assert after[y1] == before[y1] + 1
@@ -134,7 +134,7 @@ def test_rho3_sum_deltas(main_stage):
     out.swap_labels(m - 3, m - 4)
     after = recompute_sums(g, out)
     u3 = d.u[2]
-    y3 = stage.y_map[3]
+    y3 = y_end(stage.labelling, d, 3)
     w4 = g.other_end(stage.labelling.edge_with[m - 4], d.r)
     assert after[u3] == before[u3] - 1
     assert after[y3] == before[y3] - 1
@@ -211,7 +211,8 @@ def test_candidate_plans_case2_is_four_lambda_singles(main_stage):
 def test_candidate_plans_case1_filters_and_pairs(main_stage):
     g, d, stage = main_stage
     # Make lambda_1 inadmissible by naming y_1 as u1's rival.
-    rivals = {1: stage.y_map[1], 2: d.h_vertices[0], 3: d.h_vertices[1]}
+    rivals = {1: y_end(stage.labelling, d, 1), 2: d.h_vertices[0],
+              3: d.h_vertices[1]}
     if rivals[2] == rivals[1]:
         rivals[2] = d.h_vertices[2]
     case, plans = candidate_plans(
@@ -288,8 +289,7 @@ def test_resolve_rejects_illegal_conflict_shape(main_stage):
     # can never produce; the shape assertion must fire.
     scrambled = Labelling.from_labels(
         g, list(range(g.m, 0, -1)))
-    fake = StageOneResult(scrambled, Regime.MAIN, stage.intervals,
-                          stage.y_map)
+    fake = StageOneResult(scrambled, Regime.MAIN)
     if find_conflicts(scrambled, d).pairs:
         with pytest.raises(ProofViolation):
             resolve(fake, d)

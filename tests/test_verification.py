@@ -119,8 +119,7 @@ def test_stage_properties_pass_then_fail_after_mutation():
     # discipline check must catch.
     tampered = stage.labelling.copy()
     tampered.swap_labels(g.m - 1, g.m - 14)
-    bad = StageOneResult(tampered, stage.regime, stage.intervals,
-                         stage.y_map)
+    bad = StageOneResult(tampered, stage.regime)
     rep = verify_stage_properties(bad, d)
     assert not rep.ok
     assert g.m == 142 and d.u == (2, 3, 4)
@@ -133,28 +132,26 @@ def test_stage_properties_pass_then_fail_after_mutation():
 
 def test_stage_properties_report_in_vertex_then_interval_order():
     # u1 gets two labels in each of the first and fourth intervals and
-    # u2 in the second and fifth.  The intervals are handed over
-    # reversed, so each vertex's failures follow the stage's interval
-    # order, not label order; the root may carry any number of labels of
-    # the extra root-label interval.
+    # u2 in the second and fifth.  Failures come by vertex, then by
+    # interval; interval by interval they would alternate 2, 3, 2, 3.
+    # Two labels of the third interval move onto root edges: the root
+    # may carry any number of labels of one interval.
     g = gen_instance(20, "main", seed=5)
     d = decompose(g)
     stage = label_main(g, d)
     m = g.m
     tampered = stage.labelling.copy()
-    tampered.swap_labels(m - 5, m - 2)
-    tampered.swap_labels(m - 17, m - 14)
-    intervals = tuple(reversed(stage.intervals)) + ((m, m - 4, m - 8),)
-    bad = StageOneResult(tampered, stage.regime, intervals,
-                         stage.y_map)
-    rep = verify_stage_properties(bad, d)
+    for x, y in ((5, 2), (17, 14), (9, 8), (10, 12)):
+        tampered.swap_labels(m - x, m - y)
+    assert {tampered.label_of[e] for e in g.incident[d.r]} >= {m - 9, m - 10}
+    rep = verify_stage_properties(StageOneResult(tampered, stage.regime), d)
     assert d.r == 1 and d.u == (2, 3, 4)
     assert rep.failures == (
         "H spacing 2 < 4",
-        "vertex 2 carries 2 labels of interval (129, 128, 127)",
         "vertex 2 carries 2 labels of interval (141, 140, 139)",
-        "vertex 3 carries 2 labels of interval (125, 124, 123)",
+        "vertex 2 carries 2 labels of interval (129, 128, 127)",
         "vertex 3 carries 2 labels of interval (137, 136, 135)",
+        "vertex 3 carries 2 labels of interval (125, 124, 123)",
     )
 
 
@@ -168,8 +165,7 @@ def test_stage_properties_catch_i3_two_label_interval():
     assert verify_stage_properties(stage, d).ok
     tampered = stage.labelling.copy()
     tampered.swap_labels(g.m - 2, g.m - 4)
-    bad = StageOneResult(tampered, stage.regime, stage.intervals,
-                         stage.y_map)
+    bad = StageOneResult(tampered, stage.regime)
     rep = verify_stage_properties(bad, d)
     assert g.m == 133 and d.u == (2, 3, 4)
     assert rep.failures == (
@@ -220,8 +216,7 @@ def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
     if zero is not None:
         for e in g.incident[zero]:
             labels[e] = 0
-    bad = StageOneResult(_raw(g, labels), stage.regime, stage.intervals,
-                         stage.y_map)
+    bad = StageOneResult(_raw(g, labels), stage.regime)
     assert verify_stage_properties(bad, d).failures == failures
 
 
@@ -309,9 +304,17 @@ def _naive_stage_properties(stage, d):
                             f"(max H sum {max(h)})")
     if gaps["h_min_gap"] < h_gap:
         failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
+    # The reserved intervals as the constructors lay them out.
+    if regime == Regime.MAIN:
+        intervals = [(m - 4 * j - 1, m - 4 * j - 2, m - 4 * j - 3)
+                     for j in range(n - 5)]
+    elif regime == Regime.DEGEN_I3:
+        intervals = [(m - 3 * j - 1, m - 3 * j - 2) for j in range(n - 5)]
+    else:
+        intervals = []
     hits = {}
     for eid, lbl in enumerate(labels):
-        for i, block in enumerate(stage.intervals):
+        for i, block in enumerate(intervals):
             if lbl in block:
                 for v in g.edges[eid]:
                     if v != d.r:
@@ -319,7 +322,7 @@ def _naive_stage_properties(stage, d):
     for (v, i), count in sorted(hits.items()):
         if count > 1:
             failures.append(f"vertex {v} carries {count} labels of "
-                            f"interval {stage.intervals[i]}")
+                            f"interval {intervals[i]}")
     if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
         top = sums[d.r] - gaps["root_margin"]
         failures.append(
@@ -406,8 +409,7 @@ def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
             if edges:
                 i, j = rng.choice(edges), rng.randrange(g.m)
                 labels[i], labels[j] = labels[j], labels[i]
-    probe = StageOneResult(_raw(g, labels), stage.regime, stage.intervals,
-                           stage.y_map)
+    probe = StageOneResult(_raw(g, labels), stage.regime)
     rep = verify_stage_properties(probe, d)
     failures, gaps = _naive_stage_properties(probe, d)
     assert rep.failures == failures
@@ -510,8 +512,7 @@ def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
 def test_find_conflicts_recomputes_without_carried_sums(monkeypatch):
     from antimagic import find_conflicts, resolve
     g, d, stage = _stage("main", 1)
-    bare = StageOneResult(stage.labelling, stage.regime, stage.intervals,
-                          stage.y_map)
+    bare = StageOneResult(stage.labelling, stage.regime)
     assert bare.sums is None and stage.sums is not None
     calls = _count_sums_passes(monkeypatch)
     assert find_conflicts(bare.labelling, d).sums == stage.sums
