@@ -86,26 +86,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _schedule(args, n_lo: int, n_hi: int):
+def _schedule(args, n_lo: int, n_hi: int, n_flags: str):
     """The ``--regimes`` targets and the corpus schedule the arguments
-    ask for.  An unknown regime, a negative ``--count`` and an n range
-    whose low end is above its high end are parse errors."""
+    ask for.  An unknown regime, and anything ``corpus_schedule``
+    refuses (a negative ``--count``, an inverted n range), is a parse
+    error; ``n_flags`` names the n options as the command spells them."""
     targets = args.regimes.split(",")
     for t in targets:
         if t not in TARGETS:
             raise ParseError(f"unknown regime {t!r}; choose from "
                              + ",".join(sorted(TARGETS)))
-    if args.count < 0:
-        raise ParseError(f"--count {args.count} is negative")
-    if n_lo > n_hi:
-        raise ParseError(f"--n-min {n_lo} is above --n-max {n_hi}")
-    return targets, corpus_schedule(args.count, (n_lo, n_hi), targets,
-                                    args.seed)
+    try:
+        schedule = corpus_schedule(args.count, (n_lo, n_hi), targets,
+                                   args.seed)
+    except ValueError as exc:
+        raise ParseError(f"--count {args.count} {n_flags}: {exc}") from exc
+    return targets, schedule
 
 
 def cmd_generate(args) -> int:
     # The whole schedule first: an infeasible regime raises before a write.
-    schedule = list(_schedule(args, args.n, args.n)[1])
+    schedule = list(_schedule(args, args.n, args.n, f"--n {args.n}")[1])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -118,7 +119,9 @@ def cmd_generate(args) -> int:
 
 
 def cmd_stress(args) -> int:
-    targets, schedule = _schedule(args, args.n_min, args.n_max)
+    targets, schedule = _schedule(
+        args, args.n_min, args.n_max,
+        f"--n-min {args.n_min} --n-max {args.n_max}")
     stats = collections.Counter()
     exchange_hist = collections.Counter()
     cases = collections.Counter()

@@ -7,12 +7,23 @@ blank lines are ignored in both.  The emitters' layout (ASCII digits,
 single spaces, ``\n`` endings, nothing else, labelling lines in edge-id
 order) is decoded in bulk; other layouts and every fault go through a
 line walk, which names the first fault by its line.
+
+A bulk decode is one ``json.loads`` call.  Once a layout regex has
+matched the whole text, every field is a run of ASCII digits and every
+separator is one space, one newline or (in a graph) the newline and
+``e `` before an edge.  Turning those separators into commas thus makes
+the text a JSON array of non-negative integers, which the C decoder
+reads in one pass.  What it refuses (a leading zero, a field past
+``int()``'s digit limit) goes to the line walk, as does a count that
+disagrees with the header or the graph.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from contextlib import suppress
+from itertools import chain
 
 from .errors import NotAntimagicShape, ParseError
 from .graph import Graph, build_graph
@@ -34,11 +45,14 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 def parse_graph(text: str) -> Graph:
     pairs = None
     if _GRAPH_LAYOUT.fullmatch(text):
-        tok = text.split()
-        with suppress(ValueError):  # a field past int()'s digit limit
-            n, m = int(tok[1]), int(tok[2])
-            if len(tok) == 3 * m + 3 and n <= 2 * m + 1:
-                pairs = list(zip(map(int, tok[4::3]), map(int, tok[5::3])))
+        # "p n m\ne u v\n..." -> "[n,m,u,v,...]"
+        with suppress(ValueError):  # a leading zero or a huge field
+            nums = json.loads(
+                "[" + text[2:-1].replace("\ne ", ",").replace(" ", ",") + "]")
+            it = iter(nums)
+            n, m = next(it), next(it)
+            if len(nums) == 2 * m + 2 and n <= 2 * m + 1:
+                pairs = list(zip(it, it))
     if pairs is None:
         n, pairs = _walk_graph(text)
     try:
@@ -91,11 +105,13 @@ def parse_labelling(text: str, g: Graph) -> list[int]:
     ``label_of``; no label -> edge inverse is built."""
     labels = None
     if _LABELLING_LAYOUT.fullmatch(text):
-        tok = text.split()
-        with suppress(ValueError):  # a field past int()'s digit limit
-            us, vs, bulk = (list(map(int, tok[k::3])) for k in range(3))
-            if tuple(zip(us, vs)) == g.edges:
-                labels = bulk
+        # "u v l\nu v l\n" -> "[u,v,l,u,v,l]"
+        with suppress(ValueError):  # a leading zero or a huge field
+            nums = json.loads(
+                "[" + text[:-1].replace("\n", ",").replace(" ", ",") + "]")
+            ends = list(chain.from_iterable(g.edges))
+            if nums[0::3] == ends[0::2] and nums[1::3] == ends[1::2]:
+                labels = nums[2::3]
     if labels is None:  # another line order, reversed pairs, or a fault
         labels = _walk_labelling(text, g)
     # Bad labels (duplicates, out of range) are kept for the verifier to

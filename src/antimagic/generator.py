@@ -257,13 +257,25 @@ def _key(x: int, y: int) -> tuple[int, int]:
 
 
 def corpus_schedule(count: int, n_range: tuple[int, int], regimes, seed: int):
-    """Yield (target, n, seed) for each corpus instance, in order.
+    """An iterator of (target, n, seed) for each corpus instance, in order.
 
     Round robin through the regimes; each regime cycles n through the
     feasible part of the range, and instance idx gets seed + idx.  A
-    regime is checked only when the schedule first reaches it."""
+    negative count, an inverted n range or an empty regime list raises
+    ValueError here, at the call; a regime is checked only when the
+    schedule first reaches it."""
     targets = list(regimes)
     n_lo, n_hi = n_range
+    if count < 0:
+        raise ValueError(f"count {count} is negative")
+    if n_lo > n_hi:
+        raise ValueError(f"n range {n_lo}..{n_hi} is inverted")
+    if count and not targets:
+        raise ValueError(f"count {count} needs at least one regime")
+    return _schedule(count, n_lo, n_hi, targets, seed)
+
+
+def _schedule(count: int, n_lo: int, n_hi: int, targets: list, seed: int):
     lows: dict[str, int] = {}
     for idx in range(count):
         t = _as_target(targets[idx % len(targets)])

@@ -8,11 +8,15 @@ labels, or the same exception class with the same message.
 
 from __future__ import annotations
 
+from contextlib import suppress
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from antimagic import fileio
 from antimagic.errors import (
+    AntimagicError,
     DuplicateEdge,
     NotAntimagicShape,
     ParseError,
@@ -289,6 +293,7 @@ GRAPH_CASES = {
     "count_before_isolated": "p 9 3\ne 1 2\ne 2 3\n",
     "line_over": "p 3 2\ne 1 2\ne 2 3\ne 1 3\n",
     "leading_zeros": "p 3 02\ne 01 2\ne 2 3\n",
+    "one_edge": "p 2 1\ne 1 2\n",
 }
 
 LABELLING_CASES = {
@@ -303,6 +308,8 @@ LABELLING_CASES = {
     "bad_labels_left_to_verifier": "1 2 1\n2 3 1\n1 3 9\n",
     "huge_label": f"1 2 1\n2 3 2\n1 3 {_HUGE}\n",
     "unicode_digit": "1 2 1\n2 3 2\n1 3 \uff13\n",
+    "leading_zero": "1 2 1\n2 3 2\n1 3 03\n",
+    "two_fields": "1 2 1\n2 3\n1 3 3\n",
 }
 
 
@@ -316,3 +323,59 @@ def test_parse_graph_named_cases(text):
 def test_parse_labelling_named_cases(text):
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     _same(parse_labelling, ref_parse_labelling, text, g)
+
+
+@pytest.mark.parametrize("n,pairs,text", [
+    (1, [], ""),
+    (1, [], "1 2 1\n"),
+    (2, [(1, 2)], "1 2 1\n"),
+    (2, [(1, 2)], "2 1 1\n"),
+], ids=["edgeless_empty", "edgeless_line_over", "one_edge", "one_edge_reversed"])
+def test_parse_labelling_small_graphs(n, pairs, text):
+    g = build_graph(n, pairs)
+    _same(parse_labelling, ref_parse_labelling, text, g)
+
+
+# Per case: does the bulk decoder hand the text to the line walk?
+HAND_OFFS = {
+    "graph_canonical": ("graph", "p 3 2\ne 1 2\ne 2 3\n", False),
+    "graph_one_edge": ("graph", GRAPH_CASES["one_edge"], False),
+    "graph_k1": ("graph", GRAPH_CASES["k1"], False),
+    "graph_leading_zeros": ("graph", GRAPH_CASES["leading_zeros"], True),
+    "graph_huge_vertex_id": ("graph", GRAPH_CASES["huge_vertex_id"], True),
+    "graph_line_over": ("graph", GRAPH_CASES["line_over"], True),
+    "graph_two_isolated": ("graph", GRAPH_CASES["two_isolated"], True),
+    "graph_crlf": ("graph", GRAPH_CASES["crlf"], True),
+    "labelling_canonical": ("labelling", LABELLING_CASES["canonical"], False),
+    "labelling_bad_labels": (
+        "labelling", LABELLING_CASES["bad_labels_left_to_verifier"], False),
+    "labelling_leading_zero": (
+        "labelling", LABELLING_CASES["leading_zero"], True),
+    "labelling_huge_label": ("labelling", LABELLING_CASES["huge_label"], True),
+    "labelling_two_fields": ("labelling", LABELLING_CASES["two_fields"], True),
+    "labelling_reversed_pairs": (
+        "labelling", LABELLING_CASES["reversed_pairs"], True),
+    "labelling_line_short": ("labelling", LABELLING_CASES["line_short"], True),
+    "labelling_line_over": ("labelling", LABELLING_CASES["line_over"], True),
+    "labelling_edgeless_empty": ("edgeless", "", False),
+}
+
+
+@pytest.mark.parametrize("kind,text,walks", HAND_OFFS.values(),
+                         ids=HAND_OFFS)
+def test_bulk_decoders_hand_off(kind, text, walks, monkeypatch):
+    # Canonical files decode in bulk; a leading zero, a huge field, a
+    # count that disagrees or any other layout goes to the line walk.
+    walked = []
+    for name in ("_walk_graph", "_walk_labelling"):
+        real = getattr(fileio, name)
+        monkeypatch.setattr(fileio, name, lambda *a, real=real:
+                            walked.append(a) or real(*a))
+    triangle = build_graph(3, [(1, 2), (2, 3), (1, 3)])
+    with suppress(AntimagicError):
+        if kind == "graph":
+            parse_graph(text)
+        else:
+            parse_labelling(text, build_graph(1, []) if kind == "edgeless"
+                            else triangle)
+    assert bool(walked) == walks

@@ -11,7 +11,7 @@ from antimagic import (
     min_feasible_n,
 )
 from antimagic.errors import InfeasibleRegime
-from antimagic.generator import TARGETS
+from antimagic.generator import TARGETS, corpus_schedule
 
 ALL_TARGETS = sorted(TARGETS)
 
@@ -87,3 +87,43 @@ def test_corpus_round_robin_and_determinism():
     assert all(v == 10 for v in counts.values())
     again = gen_corpus(70, (16, 48), regimes, seed=1)
     assert [g.edges for g in again] == [g.edges for g in corpus]
+
+
+@pytest.mark.parametrize("build", [corpus_schedule, gen_corpus],
+                         ids=["corpus_schedule", "gen_corpus"])
+@pytest.mark.parametrize("count,n_range,regimes,bad", [
+    (-1, (19, 24), ["main"], "count -1"),
+    (3, (30, 20), ["main"], "30..20"),
+    (0, (30, 20), ["main"], "30..20"),
+    (2, (19, 24), [], "count 2"),
+], ids=["negative-count", "inverted-range", "inverted-range-empty",
+        "no-regimes"])
+def test_corpus_rejects_bad_arguments_at_the_call(build, count, n_range,
+                                                  regimes, bad):
+    # A ValueError naming the value, raised by the call itself, before
+    # a schedule is iterated or an instance generated.
+    with pytest.raises(ValueError, match=bad):
+        build(count, n_range, regimes, 1)
+
+
+def test_corpus_schedule_round_robin_and_n_cycle():
+    # Each target cycles n from its own feasible low end; instance idx
+    # gets seed + idx.
+    assert list(corpus_schedule(6, (19, 21), ["main", "degen_i1"], 7)) == [
+        ("main", 19, 7), ("degen_i1", 20, 8),
+        ("main", 20, 9), ("degen_i1", 21, 10),
+        ("main", 21, 11), ("degen_i1", 20, 12),
+    ]
+    assert list(corpus_schedule(0, (19, 19), ["main"], 1)) == []
+    assert gen_corpus(0, (19, 19), [], 1) == []
+
+
+def test_corpus_schedule_checks_a_regime_when_reached():
+    # disc_triple needs n >= 21: the schedule yields main's instance
+    # first and raises only when it reaches disc_triple.
+    schedule = corpus_schedule(2, (19, 20), ["main", "disc_triple"], 1)
+    assert next(schedule) == ("main", 19, 1)
+    with pytest.raises(InfeasibleRegime, match="disc_triple needs n >= 21"):
+        next(schedule)
+    with pytest.raises(InfeasibleRegime, match="unknown generation target"):
+        gen_corpus(1, (19, 24), ["nope"], 1)

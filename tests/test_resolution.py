@@ -283,13 +283,41 @@ def test_resolve_conflicted_instances(target, n, seed, case, recorded):
                    for v in range(1, g.n + 1) if v != d.r)
 
 
+def _h_only_conflict(g, d, labels):
+    """``labels`` with the labels of two H-H edges exchanged so that the
+    only equal sums are between H vertices: the first such exchange in
+    edge-id order.  Exchanging two H-H edges moves only H sums."""
+    sums = recompute_sums(g, Labelling.from_labels(g, labels))
+    hh = [eid for eid, (a, b) in enumerate(g.edges)
+          if a in d.h_set and b in d.h_set]
+    for i, e in enumerate(hh):
+        for f in hh[i + 1:]:
+            delta = labels[f] - labels[e]
+            new = list(sums)
+            for v in g.edges[e]:
+                new[v] += delta
+            for v in g.edges[f]:
+                new[v] -= delta
+            by_sum = {}
+            for v in range(1, g.n + 1):
+                by_sum.setdefault(new[v], []).append(v)
+            clashes = [vs for vs in by_sum.values() if len(vs) > 1]
+            if clashes and all(v in d.h_set for vs in clashes for v in vs):
+                out = list(labels)
+                out[e], out[f] = out[f], out[e]
+                return out
+    raise AssertionError("no exchange of two H-H labels meets two H sums")
+
+
 def test_resolve_rejects_illegal_conflict_shape(main_stage):
     g, d, stage = main_stage
-    # A scrambled bijection conflicts all over the graph, which stage 1
-    # can never produce; the shape assertion must fire.
-    scrambled = Labelling.from_labels(
-        g, list(range(g.m, 0, -1)))
-    fake = StageOneResult(scrambled, Regime.MAIN)
-    if find_conflicts(scrambled, d).pairs:
-        with pytest.raises(ProofViolation):
-            resolve(fake, d)
+    # Stage 1 never leaves two H vertices with equal sums; a stage that
+    # does must trip the shape guard before any plan is tried.
+    labels = _h_only_conflict(g, d, stage.labelling.label_of)
+    fake = StageOneResult(Labelling.from_labels(g, labels), Regime.MAIN)
+    pairs = find_conflicts(fake.labelling, d).pairs
+    assert pairs and all(a in d.h_set and b in d.h_set for a, b in pairs)
+    with pytest.raises(ProofViolation,
+                       match="outside the regime's possible set") as info:
+        resolve(fake, d)
+    assert info.value.reproducer
