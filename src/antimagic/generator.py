@@ -6,6 +6,17 @@ and loses a deletion set that both frees the capacity the u-edges need
 (every H vertex already spends one slot on the root edge) and hits a
 sampled edge-count target of at least 7n.
 
+The deletion set holds each H pair x < y as the integer key
+x * (n + 1) + y.  A need loop first deletes the pairs the u-edges'
+hosts must give up; the rest is the shortest prefix of the shuffled
+list of all pair keys (built in ``combinations`` order) that brings the
+set to its target size.  The kept pairs are then read off in
+``combinations`` order, and the whole edge list is shuffled.  Every
+pass over the pairs runs at C level (``set.update``, ``compress``,
+``map``); ``random.shuffle`` draws its permutation from the list's
+length and the generator state alone, so the output is byte-identical
+per (n, target, seed), and it is the same on Python 3.10 to 3.13.
+
 Degree counting makes small n infeasible: no graph with max degree
 n - 4 and m >= 7n exists at all below n = 18, and each regime has its
 own threshold (main and i=3 need 19, i=1 and i=2 need 20, the separate
@@ -17,7 +28,8 @@ from __future__ import annotations
 
 import random
 import zlib
-from itertools import combinations
+from itertools import chain, combinations, compress, islice
+from operator import not_
 
 from .errors import GenerationFailed, InfeasibleRegime
 from .graph import Graph, Regime, build_graph, classify_regime, decompose
@@ -129,13 +141,22 @@ def gen_instance(n: int, regime, seed: int, *,
                  d_prime: tuple[int, int, int] | None = None,
                  triple: tuple[tuple[int, int], ...] | None = None) -> Graph:
     """One instance with max degree exactly n - 4, m >= 7n, classified as
-    the requested regime.  Deterministic in (n, regime, seed)."""
+    the requested regime.  Deterministic in (n, regime, seed).
+
+    ``triple`` fixes the edges among the u's (pairs of 2, 3, 4, in either
+    order) and ``d_prime`` fixes d'(u1), d'(u2), d'(u3).  A pair that
+    does not join two u's raises ValueError, and a d' outside the
+    target's bounds, or one that no edge count and degree caps admit,
+    raises InfeasibleRegime, both before any attempt."""
     target = _as_target(regime)
     expected = TARGETS[target]
+    triple_idx = None if triple is None else _triple_indices(triple)
+    if d_prime is not None:
+        _check_dprime(target, n, d_prime, triple_idx)
     mix = zlib.crc32(target.encode())
     rng = random.Random(seed * 2_654_435_761 + n * 40_503 + mix)
     for _attempt in range(60):
-        g = _try_generate(target, n, rng, d_prime, triple)
+        g = _try_generate(target, n, rng, d_prime, triple_idx)
         if g is None:
             continue
         got = classify_regime(g, decompose(g))
@@ -149,17 +170,38 @@ def gen_instance(n: int, regime, seed: int, *,
     raise GenerationFailed(f"retry budget exhausted for {target}, n = {n}")
 
 
+def _triple_indices(triple) -> tuple[int, ...]:
+    """The indices into _TRIPLE_PAIRS of the given u-u pairs."""
+    pairs = [tuple(sorted(p)) for p in triple]
+    for p in pairs:
+        if p not in _TRIPLE_PAIRS:
+            raise ValueError(f"triple pair {p} does not join two of the "
+                             f"u's {_U_IDS}")
+    return tuple(i for i, p in enumerate(_TRIPLE_PAIRS) if p in pairs)
+
+
+def _check_dprime(target: str, n: int, d_prime,
+                  triple_idx: tuple[int, ...] | None) -> None:
+    bounds = _dprime_bounds(target, n)
+    if not all(lo <= d <= hi for d, (lo, hi) in zip(d_prime, bounds)):
+        raise InfeasibleRegime(
+            f"d' = {tuple(d_prime)} is outside {target}'s bounds at n = {n}: "
+            + ", ".join(f"{lo}..{hi}" for lo, hi in bounds))
+    options = _TRIPLE_OPTIONS[target] if triple_idx is None else (triple_idx,)
+    if not any(_feasible_split(target, n, *d_prime, t) for t in options):
+        raise InfeasibleRegime(
+            f"d' = {tuple(d_prime)} admits no {target} instance at n = {n}: "
+            "no H edge count reaches 7n within the degree caps")
+
+
 def _try_generate(target: str, n: int, rng: random.Random,
-                  d_fixed, triple_fixed) -> Graph | None:
+                  d_fixed, triple_idx) -> Graph | None:
     h = list(range(5, n + 1))
     bounds = _dprime_bounds(target, n)
     if bounds[0][0] > bounds[0][1]:
         return None
 
-    if triple_fixed is not None:
-        triple = tuple(tuple(sorted(p)) for p in triple_fixed)
-        triple_idx = tuple(i for i, p in enumerate(_TRIPLE_PAIRS) if p in triple)
-    else:
+    if triple_idx is None:
         triple_idx = rng.choice(_TRIPLE_OPTIONS[target])
     triple_pairs = [_TRIPLE_PAIRS[i] for i in triple_idx]
 
@@ -183,7 +225,7 @@ def _try_generate(target: str, n: int, rng: random.Random,
 
     # Hosts: which H vertices receive each u's edges.  Nobody hosts all
     # three u's except designated witnesses for the yilma target.
-    loads = {v: 0 for v in h}
+    loads = [0] * (n + 1)  # indexed by vertex; 0 off H
     hosts: dict[int, set[int]] = {u: set() for u in _U_IDS}
     demand = dict(zip(_U_IDS, (a, b, c)))
     witnesses = []
@@ -202,43 +244,41 @@ def _try_generate(target: str, n: int, rng: random.Random,
         pool = [v for v in shuffled
                 if v not in hosts[u] and loads[v] < 2
                 and not (v in hosts[other[0]] and v in hosts[other[1]])]
-        pool.sort(key=lambda v: loads[v])
+        pool.sort(key=loads.__getitem__)
         if len(pool) < demand[u]:
             return None
         for v in pool[:demand[u]]:
             hosts[u].add(v)
             loads[v] += 1
 
-    # Deletion set inside H: vertex v must lose at least loads[v] edges
-    # from the complete graph to stay within max degree n - 4.
+    # Deletion set inside H, as pair keys x * (n + 1) + y for x < y:
+    # vertex v must lose at least loads[v] edges from the complete graph
+    # to stay within max degree n - 4.  Each step pairs the neediest
+    # vertex v (lowest id on ties) with the first vertex, by need
+    # descending then id ascending, that it is not yet paired with.  v
+    # has lost fewer than loads[v] <= 3 < n - 5 pairs, so one exists, and
+    # each step lowers a positive need, so the loop ends.
     m_h = rng.randint(m_h_min, m_h_max)
     want = (n - 4) * (n - 5) // 2 - m_h
-    need = dict(loads)
-    deleted: set[tuple[int, int]] = set()
-    guard = 0
-    while any(x > 0 for x in need.values()):
-        guard += 1
-        if guard > 10 * n * n:
-            return None
-        v = max(h, key=lambda x: (need[x], -x))
-        partner = None
-        for w in sorted(h, key=lambda x: (-need[x], x)):
-            if w != v and _key(v, w) not in deleted:
-                partner = w
-                break
-        if partner is None:
-            return None
-        deleted.add(_key(v, partner))
+    need = loads.copy()
+    deleted: set[int] = set()
+    while (top := max(need)) > 0:
+        v = need.index(top, 5)
+        partner = _partner(v, need, deleted, top, n)
+        deleted.add(min(v, partner) * (n + 1) + max(v, partner))
         need[v] -= 1
         need[partner] -= 1
     if len(deleted) > want:
         return None  # target m_h unreachable with these loads; retry
-    all_pairs = [(x, y) for x, y in combinations(h, 2)]
-    rng.shuffle(all_pairs)
-    for x, y in all_pairs:
-        if len(deleted) >= want:
-            break
-        deleted.add(_key(x, y))
+    # Top up with a prefix of the shuffled pairs.  Each slice adds at
+    # most the shortfall, so the set grows as a pair-by-pair walk would.
+    keys = list(_pair_keys(n))
+    rng.shuffle(keys)
+    pos = 0
+    while len(deleted) < want and pos < len(keys):
+        short = want - len(deleted)
+        deleted.update(keys[pos:pos + short])
+        pos += short
     if len(deleted) != want:
         return None
 
@@ -246,14 +286,27 @@ def _try_generate(target: str, n: int, rng: random.Random,
     edges += triple_pairs
     for u in _U_IDS:
         edges += [(u, v) for v in sorted(hosts[u])]
-    edges += [(x, y) for x, y in combinations(h, 2)
-              if _key(x, y) not in deleted]
+    edges += compress(combinations(h, 2),
+                      map(not_, map(deleted.__contains__, _pair_keys(n))))
     rng.shuffle(edges)
     return build_graph(n, edges)
 
 
-def _key(x: int, y: int) -> tuple[int, int]:
-    return (x, y) if x < y else (y, x)
+def _pair_keys(n: int):
+    """The keys x * (n + 1) + y of the H pairs, in ``combinations`` order."""
+    return chain.from_iterable(range(x * (n + 1) + x + 1, (x + 1) * (n + 1))
+                               for x in range(5, n + 1))
+
+
+def _partner(v: int, need: list[int], deleted: set[int], top: int,
+             n: int) -> int:
+    """The first H vertex w != v, by need descending then id ascending,
+    whose pair with v is not yet deleted."""
+    bottom = min(islice(need, 5, None))
+    return next(w for level in range(top, bottom - 1, -1)
+                for w in compress(range(5, n + 1),
+                                  map(level.__eq__, islice(need, 5, None)))
+                if w != v and min(v, w) * (n + 1) + max(v, w) not in deleted)
 
 
 def corpus_schedule(count: int, n_range: tuple[int, int], regimes, seed: int):

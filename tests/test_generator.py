@@ -1,4 +1,6 @@
 import collections
+import hashlib
+import re
 
 import pytest
 
@@ -10,7 +12,9 @@ from antimagic import (
     gen_instance,
     min_feasible_n,
 )
-from antimagic.errors import InfeasibleRegime
+from antimagic import generator
+from antimagic.errors import GenerationFailed, InfeasibleRegime
+from antimagic.fileio import emit_graph
 from antimagic.generator import TARGETS, corpus_schedule
 
 ALL_TARGETS = sorted(TARGETS)
@@ -71,6 +75,100 @@ def test_min_feasible_matches_sharper_counting():
 def test_dprime_override():
     g = gen_instance(22, "main", seed=5, d_prime=(8, 6, 5))
     assert decompose(g).d_prime == (8, 6, 5)
+
+
+# SHA-256 of emit_graph(gen_instance(n, target, 1)).  At these sizes H
+# has thousands of pairs, so the need loop, the shuffled top-up and the
+# kept-edge pass all run at scale; the golden groups stop at n = 40.
+LARGE_DIGESTS = {
+    (100, "degen_i1"): "978157819a53e135408029ff082ee79aa0d7b087693927fbdb0a1a21e523cbd2",
+    (100, "degen_i2"): "c73164492bf4717f386899a5484265fa89195d6d2174d5e8259b7794bb214da5",
+    (100, "degen_i3"): "419fc7014dbd0ab10430ea32ba854249b3b1b8234f11e8c4f3179c19fe1ea524",
+    (100, "disc_triple"): "453e61dfbc2e3bd349443ff0e13c109037bf0b1921c1808b05ec115c7984fb7b",
+    (100, "disc_u3_isolated"): "dbe2ef91614184b0fd9ba45a35ad3cf485edf9a53ae70302ab3fbcaebbfbfd8e",
+    (100, "main"): "a7018c6d932ef647a9b3f147f07295db22855f9e80efbcb18b660c5fc1b11cea",
+    (100, "main_triple"): "4159fb2dac4cf1cb2d81ee51e196c88d53f37e7c89348611a161de677d95d3df",
+    (100, "yilma"): "41658ee406e72d2f6eb07e96f4cf89a604cc0506ba8e996e6e3147ecd7606559",
+    (200, "degen_i1"): "c8e7bad33022ef13e6b2f578dc543dad9aeb027764053252e90a1493c040cabc",
+    (200, "degen_i2"): "76c07ffcc60492b047d3e94bd3e3f8b3d7412d6625366fa6778c757c91bbfb2f",
+    (200, "degen_i3"): "5bf8b633243cf1d4b65e6b0a413f916f1d5ac8f7ec72f545401329a7e8c9d718",
+    (200, "disc_triple"): "19671c4c28b7fb0aa752ffe122935a76f91c641e7f389cdc18547ae7bbb3e2db",
+    (200, "disc_u3_isolated"): "e5d4f02a3f33ae10302d4ed4495af6a66d36e7853565760b16697f0f4731697d",
+    (200, "main"): "f58cfb3dd1c6c5629754b27dc75e48417ff413fe10c8cf71aa3296904f21e0b1",
+    (200, "main_triple"): "321afc7c87760819c7a9baf630c5b2954956103e37aab2d6d72d678cd4db698b",
+    (200, "yilma"): "dd3cac7accc44fe24e9d3b4dd70cca83c9fd4648bb4922100d897a982a130834",
+}
+
+
+def _graph_digest(g) -> str:
+    return hashlib.sha256(emit_graph(g).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,target", sorted(LARGE_DIGESTS))
+def test_large_instances_are_byte_identical(n, target):
+    assert _graph_digest(gen_instance(n, target, 1)) == LARGE_DIGESTS[n, target]
+
+
+def test_large_override_is_byte_identical():
+    # Both overrides, the triple's pairs given out of order.
+    g = gen_instance(100, "degen_i2", 3, d_prime=(20, 3, 2),
+                     triple=((3, 2), (2, 4)))
+    assert decompose(g).d_prime == (20, 3, 2)
+    assert _graph_digest(g) == (
+        "27f52a90edee85a1294054a928765e37a7978b2c1ac23ec02bf615a2bba53afb")
+
+
+@pytest.fixture
+def no_attempts(monkeypatch):
+    """Fail the test if gen_instance makes a generation attempt."""
+    def attempt(*args):
+        raise AssertionError("an attempt ran")
+    monkeypatch.setattr(generator, "_try_generate", attempt)
+
+
+@pytest.mark.parametrize("triple,bad", [
+    (((2, 5),), r"\(2, 5\)"),
+    (((2, 3), (1, 4)), r"\(1, 4\)"),
+    (((3, 3),), r"\(3, 3\)"),
+])
+def test_triple_pair_off_the_us_is_rejected_at_the_call(no_attempts, triple,
+                                                        bad):
+    with pytest.raises(ValueError, match=f"triple pair {bad} does not join"):
+        gen_instance(30, "main", 1, triple=triple)
+
+
+@pytest.mark.parametrize("d_prime", [(2, 2, 2), (3, 5, 1), (25, 4, 4)])
+def test_dprime_outside_the_bounds_is_infeasible(no_attempts, d_prime):
+    with pytest.raises(InfeasibleRegime, match=re.escape(
+            f"d' = {d_prime} is outside main's bounds at n = 30: "
+            "4..24, 4..24, 4..24")):
+        gen_instance(30, "main", 1, d_prime=d_prime)
+
+
+@pytest.mark.parametrize("target,n,d_prime,triple", [
+    ("main", 30, (24, 24, 24), None),  # 72 u-edges; H hosts 2 * 26 at most
+    ("main_triple", 30, (24, 24, 24), None),
+    ("degen_i1", 20, (1, 1, 1), ()),  # H holds 118 edges, 7n needs 121
+])
+def test_dprime_without_a_split_is_infeasible(no_attempts, target, n,
+                                              d_prime, triple):
+    with pytest.raises(InfeasibleRegime,
+                       match=f"admits no {target} instance at n = {n}"):
+        gen_instance(n, target, 1, d_prime=d_prime, triple=triple)
+
+
+def test_min_feasible_n_gives_up_at_its_search_bound(monkeypatch):
+    # main first exists at n = 19.
+    monkeypatch.setattr(generator, "_N_LIMIT", 18)
+    with pytest.raises(InfeasibleRegime, match="main infeasible up to n = 18"):
+        min_feasible_n("main")
+
+
+def test_exhausted_retries_are_bad_luck_not_infeasibility(monkeypatch):
+    monkeypatch.setattr(generator, "_try_generate", lambda *args: None)
+    with pytest.raises(GenerationFailed,
+                       match="retry budget exhausted for main, n = 30"):
+        gen_instance(30, "main", 1)
 
 
 def test_corpus_round_robin_and_determinism():
