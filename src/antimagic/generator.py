@@ -13,9 +13,12 @@ list of all pair keys (built in ``combinations`` order) that brings the
 set to its target size.  The kept pairs are then read off in
 ``combinations`` order, and the whole edge list is shuffled.  Every
 pass over the pairs runs at C level (``set.update``, ``compress``,
-``map``); ``random.shuffle`` draws its permutation from the list's
-length and the generator state alone, so the output is byte-identical
-per (n, target, seed), and it is the same on Python 3.10 to 3.13.
+``map``).  The shuffles and the other draws go through ``draw``, which
+takes ``random.shuffle``'s and ``randrange``'s exact values from
+``getrandbits`` without a Python call per item; a permutation depends
+on the list's length and the generator state alone, so the output is
+byte-identical per (n, target, seed), and it is the same on Python 3.10
+to 3.13.
 
 Degree counting makes small n infeasible: no graph with max degree
 n - 4 and m >= 7n exists at all below n = 18, and each regime has its
@@ -31,6 +34,7 @@ import zlib
 from itertools import chain, combinations, compress, islice
 from operator import not_
 
+from .draw import below, shuffle
 from .errors import GenerationFailed, InfeasibleRegime
 from .graph import Graph, Regime, build_graph, classify_regime, decompose
 
@@ -144,13 +148,14 @@ def gen_instance(n: int, regime, seed: int, *,
     the requested regime.  Deterministic in (n, regime, seed).
 
     ``triple`` fixes the edges among the u's (pairs of 2, 3, 4, in either
-    order) and ``d_prime`` fixes d'(u1), d'(u2), d'(u3).  A pair that
-    does not join two u's raises ValueError, and a d' outside the
+    order) and ``d_prime`` fixes d'(u1), d'(u2), d'(u3), non-increasing.
+    A pair that does not join two u's, or a d' that increases, raises
+    ValueError; a triple the target cannot have, a d' outside the
     target's bounds, or one that no edge count and degree caps admit,
-    raises InfeasibleRegime, both before any attempt."""
+    raises InfeasibleRegime; all before any attempt."""
     target = _as_target(regime)
     expected = TARGETS[target]
-    triple_idx = None if triple is None else _triple_indices(triple)
+    triple_idx = None if triple is None else _triple_indices(target, triple)
     if d_prime is not None:
         _check_dprime(target, n, d_prime, triple_idx)
     mix = zlib.crc32(target.encode())
@@ -170,14 +175,22 @@ def gen_instance(n: int, regime, seed: int, *,
     raise GenerationFailed(f"retry budget exhausted for {target}, n = {n}")
 
 
-def _triple_indices(triple) -> tuple[int, ...]:
-    """The indices into _TRIPLE_PAIRS of the given u-u pairs."""
+def _triple_indices(target: str, triple) -> tuple[int, ...]:
+    """The indices into _TRIPLE_PAIRS of the given u-u pairs, checked
+    against the target's options."""
     pairs = [tuple(sorted(p)) for p in triple]
     for p in pairs:
         if p not in _TRIPLE_PAIRS:
             raise ValueError(f"triple pair {p} does not join two of the "
                              f"u's {_U_IDS}")
-    return tuple(i for i, p in enumerate(_TRIPLE_PAIRS) if p in pairs)
+    idx = tuple(i for i, p in enumerate(_TRIPLE_PAIRS) if p in pairs)
+    if idx not in _TRIPLE_OPTIONS[target]:
+        allowed = (tuple(_TRIPLE_PAIRS[i] for i in t)
+                   for t in _TRIPLE_OPTIONS[target])
+        raise InfeasibleRegime(
+            f"triple {tuple(_TRIPLE_PAIRS[i] for i in idx)} admits no "
+            f"{target} instance; it allows " + ", ".join(map(str, allowed)))
+    return idx
 
 
 def _check_dprime(target: str, n: int, d_prime,
@@ -187,6 +200,8 @@ def _check_dprime(target: str, n: int, d_prime,
         raise InfeasibleRegime(
             f"d' = {tuple(d_prime)} is outside {target}'s bounds at n = {n}: "
             + ", ".join(f"{lo}..{hi}" for lo, hi in bounds))
+    if list(d_prime) != sorted(d_prime, reverse=True):
+        raise ValueError(f"d' = {tuple(d_prime)} is not non-increasing")
     options = _TRIPLE_OPTIONS[target] if triple_idx is None else (triple_idx,)
     if not any(_feasible_split(target, n, *d_prime, t) for t in options):
         raise InfeasibleRegime(
@@ -202,7 +217,8 @@ def _try_generate(target: str, n: int, rng: random.Random,
         return None
 
     if triple_idx is None:
-        triple_idx = rng.choice(_TRIPLE_OPTIONS[target])
+        options = _TRIPLE_OPTIONS[target]
+        triple_idx = options[below(rng, len(options))]
     triple_pairs = [_TRIPLE_PAIRS[i] for i in triple_idx]
 
     if d_fixed is not None:
@@ -213,9 +229,9 @@ def _try_generate(target: str, n: int, rng: random.Random,
     else:
         split = None
         for _ in range(200):
-            a = rng.randint(*bounds[0])
-            b = rng.randint(bounds[1][0], min(bounds[1][1], a))
-            c = rng.randint(bounds[2][0], min(bounds[2][1], b))
+            a = _randint(rng, *bounds[0])
+            b = _randint(rng, bounds[1][0], min(bounds[1][1], a))
+            c = _randint(rng, bounds[2][0], min(bounds[2][1], b))
             split = _feasible_split(target, n, a, b, c, triple_idx)
             if split is not None:
                 break
@@ -224,21 +240,19 @@ def _try_generate(target: str, n: int, rng: random.Random,
     m_h_min, m_h_max = split
 
     # Hosts: which H vertices receive each u's edges.  Nobody hosts all
-    # three u's except designated witnesses for the yilma target.
+    # three u's except the yilma target's one designated witness.
     loads = [0] * (n + 1)  # indexed by vertex; 0 off H
     hosts: dict[int, set[int]] = {u: set() for u in _U_IDS}
     demand = dict(zip(_U_IDS, (a, b, c)))
-    witnesses = []
     if _witnesses(target):
-        witnesses = rng.sample(h, _witnesses(target))
-        for w in witnesses:
-            for u in _U_IDS:
-                hosts[u].add(w)
-                demand[u] -= 1
-            loads[w] = 3
+        w = h[below(rng, len(h))]  # rng.sample(h, 1)[0]
+        for u in _U_IDS:
+            hosts[u].add(w)
+            demand[u] -= 1
+        loads[w] = 3
     order = sorted(_U_IDS, key=lambda u: -demand[u])
     shuffled = list(h)
-    rng.shuffle(shuffled)
+    shuffle(rng, shuffled)
     for u in order:
         other = [x for x in _U_IDS if x != u]
         pool = [v for v in shuffled
@@ -258,7 +272,7 @@ def _try_generate(target: str, n: int, rng: random.Random,
     # descending then id ascending, that it is not yet paired with.  v
     # has lost fewer than loads[v] <= 3 < n - 5 pairs, so one exists, and
     # each step lowers a positive need, so the loop ends.
-    m_h = rng.randint(m_h_min, m_h_max)
+    m_h = _randint(rng, m_h_min, m_h_max)
     want = (n - 4) * (n - 5) // 2 - m_h
     need = loads.copy()
     deleted: set[int] = set()
@@ -273,7 +287,7 @@ def _try_generate(target: str, n: int, rng: random.Random,
     # Top up with a prefix of the shuffled pairs.  Each slice adds at
     # most the shortfall, so the set grows as a pair-by-pair walk would.
     keys = list(_pair_keys(n))
-    rng.shuffle(keys)
+    shuffle(rng, keys)
     pos = 0
     while len(deleted) < want and pos < len(keys):
         short = want - len(deleted)
@@ -288,8 +302,13 @@ def _try_generate(target: str, n: int, rng: random.Random,
         edges += [(u, v) for v in sorted(hosts[u])]
     edges += compress(combinations(h, 2),
                       map(not_, map(deleted.__contains__, _pair_keys(n))))
-    rng.shuffle(edges)
+    shuffle(rng, edges)
     return build_graph(n, edges)
+
+
+def _randint(rng: random.Random, lo: int, hi: int) -> int:
+    """``rng.randint(lo, hi)``."""
+    return lo + below(rng, hi - lo + 1)
 
 
 def _pair_keys(n: int):

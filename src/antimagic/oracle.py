@@ -15,6 +15,7 @@ from collections import Counter
 from itertools import permutations
 
 from .construction import _check
+from .draw import below, shuffle
 from .errors import SearchFailed, TooLarge
 from .graph import Graph
 from .labelling import Labelling
@@ -89,7 +90,12 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     """Hill-climb the conflict count; raises SearchFailed when the budget
     runs out.  Returns the labelling and the vertex sums its final
     antimagic check recomputed from the raw labels.  Identical (input,
-    seed) pairs give identical output."""
+    seed) pairs give identical output.
+
+    The start and every restart shuffle the labels with
+    ``draw.shuffle`` and each step draws its pair i != j with
+    ``draw.below``: the values ``random.shuffle`` and ``randrange``
+    would give, without their per-item Python calls."""
     rng = random.Random(seed * 1_000_003 + g.n * 10_007 + g.m)
     m = g.m
     if m == 0:
@@ -99,7 +105,7 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
         raise SearchFailed("a one-edge graph cannot be antimagic")
 
     labels = list(range(1, m + 1))
-    rng.shuffle(labels)
+    shuffle(rng, labels)
     state = _ConflictState(g, labels)
     plateau = 0
     restart_after = max(2000, 20 * m)
@@ -111,8 +117,8 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
             _check(report.ok, "randomized search returned a labelling "
                    "that is not antimagic", g)
             return lab, report.sums
-        i = rng.randrange(m)
-        j = rng.randrange(m - 1)
+        i = below(rng, m)
+        j = below(rng, m - 1)
         if j >= i:
             j += 1
         old = state.conflicts
@@ -126,7 +132,7 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
         else:
             plateau += 1
         if plateau > restart_after:
-            rng.shuffle(state.labels)
+            shuffle(rng, state.labels)
             state = _ConflictState(g, state.labels)
             plateau = 0
     raise SearchFailed(f"budget {budget} exhausted with "

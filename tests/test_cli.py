@@ -95,6 +95,13 @@ def test_k2_exit_3(tmp_path):
     assert main(["label", str(f)]) == 3
 
 
+def test_forced_delta_n1_without_a_universal_vertex_exit_3(tmp_path, capsys):
+    f = tmp_path / "c5.graph"
+    f.write_text("p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n")
+    assert main(["label", str(f), "--force-regime", "DELTA_N1"]) == 3
+    assert capsys.readouterr().err == "error: no vertex of degree n - 1\n"
+
+
 def test_k1_label_verify(tmp_path, capsys):
     f = tmp_path / "k1.graph"
     f.write_text("p 1 0\n")

@@ -145,6 +145,25 @@ def test_dprime_outside_the_bounds_is_infeasible(no_attempts, d_prime):
         gen_instance(30, "main", 1, d_prime=d_prime)
 
 
+@pytest.mark.parametrize("target,n,triple,named", [
+    ("disc_triple", 33, ((2, 3),), "((2, 3),)"),
+    ("main", 30, ((3, 4), (2, 3)), "((2, 3), (3, 4))"),
+    ("main_triple", 30, (), "()"),
+    ("disc_u3_isolated", 33, ((2, 4), (3, 4)), "((2, 4), (3, 4))"),
+])
+def test_triple_the_target_cannot_have_is_infeasible(no_attempts, target, n,
+                                                     triple, named):
+    with pytest.raises(InfeasibleRegime, match=re.escape(
+            f"triple {named} admits no {target} instance; it allows ")):
+        gen_instance(n, target, 4, triple=triple)
+
+
+def test_increasing_dprime_is_rejected_at_the_call(no_attempts):
+    with pytest.raises(ValueError,
+                       match=re.escape("d' = (5, 8, 6) is not non-increasing")):
+        gen_instance(30, "main", 1, d_prime=(5, 8, 6))
+
+
 @pytest.mark.parametrize("target,n,d_prime,triple", [
     ("main", 30, (24, 24, 24), None),  # 72 u-edges; H hosts 2 * 26 at most
     ("main_triple", 30, (24, 24, 24), None),

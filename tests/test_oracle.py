@@ -69,6 +69,20 @@ def test_randomized_search_k2_fails():
         randomized_search(g, budget=500, seed=1)
 
 
+def test_randomized_search_edgeless_fails():
+    with pytest.raises(SearchFailed, match="no edges to label"):
+        randomized_search(build_graph(3, []), budget=500, seed=1)
+
+
+def test_randomized_search_exhausts_its_budget():
+    # Two disjoint edges: each puts one sum on both its ends, so every
+    # labelling has 2 conflicts; 5000 steps include two restarts.
+    g = build_graph(4, [(1, 2), (3, 4)])
+    with pytest.raises(SearchFailed,
+                       match="budget 5000 exhausted with 2 conflicts left"):
+        randomized_search(g, budget=5000, seed=1)
+
+
 def test_randomized_search_solves_main_instance():
     g = gen_instance(19, "main", seed=5)
     lab, sums = randomized_search(g, budget=1_000_000, seed=1)
