@@ -202,8 +202,8 @@ def _parser() -> argparse.ArgumentParser:
     lp.add_argument("--trace", help="write a JSON trace here")
     lp.add_argument("--seed", **seed_kw)
     lp.add_argument("--fallback-iters", type=int, default=1_000_000)
-    lp.add_argument("--force-regime", choices=[r.value for r in Regime],
-                    help="testing hook: bypass classification")
+    lp.add_argument("--force-regime", choices=[Regime.YILMA_FALLBACK.value],
+                    help="label by randomized search whatever the regime")
     lp.set_defaults(func=cmd_label)
 
     vp = sub.add_parser("verify", help="check a labelling file")

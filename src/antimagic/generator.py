@@ -133,10 +133,7 @@ def min_feasible_n(regime) -> int:
     """Smallest vertex count at which the regime has any instance."""
     target = _as_target(regime)
     for n in range(16, _N_LIMIT + 1):
-        bounds = _dprime_bounds(target, n)
-        if bounds[0][1] < bounds[0][0] and bounds[0][0] > 0:
-            continue
-        if _any_split(target, n, bounds):
+        if _any_split(target, n, _dprime_bounds(target, n)):
             return n
     raise InfeasibleRegime(f"{target} infeasible up to n = {_N_LIMIT}")
 

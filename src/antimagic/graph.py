@@ -15,7 +15,6 @@ from operator import itemgetter
 
 from .errors import (
     DuplicateEdge,
-    ProofViolation,
     SelfLoop,
     TooSmall,
     VertexOutOfRange,
@@ -135,7 +134,7 @@ class InstanceDecomposition:
 
     The triple is ordered by decreasing degree, ties broken by decreasing
     d' (edges into H), final ties by smallest id.  This order forces
-    d'(u1) >= d'(u2) >= d'(u3), which is asserted.
+    d'(u1) >= d'(u2) >= d'(u3) (see ``decompose``).
     """
 
     r: int
@@ -162,17 +161,17 @@ def decompose(g: Graph) -> InstanceDecomposition:
         raise TooSmall(f"n = {n} < 8: no room for the u-triple and H")
     r = min(v for v in range(1, n + 1) if g.degree(v) == delta)
     h_set = frozenset(g.adjacency[r])
+    # r has n - 4 neighbours in a simple graph: exactly three others.
     us = [v for v in range(1, n + 1) if v != r and v not in h_set]
-    if len(us) != 3:
-        raise ProofViolation(f"{len(us)} non-neighbours of r, not exactly 3")
 
     d_prime_of = {v: sum(1 for w in g.adjacency[v] if w in h_set) for v in us}
+    # d' comes out non-increasing.  A u's degree is its d' plus its 0-2
+    # triple edges, and degree ties go to the larger d'; so a u ahead of
+    # one with a larger d' would have 2 triple edges against 0, yet one
+    # of its 2 joins it to that other u.
     us.sort(key=lambda v: (-g.degree(v), -d_prime_of[v], v))
     u = (us[0], us[1], us[2])
     d_prime = (d_prime_of[u[0]], d_prime_of[u[1]], d_prime_of[u[2]])
-    if not (d_prime[0] >= d_prime[1] >= d_prime[2]):
-        raise ProofViolation(
-            f"degree order does not give non-increasing d' {d_prime}")
 
     triple = tuple(
         (a, b)
@@ -205,6 +204,7 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
         return Regime.YILMA_FALLBACK
     if g.m < 7 * g.n:
         return Regime.UNSUPPORTED
+    # From here 7n <= m <= n(n - 4)/2 (degrees <= n - 4), so n >= 18.
     if d.d_prime == (0, 0, 0) and len(d.triple_edges) >= 2:
         return Regime.DISC_TRIPLE_COMPONENT
     if g.degree(u3) == 0 and d.d_prime[0] > 0:
@@ -212,9 +212,6 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
     i = degenerate_index(d)
     if i is not None:
         return Regime(f"DEGEN_I{i}")
-    # m >= 7n forces n >= 16 (the feasibility bound); check it holds.
-    if g.n < 16:
-        raise ProofViolation(f"MAIN instance with n = {g.n} < 16")
     return Regime.MAIN
 
 

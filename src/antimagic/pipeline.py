@@ -24,7 +24,6 @@ from .construction import (
 )
 from .errors import (
     NotAntimagicShape,
-    NotUniversalVertex,
     TooSmall,
     WrongMaxDegree,
 )
@@ -69,20 +68,22 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
     search did (and the result was verified the same way).  Raises
     NotAntimagicShape for graphs with an isolated edge or two isolated
     vertices, SearchFailed when the fallback budget runs out, and
-    ProofViolation if a guaranteed property fails.
+    ProofViolation if a guaranteed property fails.  ``force_regime`` may
+    only be ``Regime.YILMA_FALLBACK``, which sends any graph to
+    randomized search; another value raises ValueError.
     """
+    if force_regime not in (None, Regime.YILMA_FALLBACK):
+        raise ValueError(f"force_regime must be None or YILMA_FALLBACK, "
+                         f"not {force_regime}")
     if has_isolated_edge(g) or len(isolated_vertices(g)) >= 2:
         raise NotAntimagicShape(
             "isolated edge or two isolated vertices: provably not antimagic")
 
     n = g.n
-    if (force_regime == Regime.DELTA_N1
-            or (force_regime is None and g.max_degree() == n - 1)):
-        universal = [v for v in range(1, n + 1) if g.degree(v) == n - 1]
-        if not universal:
-            raise NotUniversalVertex("no vertex of degree n - 1")
-        lab = label_delta_n1(g, universal[0])
-        return LabelOutcome(lab, STATUS_CONSTRUCTED, Regime.DELTA_N1)
+    if force_regime is None and g.max_degree() == n - 1:
+        r = next(v for v in range(1, n + 1) if g.degree(v) == n - 1)
+        return LabelOutcome(label_delta_n1(g, r), STATUS_CONSTRUCTED,
+                            Regime.DELTA_N1)
 
     d: InstanceDecomposition | None = None
     try:
@@ -93,27 +94,19 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
     if force_regime is not None:
         regime = force_regime
 
-    if regime in (Regime.YILMA_FALLBACK, Regime.UNSUPPORTED):
+    # Built per call, so perfbench's span wrappers around these names fire.
+    construct = {
+        Regime.MAIN: label_main,
+        Regime.DEGEN_I1: label_case_i1,
+        Regime.DEGEN_I2: label_case_i2,
+        Regime.DEGEN_I3: label_case_i3,
+        Regime.DISC_U3_ISOLATED: label_disconnected,
+        Regime.DISC_TRIPLE_COMPONENT: label_disconnected,
+    }.get(regime)
+    if construct is None:  # YILMA_FALLBACK or UNSUPPORTED
         lab, sums = randomized_search(g, budget=fallback_iters, seed=seed)
         return LabelOutcome(lab, STATUS_SEARCHED, regime, d, sums=sums)
-    # Without a decomposition the regime is UNSUPPORTED unless forced.
-    if d is None:
-        raise WrongMaxDegree(
-            f"cannot force {regime.value}: the graph has no "
-            f"max-degree-(n-4) decomposition")
-
-    if regime == Regime.MAIN:
-        stage = label_main(g, d)
-    elif regime == Regime.DEGEN_I1:
-        stage = label_case_i1(g, d)
-    elif regime == Regime.DEGEN_I2:
-        stage = label_case_i2(g, d)
-    elif regime == Regime.DEGEN_I3:
-        stage = label_case_i3(g, d)
-    elif regime in (Regime.DISC_U3_ISOLATED, Regime.DISC_TRIPLE_COMPONENT):
-        stage = label_disconnected(g, d)
-    else:
-        raise WrongMaxDegree(f"regime {regime} has no constructor")
+    stage = construct(g, d)
 
     final, trace = resolve(stage, d)
     # An unchanged stage labelling already has its verdict from its

@@ -95,11 +95,15 @@ def test_k2_exit_3(tmp_path):
     assert main(["label", str(f)]) == 3
 
 
-def test_forced_delta_n1_without_a_universal_vertex_exit_3(tmp_path, capsys):
+def test_force_regime_delta_n1_exit_2(tmp_path, capsys):
+    # Only the fallback can be forced; the universal-vertex route is
+    # taken from the graph alone.
     f = tmp_path / "c5.graph"
     f.write_text("p 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n")
-    assert main(["label", str(f), "--force-regime", "DELTA_N1"]) == 3
-    assert capsys.readouterr().err == "error: no vertex of degree n - 1\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["label", str(f), "--force-regime", "DELTA_N1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'DELTA_N1'" in capsys.readouterr().err
 
 
 def test_k1_label_verify(tmp_path, capsys):
@@ -119,6 +123,18 @@ def test_verify_conflicting_labelling_exit_1(main_graph_file, tmp_path):
     lab = tmp_path / "bad_labels.txt"
     lab.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(path), str(lab)]) == 1
+
+
+def test_verify_equal_sums_exit_1(tmp_path, capsys):
+    # A bijection whose vertex sums collide: P4 labelled 2, 1, 3 gives
+    # sums 2, 3, 4, 3.
+    graph = tmp_path / "p4.graph"
+    graph.write_text("p 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    lab = tmp_path / "p4.lab"
+    lab.write_text("1 2 2\n2 3 1\n3 4 3\n")
+    assert main(["verify", str(graph), str(lab)]) == 1
+    assert capsys.readouterr().out == \
+        "antimagic FAILED: conflicting pairs (2,4) sum 3\n"
 
 
 def test_verify_wrong_edge_count_exit_2(main_graph_file, tmp_path):
@@ -345,11 +361,20 @@ def test_stress_smoke(capsys):
     assert sum(counts) == 8
 
 
-def test_force_regime_hook(main_graph_file):
+def test_force_regime_hook(main_graph_file, tmp_path, capsys):
     _, path = main_graph_file
-    # Forcing a degenerate pipeline onto a main-regime instance violates
-    # that pipeline's hypotheses: hypothesis exit code.
-    assert main(["label", str(path), "--force-regime", "DEGEN_I1"]) == 3
+    # A constructor cannot be forced: argparse rejects the choice.
+    with pytest.raises(SystemExit) as exc:
+        main(["label", str(path), "--force-regime", "DEGEN_I1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # The fallback can: a main-regime graph is labelled by search.
+    out = tmp_path / "forced.lab"
+    assert main(["label", str(path), "--out", str(out),
+                 "--force-regime", "YILMA_FALLBACK"]) == 0
+    assert capsys.readouterr().err == \
+        "status SearchedFallback regime YILMA_FALLBACK\n"
+    assert main(["verify", str(path), str(out)]) == 0
 
 
 def test_fallback_status_for_yilma(tmp_path, capsys):

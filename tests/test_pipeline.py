@@ -15,7 +15,7 @@ from antimagic import (
     outcome_trace,
     verify_antimagic,
 )
-from antimagic.errors import NotAntimagicShape, WrongMaxDegree
+from antimagic.errors import NotAntimagicShape
 
 
 def test_shape_guard_isolated_edge():
@@ -82,10 +82,14 @@ def test_constructed_statuses_per_regime():
         assert verify_antimagic(g, out.labelling).ok
 
 
-def test_force_regime_requires_decomposition():
-    g = build_graph(4, [(1, 2), (1, 3), (1, 4), (2, 3)])
-    with pytest.raises(WrongMaxDegree):
-        label(g, force_regime=Regime.MAIN)
+def test_force_regime_accepts_only_the_fallback():
+    # Rejected before any work: this graph has an isolated edge, which
+    # would otherwise raise NotAntimagicShape.
+    g = build_graph(2, [(1, 2)])
+    for regime in Regime:
+        if regime != Regime.YILMA_FALLBACK:
+            with pytest.raises(ValueError, match="force_regime"):
+                label(g, force_regime=regime)
 
 
 def test_trace_shape():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import antimagic.resolution as resolution
 from antimagic import (
     Labelling,
     Regime,
@@ -14,13 +15,15 @@ from antimagic import (
     gen_instance,
     label,
     label_main,
+    outcome_trace,
     resolve,
     verify_antimagic,
 )
-from antimagic.errors import LabelMissing, ProofViolation
+from antimagic.errors import LabelMissing, ProofGapWarning, ProofViolation
 from antimagic.resolution import (
     FAMILIES,
     ConflictSet,
+    _degen_menu,
     exchanges,
     y_end,
 )
@@ -153,8 +156,14 @@ def test_exchange_is_involution(main_stage):
 def test_exchange_missing_label():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     lab = Labelling.from_labels(g, [1, 2, 3])
-    with pytest.raises(LabelMissing):
+    with pytest.raises(LabelMissing, match="label 4 unassigned"):
         lab.copy().swap_labels(3, 4)
+    # The first label is checked too: out of range, or in range but free.
+    with pytest.raises(LabelMissing, match="label 4 unassigned"):
+        lab.copy().swap_labels(4, 3)
+    partial = Labelling.from_labels(g, [1, 0, 3])
+    with pytest.raises(LabelMissing, match="label 2 unassigned"):
+        partial.swap_labels(2, 3)
 
 
 def test_find_conflicts_empty_on_stage(main_stage):
@@ -239,6 +248,89 @@ def test_candidate_plans_case7_subcases(main_stage):
             _synthetic_conflicts(stage, d, {2}, rivals), stage, d)
         assert case == "7.1"
         assert all(p[0].family == "lambda" for p in plans)
+
+
+def test_candidate_plans_case1_needs_two_admissible_lambdas(
+        main_stage, monkeypatch):
+    g, d, stage = main_stage
+    rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
+    # Every lambda edge ending at u1's rival leaves no admissible lambda.
+    monkeypatch.setattr(resolution, "y_end", lambda l, d, i: rivals[1])
+    with pytest.raises(ProofViolation, match="case 1 admissible lambda"):
+        candidate_plans(_synthetic_conflicts(stage, d, {1, 2, 3}, rivals),
+                        stage, d)
+
+
+def test_conflicts_without_a_u_fit_no_case(main_stage):
+    g, d, stage = main_stage
+    h1, h2 = d.h_vertices[:2]
+    c = ConflictSet(((h1, h2),), (), {1: h1, 2: h1, 3: h1},
+                    recompute_sums(g, stage.labelling))
+    with pytest.raises(ProofViolation, match=r"ranks \[\] fit no case"):
+        candidate_plans(c, stage, d)
+    with pytest.raises(ProofViolation,
+                       match=r"DEGEN_I3 conflict ranks \[\] fit no case"):
+        _degen_menu(Regime.DEGEN_I3, c, g.n)
+    # i = 3 never leaves u3 in conflict.
+    c3 = _synthetic_conflicts(stage, d, {3}, c.rivals)
+    with pytest.raises(ProofViolation,
+                       match=r"DEGEN_I3 conflict ranks \[3\] fit no case"):
+        _degen_menu(Regime.DEGEN_I3, c3, g.n)
+
+
+def _first_conflicted():
+    """The first pinned conflicted instance (main, case 3) and its seed."""
+    target, n, seed, _ = CONFLICTED[0]
+    return gen_instance(n, target, seed=seed), seed
+
+
+def test_safety_net_resolves_an_empty_menu(monkeypatch):
+    g, seed = _first_conflicted()
+    monkeypatch.setattr(resolution, "candidate_plans",
+                        lambda c, s, d: ("2", []))
+    with pytest.warns(ProofGapWarning, match="case 2 menu failed"):
+        out = label(g, seed=seed)
+    doc = outcome_trace(out, seed)["resolution"]
+    assert doc["gap_warning"] is True and doc["paper_directed"] is False
+    assert doc["case"] == "2" and 1 <= len(doc["applied"]) <= 2
+    assert verify_antimagic(g, out.labelling).ok
+
+
+def test_safety_net_exhausted_raises_with_reproducer(monkeypatch):
+    g, seed = _first_conflicted()
+    monkeypatch.setattr(Labelling, "swap_labels", lambda self, x, y: None)
+    with pytest.raises(ProofViolation,
+                       match="no exchange plan resolved case 3") as info:
+        label(g, seed=seed)
+    assert info.value.reproducer
+
+
+def _one_and_m(lab, r):
+    """Labels 1 and m: the sums they touch move by m - 1."""
+    return 1, lab.graph.m
+
+
+def _root_label_and_two_below(lab, r):
+    """A root label L and a non-root L - 2: every sum moves by at most
+    2, and the root's drops by 2."""
+    g, at = lab.graph, lab.edge_with
+    top = next(k for k in range(g.m, 2, -1)
+               if r in g.edges[at[k]] and r not in g.edges[at[k - 2]])
+    return top, top - 2
+
+
+@pytest.mark.parametrize("pick,message", [
+    (_one_and_m, "a vertex sum moved by more than 2"),
+    (_root_label_and_two_below, "root sum dropped by more than 1"),
+], ids=["sum-moved-3+", "root-dropped-2"])
+def test_unsound_plan_raises(pick, message, monkeypatch):
+    g, seed = _first_conflicted()
+    r = decompose(g).r
+    swap = Labelling.swap_labels
+    monkeypatch.setattr(Labelling, "swap_labels",
+                        lambda self, x, y: swap(self, *pick(self, r)))
+    with pytest.raises(ProofViolation, match=message):
+        label(g, seed=seed)
 
 
 def test_resolve_fixpoint_when_conflict_free(main_stage):
