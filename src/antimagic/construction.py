@@ -32,6 +32,7 @@ from .errors import (
     NotUniversalVertex,
     ProofViolation,
 )
+from .fileio import emit_graph
 from .graph import Graph, InstanceDecomposition, Regime, degenerate_index
 from .labelling import Labelling
 from .verification import recompute_sums
@@ -50,20 +51,10 @@ class StageOneResult:
     sums: list[int] | None = field(default=None, repr=False)
 
 
-def _reproducer(g: Graph) -> str:
-    from .fileio import emit_graph
-    return emit_graph(g)
-
-
-def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[tuple[int, int]]:
-    """(H-endpoint, edge id) pairs for u's edges into H, ascending endpoint."""
-    out = []
-    for e in g.incident[u]:
-        w = g.other_end(e, u)
-        if w in d.h_set:
-            out.append((w, e))
-    out.sort()
-    return out
+def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[int]:
+    """The ids of u's edges into H, by ascending H-endpoint."""
+    adj = g.adjacency[u]
+    return list(map(adj.__getitem__, sorted(adj.keys() & d.h_set)))
 
 
 def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
@@ -75,17 +66,15 @@ def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     """
     g = lab.graph
     _check(lab.assigned == 0, "triple edges must be labelled first", g)
-    u1, u2, u3 = d.u
-    for a, b in ((u2, u3), (u1, u3), (u1, u2)):
-        if g.has_edge(a, b):
-            eid = next(e for e in g.incident[a] if g.other_end(e, a) == b)
-            lab.assign(eid, lab.assigned + 1)
+    # d.triple_edges lists the present ones as u1u2, u1u3, u2u3.
+    for a, b in reversed(d.triple_edges):
+        lab.assign(g.adjacency[a][b], lab.assigned + 1)
     return lab
 
 
 def _check(condition: bool, message: str, g: Graph, **details) -> None:
     if not condition:
-        raise ProofViolation(message, reproducer=_reproducer(g), details=details)
+        raise ProofViolation(message, reproducer=emit_graph(g), details=details)
 
 
 def _begin(g: Graph, d: InstanceDecomposition, in_regime: bool,
@@ -112,7 +101,7 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
     apart as the root labels.
     """
     roots = set(root_labels)
-    root_edge = {g.other_end(e, r): e for e in g.incident[r]}
+    root_edge = g.adjacency[r]
     at_root = set(g.incident[r])
     # Ascending: the edges neither at r nor labelled, and the labels
     # neither in root_labels nor given out.
@@ -170,7 +159,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     # with t colours: every class holds exactly one edge of each u_i.
     g1_edges: list[int] = []
     for u in (u1, u2, u3):
-        g1_edges.extend(e for _, e in _h_edges(g, d, u)[:t])
+        g1_edges.extend(_h_edges(g, d, u)[:t])
     col1 = koenig_colour(g, g1_edges, t)
     _check(len(col1.classes) == t,
            f"Koenig colouring of G1 used {len(col1.classes)} != {t} classes", g)
@@ -222,7 +211,7 @@ def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                  f"d'(u1) = {d.d_prime[0]} > 3 is not case i=1")
     n, m = g.n, g.m
     for u in reversed(d.u):
-        for _, e in _h_edges(g, d, u):
+        for e in _h_edges(g, d, u):
             lab.assign(e, lab.assigned + 1)
     _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
     return _finish(g, d, lab, Regime.DEGEN_I1)
@@ -239,11 +228,11 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     n, m = g.n, g.m
     u1, u2, u3 = d.u
     for u in (u3, u2):
-        for _, e in _h_edges(g, d, u):
+        for e in _h_edges(g, d, u):
             lab.assign(e, lab.assigned + 1)
 
     u1_labels = [m - 2 * k for k in range(d1 - 1)] + [m - 2 * (n - 5) - 2]
-    for (_, e), lbl in zip(_h_edges(g, d, u1), u1_labels):
+    for e, lbl in zip(_h_edges(g, d, u1), u1_labels):
         lab.assign(e, lbl)
 
     _fill_rest_and_root(g, lab, d.r, [m - 2 * k - 1 for k in range(n - 4)])
@@ -265,13 +254,13 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                  f"d' = {d.d_prime} is not case i=3")
     n, m = g.n, g.m
     u1, u2, u3 = d.u
-    for _, e in _h_edges(g, d, u3):
+    for e in _h_edges(g, d, u3):
         lab.assign(e, lab.assigned + 1)
 
     # Koenig classes over u1's and u2's H-edges: one u1-edge per class,
     # the d'(u2) classes holding a u2-edge first.  Class k feeds interval
     # I_k = {m - 3k - 1, m - 3k - 2}.
-    ue = [e for u in (u1, u2) for _, e in _h_edges(g, d, u)]
+    ue = [e for u in (u1, u2) for e in _h_edges(g, d, u)]
     colu = koenig_colour(g, ue, d1)
     _check(len(colu.classes) == d1,
            f"u-edge Koenig colouring used {len(colu.classes)} != {d1} classes", g)

@@ -148,6 +148,12 @@ def _walk_labelling(text: str, g: Graph) -> list[int]:
 
 
 def emit_labelling(l: Labelling) -> str:
+    """One line ``u v label`` per edge, in edge-id order, from a single
+    format call over the ends and labels interleaved."""
     g = l.graph
-    lines = [f"{u} {v} {l.label_of[eid]}" for eid, (u, v) in enumerate(g.edges)]
-    return "\n".join(lines) + "\n"
+    if not g.m:
+        return "\n"
+    flat = [0] * (3 * g.m)
+    flat[0::3], flat[1::3] = zip(*g.edges)
+    flat[2::3] = l.label_of
+    return ("%d %d %d\n" * g.m) % tuple(flat)

@@ -28,10 +28,13 @@ class Graph:
     Vertices are 1-based ids 1..n; edge ids are 0-based positions in the
     input edge list.  Instances are never mutated after construction.
 
-    ``_gather`` picks, from a per-edge list, the entries of the incidence
-    lists of vertices 0..n laid end to end (None when m = 0), and
-    ``_spans[v]`` is vertex v's slice of that order; both are derived
-    from ``incident`` once, here, so a sums pass runs in C.
+    ``adjacency[v]`` maps each neighbour of v to the id of the edge
+    joining them, in ascending edge id; the build loop fills only these
+    maps.  Derived from them in C-level passes: ``incident[v]``, the
+    same edge ids as a list; the degrees; ``_gather``, which picks from
+    a per-edge list the entries of the incidence lists of vertices 0..n
+    laid end to end (None when m = 0); and ``_spans[v]``, vertex v's
+    slice of that order, so a sums pass runs in C.
     """
 
     __slots__ = ("n", "edges", "adjacency", "incident", "_degrees",
@@ -40,21 +43,18 @@ class Graph:
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.edges = edges
-        adjacency: list[set[int]] = [set() for _ in range(n + 1)]
-        incident: list[list[int]] = [[] for _ in range(n + 1)]
+        adjacency: list[dict[int, int]] = [{} for _ in range(n + 1)]
         for eid, (u, v) in enumerate(edges):
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-            incident[u].append(eid)
-            incident[v].append(eid)
-        self.adjacency = adjacency
-        self.incident = incident
-        self._degrees = [len(adjacency[v]) for v in range(n + 1)]
+            adjacency[u][v] = eid
+            adjacency[v][u] = eid
+        incident = list(map(list, map(dict.values, adjacency)))
+        self.adjacency, self.incident = adjacency, incident
+        self._degrees = list(map(len, adjacency))
         # Every edge sits in two lists, so m >= 1 gives itemgetter at
         # least two items and it returns a tuple.
         self._gather = (itemgetter(*chain.from_iterable(incident))
                         if edges else None)
-        ends = list(accumulate(map(len, incident)))
+        ends = list(accumulate(self._degrees))
         self._spans = list(map(slice, [0] + ends[:-1], ends))
 
     @property
@@ -66,9 +66,6 @@ class Graph:
 
     def max_degree(self) -> int:
         return max(self._degrees[1:]) if self.n >= 1 else 0
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def other_end(self, eid: int, v: int) -> int:
         a, b = self.edges[eid]
@@ -88,7 +85,8 @@ def build_graph(n: int, edge_pairs: list[tuple[int, int]]) -> Graph:
     edges = tuple(map(tuple, edge_pairs))
     if set(chain.from_iterable(edges)).issubset(range(1, n + 1)):
         g = Graph(n, edges)
-        # A self-loop or a repeated pair adds less than 2 to the degree sum.
+        # A self-loop or a repeated pair overwrites an adjacency key, so
+        # it adds less than 2 to the degree sum.
         if sum(g._degrees) == 2 * len(edges):
             return g
     seen: set[tuple[int, int]] = set()
@@ -176,7 +174,7 @@ def decompose(g: Graph) -> InstanceDecomposition:
     triple = tuple(
         (a, b)
         for a, b in ((u[0], u[1]), (u[0], u[2]), (u[1], u[2]))
-        if g.has_edge(a, b)
+        if b in g.adjacency[a]
     )
     e1 = tuple(g.incident[r])
     e2 = tuple(filterfalse(set(e1).__contains__, range(g.m)))
@@ -199,7 +197,8 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
     caller can still fall back to randomized search.
     """
     u1, u2, u3 = d.u
-    common = g.adjacency[u1] & g.adjacency[u2] & g.adjacency[u3] & d.h_set
+    adj = g.adjacency
+    common = adj[u1].keys() & adj[u2].keys() & adj[u3].keys() & d.h_set
     if common:
         return Regime.YILMA_FALLBACK
     if g.m < 7 * g.n:

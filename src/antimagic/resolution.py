@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import ProofGapWarning, ProofViolation
-from .graph import STEP, InstanceDecomposition, Regime
+from .fileio import emit_graph
+from .graph import STEP, Graph, InstanceDecomposition, Regime
 from .labelling import Labelling
 from .verification import antimagic_from_sums, verify_antimagic
 
@@ -180,19 +181,20 @@ def _degen_menu(regime: Regime, c: ConflictSet, n: int
     return case, [[e] for e in exchanges(Regime.DEGEN_I3)[family].values()]
 
 
-def _plan_is_sound(before: list[int], after: list[int], r: int,
+def _plan_is_sound(g: Graph, before: list[int], after: list[int], r: int,
                    regime: Regime) -> None:
     if max(abs(a - b) for a, b in zip(before, after)) > 2:
-        raise ProofViolation("a vertex sum moved by more than 2")
+        raise ProofViolation("a vertex sum moved by more than 2",
+                             reproducer=emit_graph(g))
     if regime in (Regime.MAIN, Regime.DEGEN_I3) and after[r] < before[r] - 1:
-        raise ProofViolation("root sum dropped by more than 1")
+        raise ProofViolation("root sum dropped by more than 1",
+                             reproducer=emit_graph(g))
 
 
 def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,
                            regime: Regime, l: Labelling) -> None:
     """Stage-1 properties confine where conflicts can sit; anything else
     means the construction itself is broken."""
-    from .construction import _reproducer
     u_set = set(d.u)
     for a, b in c.pairs:
         if regime == Regime.MAIN or regime == Regime.DEGEN_I3:
@@ -208,7 +210,7 @@ def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,
         if not legal:
             raise ProofViolation(
                 f"conflict ({a},{b}) outside the regime's possible set",
-                reproducer=_reproducer(l.graph))
+                reproducer=emit_graph(l.graph))
 
 
 def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
@@ -224,7 +226,6 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     A returned labelling that is the stage's own has thus had its
     antimagic verdict from its raw labels; any other has not.
     """
-    from .construction import _reproducer
     g = s.labelling.graph
     regime = s.regime
     if regime == Regime.DEGEN_I1:
@@ -250,7 +251,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
             for ex in plan:
                 cand.swap_labels(g.m - ex.offset, g.m - ex.offset - 1)
             report = verify_antimagic(g, cand)
-            _plan_is_sound(before, report.sums, d.r, regime)
+            _plan_is_sound(g, before, report.sums, d.r, regime)
             if report.ok:
                 return cand, tuple(plan), tried
             if len(rejections) < 64:
@@ -281,5 +282,5 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
 
     raise ProofViolation(
         f"no exchange plan resolved case {case} after {tried} candidates",
-        reproducer=_reproducer(g),
+        reproducer=emit_graph(g),
         details={"case": case, "conflicts": conflicts.pairs})

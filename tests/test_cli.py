@@ -51,7 +51,7 @@ def test_parse_rejects_malformed_header():
 
 def test_hostile_header_rejected_before_allocating():
     # n > 2m + 1 means two isolated vertices; the header alone decides,
-    # so the n + 1 adjacency sets are never allocated.
+    # so the n + 1 adjacency maps are never allocated.
     text = "p 100000 3\ne 1 2\ne 2 3\ne 3 4\n"
     tracemalloc.start()
     try:

@@ -4,6 +4,8 @@
 the per-line implementations kept verbatim as the reference.  Every
 generated file, canonical or not, faulty or not, must give equal edges,
 labels, or the same exception class with the same message.
+``ref_emit_labelling`` is the per-edge f-string join the one-call
+emitter replaced; both must give the same text.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic import fileio
+from antimagic import Labelling, fileio, gen_instance, label
 from antimagic.errors import (
     AntimagicError,
     DuplicateEdge,
@@ -23,7 +25,8 @@ from antimagic.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from antimagic.fileio import parse_graph, parse_labelling
+from antimagic.fileio import emit_labelling, parse_graph, parse_labelling
+from antimagic.generator import TARGETS, min_feasible_n
 from antimagic.graph import Graph, build_graph
 
 
@@ -115,6 +118,12 @@ def ref_parse_labelling(text, g):
         seen.add(eid)
         labels[eid] = lbl
     return labels
+
+
+def ref_emit_labelling(l):
+    g = l.graph
+    lines = [f"{u} {v} {l.label_of[eid]}" for eid, (u, v) in enumerate(g.edges)]
+    return "\n".join(lines) + "\n"
 
 
 # -- comparing outcomes --------------------------------------------------
@@ -379,3 +388,22 @@ def test_bulk_decoders_hand_off(kind, text, walks, monkeypatch):
             parse_labelling(text, build_graph(1, []) if kind == "edgeless"
                             else triangle)
     assert bool(walked) == walks
+
+
+# -- the emitter -----------------------------------------------------------
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_emit_labelling_matches_fstring_join(target):
+    for n in (min_feasible_n(target), 48):
+        g = gen_instance(n, target, seed=1)
+        lab = label(g, seed=1).labelling
+        assert emit_labelling(lab) == ref_emit_labelling(lab)
+        # A partial labelling writes its unlabelled edges as 0.
+        part = Labelling.from_labels(g, lab.label_of[: g.m // 2])
+        assert emit_labelling(part) == ref_emit_labelling(part)
+
+
+def test_emit_labelling_edgeless_and_single_edge():
+    for g in (build_graph(1, []), build_graph(2, [(2, 1)])):
+        lab = Labelling.from_labels(g, [1] * g.m)
+        assert emit_labelling(lab) == ref_emit_labelling(lab)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from antimagic import (
@@ -14,7 +16,8 @@ from antimagic.errors import (
     VertexOutOfRange,
     WrongMaxDegree,
 )
-from antimagic.graph import has_isolated_edge, isolated_vertices
+from antimagic.generator import TARGETS, min_feasible_n
+from antimagic.graph import Graph, has_isolated_edge, isolated_vertices
 
 
 def test_build_triangle():
@@ -44,6 +47,32 @@ def test_edge_ids_follow_input_order():
     g = build_graph(4, [(3, 4), (1, 2)])
     assert g.edges[0] == (3, 4)
     assert g.edges[1] == (1, 2)
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_adjacency_maps_each_neighbour_to_its_edge(target):
+    g = gen_instance(min_feasible_n(target), target, seed=1)
+    for eid, (u, v) in enumerate(g.edges):
+        assert g.adjacency[u][v] == g.adjacency[v][u] == eid
+    for v in range(g.n + 1):
+        inc = g.incident[v]
+        assert all(a < b for a, b in zip(inc, inc[1:]))
+        assert g._degrees[v] == len(inc) == len(g.adjacency[v])
+
+
+def test_graph_footprint():
+    # One neighbour -> edge-id map per vertex: a peak of about 58 KB on
+    # CPython 3.10-3.13, against 105 KB for a neighbour set plus an
+    # edge-id list per vertex.
+    edges = gen_instance(40, "main", seed=1).edges
+    tracemalloc.start()
+    try:
+        g = Graph(40, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == len(edges)
+    assert peak < 80_000
 
 
 def test_decompose_orders_u_triple_by_degree():
@@ -119,7 +148,8 @@ def test_classify_yilma_on_common_neighbour():
     g = gen_instance(20, "yilma", seed=2)
     d = decompose(g)
     u1, u2, u3 = d.u
-    common = g.adjacency[u1] & g.adjacency[u2] & g.adjacency[u3] & d.h_set
+    adj = g.adjacency
+    common = adj[u1].keys() & adj[u2].keys() & adj[u3].keys() & d.h_set
     assert common
     assert classify_regime(g, d) == Regime.YILMA_FALLBACK
 
@@ -137,8 +167,9 @@ def test_no_common_neighbour_outside_yilma():
         g = gen_instance(22, target, seed=11)
         d = decompose(g)
         u1, u2, u3 = d.u
-        assert not (g.adjacency[u1] & g.adjacency[u2]
-                    & g.adjacency[u3] & d.h_set)
+        adj = g.adjacency
+        assert not (adj[u1].keys() & adj[u2].keys()
+                    & adj[u3].keys() & d.h_set)
 
 
 def test_shape_helpers():

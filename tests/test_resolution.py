@@ -20,6 +20,7 @@ from antimagic import (
     verify_antimagic,
 )
 from antimagic.errors import LabelMissing, ProofGapWarning, ProofViolation
+from antimagic.fileio import emit_graph
 from antimagic.resolution import (
     FAMILIES,
     ConflictSet,
@@ -329,8 +330,9 @@ def test_unsound_plan_raises(pick, message, monkeypatch):
     swap = Labelling.swap_labels
     monkeypatch.setattr(Labelling, "swap_labels",
                         lambda self, x, y: swap(self, *pick(self, r)))
-    with pytest.raises(ProofViolation, match=message):
+    with pytest.raises(ProofViolation, match=message) as exc:
         label(g, seed=seed)
+    assert exc.value.reproducer == emit_graph(g)
 
 
 def test_resolve_fixpoint_when_conflict_free(main_stage):
