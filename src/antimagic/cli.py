@@ -10,10 +10,12 @@ has one, the decomposition and the gap margins of the final sums).
 Exit codes: 0 success; 1 verification failure; 2 parse or consistency
 error (a negative ``--count`` or an ``--n-min`` above ``--n-max``
 among them), or an output file or directory that cannot be written; 3
-hypothesis unmet with no fallback success, or n > 2m + 1 in a graph
-header (two isolated vertices); 4 proof violation.  The default seed
-comes from ANTIMAGIC_SEED when set; a value that is not an integer is
-a usage error (exit 2) of the subcommands that take ``--seed``.
+hypothesis unmet and randomized search's default budget of 10^6 steps
+exhausted, or n > 2m + 1 in a graph header (two isolated vertices); 4
+proof violation, with the graph printed after a ``reproducer:`` line on
+stderr.  The default seed comes from ANTIMAGIC_SEED when set; a value
+that is not an integer is a usage error (exit 2) of the subcommands
+that take ``--seed``.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ def _json_dump(doc) -> str:
 def cmd_label(args) -> int:
     g = parse_graph(_read(args.graph))
     force = Regime(args.force_regime) if args.force_regime else None
-    outcome = label(g, seed=args.seed, fallback_iters=args.fallback_iters,
-                    force_regime=force)
+    outcome = label(g, seed=args.seed, force_regime=force)
     status = ("Constructed" if outcome.status == "constructed"
               else "SearchedFallback")
     text = emit_labelling(outcome.labelling)
@@ -201,7 +202,6 @@ def _parser() -> argparse.ArgumentParser:
     lp.add_argument("--out", help="write the labelling here (default stdout)")
     lp.add_argument("--trace", help="write a JSON trace here")
     lp.add_argument("--seed", **seed_kw)
-    lp.add_argument("--fallback-iters", type=int, default=1_000_000)
     lp.add_argument("--force-regime", choices=[Regime.YILMA_FALLBACK.value],
                     help="label by randomized search whatever the regime")
     lp.set_defaults(func=cmd_label)

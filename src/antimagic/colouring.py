@@ -31,6 +31,7 @@ from .errors import (
     NotBipartite,
     NotEnoughClasses,
     ProofViolation,
+    check,
 )
 from .graph import Graph
 
@@ -297,8 +298,7 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
         count[s] += 1
     lo, hi = min(sizes), max(sizes)
     while lo < min_size:
-        if hi <= lo:
-            raise ProofViolation("class balancing found no larger donor")
+        check(hi > lo, "class balancing found no larger donor")
         small, big = sizes.index(lo), sizes.index(hi)
         recv, donor = classes[small], classes[big]
         path = _donor_path(g, recv, donor)
@@ -315,9 +315,8 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
         for e in lost:
             donor.add(e)
         sizes[small], sizes[big] = len(recv.edges), len(donor.edges)
-        if (short(sizes[small]) + short(sizes[big])
-                >= short(lo) + short(hi)):
-            raise ProofViolation("class balancing failed to make progress")
+        check(short(sizes[small]) + short(sizes[big]) < short(lo) + short(hi),
+              "class balancing failed to make progress")
         count[lo] -= 1
         count[hi] -= 1
         count[sizes[small]] += 1
@@ -381,8 +380,7 @@ def _donor_path(g: Graph, recv: _ColourClass,
             top = min(comp)
             if low is None or top < low:
                 best, low = comp, top
-    if best is None:
-        raise ProofViolation("no alternating path with donor-coloured ends")
+    check(best is not None, "no alternating path with donor-coloured ends")
     return best
 
 

@@ -10,7 +10,8 @@ places its reserved labels, ``_fill_rest_and_root`` gives out the
 small and the root labels, and ``_finish`` has
 ``verification.verify_stage_properties`` check every property the
 underlying proof guarantees at this stage; a failure raises
-ProofViolation with a reproducer.  The constructors themselves check no
+ProofViolation, which carries a reproducer only once it has passed
+through ``pipeline.label``.  The constructors themselves check no
 vertex sum.
 """
 
@@ -30,9 +31,8 @@ from .errors import (
     HypothesisViolated,
     NotAntimagicShape,
     NotUniversalVertex,
-    ProofViolation,
+    check,
 )
-from .fileio import emit_graph
 from .graph import Graph, InstanceDecomposition, Regime, degenerate_index
 from .labelling import Labelling
 from .verification import recompute_sums
@@ -65,16 +65,11 @@ def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     later labels down.
     """
     g = lab.graph
-    _check(lab.assigned == 0, "triple edges must be labelled first", g)
+    check(lab.assigned == 0, "triple edges must be labelled first")
     # d.triple_edges lists the present ones as u1u2, u1u3, u2u3.
     for a, b in reversed(d.triple_edges):
         lab.assign(g.adjacency[a][b], lab.assigned + 1)
     return lab
-
-
-def _check(condition: bool, message: str, g: Graph, **details) -> None:
-    if not condition:
-        raise ProofViolation(message, reproducer=emit_graph(g), details=details)
 
 
 def _begin(g: Graph, d: InstanceDecomposition, in_regime: bool,
@@ -110,9 +105,9 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
                             range(g.m)))
     free = list(filterfalse(roots.union(lab.label_of).__contains__,
                             range(1, g.m + 1)))
-    _check(len(free) == len(rest) and len(roots) == len(root_edge),
-           "label accounting is off", g, free=len(free), rest=len(rest),
-           root_labels=len(roots), root_edges=len(root_edge))
+    check(len(free) == len(rest) and len(roots) == len(root_edge),
+          "label accounting is off", free=len(free), rest=len(rest),
+          root_labels=len(roots), root_edges=len(root_edge))
     lab.assign_all(rest, free)
     sums = recompute_sums(g, lab)
     order = sorted(root_edge, key=lambda v: (sums[v], v))
@@ -127,10 +122,10 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     # Imported here so the span wrappers on these bindings see the calls.
     from .verification import verify_bijection, verify_stage_properties
     rep = verify_bijection(g, lab)
-    _check(rep.ok, f"stage-1 labelling is not a bijection: {rep}", g)
+    check(rep.ok, f"stage-1 labelling is not a bijection: {rep}")
     props = verify_stage_properties(StageOneResult(lab, regime), d)
-    _check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
-           g, gaps=props.gaps)
+    check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
+          gaps=props.gaps)
     return StageOneResult(lab, regime, props.sums)
 
 
@@ -161,16 +156,16 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for u in (u1, u2, u3):
         g1_edges.extend(_h_edges(g, d, u)[:t])
     col1 = koenig_colour(g, g1_edges, t)
-    _check(len(col1.classes) == t,
-           f"Koenig colouring of G1 used {len(col1.classes)} != {t} classes", g)
+    check(len(col1.classes) == t,
+          f"Koenig colouring of G1 used {len(col1.classes)} != {t} classes")
     for j, cls in enumerate(col1.classes, start=1):
         base = m - 4 * (j - 1)
         by_u = {}
         for e in cls:
             a, b = g.edges[e]
             by_u[a if a in (u1, u2, u3) else b] = e
-        _check(len(cls) == 3 and set(by_u) == {u1, u2, u3},
-               f"G1 class {j} does not hit u1, u2, u3 exactly once", g)
+        check(len(cls) == 3 and set(by_u) == {u1, u2, u3},
+              f"G1 class {j} does not hit u1, u2, u3 exactly once")
         for k, u in enumerate((u1, u2, u3), start=1):
             lab.assign(by_u[u], base - k)
 
@@ -180,8 +175,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         (e for e in g.incident[u1] if not label_of[e]),
         (e for e in d.e2 if not label_of[e] and u1 not in g.edges[e]))
     col2 = vizing_colour(g, list(islice(g2_edges, 3 * (n - 4))))
-    _check(len(col2.classes) <= n - 4,
-           "Vizing exceeded Delta(G2) + 1 classes", g)
+    check(len(col2.classes) <= n - 4, "Vizing exceeded Delta(G2) + 1 classes")
     col2 = pad_classes(col2, n - 4)
     col2 = balance_classes(col2, 3)
     a1 = d.d_prime[0] - t
@@ -190,11 +184,11 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for j in range(t + 1, n - 4):  # intervals I_{t+1} .. I_{n-5}
         cls = col2.classes[j - t - 1]
         u1_edge = next((e for e in cls if u1 in g.edges[e]), None)
-        _check(u1_edge is not None or j - t > a1,
-               f"class for interval {j} lost its u1 edge", g)
+        check(u1_edge is not None or j - t > a1,
+              f"class for interval {j} lost its u1 edge")
         # The u1 edge (if any) takes the interval top, the rest by id.
         picked = sorted(cls, key=lambda e: (e != u1_edge, e))[:3]
-        _check(len(picked) == 3, f"class for interval {j} too small", g)
+        check(len(picked) == 3, f"class for interval {j} too small")
         base = m - 4 * (j - 1)
         for k, e in enumerate(picked, start=1):
             lab.assign(e, base - k)
@@ -262,8 +256,8 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     # I_k = {m - 3k - 1, m - 3k - 2}.
     ue = [e for u in (u1, u2) for e in _h_edges(g, d, u)]
     colu = koenig_colour(g, ue, d1)
-    _check(len(colu.classes) == d1,
-           f"u-edge Koenig colouring used {len(colu.classes)} != {d1} classes", g)
+    check(len(colu.classes) == d1,
+          f"u-edge Koenig colouring used {len(colu.classes)} != {d1} classes")
 
     def class_key(cls):
         has_u2 = any(u2 in g.edges[e] for e in cls)
@@ -273,11 +267,11 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for k, cls in enumerate(ordered):
         u1_edge = next((e for e in cls if u1 in g.edges[e]), None)
         u2_edge = next((e for e in cls if u2 in g.edges[e]), None)
-        _check(u1_edge is not None, f"u-edge class {k} has no u1 edge", g)
-        _check(len(cls) <= 2, f"u-edge class {k} has {len(cls)} edges", g)
+        check(u1_edge is not None, f"u-edge class {k} has no u1 edge")
+        check(len(cls) <= 2, f"u-edge class {k} has {len(cls)} edges")
         lab.assign(u1_edge, m - 1 - 3 * k)
         if u2_edge is not None:
-            _check(k < d2, "u2 edge escaped the first d'(u2) classes", g)
+            check(k < d2, "u2 edge escaped the first d'(u2) classes")
             lab.assign(u2_edge, m - 2 - 3 * k)
 
     pending = list(range(d2, n - 5))  # intervals still needing H-H edges
@@ -336,7 +330,7 @@ def label_delta_n1(g: Graph, r: int) -> Labelling:
 
     from .verification import verify_antimagic
     rep = verify_antimagic(g, lab)
-    _check(rep.ok, f"universal-vertex labelling has conflicts {rep.conflicts}", g)
-    _check(all(rep.sums[r] > rep.sums[v] for v in range(1, n + 1) if v != r),
-           "root sum is not maximal", g)
+    check(rep.ok, f"universal-vertex labelling has conflicts {rep.conflicts}")
+    check(all(rep.sums[r] > rep.sums[v] for v in range(1, n + 1) if v != r),
+          "root sum is not maximal")
     return lab

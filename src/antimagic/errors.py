@@ -3,8 +3,10 @@
 Errors fall into three groups: input validation (bad graphs, bad files),
 hypothesis gates (the construction's preconditions are not met), and
 ProofViolation, which means a property the underlying theorem guarantees
-failed at runtime.  ProofViolation always carries enough context to
-reproduce the failing instance.
+failed at runtime.  Guards raise ProofViolation through ``check`` or
+directly, with the failed property in ``details``; ``pipeline.label``
+then attaches the graph as a text reproducer on its way out.  A direct
+call to a constructor or to ``resolve`` raises it without one.
 """
 
 from __future__ import annotations
@@ -79,15 +81,22 @@ class ProofViolation(AntimagicError):
     """A theorem-guaranteed property failed.
 
     Either the implementation has a bug or the instance is a genuine
-    counterexample; ``reproducer`` holds a text rendering of the graph
-    so the failure can be replayed.
+    counterexample.  ``reproducer`` is None where the guard raises;
+    ``pipeline.label`` sets it to the graph's text rendering so the
+    failure can be replayed.
     """
 
-    def __init__(self, message: str, reproducer: str | None = None,
-                 details: dict | None = None):
+    def __init__(self, message: str, details: dict | None = None):
         super().__init__(message)
-        self.reproducer = reproducer
+        self.reproducer: str | None = None
         self.details = details or {}
+
+
+def check(condition: bool, message: str, **details) -> None:
+    """The guard every stage shares: raise ProofViolation unless
+    ``condition`` holds."""
+    if not condition:
+        raise ProofViolation(message, details=details)
 
 
 class ProofGapWarning(UserWarning):

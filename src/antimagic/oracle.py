@@ -14,9 +14,8 @@ import random
 from collections import Counter
 from itertools import permutations
 
-from .construction import _check
 from .draw import below, shuffle
-from .errors import SearchFailed, TooLarge
+from .errors import SearchFailed, TooLarge, check
 from .graph import Graph
 from .labelling import Labelling
 from .verification import recompute_sums, verify_antimagic
@@ -47,9 +46,9 @@ def exhaustive_search(g: Graph) -> Labelling | None:
             seen.add(sums[v])
         if ok:
             lab = Labelling.from_labels(g, list(perm))
-            _check(verify_antimagic(g, lab).ok,
-                   "exhaustive search returned a labelling that is not "
-                   "antimagic", g)
+            check(verify_antimagic(g, lab).ok,
+                  "exhaustive search returned a labelling that is not "
+                  "antimagic")
             return lab
     return None
 
@@ -114,8 +113,8 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
             lab = Labelling(g)
             lab.assign_all(range(m), state.labels)
             report = verify_antimagic(g, lab)
-            _check(report.ok, "randomized search returned a labelling "
-                   "that is not antimagic", g)
+            check(report.ok, "randomized search returned a labelling "
+                  "that is not antimagic")
             return lab, report.sums
         i = below(rng, m)
         j = below(rng, m - 1)

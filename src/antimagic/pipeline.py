@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .construction import (
     StageOneResult,
-    _check,
     label_case_i1,
     label_case_i2,
     label_case_i3,
@@ -24,9 +23,12 @@ from .construction import (
 )
 from .errors import (
     NotAntimagicShape,
+    ProofViolation,
     TooSmall,
     WrongMaxDegree,
+    check,
 )
+from .fileio import emit_graph
 from .graph import (
     Graph,
     InstanceDecomposition,
@@ -59,18 +61,19 @@ class LabelOutcome:
     sums: list[int] | None = None
 
 
-def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
+def label(g: Graph, *, seed: int = 0,
           force_regime: Regime | None = None) -> LabelOutcome:
     """Antimagic-label a graph.
 
     Status ``constructed`` means the theorem's construction produced and
     verified the labelling; ``searched_fallback`` means randomized
-    search did (and the result was verified the same way).  Raises
-    NotAntimagicShape for graphs with an isolated edge or two isolated
-    vertices, SearchFailed when the fallback budget runs out, and
-    ProofViolation if a guaranteed property fails.  ``force_regime`` may
-    only be ``Regime.YILMA_FALLBACK``, which sends any graph to
-    randomized search; another value raises ValueError.
+    search did, in its default budget, and was verified the same way.
+    Raises NotAntimagicShape for graphs with an isolated edge or two
+    isolated vertices, SearchFailed when the fallback budget runs out,
+    and ProofViolation, its reproducer set here, if a guaranteed
+    property fails.  ``force_regime`` may only be ``Regime.YILMA_FALLBACK``,
+    which sends any graph to randomized search; another value raises
+    ValueError.
     """
     if force_regime not in (None, Regime.YILMA_FALLBACK):
         raise ValueError(f"force_regime must be None or YILMA_FALLBACK, "
@@ -80,46 +83,50 @@ def label(g: Graph, *, seed: int = 0, fallback_iters: int = 1_000_000,
             "isolated edge or two isolated vertices: provably not antimagic")
 
     n = g.n
-    if force_regime is None and g.max_degree() == n - 1:
-        r = next(v for v in range(1, n + 1) if g.degree(v) == n - 1)
-        return LabelOutcome(label_delta_n1(g, r), STATUS_CONSTRUCTED,
-                            Regime.DELTA_N1)
-
-    d: InstanceDecomposition | None = None
     try:
-        d = decompose(g)
-        regime = classify_regime(g, d)
-    except (WrongMaxDegree, TooSmall):
-        regime = Regime.UNSUPPORTED
-    if force_regime is not None:
-        regime = force_regime
+        if force_regime is None and g.max_degree() == n - 1:
+            r = next(v for v in range(1, n + 1) if g.degree(v) == n - 1)
+            return LabelOutcome(label_delta_n1(g, r), STATUS_CONSTRUCTED,
+                                Regime.DELTA_N1)
 
-    # Built per call, so perfbench's span wrappers around these names fire.
-    construct = {
-        Regime.MAIN: label_main,
-        Regime.DEGEN_I1: label_case_i1,
-        Regime.DEGEN_I2: label_case_i2,
-        Regime.DEGEN_I3: label_case_i3,
-        Regime.DISC_U3_ISOLATED: label_disconnected,
-        Regime.DISC_TRIPLE_COMPONENT: label_disconnected,
-    }.get(regime)
-    if construct is None:  # YILMA_FALLBACK or UNSUPPORTED
-        lab, sums = randomized_search(g, budget=fallback_iters, seed=seed)
-        return LabelOutcome(lab, STATUS_SEARCHED, regime, d, sums=sums)
-    stage = construct(g, d)
+        d: InstanceDecomposition | None = None
+        try:
+            d = decompose(g)
+            regime = classify_regime(g, d)
+        except (WrongMaxDegree, TooSmall):
+            regime = Regime.UNSUPPORTED
+        if force_regime is not None:
+            regime = force_regime
 
-    final, trace = resolve(stage, d)
-    # An unchanged stage labelling already has its verdict from its
-    # raw-label sums: the stage check's outright test, or the conflict
-    # search on those sums.  Only a labelling resolution changed is
-    # checked again.
-    sums = stage.sums
-    if final is not stage.labelling:
-        report = verify_antimagic(g, final)
-        _check(report.ok,
-               "resolution returned a labelling that is not antimagic",
-               g, conflicts=report.conflicts)
-        sums = report.sums
+        # Built per call, so perfbench's span wrappers on these names fire.
+        construct = {
+            Regime.MAIN: label_main,
+            Regime.DEGEN_I1: label_case_i1,
+            Regime.DEGEN_I2: label_case_i2,
+            Regime.DEGEN_I3: label_case_i3,
+            Regime.DISC_U3_ISOLATED: label_disconnected,
+            Regime.DISC_TRIPLE_COMPONENT: label_disconnected,
+        }.get(regime)
+        if construct is None:  # YILMA_FALLBACK or UNSUPPORTED
+            lab, sums = randomized_search(g, seed=seed)
+            return LabelOutcome(lab, STATUS_SEARCHED, regime, d, sums=sums)
+        stage = construct(g, d)
+
+        final, trace = resolve(stage, d)
+        # An unchanged stage labelling already has its verdict from its
+        # raw-label sums: the stage check's outright test, or the conflict
+        # search on those sums.  Only a labelling resolution changed is
+        # checked again.
+        sums = stage.sums
+        if final is not stage.labelling:
+            report = verify_antimagic(g, final)
+            check(report.ok,
+                  "resolution returned a labelling that is not antimagic",
+                  conflicts=report.conflicts)
+            sums = report.sums
+    except ProofViolation as exc:
+        exc.reproducer = emit_graph(g)
+        raise
     return LabelOutcome(final, STATUS_CONSTRUCTED, regime, d, stage, trace,
                         sums)
 

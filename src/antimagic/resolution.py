@@ -17,9 +17,8 @@ import warnings
 from dataclasses import dataclass, field
 from functools import partial
 
-from .errors import ProofGapWarning, ProofViolation
-from .fileio import emit_graph
-from .graph import STEP, Graph, InstanceDecomposition, Regime
+from .errors import ProofGapWarning, ProofViolation, check
+from .graph import STEP, InstanceDecomposition, Regime
 from .labelling import Labelling
 from .verification import antimagic_from_sums, verify_antimagic
 
@@ -123,9 +122,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
 
     if ranks == {1, 2, 3}:
         ok = [i for i in lam if y(i) != v1 and y(i + 1) != v2]
-        if len(ok) < 2:
-            raise ProofViolation(
-                f"case 1 admissible lambda count {len(ok)} < 2")
+        check(len(ok) >= 2, f"case 1 admissible lambda count {len(ok)} < 2")
         plans = [[lam[i]] for i in ok]
         plans += [[lam[i], rho[k]] for i in ok for k in rho]
         return "1", plans
@@ -147,8 +144,7 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
         return "5", [[e] for e in mu.values()]
     if ranks == {3}:
         return "6", [[e] for e in rho.values()]
-    if ranks != {2}:
-        raise ProofViolation(f"conflict ranks {sorted(ranks)} fit no case")
+    check(ranks == {2}, f"conflict ranks {sorted(ranks)} fit no case")
     d1 = sums[v1] - sums[u1]
     d3 = sums[v3] - sums[u3]
     if abs(d1) >= 2 or d1 == 1:
@@ -173,26 +169,23 @@ def _degen_menu(regime: Regime, c: ConflictSet, n: int
         return "i2", [[Exchange("named", 0)],
                       [Exchange("named", STEP[regime] * (n - 5) + 1)]]
     ranks = set(c.u_ranks)
-    if regime != Regime.DEGEN_I3 or not ranks or 3 in ranks:
-        raise ProofViolation(f"{regime.value} conflict ranks {sorted(ranks)} "
-                             "fit no case")
+    check(regime == Regime.DEGEN_I3 and 0 < len(ranks) and 3 not in ranks,
+          f"{regime.value} conflict ranks {sorted(ranks)} fit no case")
     case, family = {(1, 2): ("i3:both", "lambda"), (1,): ("i3:u1", "mu"),
                     (2,): ("i3:u2", "rho")}[tuple(sorted(ranks))]
     return case, [[e] for e in exchanges(Regime.DEGEN_I3)[family].values()]
 
 
-def _plan_is_sound(g: Graph, before: list[int], after: list[int], r: int,
+def _plan_is_sound(before: list[int], after: list[int], r: int,
                    regime: Regime) -> None:
-    if max(abs(a - b) for a, b in zip(before, after)) > 2:
-        raise ProofViolation("a vertex sum moved by more than 2",
-                             reproducer=emit_graph(g))
-    if regime in (Regime.MAIN, Regime.DEGEN_I3) and after[r] < before[r] - 1:
-        raise ProofViolation("root sum dropped by more than 1",
-                             reproducer=emit_graph(g))
+    check(max(abs(a - b) for a, b in zip(before, after)) <= 2,
+          "a vertex sum moved by more than 2")
+    check(regime not in (Regime.MAIN, Regime.DEGEN_I3)
+          or after[r] >= before[r] - 1, "root sum dropped by more than 1")
 
 
 def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,
-                           regime: Regime, l: Labelling) -> None:
+                           regime: Regime) -> None:
     """Stage-1 properties confine where conflicts can sit; anything else
     means the construction itself is broken."""
     u_set = set(d.u)
@@ -209,8 +202,7 @@ def _assert_conflict_shape(c: ConflictSet, d: InstanceDecomposition,
                          for x in (a, b)))
         if not legal:
             raise ProofViolation(
-                f"conflict ({a},{b}) outside the regime's possible set",
-                reproducer=emit_graph(l.graph))
+                f"conflict ({a},{b}) outside the regime's possible set")
 
 
 def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
@@ -234,7 +226,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     if not conflicts.pairs:
         return s.labelling, ResolutionTrace("none", 0, (), True)
 
-    _assert_conflict_shape(conflicts, d, regime, s.labelling)
+    _assert_conflict_shape(conflicts, d, regime)
     if regime == Regime.MAIN:
         case, plans = candidate_plans(conflicts, s, d)
     else:
@@ -251,7 +243,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
             for ex in plan:
                 cand.swap_labels(g.m - ex.offset, g.m - ex.offset - 1)
             report = verify_antimagic(g, cand)
-            _plan_is_sound(g, before, report.sums, d.r, regime)
+            _plan_is_sound(before, report.sums, d.r, regime)
             if report.ok:
                 return cand, tuple(plan), tried
             if len(rejections) < 64:
@@ -282,5 +274,4 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
 
     raise ProofViolation(
         f"no exchange plan resolved case {case} after {tried} candidates",
-        reproducer=emit_graph(g),
         details={"case": case, "conflicts": conflicts.pairs})

@@ -390,3 +390,15 @@ def test_assign_all_writes_a_batch_and_refuses_reuse():
         with pytest.raises(ProofViolation):
             lab.assign_all(eids, labels)
 
+
+
+def test_assign_accepts_labels_one_to_m_only():
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    lab = Labelling(g)
+    lab.assign(2, g.m)
+    assert lab.label_of[2] == g.m and lab.edge_with[g.m] == 2
+    for value in (g.m + 1, 0):
+        with pytest.raises(ProofViolation,
+                           match=f"label {value} out of range"):
+            lab.assign(0, value)
+    assert lab.assigned == 1 and lab.label_of[0] == 0

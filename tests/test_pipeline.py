@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,9 @@ from pathlib import Path
 import pytest
 
 import antimagic
+import antimagic.colouring as colouring
+import antimagic.construction as construction
+import antimagic.resolution as resolution
 from antimagic import (
     Regime,
     build_graph,
@@ -15,7 +19,9 @@ from antimagic import (
     outcome_trace,
     verify_antimagic,
 )
-from antimagic.errors import NotAntimagicShape
+from antimagic.cli import main
+from antimagic.errors import NotAntimagicShape, ProofViolation
+from antimagic.fileio import emit_graph
 
 
 def test_shape_guard_isolated_edge():
@@ -90,6 +96,67 @@ def test_force_regime_accepts_only_the_fallback():
         if regime != Regime.YILMA_FALLBACK:
             with pytest.raises(ValueError, match="force_regime"):
                 label(g, force_regime=regime)
+
+
+# Faults injected below label(), one per module with guards.  Each
+# patches the library and returns the instance it breaks and the
+# message its guard raises.
+
+def _no_donor_path(monkeypatch):
+    monkeypatch.setattr(colouring, "_donor_path", lambda g, recv, donor: [])
+    return ("main", 20, 1), "class balancing failed to make progress"
+
+
+def _repeated_u_edge(monkeypatch):
+    h_edges = construction._h_edges
+    monkeypatch.setattr(construction, "_h_edges",
+                        lambda g, d, u: h_edges(g, d, u)[:1] * 2)
+    return ("degen_i1", 20, 1), r"edge \d+ already labelled"
+
+
+def _conflict_without_u_rank(monkeypatch):
+    find = resolution.find_conflicts
+
+    def no_rank(lab, d, sums=None):
+        return dataclasses.replace(find(lab, d, sums), u_ranks=(),
+                                   pairs=((d.u[0], d.h_vertices[0]),))
+    monkeypatch.setattr(resolution, "find_conflicts", no_rank)
+    return ("main", 20, 1), r"conflict ranks \[\] fit no case"
+
+
+def _koenig_class_lost(monkeypatch):
+    koenig = construction.koenig_colour
+
+    def short(g, edge_ids, k):
+        col = koenig(g, edge_ids, k)
+        return dataclasses.replace(col, classes=col.classes[1:])
+    monkeypatch.setattr(construction, "koenig_colour", short)
+    return ("main", 20, 1), "Koenig colouring of G1 used"
+
+
+FAULTS = [_no_donor_path, _repeated_u_edge, _conflict_without_u_rank,
+          _koenig_class_lost]
+
+
+@pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[1:])
+def test_label_attaches_the_graph_to_every_proof_violation(fault,
+                                                           monkeypatch):
+    (target, n, seed), message = fault(monkeypatch)
+    g = gen_instance(n, target, seed=seed)
+    with pytest.raises(ProofViolation, match=message) as info:
+        label(g, seed=seed)
+    assert info.value.reproducer == emit_graph(g)
+
+
+def test_cli_prints_the_reproducer_on_exit_4(monkeypatch, tmp_path, capsys):
+    (target, n, seed), _ = _no_donor_path(monkeypatch)
+    g = gen_instance(n, target, seed=seed)
+    path = tmp_path / "g.graph"
+    path.write_text(emit_graph(g))
+    assert main(["label", str(path), "--seed", str(seed)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("proof violation: class balancing failed")
+    assert "\nreproducer:\n" + emit_graph(g) in err
 
 
 def test_trace_shape():

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import antimagic.pipeline as pipeline
 import antimagic.resolution as resolution
 from antimagic import (
     Labelling,
@@ -24,6 +25,7 @@ from antimagic.fileio import emit_graph
 from antimagic.resolution import (
     FAMILIES,
     ConflictSet,
+    _assert_conflict_shape,
     _degen_menu,
     exchanges,
     y_end,
@@ -403,7 +405,7 @@ def _h_only_conflict(g, d, labels):
     raise AssertionError("no exchange of two H-H labels meets two H sums")
 
 
-def test_resolve_rejects_illegal_conflict_shape(main_stage):
+def test_resolve_rejects_illegal_conflict_shape(main_stage, monkeypatch):
     g, d, stage = main_stage
     # Stage 1 never leaves two H vertices with equal sums; a stage that
     # does must trip the shape guard before any plan is tried.
@@ -412,6 +414,26 @@ def test_resolve_rejects_illegal_conflict_shape(main_stage):
     pairs = find_conflicts(fake.labelling, d).pairs
     assert pairs and all(a in d.h_set and b in d.h_set for a, b in pairs)
     with pytest.raises(ProofViolation,
-                       match="outside the regime's possible set") as info:
+                       match="outside the regime's possible set"):
         resolve(fake, d)
-    assert info.value.reproducer
+    # Through label() the same guard's violation carries the graph.
+    monkeypatch.setattr(pipeline, "label_main", lambda g, d: fake)
+    with pytest.raises(ProofViolation,
+                       match="outside the regime's possible set") as info:
+        label(g)
+    assert info.value.reproducer == emit_graph(g)
+
+
+def _conflict_set(*pairs):
+    return ConflictSet(pairs, (), {}, [])
+
+
+def test_conflict_shape_guard_refuses_what_stage_one_rules_out(main_stage):
+    _, d, _ = main_stage
+    (u1, u2, _), r = d.u, d.r
+    with pytest.raises(ProofViolation, match=f"conflict \\({u1},{u2}\\)"):
+        _assert_conflict_shape(_conflict_set((u1, u2)), d, Regime.MAIN)
+    # i=2 leaves u1 free to meet the root, and no other u.
+    _assert_conflict_shape(_conflict_set((u1, r)), d, Regime.DEGEN_I2)
+    with pytest.raises(ProofViolation, match=f"conflict \\({u2},{r}\\)"):
+        _assert_conflict_shape(_conflict_set((u2, r)), d, Regime.DEGEN_I2)
