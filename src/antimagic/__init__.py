@@ -42,7 +42,7 @@ from .verification import (
     verify_stage_properties,
 )
 from .oracle import exhaustive_search, randomized_search
-from .generator import gen_corpus, gen_instance, min_feasible_n
+from .generator import gen_instance, min_feasible_n
 from .pipeline import LabelOutcome, label, outcome_trace
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "find_conflicts", "resolve", "EdgeColouring", "balance_classes",
     "koenig_colour", "order_classes_for_vertex", "vizing_colour",
     "verify_antimagic", "verify_bijection", "verify_stage_properties",
-    "exhaustive_search", "randomized_search", "gen_corpus",
-    "gen_instance", "min_feasible_n", "LabelOutcome", "label",
-    "outcome_trace",
+    "exhaustive_search", "randomized_search", "gen_instance",
+    "min_feasible_n", "LabelOutcome", "label", "outcome_trace",
 ]

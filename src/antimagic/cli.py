@@ -32,7 +32,7 @@ from .fileio import emit_graph, emit_labelling, parse_graph, parse_labelling
 from .generator import TARGETS, corpus_schedule, gen_instance
 from .graph import Regime
 from .pipeline import label, outcome_trace
-from .verification import verify_antimagic, verify_bijection
+from .verification import i1_bounds, verify_antimagic, verify_bijection
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -175,9 +175,11 @@ def cmd_explain(args) -> int:
         print(f"sums: r = {final['r_sum']}, u1 = {u1}, u2 = {u2}, u3 = {u3}")
         print(f"margins: u3->u2 {gaps['u3_u2']}, u2->u1 {gaps['u2_u1']}, "
               f"root {gaps['root_margin']}, H spacing {gaps['h_min_gap']}")
-        if doc["regime"] == Regime.DEGEN_I1.value:
-            print(f"i=1 bounds: sum(u1) = {u1} <= 38, "
-                  f"min H sum = {final['min_h_sum']} >= 101")
+        # An i = 1 stage, disconnected or not, was checked against these.
+        if d["degenerate_index"] == 1 and doc["stage_sums"] is not None:
+            u1_max, h_min = i1_bounds(g.n, g.m)
+            print(f"i=1 bounds: sum(u1) = {u1} <= {u1_max}, "
+                  f"min H sum = {final['min_h_sum']} >= {h_min}")
     res = doc["resolution"]
     if res is not None:
         applied = [f"{e['family']}_{e['offset']}" for e in res["applied"]]

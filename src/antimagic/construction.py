@@ -33,22 +33,19 @@ from .errors import (
     NotUniversalVertex,
     check,
 )
-from .graph import Graph, InstanceDecomposition, Regime, degenerate_index
+from .graph import Graph, InstanceDecomposition, Regime, stage_regime
 from .labelling import Labelling
 from .verification import recompute_sums
 
 
 @dataclass(frozen=True)
 class StageOneResult:
-    """A completed stage-1 labelling and its regime.
-
-    ``sums`` are the vertex sums the stage-property check recomputed
-    from the raw labels; None for a stage that did not pass ``_finish``.
-    """
+    """A completed stage-1 labelling, its regime, and the vertex sums the
+    stage-property check recomputed from the raw labels."""
 
     labelling: Labelling
     regime: Regime
-    sums: list[int] | None = field(default=None, repr=False)
+    sums: list[int] = field(repr=False)
 
 
 def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[int]:
@@ -72,15 +69,16 @@ def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
     return lab
 
 
-def _begin(g: Graph, d: InstanceDecomposition, in_regime: bool,
-           why: str) -> Labelling:
+def _begin(g: Graph, d: InstanceDecomposition, regime: Regime) -> Labelling:
     """Open every stage 1: raise HypothesisViolated unless m >= 7n and
-    the graph is in the constructor's regime (``why`` says why not),
-    then give the triple edges the smallest labels."""
+    d' calls for the constructor's ``regime``, then give the triple
+    edges the smallest labels."""
     if g.m < 7 * g.n:
         raise HypothesisViolated(f"m = {g.m} < 7n = {7 * g.n}")
-    if not in_regime:
-        raise HypothesisViolated(why)
+    wanted = stage_regime(d)
+    if wanted != regime:
+        raise HypothesisViolated(
+            f"d' = {d.d_prime} calls for {wanted.value}, not {regime.value}")
     return label_triple_edges(d, Labelling(g))
 
 
@@ -123,7 +121,7 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     from .verification import verify_bijection, verify_stage_properties
     rep = verify_bijection(g, lab)
     check(rep.ok, f"stage-1 labelling is not a bijection: {rep}")
-    props = verify_stage_properties(StageOneResult(lab, regime), d)
+    props = verify_stage_properties(lab, regime, d)
     check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
           gaps=props.gaps)
     return StageOneResult(lab, regime, props.sums)
@@ -146,7 +144,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     uncoloured take small labels like the unused classes do.
     """
     t = d.d_prime[2]
-    lab = _begin(g, d, t >= 4, f"d'(u3) = {t} < 4 is not the main regime")
+    lab = _begin(g, d, Regime.MAIN)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
 
@@ -201,8 +199,7 @@ def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     """Degenerate case d'(u1) <= 3: all u-edges take the smallest labels
     (u3's first, then u2's, then u1's), the root edges the n-4 largest.
     The outcome is antimagic outright."""
-    lab = _begin(g, d, d.d_prime[0] <= 3,
-                 f"d'(u1) = {d.d_prime[0]} > 3 is not case i=1")
+    lab = _begin(g, d, Regime.DEGEN_I1)
     n, m = g.n, g.m
     for u in reversed(d.u):
         for e in _h_edges(g, d, u):
@@ -217,8 +214,7 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     sums are spaced by 2.  The only conflict left for resolution involves
     u1 (the root sum need not dominate u1 here)."""
     d1 = d.d_prime[0]
-    lab = _begin(g, d, d1 >= 4 and d.d_prime[1] <= 3,
-                 f"d' = {d.d_prime} is not case i=2")
+    lab = _begin(g, d, Regime.DEGEN_I2)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
     for u in (u3, u2):
@@ -243,9 +239,8 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     degree is at most that of H-H, so there are at most n - 4 classes
     and enough edges to balance each to two; the rest take small labels.
     """
-    d1, d2, d3 = d.d_prime
-    lab = _begin(g, d, d2 >= 4 and d3 <= 3,
-                 f"d' = {d.d_prime} is not case i=3")
+    d1, d2, _ = d.d_prime
+    lab = _begin(g, d, Regime.DEGEN_I3)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
     for e in _h_edges(g, d, u3):
@@ -308,11 +303,12 @@ def label_disconnected(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     edges, so m >= 7n forces n >= 21, and every H vertex holds a root
     label >= m - (n - 5) >= 131.  The caller rejects unlabellable shapes.
     """
-    i = degenerate_index(d)
-    if i is None:
+    regime = stage_regime(d)
+    if regime == Regime.MAIN:
         raise HypothesisViolated(f"d' = {d.d_prime} has no degenerate index")
     # Built per call, so the span wrappers on these names see the call.
-    return {1: label_case_i1, 2: label_case_i2, 3: label_case_i3}[i](g, d)
+    return {Regime.DEGEN_I1: label_case_i1, Regime.DEGEN_I2: label_case_i2,
+            Regime.DEGEN_I3: label_case_i3}[regime](g, d)
 
 
 def label_delta_n1(g: Graph, r: int) -> Labelling:

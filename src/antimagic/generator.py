@@ -147,14 +147,19 @@ def gen_instance(n: int, regime, seed: int, *,
     ``triple`` fixes the edges among the u's (pairs of 2, 3, 4, in either
     order) and ``d_prime`` fixes d'(u1), d'(u2), d'(u3), non-increasing.
     A pair that does not join two u's, or a d' that increases, raises
-    ValueError; a triple the target cannot have, a d' outside the
-    target's bounds, or one that no edge count and degree caps admit,
-    raises InfeasibleRegime; all before any attempt."""
+    ValueError; an n with no instance of the target, a triple the target
+    cannot have, a d' outside the target's bounds, or one that no edge
+    count and degree caps admit, raises InfeasibleRegime; all before any
+    attempt."""
     target = _as_target(regime)
     expected = TARGETS[target]
     triple_idx = None if triple is None else _triple_indices(target, triple)
     if d_prime is not None:
         _check_dprime(target, n, d_prime, triple_idx)
+    elif not _any_split(target, n, _dprime_bounds(target, n)):
+        raise InfeasibleRegime(
+            f"no {target} instance exists at n = {n} "
+            f"(smallest feasible is {min_feasible_n(target)})")
     mix = zlib.crc32(target.encode())
     rng = random.Random(seed * 2_654_435_761 + n * 40_503 + mix)
     for _attempt in range(60):
@@ -164,11 +169,6 @@ def gen_instance(n: int, regime, seed: int, *,
         got = classify_regime(g, decompose(g))
         if got == expected:
             return g
-    # Distinguish "never possible" from "bad luck".
-    if not _any_split(target, n, _dprime_bounds(target, n)):
-        raise InfeasibleRegime(
-            f"no {target} instance exists at n = {n} "
-            f"(smallest feasible is {min_feasible_n(target)})")
     raise GenerationFailed(f"retry budget exhausted for {target}, n = {n}")
 
 
@@ -210,8 +210,6 @@ def _try_generate(target: str, n: int, rng: random.Random,
                   d_fixed, triple_idx) -> Graph | None:
     h = list(range(5, n + 1))
     bounds = _dprime_bounds(target, n)
-    if bounds[0][0] > bounds[0][1]:
-        return None
 
     if triple_idx is None:
         options = _TRIPLE_OPTIONS[target]
@@ -355,10 +353,3 @@ def _schedule(count: int, n_lo: int, n_hi: int, targets: list, seed: int):
                     f"{t} needs n >= {min_feasible_n(t)} > {n_hi}")
         lo = lows[t]
         yield t, lo + (idx // len(targets)) % (n_hi - lo + 1), seed + idx
-
-
-def gen_corpus(count: int, n_range: tuple[int, int], regimes, seed: int
-               ) -> list[Graph]:
-    """Deterministic corpus over ``corpus_schedule``."""
-    return [gen_instance(n, t, s)
-            for t, n, s in corpus_schedule(count, n_range, regimes, seed)]

@@ -190,6 +190,13 @@ def degenerate_index(d: InstanceDecomposition) -> int | None:
                 None)
 
 
+def stage_regime(d: InstanceDecomposition) -> Regime:
+    """The stage-1 construction d' calls for: DEGEN_I{i} for degenerate
+    index i, MAIN for a non-degenerate triple."""
+    i = degenerate_index(d)
+    return Regime.MAIN if i is None else Regime(f"DEGEN_I{i}")
+
+
 def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
     """Route a decomposition to its labelling pipeline.
 
@@ -208,10 +215,7 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
         return Regime.DISC_TRIPLE_COMPONENT
     if g.degree(u3) == 0 and d.d_prime[0] > 0:
         return Regime.DISC_U3_ISOLATED
-    i = degenerate_index(d)
-    if i is not None:
-        return Regime(f"DEGEN_I{i}")
-    return Regime.MAIN
+    return stage_regime(d)
 
 
 def isolated_vertices(g: Graph) -> list[int]:

@@ -65,17 +65,13 @@ class ResolutionTrace:
 
 
 def find_conflicts(l: Labelling, d: InstanceDecomposition,
-                   sums: list[int] | None = None) -> ConflictSet:
+                   sums: list[int]) -> ConflictSet:
     """Equal-sum pairs plus, for each u_k, its rival: the H vertex whose
     sum is closest (ties by smallest id).  ``sums`` are ``l``'s sums as a
     check already recomputed them from the raw labels (a finished
-    stage's ``sums``); without them they are recomputed here.  Either
-    way they are carried along for the caller to read."""
-    g = l.graph
-    report = (verify_antimagic(g, l) if sums is None
-              else antimagic_from_sums(g, sums))
+    stage's ``sums``); they are carried along for the caller to read."""
+    report = antimagic_from_sums(l.graph, sums)
     pairs = [(a, b) for a, b, _ in report.conflicts]
-    sums = report.sums
     ranks = tuple(k for k, u in enumerate(d.u, start=1)
                   if any(u in p for p in pairs))
     rivals = {}
@@ -210,18 +206,14 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     every single and paired tabled exchange; accept the first plan whose
     outcome verifies antimagic.
 
-    An i=1 stage (a triple component's among them) is provably antimagic
-    and admits no exchanges; it has been checked antimagic from the raw
-    labels, so it is returned as it is.  A MAIN, i=2 or i=3 stage's
-    conflicts are read from the sums its property check recomputed,
-    when it carries them.
-    A returned labelling that is the stage's own has thus had its
-    antimagic verdict from its raw labels; any other has not.
+    A stage's conflicts are read from the sums its property check
+    recomputed from the raw labels, so a returned labelling that is the
+    stage's own has had its antimagic verdict from them; any other has
+    not.  An i=1 stage (a triple component's among them) passed its
+    check only if antimagic outright, so it has no conflict.
     """
     g = s.labelling.graph
     regime = s.regime
-    if regime == Regime.DEGEN_I1:
-        return s.labelling, ResolutionTrace("none", 0, (), True)
     conflicts = find_conflicts(s.labelling, d, s.sums)
     if not conflicts.pairs:
         return s.labelling, ResolutionTrace("none", 0, (), True)

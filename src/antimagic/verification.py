@@ -117,18 +117,25 @@ def margins(g: Graph, d: InstanceDecomposition, sums: list[int]) -> dict:
     }
 
 
-def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyReport:
-    """Every property the proof guarantees of a stage-1 result, checked
-    for the stage's own regime from the raw labels.  That regime is MAIN
-    or DEGEN_I1/I2/I3: both disconnected families are labelled by a
+def i1_bounds(n: int, m: int) -> tuple[int, int]:
+    """The i = 1 stage's bounds: the largest sum(u1) and the smallest H
+    sum."""
+    return 38, max(m - (n - 5), 101)
+
+
+def verify_stage_properties(lab: Labelling, regime: Regime,
+                            d: InstanceDecomposition) -> StagePropertyReport:
+    """Every property the proof guarantees of a stage-1 labelling, checked
+    for its stage regime from the raw labels.  That regime is MAIN or
+    DEGEN_I1/I2/I3: both disconnected families are labelled by a
     degenerate constructor.
 
     * MAIN: the u-sums are separated by >= 4 (u3 < u2 < u1), the root sum
       dominates every other sum by >= 4, and consecutive sums over H
       differ by >= 4.
-    * DEGEN_I1: sum(u1) <= 38, sum(u3) < sum(u2) < sum(u1),
-      min sum over H >= max(m - (n - 5), 101), and stage 1 is antimagic
-      outright: the H sums, and all vertex sums, are pairwise distinct.
+    * DEGEN_I1: sum(u1) <= 38, sum(u3) < sum(u2) < sum(u1), min sum
+      over H >= max(m - (n - 5), 101) (both from ``i1_bounds``), and
+      stage 1 is antimagic outright: all vertex sums are distinct.
     * DEGEN_I2: sum(u3) < sum(u2) < 30, sum(u1) >= sum(u2) + 4,
       min sum over H >= max(m - 2(n - 5) - 1, 89), the root sum
       dominates H by >= 4 and H sums are spaced by >= 2.  The root need
@@ -143,8 +150,8 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     The H spacing and the intervals come from ``STEP``: interval k holds
     the STEP - 1 labels under m - STEP * k, for k = 0 .. n - 6.
     """
-    g = stage.labelling.graph
-    sums = recompute_sums(g, stage.labelling)
+    g = lab.graph
+    sums = recompute_sums(g, lab)
     n, m, r = g.n, g.m, d.r
     u1, u2, u3 = d.u
     s1, s2, s3 = sums[u1], sums[u2], sums[u3]
@@ -153,7 +160,6 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
     failures: list[str] = []
     gaps = margins(g, d, sums)
 
-    regime = stage.regime
     step = STEP[regime]
 
     if regime == Regime.MAIN:
@@ -164,12 +170,13 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
         if gaps["root_margin"] < 4:
             failures.append(f"root margin {gaps['root_margin']} < 4")
     elif regime == Regime.DEGEN_I1:
-        if s1 > 38:
-            failures.append(f"sum(u1) = {s1} > 38")
+        u1_max, h_min = i1_bounds(n, m)
+        if s1 > u1_max:
+            failures.append(f"sum(u1) = {s1} > {u1_max}")
         if not s3 < s2 < s1:
             failures.append(f"u sums not increasing: {s3}, {s2}, {s1}")
-        if min_h < max(m - (n - 5), 101):
-            failures.append(f"min H sum {min_h} < {max(m - (n - 5), 101)}")
+        if min_h < h_min:
+            failures.append(f"min H sum {min_h} < {h_min}")
     elif regime == Regime.DEGEN_I2:
         if not s3 < s2 < 30:
             failures.append(f"u2/u3 sums out of bounds: {s3}, {s2}")
@@ -198,7 +205,7 @@ def verify_stage_properties(stage, d: InstanceDecomposition) -> StagePropertyRep
         # Hits per (vertex, interval k).  A C-level filter keeps the
         # edges labelled above the last interval; of these, block
         # openers (pos = 0) and labels above m (k < 0) are in none.
-        label_of = stage.labelling.label_of
+        label_of = lab.label_of
         hits: dict[tuple[int, int], int] = {}
         for eid in compress(range(len(label_of)),
                             map((m - step * (n - 5)).__lt__, label_of)):

@@ -69,7 +69,8 @@ def corpus_results():
             rec["gap_warning"] = bool(tr and tr.gap_warning)
             rec["paper_directed"] = bool(tr and tr.paper_directed)
             if stage is not None:
-                props = verify_stage_properties(stage, d)
+                props = verify_stage_properties(stage.labelling,
+                                                stage.regime, d)
                 rec["stage_ok"] = props.ok
                 before = recompute_sums(g, stage.labelling)
                 after = recompute_sums(g, outcome.labelling)

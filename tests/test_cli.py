@@ -258,9 +258,33 @@ def test_explain_degen_i1_mentions_bound(tmp_path, capsys):
     path = tmp_path / "i1.graph"
     path.write_text(emit_graph(g))
     assert main(["explain", str(path)]) == 0
-    text = capsys.readouterr().out
-    assert "degenerate index i = 1" in text
-    assert "<= 38" in text
+    lines = capsys.readouterr().out.splitlines()
+    assert "degenerate index i = 1" in lines
+    # n = 20, m = 140: the H bound is max(m - (n - 5), 101) = 125.
+    assert ("i=1 bounds: sum(u1) = 22 <= 38, min H sum = 884 >= 125"
+            in lines)
+
+
+def test_explain_i1_bounds_follow_the_stage(tmp_path, capsys):
+    # A triple component is labelled by the i = 1 constructor and
+    # checked against the same bounds (n = 24, m = 193).
+    path = tmp_path / "triple.graph"
+    path.write_text(emit_graph(gen_instance(24, "disc_triple", seed=1)))
+    assert main(["explain", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "regime = DISC_TRIPLE_COMPONENT" in lines
+    assert ("i=1 bounds: sum(u1) = 5 <= 38, min H sum = 1353 >= 174"
+            in lines)
+    # d' = (1, 1, 1) but m < 7n: randomized search labels it, no i = 1
+    # stage is checked, and no bounds are printed.
+    g = build_graph(8, [(1, 5), (1, 6), (1, 7), (1, 8), (2, 5), (3, 6),
+                        (4, 7), (5, 6)])
+    path.write_text(emit_graph(g))
+    assert main(["explain", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "regime = UNSUPPORTED" in lines
+    assert "degenerate index i = 1" in lines
+    assert not any(line.startswith("i=1 bounds") for line in lines)
 
 
 def test_explain_prints_from_the_trace(main_graph_file, monkeypatch, capsys):
@@ -278,7 +302,7 @@ def test_explain_prints_from_the_trace(main_graph_file, monkeypatch, capsys):
         calls.append("outcome_trace")
         doc = real_trace(*args, **kwargs)
         doc["regime"] = "DEGEN_I1"
-        doc["decomposition"]["degenerate_index"] = 9
+        doc["decomposition"]["degenerate_index"] = 1
         doc["final"].update(r_sum=-101, u_sums=[-1, -2, -3], min_h_sum=-11)
         doc["final"]["gaps"].update(u3_u2=-7, u2_u1=-8, root_margin=-9,
                                     h_min_gap=-10)
@@ -291,10 +315,11 @@ def test_explain_prints_from_the_trace(main_graph_file, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert calls == ["label", "outcome_trace"]
     assert "regime = DEGEN_I1" in lines
-    assert "degenerate index i = 9" in lines
+    assert "degenerate index i = 1" in lines
     assert "sums: r = -101, u1 = -1, u2 = -2, u3 = -3" in lines
     assert "margins: u3->u2 -7, u2->u1 -8, root -9, H spacing -10" in lines
-    assert "i=1 bounds: sum(u1) = -1 <= 38, min H sum = -11 >= 101" in lines
+    # The bounds are the graph's own: n = 20, m = 147.
+    assert "i=1 bounds: sum(u1) = -1 <= 38, min H sum = -11 >= 132" in lines
     assert any(line.startswith("resolution: case none, plans tried 77,")
                for line in lines)
     for name in ("recompute_sums", "margins", "degenerate_index"):
@@ -359,6 +384,28 @@ def test_stress_smoke(capsys):
     counts = [int(x.split(": ")[1])
               for x in cases.removeprefix("resolution cases: ").split(", ")]
     assert sum(counts) == 8
+
+
+STRESS_CONFLICTED = ["stress", "--count", "1", "--n-min", "19", "--n-max",
+                     "19", "--regimes", "main", "--seed", "23"]
+
+
+def test_stress_counts_a_conflicted_run(capsys):
+    # Seed 23 at n = 19 is a main graph whose stage 1 needs case 7.1.
+    assert main(STRESS_CONFLICTED) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["main", "1", "0", "1"]
+    assert "resolution cases: 7.1: 1" in lines
+
+
+def test_stress_reports_failures_exit_1(monkeypatch, capsys):
+    fail = cli.verify_antimagic(build_graph(2, [(1, 2)]), [1])
+    assert not fail.ok
+    monkeypatch.setattr(cli, "verify_antimagic", lambda g, lab: fail)
+    assert main(STRESS_CONFLICTED) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["main", "0", "1", "1"]
+    assert lines[-1] == "failures: [('main', 19, 23)]"
 
 
 def test_force_regime_hook(main_graph_file, tmp_path, capsys):

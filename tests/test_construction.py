@@ -143,7 +143,7 @@ def test_main_is_bijection_with_reserved_block(main_stage):
 
 def test_main_stage_properties(main_stage):
     g, d, stage = main_stage
-    rep = verify_stage_properties(stage, d)
+    rep = verify_stage_properties(stage.labelling, stage.regime, d)
     assert rep.ok, rep.failures
     sums = recompute_sums(g, stage.labelling)
     u1, u2, u3 = d.u

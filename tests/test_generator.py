@@ -8,7 +8,6 @@ from antimagic import (
     Regime,
     classify_regime,
     decompose,
-    gen_corpus,
     gen_instance,
     min_feasible_n,
 )
@@ -56,9 +55,10 @@ def test_regime_without_a_target_is_infeasible(regime):
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS)
-def test_rejects_small_n(target):
+def test_rejects_small_n(no_attempts, target):
     # m >= 7n cannot hold below n = 18 at this maximum degree, so every
-    # in-hypothesis regime must reject n <= 15 (and more).
+    # in-hypothesis regime must reject n <= 15 (and more), before any
+    # generation attempt.
     for n in (12, 15, 16):
         with pytest.raises(InfeasibleRegime):
             gen_instance(n, target, seed=1)
@@ -190,9 +190,14 @@ def test_exhausted_retries_are_bad_luck_not_infeasibility(monkeypatch):
         gen_instance(30, "main", 1)
 
 
+def _corpus(count, n_range, regimes, seed):
+    return [gen_instance(n, t, s)
+            for t, n, s in corpus_schedule(count, n_range, regimes, seed)]
+
+
 def test_corpus_round_robin_and_determinism():
     regimes = ALL_TARGETS[:7]
-    corpus = gen_corpus(70, (16, 48), regimes, seed=1)
+    corpus = _corpus(70, (16, 48), regimes, seed=1)
     assert len(corpus) == 70
     counts = collections.Counter()
     for idx, g in enumerate(corpus):
@@ -202,12 +207,11 @@ def test_corpus_round_robin_and_determinism():
         assert 16 <= g.n <= 48
         assert g.m >= 7 * g.n
     assert all(v == 10 for v in counts.values())
-    again = gen_corpus(70, (16, 48), regimes, seed=1)
+    again = _corpus(70, (16, 48), regimes, seed=1)
     assert [g.edges for g in again] == [g.edges for g in corpus]
 
 
-@pytest.mark.parametrize("build", [corpus_schedule, gen_corpus],
-                         ids=["corpus_schedule", "gen_corpus"])
+@pytest.mark.parametrize("build", [corpus_schedule], ids=["corpus_schedule"])
 @pytest.mark.parametrize("count,n_range,regimes,bad", [
     (-1, (19, 24), ["main"], "count -1"),
     (3, (30, 20), ["main"], "30..20"),
@@ -232,7 +236,7 @@ def test_corpus_schedule_round_robin_and_n_cycle():
         ("main", 21, 11), ("degen_i1", 20, 12),
     ]
     assert list(corpus_schedule(0, (19, 19), ["main"], 1)) == []
-    assert gen_corpus(0, (19, 19), [], 1) == []
+    assert list(corpus_schedule(0, (19, 19), [], 1)) == []
 
 
 def test_corpus_schedule_checks_a_regime_when_reached():
@@ -243,4 +247,4 @@ def test_corpus_schedule_checks_a_regime_when_reached():
     with pytest.raises(InfeasibleRegime, match="disc_triple needs n >= 21"):
         next(schedule)
     with pytest.raises(InfeasibleRegime, match="unknown generation target"):
-        gen_corpus(1, (19, 24), ["nope"], 1)
+        next(corpus_schedule(1, (19, 24), ["nope"], 1))

@@ -31,7 +31,7 @@ GOLDEN_SHA256 = {
     "main_triple":
         "141d6637d403072c950d9cf67bf29e0eec0f437cfd59f97cae970f1992307aad",
     "degen_i1":
-        "13d6817a3672628a02cfbc48a09f997a8f2c57cce541ddc03daae4513c31e9f5",
+        "becdcfe2e6fc141b8010682483370f0ff4f35e0f7e83e597930ff2684b80ea73",
     "degen_i2":
         "95cde74abdaa877501fcf417abd29bcfed01d07fa7bdb5cce59dcd76213d2ed0",
     "degen_i3":
@@ -39,7 +39,7 @@ GOLDEN_SHA256 = {
     "disc_u3_isolated":
         "bcf4ec38b1f60721692dda45a40f1cc18ed2f60163bb4116092a7c2720ebc417",
     "disc_triple":
-        "0c9d86b854dbddf743694a8f66f73eab32f0e42ca88cc337e2a11abbccec8a7b",
+        "0e416547a3eedea1fc7868254edfb48cbd9be0011686aa2dd1c51abc3f293314",
     "yilma":
         "cbafaeadcdf618bdff6addc21a3632edc168c545fbabe7e2d6c0ebfbc22b6147",
     "universal":

@@ -117,7 +117,7 @@ def _repeated_u_edge(monkeypatch):
 def _conflict_without_u_rank(monkeypatch):
     find = resolution.find_conflicts
 
-    def no_rank(lab, d, sums=None):
+    def no_rank(lab, d, sums):
         return dataclasses.replace(find(lab, d, sums), u_ranks=(),
                                    pairs=((d.u[0], d.h_vertices[0]),))
     monkeypatch.setattr(resolution, "find_conflicts", no_rank)

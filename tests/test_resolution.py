@@ -67,8 +67,8 @@ RESOLVED = ([(t, n, s, case, None) for t, n, s, case in CONFLICTED]
 
 
 def _recorded_stage(g, rec) -> StageOneResult:
-    return StageOneResult(
-        Labelling.from_labels(g, rec["labels"]), Regime(rec["regime"]))
+    lab = Labelling.from_labels(g, rec["labels"])
+    return StageOneResult(lab, Regime(rec["regime"]), recompute_sums(g, lab))
 
 
 @pytest.fixture(scope="module")
@@ -171,11 +171,11 @@ def test_exchange_missing_label():
 
 def test_find_conflicts_empty_on_stage(main_stage):
     g, d, stage = main_stage
-    c = find_conflicts(stage.labelling, d)
+    sums = recompute_sums(g, stage.labelling)
+    c = find_conflicts(stage.labelling, d, sums)
     assert c.pairs == ()
     assert c.u_ranks == ()
     # Rivals are defined regardless: nearest H sum, ties to smaller id.
-    sums = recompute_sums(g, stage.labelling)
     for k, u in enumerate(d.u, start=1):
         expect = min(d.h_vertices,
                      key=lambda v: (abs(sums[v] - sums[u]), v))
@@ -356,7 +356,7 @@ def test_resolve_conflicted_instances(target, n, seed, case, recorded):
         regime = out.regime
     else:
         stage = _recorded_stage(g, recorded)
-        assert verify_stage_properties(stage, d).ok
+        assert verify_stage_properties(stage.labelling, stage.regime, d).ok
         final, tr = resolve(stage, d)
         regime = stage.regime
         assert [e.describe() for e in tr.applied] == recorded["applied"]
@@ -410,8 +410,9 @@ def test_resolve_rejects_illegal_conflict_shape(main_stage, monkeypatch):
     # Stage 1 never leaves two H vertices with equal sums; a stage that
     # does must trip the shape guard before any plan is tried.
     labels = _h_only_conflict(g, d, stage.labelling.label_of)
-    fake = StageOneResult(Labelling.from_labels(g, labels), Regime.MAIN)
-    pairs = find_conflicts(fake.labelling, d).pairs
+    lab = Labelling.from_labels(g, labels)
+    fake = StageOneResult(lab, Regime.MAIN, recompute_sums(g, lab))
+    pairs = find_conflicts(lab, d, fake.sums).pairs
     assert pairs and all(a in d.h_set and b in d.h_set for a, b in pairs)
     with pytest.raises(ProofViolation,
                        match="outside the regime's possible set"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from antimagic import (
     Labelling,
-    StageOneResult,
     build_graph,
     decompose,
     gen_instance,
@@ -112,15 +111,14 @@ def test_stage_properties_pass_then_fail_after_mutation():
     g = gen_instance(20, "main", seed=5)
     d = decompose(g)
     stage = label_main(g, d)
-    assert verify_stage_properties(stage, d).ok
+    assert verify_stage_properties(stage.labelling, stage.regime, d).ok
 
     # Swapping u1's label of the first interval with u2's of the fourth
     # gives both u1 and u2 a second label inside one interval, which the
     # discipline check must catch.
     tampered = stage.labelling.copy()
     tampered.swap_labels(g.m - 1, g.m - 14)
-    bad = StageOneResult(tampered, stage.regime)
-    rep = verify_stage_properties(bad, d)
+    rep = verify_stage_properties(tampered, stage.regime, d)
     assert not rep.ok
     assert g.m == 142 and d.u == (2, 3, 4)
     assert rep.failures == (
@@ -144,7 +142,7 @@ def test_stage_properties_report_in_vertex_then_interval_order():
     for x, y in ((5, 2), (17, 14), (9, 8), (10, 12)):
         tampered.swap_labels(m - x, m - y)
     assert {tampered.label_of[e] for e in g.incident[d.r]} >= {m - 9, m - 10}
-    rep = verify_stage_properties(StageOneResult(tampered, stage.regime), d)
+    rep = verify_stage_properties(tampered, stage.regime, d)
     assert d.r == 1 and d.u == (2, 3, 4)
     assert rep.failures == (
         "H spacing 2 < 4",
@@ -162,11 +160,10 @@ def test_stage_properties_catch_i3_two_label_interval():
     g = gen_instance(19, "degen_i3", seed=1)
     d = decompose(g)
     stage = label_case_i3(g, d)
-    assert verify_stage_properties(stage, d).ok
+    assert verify_stage_properties(stage.labelling, stage.regime, d).ok
     tampered = stage.labelling.copy()
     tampered.swap_labels(g.m - 2, g.m - 4)
-    bad = StageOneResult(tampered, stage.regime)
-    rep = verify_stage_properties(bad, d)
+    rep = verify_stage_properties(tampered, stage.regime, d)
     assert g.m == 133 and d.u == (2, 3, 4)
     assert rep.failures == (
         "vertex 2 carries 2 labels of interval (132, 131)",
@@ -208,7 +205,8 @@ def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
     g = gen_instance(n, target, seed=1)
     out = label(g, seed=1)
     d, stage = out.decomposition, out.stage
-    assert d.u == (2, 3, 4) and verify_stage_properties(stage, d).ok
+    assert d.u == (2, 3, 4)
+    assert verify_stage_properties(stage.labelling, stage.regime, d).ok
     labels = list(stage.labelling.label_of)
     if swap:
         i, j = (labels.index(x) for x in swap)
@@ -216,8 +214,55 @@ def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
     if zero is not None:
         for e in g.incident[zero]:
             labels[e] = 0
-    bad = StageOneResult(_raw(g, labels), stage.regime)
-    assert verify_stage_properties(bad, d).failures == failures
+    rep = verify_stage_properties(_raw(g, labels), stage.regime, d)
+    assert rep.failures == failures
+
+
+def _with_sums(monkeypatch, stage, d, edit, gap):
+    """verify_stage_properties on ``stage`` with its recomputed sums
+    passed through ``edit(sums, d, gap)`` first."""
+    import antimagic.verification as verification
+    sums = list(stage.sums)
+    edit(sums, d, gap)
+    monkeypatch.setattr(verification, "recompute_sums", lambda g, l: sums)
+    return verify_stage_properties(stage.labelling, stage.regime, d)
+
+
+def _u3_below_u2(s, d, gap):
+    s[d.u[2]] = s[d.u[1]] - gap
+
+
+def _u1_above_u2(s, d, gap):
+    s[d.u[0]] = s[d.u[1]] + gap
+
+
+def _root_above_rest(s, d, gap):
+    s[d.r] = max(s[v] for v in range(1, len(s)) if v != d.r) + gap
+
+
+@pytest.mark.parametrize("edit,failure", [
+    (_u3_below_u2, "u-gap: sum(u3)={u3} + 4 > sum(u2)={u2}"),
+    (_u1_above_u2, "u-gap: sum(u2)={u2} + 4 > sum(u1)={u1}"),
+    (_root_above_rest, "root margin 3 < 4"),
+], ids=["u3_u2", "u2_u1", "root_margin"])
+def test_main_margins_hold_at_four_fail_at_three(monkeypatch, edit, failure):
+    g, d, stage = _stage("main", 1)
+    assert _with_sums(monkeypatch, stage, d, edit, 4).ok
+    rep = _with_sums(monkeypatch, stage, d, edit, 3)
+    u1, u2, u3 = (rep.sums[u] for u in d.u)
+    assert rep.failures == (failure.format(u1=u1, u2=u2, u3=u3),)
+
+
+@pytest.mark.parametrize("target", ["main", "degen_i1", "degen_i2",
+                                    "degen_i3"])
+def test_root_tie_fails_unique_maximum_outside_i2(monkeypatch, target):
+    g, d, stage = _stage(target, 1)
+    rep = _with_sums(monkeypatch, stage, d, _root_above_rest, 0)
+    top = rep.sums[d.r]
+    message = f"root sum {top} not the unique maximum (top other {top})"
+    assert (message in rep.failures) == (target != "degen_i2")
+    if target == "main":
+        assert rep.failures == ("root margin 0 < 4", message)
 
 
 # Naive references for the verifiers: one loop over the edges, the way
@@ -246,17 +291,16 @@ def _naive_bijection(g, labels):
             tuple(duplicated), tuple(sorted(out_of_range)))
 
 
-def _naive_stage_properties(stage, d):
+def _naive_stage_properties(lab, regime, d):
     from antimagic import Regime
     from antimagic.verification import margins
 
-    g = stage.labelling.graph
-    labels = stage.labelling.label_of
+    g = lab.graph
+    labels = lab.label_of
     sums = _naive_sums(g, labels)
     u1, u2, u3 = d.u
     gaps = margins(g, d, sums)
     failures = []
-    regime = stage.regime
     h_gap = {Regime.MAIN: 4, Regime.DEGEN_I2: 2,
              Regime.DEGEN_I3: 3}.get(regime, 1)
     if regime == Regime.MAIN:
@@ -409,9 +453,9 @@ def test_stage_properties_match_naive(target, seed, tamper_seed, tamper):
             if edges:
                 i, j = rng.choice(edges), rng.randrange(g.m)
                 labels[i], labels[j] = labels[j], labels[i]
-    probe = StageOneResult(_raw(g, labels), stage.regime)
-    rep = verify_stage_properties(probe, d)
-    failures, gaps = _naive_stage_properties(probe, d)
+    probe = _raw(g, labels)
+    rep = verify_stage_properties(probe, stage.regime, d)
+    failures, gaps = _naive_stage_properties(probe, stage.regime, d)
     assert rep.failures == failures
     assert rep.gaps == gaps
     assert rep.ok == (not failures)
@@ -421,7 +465,8 @@ def test_reports_carry_the_sums_they_checked():
     from antimagic.verification import recompute_sums
     g, d, stage = _stage("main", 1)
     sums = recompute_sums(g, stage.labelling)
-    assert verify_stage_properties(stage, d).sums == sums
+    assert verify_stage_properties(stage.labelling, stage.regime,
+                                   d).sums == sums
     assert verify_antimagic(g, stage.labelling).sums == sums
 
 
@@ -509,20 +554,16 @@ def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
         for u in out.decomposition.u]
 
 
-def test_find_conflicts_recomputes_without_carried_sums(monkeypatch):
-    from antimagic import find_conflicts, resolve
-    g, d, stage = _stage("main", 1)
-    bare = StageOneResult(stage.labelling, stage.regime)
-    assert bare.sums is None and stage.sums is not None
+def test_resolve_reads_the_carried_sums(monkeypatch):
+    # An i = 1 stage, a triple component's included, goes through the
+    # same conflict search on its carried sums as any other.
+    from antimagic import resolve
     calls = _count_sums_passes(monkeypatch)
-    assert find_conflicts(bare.labelling, d).sums == stage.sums
-    assert [id(l) for l in calls] == [id(stage.labelling)]
-    calls.clear()
-    resolve(bare, d)
-    assert [id(l) for l in calls] == [id(stage.labelling)]
-    calls.clear()
-    resolve(stage, d)
-    assert calls == []
+    for target in ("main", "degen_i1", "disc_triple"):
+        g, d, stage = _stage(target, 1)
+        calls.clear()
+        resolve(stage, d)
+        assert calls == []
 
 
 @pytest.mark.parametrize("target", _STAGE_TARGETS)
