@@ -2,9 +2,9 @@
 
 Three classical subroutines the labelling pipeline delegates to:
 
-* Koenig colouring: a bipartite edge subset of maximum degree <= k gets a
-  proper colouring with k colours, by incremental insertion with
-  alternating-path recolouring.
+* Koenig colouring: a bipartite edge subset of maximum degree <= k, given
+  one side of its bipartition, gets a proper colouring with k colours, by
+  incremental insertion with alternating-path recolouring.
 * Vizing colouring: any simple edge subset gets a proper colouring with
   at most Delta + 1 colours, by the Misra-Gries fan/rotation scheme.
 * Class rebalancing: move edges between two colour classes along
@@ -22,8 +22,9 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import chain, compress, filterfalse
-from operator import not_, or_
+from operator import eq, itemgetter, not_, or_
 
 from .errors import (
     DegreeExceedsColours,
@@ -49,28 +50,6 @@ class EdgeColouring:
 
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
-
-
-def _check_bipartite(g: Graph, edge_ids) -> None:
-    side: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
-    for e in edge_ids:
-        a, b = g.edges[e]
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    for start in adj:
-        if start in side:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in side:
-                    side[y] = 1 - side[x]
-                    stack.append(y)
-                elif side[y] == side[x]:
-                    raise NotBipartite(f"odd cycle through vertex {y}")
 
 
 class _Rows:
@@ -121,8 +100,9 @@ class _Rows:
         return tuple(tuple(b) for b in buckets if b)
 
 
-def koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
-    """Proper k-colouring of a bipartite edge subset with max degree <= k.
+def koenig_colour(g: Graph, edge_ids, k: int, side) -> EdgeColouring:
+    """Proper k-colouring of a bipartite edge subset with max degree <= k,
+    each of whose edges has exactly one end in the vertex set ``side``.
 
     Incremental insertion: colour each edge with a colour free at both
     ends, recolouring one alternating path when no common free colour
@@ -130,12 +110,20 @@ def koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
     endpoint, so the recolouring always frees a shared colour.
     """
     edge_ids = sorted(edge_ids)
-    deg = Counter(chain.from_iterable(map(g.edges.__getitem__, edge_ids)))
+    ends = list(map(g.edges.__getitem__, edge_ids))
+    deg = Counter(chain.from_iterable(ends))
     if any(d > k for d in deg.values()):
         worst = max(deg, key=lambda v: deg[v])
         raise DegreeExceedsColours(
             f"vertex {worst} has degree {deg[worst]} > {k} colours")
-    _check_bipartite(g, edge_ids)
+    # One pass: an edge with both ends or neither end in ``side``.
+    inside = set(side).__contains__
+    bad = next(compress(ends, map(eq, map(inside, map(itemgetter(0), ends)),
+                                  map(inside, map(itemgetter(1), ends)))),
+               None)
+    if bad is not None:
+        raise NotBipartite(f"edge {bad[0]}-{bad[1]} does not join side "
+                           f"{sorted(side)} to the rest")
 
     rows = _Rows(g, deg, k)
     at, colour = rows.at, rows.colour
@@ -247,22 +235,11 @@ class _ColourClass:
     its vertex -> edge map, both updated in place along each swapped
     path rather than rebuilt every round."""
 
-    __slots__ = ("g", "edges", "at")
+    __slots__ = ("edges", "at")
 
     def __init__(self, g: Graph, edge_ids):
-        self.g = g
         self.edges = sorted(edge_ids)
         self.at = {v: e for e in self.edges for v in g.edges[e]}
-
-    def remove(self, e: int) -> None:
-        del self.edges[bisect_left(self.edges, e)]
-        for v in self.g.edges[e]:
-            del self.at[v]
-
-    def add(self, e: int) -> None:
-        insort(self.edges, e)
-        for v in self.g.edges[e]:
-            self.at[v] = e
 
 
 def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
@@ -272,13 +249,15 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     donor (lowest index on ties), forms the two-colour subgraph, and
     swaps colours along an alternating path whose first and last edges
     belong to the donor (deterministically, the qualifying path
-    containing the smallest edge id).  Every swap reduces the total
-    deficit by one, so the loop terminates.
+    containing the smallest edge id).  Every swap moves one edge net
+    from donor to receiver, so the loop terminates.
 
-    A round costs O(|path| + |receiver|) plus two C-level scans of the
-    size list: the classes keep their sorted edges and vertex maps
-    across rounds, and a size -> count array tracks the smallest and
-    largest size (the smallest only rises, the largest only falls).
+    A round costs O(|path| + |receiver|) plus four heap operations: the
+    classes keep their sorted edges and vertex maps across rounds, and a
+    heap of class indices per size yields the lowest-index smallest and
+    largest class (the smallest size only rises, the largest only
+    falls).  An empty receiver takes the donor's lowest edge, the only
+    path ``_donor_path`` could return.
     """
     g = c.graph
     if not c.classes:
@@ -289,41 +268,47 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
             f"{sum(sizes)} edges cannot fill "
             f"{len(sizes)} classes of {min_size}")
     classes = [_ColourClass(g, cls) for cls in c.classes]
+    edges = g.edges
 
-    def short(size: int) -> int:
-        return max(0, min_size - size)
-
-    count = [0] * (max(sizes) + 1)
-    for s in sizes:
-        count[s] += 1
+    # by_size[s]: the indices of the classes of size s, as a heap.
+    by_size: list[list[int]] = [[] for _ in range(max(sizes) + 1)]
+    for i, s in enumerate(sizes):
+        by_size[s].append(i)
     lo, hi = min(sizes), max(sizes)
     while lo < min_size:
         check(hi > lo, "class balancing found no larger donor")
-        small, big = sizes.index(lo), sizes.index(hi)
+        small, big = heappop(by_size[lo]), heappop(by_size[hi])
         recv, donor = classes[small], classes[big]
-        path = _donor_path(g, recv, donor)
-        # The path alternates donor, recv, ..., donor.  Every edge
-        # leaves its class before any arrives, so no vertex map entry
-        # is overwritten and then deleted.
-        gained, lost = path[0::2], path[1::2]
-        for e in lost:
-            recv.remove(e)
-        for e in gained:
-            donor.remove(e)
-        for e in gained:
-            recv.add(e)
-        for e in lost:
-            donor.add(e)
-        sizes[small], sizes[big] = len(recv.edges), len(donor.edges)
-        check(short(sizes[small]) + short(sizes[big]) < short(lo) + short(hi),
+        r_edges, r_at = recv.edges, recv.at
+        d_edges, d_at = donor.edges, donor.at
+        path = _donor_path(g, recv, donor) if lo else d_edges[:1]
+        # The path alternates donor, recv, ..., donor, so each inner
+        # vertex swaps its two entries and each end vertex moves its
+        # donor entry to the receiver.  The recv edges leaving are
+        # written into the donor's map first; a gained edge's entry
+        # still in the donor's map is then at an end vertex.
+        for e in path[1::2]:
+            del r_edges[bisect_left(r_edges, e)]
+            insort(d_edges, e)
+            a, b = edges[e]
+            d_at[a] = d_at[b] = e
+        for e in path[0::2]:
+            del d_edges[bisect_left(d_edges, e)]
+            insort(r_edges, e)
+            a, b = edges[e]
+            r_at[a] = r_at[b] = e
+            if d_at[a] == e:
+                del d_at[a]
+            if d_at[b] == e:
+                del d_at[b]
+        # A path of odd length moves exactly one edge net.
+        check(len(r_edges) == lo + 1 and len(d_edges) == hi - 1,
               "class balancing failed to make progress")
-        count[lo] -= 1
-        count[hi] -= 1
-        count[sizes[small]] += 1
-        count[sizes[big]] += 1
-        while not count[lo]:
+        heappush(by_size[lo + 1], small)
+        heappush(by_size[hi - 1], big)
+        while not by_size[lo]:
             lo += 1
-        while not count[hi]:
+        while not by_size[hi]:
             hi -= 1
     return EdgeColouring(g, tuple(tuple(cls.edges) for cls in classes))
 

@@ -153,7 +153,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     g1_edges: list[int] = []
     for u in (u1, u2, u3):
         g1_edges.extend(_h_edges(g, d, u)[:t])
-    col1 = koenig_colour(g, g1_edges, t)
+    col1 = koenig_colour(g, g1_edges, t, d.u)
     check(len(col1.classes) == t,
           f"Koenig colouring of G1 used {len(col1.classes)} != {t} classes")
     for j, cls in enumerate(col1.classes, start=1):
@@ -250,7 +250,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     # the d'(u2) classes holding a u2-edge first.  Class k feeds interval
     # I_k = {m - 3k - 1, m - 3k - 2}.
     ue = [e for u in (u1, u2) for e in _h_edges(g, d, u)]
-    colu = koenig_colour(g, ue, d1)
+    colu = koenig_colour(g, ue, d1, d.u)
     check(len(colu.classes) == d1,
           f"u-edge Koenig colouring used {len(colu.classes)} != {d1} classes")
 

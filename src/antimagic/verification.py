@@ -14,7 +14,6 @@ actionable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 
 from .graph import STEP, Graph, InstanceDecomposition, Regime
 from .labelling import Labelling
@@ -202,24 +201,31 @@ def verify_stage_properties(lab: Labelling, regime: Regime,
         failures.append(f"H spacing {gaps['h_min_gap']} < {step}")
 
     if regime in (Regime.MAIN, Regime.DEGEN_I3):
-        # Hits per (vertex, interval k).  A C-level filter keeps the
-        # edges labelled above the last interval; of these, block
-        # openers (pos = 0) and labels above m (k < 0) are in none.
-        label_of = lab.label_of
-        hits: dict[tuple[int, int], int] = {}
-        for eid in compress(range(len(label_of)),
-                            map((m - step * (n - 5)).__lt__, label_of)):
-            k, pos = divmod(m - label_of[eid], step)
-            if pos and k >= 0:
-                for v in g.edges[eid]:
-                    if v != r:
-                        hits[v, k] = hits.get((v, k), 0) + 1
-        for (v, k), count in sorted(hits.items()):
-            if count > 1:
-                top = m - step * k
-                interval = tuple(range(top - 1, top - step, -1))
-                failures.append(f"vertex {v} carries {count} labels of "
-                                f"interval {interval}")
+        # One int k * (n + 1) + v per non-root end v of an edge labelled
+        # in interval k.  Only edges labelled above the last interval can
+        # be; of these, block openers (pos = 0) and labels above m are in
+        # none.  The counts naming a failure are built only when two keys
+        # are equal.
+        label_of, edges = lab.label_of, g.edges
+        floor = m - step * (n - 5)
+        above = [e for e, lbl in enumerate(label_of) if lbl > floor]
+        keys = [(m - label_of[e]) // step * (n + 1) + v for e in above
+                if label_of[e] <= m and (m - label_of[e]) % step
+                for v in edges[e] if v != r]
+        if len(set(keys)) != len(keys):
+            hits: dict[tuple[int, int], int] = {}
+            for e in above:
+                k, pos = divmod(m - label_of[e], step)
+                if pos and k >= 0:
+                    for v in edges[e]:
+                        if v != r:
+                            hits[v, k] = hits.get((v, k), 0) + 1
+            for (v, k), count in sorted(hits.items()):
+                if count > 1:
+                    top = m - step * k
+                    interval = tuple(range(top - 1, top - step, -1))
+                    failures.append(f"vertex {v} carries {count} labels "
+                                    f"of interval {interval}")
 
     if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
         top = sums[d.r] - gaps["root_margin"]

@@ -255,7 +255,7 @@ def test_criterion_7_edge_colouring_suite():
             he = sorted((g.other_end(e, u), e) for e in g.incident[u]
                         if g.other_end(e, u) in d.h_set)
             picked.extend(e for _, e in he[:t])
-        col = koenig_colour(g, picked, t)
+        col = koenig_colour(g, picked, t, d.u)
         assert len(col.classes) == t
         assert all(len(c) == 3 for c in col.classes)
         koenig_checked += 1

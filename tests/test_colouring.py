@@ -20,7 +20,6 @@ from antimagic import (
     vizing_colour,
 )
 from antimagic.colouring import (
-    _check_bipartite,
     _ColourClass,
     _donor_path,
     pad_classes,
@@ -39,14 +38,14 @@ from conftest import brute_proper, random_graph
 
 def test_koenig_even_cycle_two_classes():
     g = build_graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)])
-    col = koenig_colour(g, range(6), 2)
+    col = koenig_colour(g, range(6), 2, {1, 3, 5})
     assert sorted(len(c) for c in col.classes) == [3, 3]
     assert brute_proper(g, col.classes)
 
 
 def test_koenig_matching_single_class():
     g = build_graph(8, [(1, 2), (3, 4), (5, 6), (7, 8)])
-    col = koenig_colour(g, range(4), 1)
+    col = koenig_colour(g, range(4), 1, {1, 3, 5, 7})
     assert len(col.classes) == 1
     assert len(col.classes[0]) == 4
 
@@ -54,13 +53,25 @@ def test_koenig_matching_single_class():
 def test_koenig_rejects_odd_cycle():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
     with pytest.raises(NotBipartite):
-        koenig_colour(g, range(3), 3)
+        koenig_colour(g, range(3), 3, {1})
+
+
+def test_koenig_rejects_a_side_that_does_not_split_the_subset():
+    # The path 1-2-3 is bipartite, but only {2} or {1, 3} splits it.
+    g = build_graph(3, [(1, 2), (2, 3)])
+    for side in ({2}, {1, 3}):
+        assert koenig_colour(g, range(2), 2, side).classes == ((0,), (1,))
+    with pytest.raises(NotBipartite, match=r"edge 1-2 does not join "
+                       r"side \[1, 2\] to the rest"):
+        koenig_colour(g, range(2), 2, {1, 2})
+    with pytest.raises(NotBipartite, match="edge 2-3 does not join"):
+        koenig_colour(g, range(2), 2, {1})
 
 
 def test_koenig_rejects_high_degree():
     g = build_graph(4, [(1, 2), (1, 3), (1, 4)])
     with pytest.raises(DegreeExceedsColours):
-        koenig_colour(g, range(3), 2)
+        koenig_colour(g, range(3), 2, {1})
 
 
 def test_koenig_on_main_instance_u_subgraph():
@@ -74,7 +85,7 @@ def test_koenig_on_main_instance_u_subgraph():
         he = sorted((g.other_end(e, u), e) for e in g.incident[u]
                     if g.other_end(e, u) in d.h_set)
         picked.extend(e for _, e in he[:t])
-    col = koenig_colour(g, picked, t)
+    col = koenig_colour(g, picked, t, d.u)
     assert len(col.classes) == t
     for cls in col.classes:
         assert len(cls) == 3
@@ -109,7 +120,7 @@ def test_koenig_proper_on_random_bipartite(left, right, p, seed):
         return
     g = build_graph(left + right, edges)
     k = g.max_degree()
-    col = koenig_colour(g, range(g.m), k)
+    col = koenig_colour(g, range(g.m), k, range(1, left + 1))
     assert len(col.classes) <= k
     assert sum(col.sizes()) == g.m
     assert brute_proper(g, col.classes)
@@ -465,9 +476,35 @@ def test_donor_path_matches_reference(case):
 # ``RefPalette``, ``ref_koenig_colour``, ``ref_vizing_colour`` and
 # ``ref_mg_colour_edge`` are the dict-based implementations the colour
 # rows replaced, kept verbatim as the reference with their degree helper
-# ``ref_subset_degrees`` (the bipartiteness check is unchanged and
-# shared).  On any edge subset the rows must give identical classes, or
-# raise the same exception class with the same message.
+# ``ref_subset_degrees`` and the graph-search bipartiteness check
+# ``ref_check_bipartite`` that ``koenig_colour``'s one-pass side check
+# replaced.  On any edge subset the rows must give identical classes, or
+# raise the same exception class with the same message; an odd cycle
+# raises ``NotBipartite`` in both, each with its own message.
+
+def ref_check_bipartite(g: Graph, edge_ids) -> dict[int, int]:
+    """The subset's 2-colouring by graph search: vertex -> 0/1."""
+    side: dict[int, int] = {}
+    adj: dict[int, list[int]] = {}
+    for e in edge_ids:
+        a, b = g.edges[e]
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for start in adj:
+        if start in side:
+            continue
+        side[start] = 0
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in side:
+                    side[y] = 1 - side[x]
+                    stack.append(y)
+                elif side[y] == side[x]:
+                    raise NotBipartite(f"odd cycle through vertex {y}")
+    return side
+
 
 def ref_subset_degrees(g: Graph, edge_ids) -> dict[int, int]:
     deg: dict[int, int] = {}
@@ -547,7 +584,7 @@ def ref_koenig_colour(g: Graph, edge_ids, k: int) -> EdgeColouring:
         worst = max(deg, key=lambda v: deg[v])
         raise DegreeExceedsColours(
             f"vertex {worst} has degree {deg[worst]} > {k} colours")
-    _check_bipartite(g, edge_ids)
+    ref_check_bipartite(g, edge_ids)
 
     pal = RefPalette(g, k)
     for e in edge_ids:
@@ -689,7 +726,15 @@ def test_vizing_matches_reference(case):
 @given(koenig_subsets())
 def test_koenig_matches_reference(case):
     g, subset, k = case
-    out = _outcome(koenig_colour, g, subset, k)
-    assert out == _outcome(ref_koenig_colour, g, subset, k)
+    ref = _outcome(ref_koenig_colour, g, subset, k)
+    try:
+        side = [v for v, s in ref_check_bipartite(g, subset).items() if s]
+    except NotBipartite:
+        side = []  # no side splits an odd cycle
+    out = _outcome(koenig_colour, g, subset, k, side)
+    if ref[:2] == ("raised", NotBipartite):
+        assert out[:2] == ref[:2]
+    else:
+        assert out == ref
     if out[0] == "classes":
         assert len(out[1]) <= k and brute_proper(g, out[1])

@@ -127,8 +127,8 @@ def _conflict_without_u_rank(monkeypatch):
 def _koenig_class_lost(monkeypatch):
     koenig = construction.koenig_colour
 
-    def short(g, edge_ids, k):
-        col = koenig(g, edge_ids, k)
+    def short(g, edge_ids, k, side):
+        col = koenig(g, edge_ids, k, side)
         return dataclasses.replace(col, classes=col.classes[1:])
     monkeypatch.setattr(construction, "koenig_colour", short)
     return ("main", 20, 1), "Koenig colouring of G1 used"

@@ -18,6 +18,7 @@ from antimagic import (
     verify_stage_properties,
 )
 from antimagic.generator import min_feasible_n
+from antimagic.graph import STEP
 from conftest import brute_sums
 
 
@@ -263,6 +264,139 @@ def test_root_tie_fails_unique_maximum_outside_i2(monkeypatch, target):
     assert (message in rep.failures) == (target != "degen_i2")
     if target == "main":
         assert rep.failures == ("root margin 0 < 4", message)
+
+
+# Each seed-1 stage's (u1, u2, u3) and its sums as (r, u1, u2, u3,
+# min H, max H); the bounds below rest on them.
+_STAGE_SUMS = {
+    "degen_i1": ((4, 2, 3), (2448, 8, 6, 4, 850, 1535)),
+    "degen_i2": ((2, 3, 4), (2397, 1188, 13, 3, 930, 1521)),
+    "degen_i3": ((2, 3, 4), (1928, 809, 549, 13, 771, 1539)),
+}
+
+
+def _set_sum(who):
+    """An edit setting the sum of ``who`` (r, u1, u2, u3, or min_h: the H
+    vertex of least sum) to its ``gap`` argument."""
+    def edit(s, d, gap):
+        if who == "r":
+            v = d.r
+        elif who == "min_h":
+            v = min(d.h_vertices, key=s.__getitem__)
+        else:
+            v = d.u[int(who[1]) - 1]
+        s[v] = gap
+    return edit
+
+
+_BOUNDS = [
+    # i = 1, n = 21, m = 152: sum(u1) <= 38, s3 < s2 < s1 (equal sums
+    # also break antimagic), min H sum >= max(m - (n - 5), 101) = 136.
+    ("degen_i1", "u1", 38, 39, ("sum(u1) = 39 > 38",)),
+    ("degen_i1", "u2", 7, 8, (
+        "u sums not increasing: 4, 8, 8",
+        "DEGEN_I1 stage 1 is not antimagic: vertices 2 and 4 share sum 8")),
+    ("degen_i1", "u3", 5, 6, (
+        "u sums not increasing: 6, 6, 8",
+        "DEGEN_I1 stage 1 is not antimagic: vertices 2 and 3 share sum 6")),
+    ("degen_i1", "min_h", 136, 135, ("min H sum 135 < 136",)),
+    # i = 1 has no root margin of its own: one above the top H sum (of
+    # vertex 20) is a unique maximum.
+    ("degen_i1", "r", 1536, 1535, (
+        "root sum 1535 not the unique maximum (top other 1535)",
+        "DEGEN_I1 stage 1 is not antimagic: vertices 1 and 20 share sum "
+        "1535")),
+    # i = 2, n = 21, m = 158: s3 < s2 < 30, s1 >= s2 + 4, min H sum >=
+    # max(m - 2(n - 5) - 1, 89) = 125, the root dominates H by 4.
+    ("degen_i2", "u2", 29, 30, ("u2/u3 sums out of bounds: 3, 30",)),
+    ("degen_i2", "u3", 12, 13, ("u2/u3 sums out of bounds: 13, 13",)),
+    ("degen_i2", "u1", 17, 16, ("sum(u1) = 16 < sum(u2) + 4 = 17",)),
+    ("degen_i2", "min_h", 125, 124, ("min H sum 124 < 125",)),
+    ("degen_i2", "r", 1525, 1524, (
+        "root sum 1524 does not dominate H by 4 (max H sum 1521)",)),
+    # i = 3: s3 <= 18, r >= s1 + 4, s1 >= s2 + 4, s3 + 4 <= min(s2,
+    # min H sum), the root dominates H by 4.
+    ("degen_i3", "u3", 18, 19, ("sum(u3) = 19 > 18",)),
+    ("degen_i3", "u1", 1924, 1925, (
+        "top sums out of order: r=1928 u1=1925 u2=549",)),
+    ("degen_i3", "u2", 805, 806, (
+        "top sums out of order: r=1928 u1=809 u2=806",)),
+    ("degen_i3", "u2", 17, 16, (
+        "sum(u3) = 13 within 4 of sum(u2) = 16 or min H sum 771",)),
+    ("degen_i3", "min_h", 17, 16, (
+        "sum(u3) = 13 within 4 of sum(u2) = 549 or min H sum 16",)),
+    ("degen_i3", "r", 1543, 1542, (
+        "root sum 1542 does not dominate H by 4 (max H sum 1539)",)),
+]
+
+
+@pytest.mark.parametrize("target,who,at,past,failures", _BOUNDS,
+                         ids=[f"{t}-{who}-{at}" for t, who, at, *_ in _BOUNDS])
+def test_stage_bounds_hold_at_the_bound_fail_one_past(monkeypatch, target,
+                                                      who, at, past,
+                                                      failures):
+    g, d, stage = _stage(target, 1)
+    s = stage.sums
+    h = [s[v] for v in d.h_vertices]
+    assert (d.u, (s[d.r], *(s[u] for u in d.u), min(h), max(h))) \
+        == _STAGE_SUMS[target]
+    assert _with_sums(monkeypatch, stage, d, _set_sum(who), at).ok
+    rep = _with_sums(monkeypatch, stage, d, _set_sum(who), past)
+    assert rep.failures == failures
+
+
+# -- the interval check at its edges ---------------------------------------
+#
+# Every edge takes label 1 except the two placed at one H vertex, and the
+# stage's own sums stand in for the recomputed ones, so only the interval
+# check can fail.  Interval k holds the STEP - 1 labels under the block
+# opener m - STEP * k, for k = 0 .. n - 6.
+
+def _intervals_only(monkeypatch, target, placed):
+    """verify_stage_properties on ``target``'s seed-1 stage with labels
+    ``placed(m, n, step)`` on two edges at one H vertex, and that
+    vertex."""
+    import antimagic.verification as verification
+    g, d, stage = _stage(target, 1)
+    h = d.h_vertices[0]
+    at_h = [e for e in g.incident[h] if d.r not in g.edges[e]][:2]
+    labels = [1] * g.m
+    for e, lbl in zip(at_h, placed(g.m, g.n, STEP[stage.regime])):
+        labels[e] = lbl
+    monkeypatch.setattr(verification, "recompute_sums",
+                        lambda g, l: list(stage.sums))
+    return verify_stage_properties(_raw(g, labels), stage.regime, d), h
+
+
+@pytest.mark.parametrize("target", ["main", "degen_i3"])
+def test_two_labels_of_the_last_interval_fail(monkeypatch, target):
+    rep, h = _intervals_only(monkeypatch, target, lambda m, n, step: (
+        m - step * (n - 6) - 1, m - step * (n - 6) - 2))
+    g, _, stage = _stage(target, 1)
+    step = STEP[stage.regime]
+    top = g.m - step * (g.n - 6)
+    interval = tuple(range(top - 1, top - step, -1))
+    assert rep.failures == (
+        f"vertex {h} carries 2 labels of interval {interval}",)
+
+
+@pytest.mark.parametrize("target", ["main", "degen_i3"])
+@pytest.mark.parametrize("placed", [
+    # interval n - 6 and the opener of block n - 5, in no interval
+    lambda m, n, step: (m - step * (n - 6) - 1, m - step * (n - 5)),
+    # two labels under block n - 5, past the last interval
+    lambda m, n, step: (m - step * (n - 5) - 1, m - step * (n - 5) - 2),
+    # the last label of interval k and the first of interval k + 1
+    lambda m, n, step: (m - step * 0 - (step - 1), m - step * 1 - 1),
+    lambda m, n, step: (m - step * (n - 7) - (step - 1),
+                        m - step * (n - 6) - 1),
+    # raw labels above m, in no interval
+    lambda m, n, step: (m + 1, m + 2),
+], ids=["opener", "below_last", "k_k1_first", "k_k1_last", "above_m"])
+def test_labels_in_distinct_or_no_intervals_pass(monkeypatch, target,
+                                                 placed):
+    rep, _ = _intervals_only(monkeypatch, target, placed)
+    assert rep.ok, rep.failures
 
 
 # Naive references for the verifiers: one loop over the edges, the way
