@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain, compress, filterfalse
-from operator import eq, itemgetter, not_, or_
+from operator import not_, or_
 
 from .errors import (
     DegreeExceedsColours,
@@ -118,9 +118,7 @@ def koenig_colour(g: Graph, edge_ids, k: int, side) -> EdgeColouring:
             f"vertex {worst} has degree {deg[worst]} > {k} colours")
     # One pass: an edge with both ends or neither end in ``side``.
     inside = set(side).__contains__
-    bad = next(compress(ends, map(eq, map(inside, map(itemgetter(0), ends)),
-                                  map(inside, map(itemgetter(1), ends)))),
-               None)
+    bad = next((ab for ab in ends if inside(ab[0]) == inside(ab[1])), None)
     if bad is not None:
         raise NotBipartite(f"edge {bad[0]}-{bad[1]} does not join side "
                            f"{sorted(side)} to the rest")
@@ -256,8 +254,7 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     classes keep their sorted edges and vertex maps across rounds, and a
     heap of class indices per size yields the lowest-index smallest and
     largest class (the smallest size only rises, the largest only
-    falls).  An empty receiver takes the donor's lowest edge, the only
-    path ``_donor_path`` could return.
+    falls).
     """
     g = c.graph
     if not c.classes:
@@ -281,7 +278,7 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
         recv, donor = classes[small], classes[big]
         r_edges, r_at = recv.edges, recv.at
         d_edges, d_at = donor.edges, donor.at
-        path = _donor_path(g, recv, donor) if lo else d_edges[:1]
+        path = _donor_path(g, recv, donor)
         # The path alternates donor, recv, ..., donor, so each inner
         # vertex swaps its two entries and each end vertex moves its
         # donor entry to the receiver.  The recv edges leaving are

@@ -13,6 +13,7 @@ actionable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph import STEP, Graph, InstanceDecomposition, Regime
@@ -204,28 +205,25 @@ def verify_stage_properties(lab: Labelling, regime: Regime,
         # One int k * (n + 1) + v per non-root end v of an edge labelled
         # in interval k.  Only edges labelled above the last interval can
         # be; of these, block openers (pos = 0) and labels above m are in
-        # none.  The counts naming a failure are built only when two keys
-        # are equal.
+        # none.  The counts naming a failure are decoded from the keys
+        # only when two of them are equal.
         label_of, edges = lab.label_of, g.edges
         floor = m - step * (n - 5)
-        above = [e for e, lbl in enumerate(label_of) if lbl > floor]
-        keys = [(m - label_of[e]) // step * (n + 1) + v for e in above
-                if label_of[e] <= m and (m - label_of[e]) % step
+        keys = [(m - lbl) // step * (n + 1) + v
+                for e, lbl in enumerate(label_of)
+                if floor < lbl <= m and (m - lbl) % step
                 for v in edges[e] if v != r]
         if len(set(keys)) != len(keys):
-            hits: dict[tuple[int, int], int] = {}
-            for e in above:
-                k, pos = divmod(m - label_of[e], step)
-                if pos and k >= 0:
-                    for v in edges[e]:
-                        if v != r:
-                            hits[v, k] = hits.get((v, k), 0) + 1
-            for (v, k), count in sorted(hits.items()):
+            repeated = []
+            for key, count in Counter(keys).items():
                 if count > 1:
-                    top = m - step * k
-                    interval = tuple(range(top - 1, top - step, -1))
-                    failures.append(f"vertex {v} carries {count} labels "
-                                    f"of interval {interval}")
+                    k, v = divmod(key, n + 1)
+                    repeated.append((v, k, count))
+            for v, k, count in sorted(repeated):
+                top = m - step * k
+                interval = tuple(range(top - 1, top - step, -1))
+                failures.append(f"vertex {v} carries {count} labels "
+                                f"of interval {interval}")
 
     if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
         top = sums[d.r] - gaps["root_margin"]
