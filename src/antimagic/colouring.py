@@ -7,6 +7,9 @@ Three classical subroutines the labelling pipeline delegates to:
   incremental insertion with alternating-path recolouring.
 * Vizing colouring: any simple edge subset gets a proper colouring with
   at most Delta + 1 colours, by the Misra-Gries fan/rotation scheme.
+* Class splitting: peel fixed-size blocks off the largest classes into
+  new classes (a subset of a matching is a matching), so the classes
+  are already near the size the intervals take.
 * Class rebalancing: move edges between two colour classes along
   alternating paths until every class reaches a minimum size.
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import chain, compress, filterfalse
 from operator import not_, or_
 
@@ -152,9 +155,10 @@ def vizing_colour(g: Graph, edge_ids) -> EdgeColouring:
 
     Edges are coloured in ascending id and stay coloured, so x's
     coloured edges are its subset edges met before, in id order
-    (``seen[x]``).  The fan stays maximal even where a prefix would do:
-    the colour d rotated in is read at its tip, so a shorter fan would
-    change the classes.
+    (``seen[x]``).  An edge whose ends share x's first free colour takes
+    it without a fan.  Otherwise the fan is maximal even where a prefix
+    would do: the colour d rotated in is read at its tip, so a shorter
+    fan would change the classes.
     """
     edge_ids = sorted(edge_ids)
     if not edge_ids:
@@ -173,11 +177,17 @@ def vizing_colour(g: Graph, edge_ids) -> EdgeColouring:
 
 def _mg_colour_edge(g: Graph, rows: _Rows, x_edges: list[int], x: int,
                     f: int, eid: int) -> None:
+    at, colour, edges = rows.at, rows.colour, g.edges
+    x_row = at[x]
+    c = rows.first_free(x)
+    if not at[f][c]:  # x's first free colour is free at f too: no fan
+        colour[eid] = c
+        x_row[c] = at[f][c] = eid + 1
+        return
+
     # Maximal fan of x starting at f: each next fan edge is the smallest
     # coloured edge at x, not yet in the fan, whose colour is free at the
     # previous fan vertex.  The graph is simple, so the far ends differ.
-    at, colour, edges = rows.at, rows.colour, g.edges
-    x_row = at[x]
     cands = [colour[e] for e in x_edges]  # colours, by edge id
     fan_v, fan_e = [f], [eid]
     tip_row = at[f]
@@ -193,7 +203,6 @@ def _mg_colour_edge(g: Graph, rows: _Rows, x_edges: list[int], x: int,
         fan_v.append(w)
         tip_row = at[w]
 
-    c = rows.first_free(x)
     d = rows.first_free(fan_v[-1])
     if x_row[d]:
         rows.flip_path(x, d, c)
@@ -250,11 +259,12 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     containing the smallest edge id).  Every swap moves one edge net
     from donor to receiver, so the loop terminates.
 
-    A round costs O(|path| + |receiver|) plus four heap operations: the
-    classes keep their sorted edges and vertex maps across rounds, and a
-    heap of class indices per size yields the lowest-index smallest and
-    largest class (the smallest size only rises, the largest only
-    falls).
+    A round costs O(|path| + |receiver|) plus four heap operations: a
+    class gets its sorted edges and vertex map when it first takes part
+    in a round and keeps them, and a heap of class indices per size
+    yields the lowest-index smallest and largest class (the smallest
+    size only rises, the largest only falls).  A class no round touches
+    is returned sorted.
     """
     g = c.graph
     if not c.classes:
@@ -264,7 +274,14 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
         raise InfeasibleBalance(
             f"{sum(sizes)} edges cannot fill "
             f"{len(sizes)} classes of {min_size}")
-    classes = [_ColourClass(g, cls) for cls in c.classes]
+    built: dict[int, _ColourClass] = {}
+
+    def live(i: int) -> _ColourClass:
+        cls = built.get(i)
+        if cls is None:
+            cls = built[i] = _ColourClass(g, c.classes[i])
+        return cls
+
     edges = g.edges
 
     # by_size[s]: the indices of the classes of size s, as a heap.
@@ -275,7 +292,7 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
     while lo < min_size:
         check(hi > lo, "class balancing found no larger donor")
         small, big = heappop(by_size[lo]), heappop(by_size[hi])
-        recv, donor = classes[small], classes[big]
+        recv, donor = live(small), live(big)
         r_edges, r_at = recv.edges, recv.at
         d_edges, d_at = donor.edges, donor.at
         path = _donor_path(g, recv, donor)
@@ -307,7 +324,9 @@ def balance_classes(c: EdgeColouring, min_size: int) -> EdgeColouring:
             lo += 1
         while not by_size[hi]:
             hi -= 1
-    return EdgeColouring(g, tuple(tuple(cls.edges) for cls in classes))
+    return EdgeColouring(g, tuple(
+        tuple(built[i].edges) if i in built else tuple(sorted(cls))
+        for i, cls in enumerate(c.classes)))
 
 
 def _donor_path(g: Graph, recv: _ColourClass,
@@ -380,9 +399,29 @@ def order_classes_for_vertex(c: EdgeColouring, v: int, count: int) -> EdgeColour
     return EdgeColouring(c.graph, tuple(c.classes[i] for i in order))
 
 
-def pad_classes(c: EdgeColouring, total: int) -> EdgeColouring:
-    """Extend with empty classes up to ``total`` (never truncates)."""
-    if len(c.classes) >= total:
-        return c
-    return EdgeColouring(
-        c.graph, c.classes + tuple(() for _ in range(total - len(c.classes))))
+def split_classes(c: EdgeColouring, total: int, size: int) -> EdgeColouring:
+    """Peel ``size``-edge blocks off the largest classes, then pad with
+    empty classes up to ``total`` (never truncates).
+
+    Each step takes the largest class (lowest index on ties) and moves
+    its ``size`` lowest edges into a new last class; it stops at
+    ``total`` classes or when no class holds 2 * ``size`` edges.  Every
+    class is a subset of an input class, so the classes stay proper and
+    the balancing that follows only tidies what is left.
+    """
+    classes = [sorted(cls) for cls in c.classes]
+    # Only a class of >= 2 * size edges is peeled; a peeled block, of
+    # size edges, never is.  Classes only shrink when popped, so each
+    # heap entry holds its class's current size.
+    heap = [(-len(cls), i) for i, cls in enumerate(classes)
+            if len(cls) >= 2 * size]
+    heapify(heap)
+    while heap and len(classes) < total:
+        i = heappop(heap)[1]
+        cls = classes[i]
+        classes.append(cls[:size])
+        del cls[:size]
+        if len(cls) >= 2 * size:
+            heappush(heap, (-len(cls), i))
+    classes += [[] for _ in range(total - len(classes))]
+    return EdgeColouring(c.graph, tuple(map(tuple, classes)))

@@ -24,7 +24,7 @@ from .colouring import (
     balance_classes,
     koenig_colour,
     order_classes_for_vertex,
-    pad_classes,
+    split_classes,
     vizing_colour,
 )
 from .errors import (
@@ -141,7 +141,9 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     others in ascending id.  A subset has no larger maximum degree, so
     there are still at most n - 4 classes, enough edges to balance each
     to three, and u1's surplus edges in distinct classes; the edges left
-    uncoloured take small labels like the unused classes do.
+    uncoloured take small labels like the unused classes do.  Splitting
+    the classes into blocks of three, up to n - 4 classes, leaves the
+    balancing only a few rounds.
     """
     t = d.d_prime[2]
     lab = _begin(g, d, Regime.MAIN)
@@ -174,7 +176,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         (e for e in d.e2 if not label_of[e] and u1 not in g.edges[e]))
     col2 = vizing_colour(g, list(islice(g2_edges, 3 * (n - 4))))
     check(len(col2.classes) <= n - 4, "Vizing exceeded Delta(G2) + 1 classes")
-    col2 = pad_classes(col2, n - 4)
+    col2 = split_classes(col2, n - 4, 3)
     col2 = balance_classes(col2, 3)
     a1 = d.d_prime[0] - t
     col2 = order_classes_for_vertex(col2, u1, a1)
@@ -238,6 +240,8 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     Only the 2(n - 4) lowest-id H-H edges are coloured: their maximum
     degree is at most that of H-H, so there are at most n - 4 classes
     and enough edges to balance each to two; the rest take small labels.
+    The classes are split into blocks of two, one per pending interval,
+    before the balancing.
     """
     d1, d2, _ = d.d_prime
     lab = _begin(g, d, Regime.DEGEN_I3)
@@ -274,7 +278,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         hh = list(islice((e for e in d.e2 if not lab.label_of[e]),
                          2 * (n - 4)))
         colh = vizing_colour(g, hh)
-        colh = pad_classes(colh, max(len(colh.classes), len(pending)))
+        colh = split_classes(colh, max(len(colh.classes), len(pending)), 2)
         colh = balance_classes(colh, 2)
         for idx, k in enumerate(pending):
             cls = sorted(colh.classes[idx])
@@ -282,7 +286,9 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                 # Single slot: the interval already holds a u1-edge; the
                 # H-H edge must avoid its endpoint.
                 y_k = g.other_end(lab.edge_with[m - 1 - 3 * k], u1)
-                e = next(e for e in cls if y_k not in g.edges[e])
+                e = next((e for e in cls if y_k not in g.edges[e]), None)
+                check(e is not None, f"H-H class for interval {k} has no "
+                      f"edge avoiding u1's neighbour {y_k}")
                 lab.assign(e, m - 2 - 3 * k)
             else:
                 lab.assign(cls[0], m - 1 - 3 * k)

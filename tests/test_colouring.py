@@ -22,7 +22,7 @@ from antimagic import (
 from antimagic.colouring import (
     _ColourClass,
     _donor_path,
-    pad_classes,
+    split_classes,
 )
 from antimagic.errors import (
     AntimagicError,
@@ -173,11 +173,33 @@ def test_balance_on_main_g2():
         picked.update(e for _, e in he[:t])
     g2 = [e for e in d.e2 if e not in picked
           and not set(g.edges[e]) <= set(d.u)]
-    col = pad_classes(vizing_colour(g, g2), g.n - 4)
+    # Padded with empty classes only, so balancing runs its rounds.
+    vizing = vizing_colour(g, g2).classes
+    col = EdgeColouring(g, vizing + ((),) * (g.n - 4 - len(vizing)))
     out = balance_classes(col, 3)
     assert min(out.sizes()) >= 3
     assert brute_proper(g, out.classes)
     assert sorted(e for c in out.classes for e in c) == sorted(g2)
+
+
+def test_split_classes_peels_the_largest_class_first():
+    g = build_graph(30, [(2 * i - 1, 2 * i) for i in range(1, 16)])
+    col = EdgeColouring(g, ((5, 3, 1, 4, 2, 0), tuple(range(6, 15))))
+    # Class 1 (9 edges) first; then classes 0 and 1 hold 6 each and the
+    # lower index goes first; then class 1 again.  Each peel takes the
+    # lowest ids; a class of 3, below 2 * 3, is never peeled.
+    assert split_classes(col, 10, 3).classes == (
+        (3, 4, 5), (12, 13, 14), (6, 7, 8), (0, 1, 2), (9, 10, 11),
+        (), (), (), (), ())
+    # It stops at ``total`` classes, even where a class still holds six.
+    assert split_classes(col, 4, 3).classes == (
+        (3, 4, 5), (9, 10, 11, 12, 13, 14), (6, 7, 8), (0, 1, 2))
+    # Below 2 * size nothing is peeled, and nothing is ever truncated.
+    assert split_classes(col, 4, 5).classes == (
+        (0, 1, 2, 3, 4, 5), tuple(range(6, 15)), (), ())
+    assert split_classes(col, 1, 1).classes == (
+        (0, 1, 2, 3, 4, 5), tuple(range(6, 15)))
+    assert split_classes(EdgeColouring(g, ()), 2, 3).classes == ((), ())
 
 
 def test_order_classes_moves_holders_first():
@@ -216,14 +238,14 @@ def test_order_classes_on_main_instance_u1_front():
     g2 = [e for e in d.e2 if e not in picked
           and not set(g.edges[e]) <= set(d.u)]
     a1 = d.d_prime[0] - t
-    col = balance_classes(pad_classes(vizing_colour(g, g2), g.n - 4), 3)
+    col = balance_classes(split_classes(vizing_colour(g, g2), g.n - 4, 3), 3)
     out = order_classes_for_vertex(col, u1, a1)
     for i in range(a1):
         assert any(u1 in g.edges[e] for e in out.classes[i])
 
 
 def _stage1_colourings(monkeypatch, n, target, seed):
-    """Every (Vizing, balanced) class pair stage 1 computes on one
+    """Every (split, balanced) class pair stage 1 computes on one
     generator graph, captured at the constructor's own call sites."""
     from antimagic import construction
     seen = []
@@ -242,23 +264,44 @@ def _stage1_colourings(monkeypatch, n, target, seed):
 
 @pytest.mark.parametrize("n, target, seed, digest", [
     (100, "main", 1,
-     "0cdd797831c787c1fac828d63ce079b491dbe4d1d101337b61ebc6d0f6c92c81"),
+     "96a27aa56acbd0a02f04b4052bfc7eb198d8c9d65d95cbe4cffd734cff004bd0"),
     (80, "degen_i3", 1,
-     "2c5d6638213ab6727b12341b69dacedc4e6ce558df166f8e2273b5e500afd2fa"),
+     "59cd1f36320cf38bd23a224b98cc73e4c514b03b374041886a88e219fdd36015"),
 ])
 def test_stage1_colouring_pinned_at_scale(monkeypatch, n, target, seed, digest):
-    # The golden corpus stops at n = 37; this pins the Vizing colouring
-    # and its balancing byte for byte where the benchmark runs them.
+    # The golden corpus stops at n = 37; this pins the split Vizing
+    # colouring and its balancing byte for byte where the benchmark runs
+    # them.
     # Stage 1 colours only the min_size * (n - 4) edges the intervals
     # can use, never the whole of G2 or H-H.
     g, seen = _stage1_colourings(monkeypatch, n, target, seed)
     assert len(seen) == 1
-    vizing, min_size, balanced = seen[0]
-    assert sum(map(len, vizing)) == min_size * (n - 4)
+    split, min_size, balanced = seen[0]
+    assert sum(map(len, split)) == min_size * (n - 4)
     assert min(len(c) for c in balanced) >= min_size
     assert brute_proper(g, balanced)
     text = json.dumps(seen, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, target, most", [
+    (100, "main", 30), (80, "degen_i3", 10)])
+def test_stage1_balancing_rounds_stay_few(monkeypatch, n, target, most):
+    # Splitting leaves balancing a handful of rounds, one _donor_path
+    # call each: 15 and 0 here, where the padded Vizing colouring took
+    # 244 and 116.
+    from antimagic import colouring
+    calls = 0
+    donor_path = colouring._donor_path
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return donor_path(*args)
+
+    monkeypatch.setattr(colouring, "_donor_path", counted)
+    _stage1_colourings(monkeypatch, n, target, 1)
+    assert calls <= most
 
 
 def test_donor_path_skips_cycles_and_recv_ends():
@@ -471,6 +514,17 @@ def test_donor_path_matches_reference(case):
             assert set(path[1::2]) <= set(recv)
 
 
+@settings(max_examples=200, deadline=None)
+@given(vizing_cases(), st.integers(0, 40))
+def test_split_classes_keeps_a_proper_partition(case, total):
+    col, size = case
+    out = split_classes(col, total, size)
+    assert brute_proper(col.graph, out.classes)
+    assert sorted(e for cls in out.classes for e in cls) == sorted(
+        e for cls in col.classes for e in cls)
+    assert len(out.classes) == max(total, len(col.classes))
+
+
 # -- the colourings against the ones they replaced ------------------------
 #
 # ``RefPalette``, ``ref_koenig_colour``, ``ref_vizing_colour`` and
@@ -478,9 +532,12 @@ def test_donor_path_matches_reference(case):
 # rows replaced, kept verbatim as the reference with their degree helper
 # ``ref_subset_degrees`` and the graph-search bipartiteness check
 # ``ref_check_bipartite`` that ``koenig_colour``'s one-pass side check
-# replaced.  On any edge subset the rows must give identical classes, or
-# raise the same exception class with the same message; an odd cycle
-# raises ``NotBipartite`` in both, each with its own message.
+# replaced.  ``ref_mg_colour_edge`` has since taken the same change of
+# algorithm as ``_mg_colour_edge``: an edge whose ends share x's first
+# free colour takes it with no fan.  On any edge subset the rows must
+# give identical classes, or raise the same exception class with the
+# same message; an odd cycle raises ``NotBipartite`` in both, each with
+# its own message.
 
 def ref_check_bipartite(g: Graph, edge_ids) -> dict[int, int]:
     """The subset's 2-colouring by graph search: vertex -> 0/1."""
@@ -623,6 +680,11 @@ def ref_vizing_colour(g: Graph, edge_ids) -> EdgeColouring:
 
 def ref_mg_colour_edge(g: Graph, pal: RefPalette, x: int, f: int,
                     eid: int) -> None:
+    c = pal.first_free(x)
+    if pal.is_free(f, c):  # x's first free colour is free at f too: no fan
+        pal.assign(eid, c)
+        return
+
     # Maximal fan of x starting at f: each next fan edge is the smallest
     # coloured edge at x, not yet in the fan, whose colour is free at the
     # previous fan vertex.  The graph is simple, so the far ends differ.
@@ -639,7 +701,6 @@ def ref_mg_colour_edge(g: Graph, pal: RefPalette, x: int, f: int,
         fan_e.append(at_x[c2])
         fan_v.append(g.other_end(at_x[c2], x))
 
-    c = pal.first_free(x)
     d = pal.first_free(fan_v[-1])
     if not pal.is_free(x, d):
         pal.flip_path(x, d, c)

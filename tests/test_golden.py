@@ -27,17 +27,17 @@ from test_resolution import CONFLICTED
 
 GOLDEN_SHA256 = {
     "main":
-        "363b9298d8d4ac9e1e2bcfa197d49d1898bad2cee670939baad35524a0e7c9da",
+        "9e6d277281a8982c69313adac68c0213c17f67bc0a1da40887af18c27b95c2f9",
     "main_triple":
-        "141d6637d403072c950d9cf67bf29e0eec0f437cfd59f97cae970f1992307aad",
+        "5927196daf175d499d75a11d93690e59070deec6271a75509970def079ed46f1",
     "degen_i1":
         "becdcfe2e6fc141b8010682483370f0ff4f35e0f7e83e597930ff2684b80ea73",
     "degen_i2":
         "95cde74abdaa877501fcf417abd29bcfed01d07fa7bdb5cce59dcd76213d2ed0",
     "degen_i3":
-        "2fd02fa65012a9ae1086dd72291b25bd2b0795a96ff32be4f32ab10e444edc23",
+        "4a68a1b685d1294600e2926eb291c6ceaa406476f0d37647e6324950cc2fce8a",
     "disc_u3_isolated":
-        "bcf4ec38b1f60721692dda45a40f1cc18ed2f60163bb4116092a7c2720ebc417",
+        "fbb1d40d0ce0c61c00a7f7c47db249972ec301769a3a0fb66f3487a6bd806833",
     "disc_triple":
         "0e416547a3eedea1fc7868254edfb48cbd9be0011686aa2dd1c51abc3f293314",
     "yilma":
@@ -45,7 +45,7 @@ GOLDEN_SHA256 = {
     "universal":
         "21c1c517afe8b91f5389b6a93ff2b867fc6b56cb57c79edf626ce43e6e91a799",
     "conflicted":
-        "4bed5ae821f27d266d5ad7bcf3ef4fa363be1d4179b2bb52af4b0eb6d785b1ff",
+        "68965208872446dde8e8a6d8e271af52c671b50d13d21f9e95d219570d779aaf",
     "forced":
         "f863d4b00e29a313d101c77c572b8cba0f2a45cbedd845379ce7cb2a843f5dc7",
 }

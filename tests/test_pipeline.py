@@ -12,6 +12,7 @@ import antimagic.colouring as colouring
 import antimagic.construction as construction
 import antimagic.resolution as resolution
 from antimagic import (
+    EdgeColouring,
     Regime,
     build_graph,
     gen_instance,
@@ -134,8 +135,18 @@ def _koenig_class_lost(monkeypatch):
     return ("main", 20, 1), "Koenig colouring of G1 used"
 
 
+def _hh_class_ran_dry(monkeypatch):
+    # i = 3's H-H classes come back empty, so interval 10, the first
+    # pending one (d' = (11, 10, 3)), finds no edge for its single slot.
+    monkeypatch.setattr(
+        construction, "balance_classes",
+        lambda c, min_size: EdgeColouring(c.graph, ((),) * len(c.classes)))
+    return ("degen_i3", 19, 1), (r"H-H class for interval 10 has no edge "
+                                 r"avoiding u1's neighbour \d+")
+
+
 FAULTS = [_no_donor_path, _repeated_u_edge, _conflict_without_u_rank,
-          _koenig_class_lost]
+          _koenig_class_lost, _hh_class_ran_dry]
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[1:])

@@ -36,28 +36,29 @@ from antimagic.verification import recompute_sums, verify_stage_properties
 # with the case the resolver must name; the generator is deterministic
 # so these stay valid until stage-1 output changes on purpose.
 CONFLICTED = [
-    ("main", 19, 4348, "3"),
-    ("main", 21, 4699, "4a"),    # lambda + rho pair
-    ("main", 19, 1136, "5"),
-    ("main", 19, 68, "6"),
-    ("main", 19, 23, "7.1"),
-    ("main", 20, 195, "7.2"),
-    ("main_triple", 24, 5197, "2"),
-    ("main_triple", 19, 26, "5"),
-    ("main_triple", 19, 11, "6"),
-    ("main_triple", 22, 3427, "7.3"),
-    ("main_triple", 19, 2125, "7.4"),
+    ("main", 19, 516, "3"),
+    ("main", 19, 3175, "4a"),    # lambda + rho pair
+    ("main", 19, 1021, "5"),
+    ("main", 19, 12, "6"),
+    ("main", 19, 2, "7.1"),
+    ("main", 20, 1165, "7.2"),
+    ("main_triple", 19, 499, "2"),
+    ("main_triple", 19, 55, "5"),
+    ("main_triple", 19, 47, "6"),
+    ("main_triple", 20, 2202, "7.3"),
     ("degen_i2", 28, 58, "i2"),      # top named exchange
     ("degen_i2", 27, 1708, "i2"),    # low named exchange
-    ("degen_i3", 20, 2136, "i3:both"),
-    ("degen_i3", 19, 640, "i3:u1"),
-    ("degen_i3", 19, 240, "i3:u2"),
+    ("degen_i3", 27, 1135, "i3:both"),
+    ("degen_i3", 19, 1165, "i3:u1"),
+    ("degen_i3", 19, 13, "i3:u2"),
 ]
 
-# Conflicted stage-1 labellings recorded while stage 1 still coloured all
-# of G2 (or H-H for i = 3).  Their seeds no longer conflict live, but they
-# are genuine stage-1 outputs, so the resolver must still settle each one
-# with the same case and the same exchanges.
+# Conflicted stage-1 labellings recorded from earlier stage-1 colourings:
+# the first eleven while stage 1 still coloured all of G2 (or H-H for
+# i = 3), the rest while it still balanced padded Vizing classes instead
+# of splitting them.  Their seeds no longer give these conflicts live,
+# but they are genuine stage-1 outputs, so the resolver must still settle
+# each one with the same case and the same exchanges.
 RECORDED = json.loads(
     (Path(__file__).parent / "data" / "recorded_conflicts.json").read_text())
 

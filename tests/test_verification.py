@@ -146,7 +146,6 @@ def test_stage_properties_report_in_vertex_then_interval_order():
     rep = verify_stage_properties(tampered, stage.regime, d)
     assert d.r == 1 and d.u == (2, 3, 4)
     assert rep.failures == (
-        "H spacing 2 < 4",
         "vertex 2 carries 2 labels of interval (141, 140, 139)",
         "vertex 2 carries 2 labels of interval (129, 128, 127)",
         "vertex 3 carries 2 labels of interval (137, 136, 135)",
@@ -186,9 +185,11 @@ def test_stage_properties_catch_i3_two_label_interval():
         "H spacing 1 < 2")),
     # u3 = 4 holds labels 1..4.
     ("degen_i3", 19, (4, 22), None, ("sum(u3) = 28 > 18",)),
-    ("degen_i3", 19, None, 2, ("top sums out of order: r=1680 u1=0 u2=1176",)),
+    ("degen_i3", 19, None, 2, ("top sums out of order: r=1680 u1=0 u2=1176",
+                               "H spacing 1 < 3")),
     ("degen_i3", 19, None, 3, (
-        "sum(u3) = 9 within 4 of sum(u2) = 0 or min H sum 563",)),
+        "sum(u3) = 9 within 4 of sum(u2) = 0 or min H sum 624",
+        "H spacing 0 < 3")),
     # The triple is a P3 on labels 1, 2 with centre u1 = 2, labelled by
     # the i = 1 constructor and checked against its bounds; 1 <-> 17
     # lifts u3 above u2 and gives H vertices 8 and 11 one sum.
@@ -271,7 +272,7 @@ def test_root_tie_fails_unique_maximum_outside_i2(monkeypatch, target):
 _STAGE_SUMS = {
     "degen_i1": ((4, 2, 3), (2448, 8, 6, 4, 850, 1535)),
     "degen_i2": ((2, 3, 4), (2397, 1188, 13, 3, 930, 1521)),
-    "degen_i3": ((2, 3, 4), (1928, 809, 549, 13, 771, 1539)),
+    "degen_i3": ((2, 3, 4), (1928, 809, 549, 13, 784, 1531)),
 }
 
 
@@ -322,11 +323,11 @@ _BOUNDS = [
     ("degen_i3", "u2", 805, 806, (
         "top sums out of order: r=1928 u1=809 u2=806",)),
     ("degen_i3", "u2", 17, 16, (
-        "sum(u3) = 13 within 4 of sum(u2) = 16 or min H sum 771",)),
+        "sum(u3) = 13 within 4 of sum(u2) = 16 or min H sum 784",)),
     ("degen_i3", "min_h", 17, 16, (
         "sum(u3) = 13 within 4 of sum(u2) = 549 or min H sum 16",)),
-    ("degen_i3", "r", 1543, 1542, (
-        "root sum 1542 does not dominate H by 4 (max H sum 1539)",)),
+    ("degen_i3", "r", 1535, 1534, (
+        "root sum 1534 does not dominate H by 4 (max H sum 1531)",)),
 ]
 
 
@@ -703,11 +704,15 @@ def test_resolve_reads_the_carried_sums(monkeypatch):
 @pytest.mark.parametrize("target", _STAGE_TARGETS)
 @pytest.mark.parametrize("seed", [1, 2])
 def test_unchanged_stage_carries_its_naive_sums(target, seed):
+    # The final labelling is the stage's own unless resolution exchanged
+    # labels (main seed 2 needs case 7.1), and then it is a new one: the
+    # stage keeps its labelling and the sums of it either way.
     from antimagic import label
     g = gen_instance(min_feasible_n(target), target, seed=seed)
     out = label(g, seed=seed)
-    assert out.labelling is out.stage.labelling
-    assert out.stage.sums == _naive_sums(g, out.labelling.label_of)
+    resolved = out.resolution is not None and bool(out.resolution.applied)
+    assert (out.labelling is out.stage.labelling) is not resolved
+    assert out.stage.sums == _naive_sums(g, out.stage.labelling.label_of)
 
 
 @pytest.mark.parametrize("n,pairs,labels", [
