@@ -31,6 +31,7 @@ from .errors import (
     HypothesisViolated,
     NotAntimagicShape,
     NotUniversalVertex,
+    ProofViolation,
     check,
 )
 from .graph import Graph, InstanceDecomposition, Regime, stage_regime
@@ -181,17 +182,23 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     a1 = d.d_prime[0] - t
     col2 = order_classes_for_vertex(col2, u1, a1)
 
+    at_u1 = set(g.incident[u1]).__contains__
+    eids: list[int] = []
+    labels: list[int] = []
     for j in range(t + 1, n - 4):  # intervals I_{t+1} .. I_{n-5}
         cls = col2.classes[j - t - 1]
-        u1_edge = next((e for e in cls if u1 in g.edges[e]), None)
-        check(u1_edge is not None or j - t > a1,
-              f"class for interval {j} lost its u1 edge")
-        # The u1 edge (if any) takes the interval top, the rest by id.
-        picked = sorted(cls, key=lambda e: (e != u1_edge, e))[:3]
-        check(len(picked) == 3, f"class for interval {j} too small")
+        # A class is a matching, so it holds at most one u1 edge.  That
+        # edge takes the interval top, the rest follow by id.
+        picked = list(filter(at_u1, cls))
+        if not picked and j - t <= a1:
+            raise ProofViolation(f"class for interval {j} lost its u1 edge")
+        picked += sorted(filterfalse(at_u1, cls))
+        if len(picked) < 3:
+            raise ProofViolation(f"class for interval {j} too small")
         base = m - 4 * (j - 1)
-        for k, e in enumerate(picked, start=1):
-            lab.assign(e, base - k)
+        eids += picked[:3]
+        labels += (base - 1, base - 2, base - 3)
+    lab.assign_all(eids, labels)
 
     _fill_rest_and_root(g, lab, d.r, [m - 4 * k for k in range(n - 4)])
     return _finish(g, d, lab, Regime.MAIN)

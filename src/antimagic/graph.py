@@ -28,13 +28,15 @@ class Graph:
     Vertices are 1-based ids 1..n; edge ids are 0-based positions in the
     input edge list.  Instances are never mutated after construction.
 
-    ``adjacency[v]`` maps each neighbour of v to the id of the edge
-    joining them, in ascending edge id; the build loop fills only these
-    maps.  Derived from them in C-level passes: ``incident[v]``, the
-    same edge ids as a list; the degrees; ``_gather``, which picks from
-    a per-edge list the entries of the incidence lists of vertices 0..n
-    laid end to end (None when m = 0); and ``_spans[v]``, vertex v's
-    slice of that order, so a sums pass runs in C.
+    Stored: ``edges``; the degrees; one flat tuple of the edge ids at
+    vertices 0..n laid end to end, each vertex's in ascending id, held
+    as the items of ``_gather``, the itemgetter that picks those entries
+    from a per-edge list (None when m = 0); and ``_spans[v]``, vertex
+    v's slice of that order, so a sums pass runs in C.  Derived on demand:
+    ``incident[v]``, v's slice of the flat tuple, and ``adjacency[v]``,
+    a map from each neighbour of v to the id of the edge joining them,
+    in ascending edge id, built on v's first request and then kept.
+    Only r and the u-triple ask for a map.
     """
 
     __slots__ = ("n", "edges", "adjacency", "incident", "_degrees",
@@ -43,19 +45,24 @@ class Graph:
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         self.n = n
         self.edges = edges
-        adjacency: list[dict[int, int]] = [{} for _ in range(n + 1)]
+        # Neighbour -> edge-id maps for the build only.  A self-loop or a
+        # repeated pair overwrites a key, so it adds less than 2 to the
+        # degree sum, which ``build_graph`` checks.
+        maps: list[dict[int, int]] = [{} for _ in range(n + 1)]
         for eid, (u, v) in enumerate(edges):
-            adjacency[u][v] = eid
-            adjacency[v][u] = eid
-        incident = list(map(list, map(dict.values, adjacency)))
-        self.adjacency, self.incident = adjacency, incident
-        self._degrees = list(map(len, adjacency))
-        # Every edge sits in two lists, so m >= 1 gives itemgetter at
-        # least two items and it returns a tuple.
-        self._gather = (itemgetter(*chain.from_iterable(incident))
-                        if edges else None)
+            maps[u][v] = eid
+            maps[v][u] = eid
+        self._degrees = list(map(len, maps))
+        flat = tuple(chain.from_iterable(map(dict.values, maps)))
+        del maps
         ends = list(accumulate(self._degrees))
         self._spans = list(map(slice, [0] + ends[:-1], ends))
+        # Every edge sits twice in flat, so m >= 1 gives itemgetter at
+        # least two items and it returns a tuple.  An exact tuple passed
+        # with * is kept as itemgetter's items, not copied.
+        self._gather = itemgetter(*flat) if edges else None
+        self.incident = _Incidence(flat, self._spans)
+        self.adjacency = _Adjacency(edges, self.incident)
 
     @property
     def m(self) -> int:
@@ -75,6 +82,42 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+class _Incidence:
+    """``incident[v]``: the ids of v's edges, ascending, as a tuple sliced
+    from the flat incidence on each access."""
+
+    __slots__ = ("_flat", "_spans")
+
+    def __init__(self, flat: tuple[int, ...], spans: list[slice]):
+        self._flat, self._spans = flat, spans
+
+    def __getitem__(self, v: int) -> tuple[int, ...]:
+        return self._flat[self._spans[v]]
+
+
+class _Adjacency:
+    """``adjacency[v]``: neighbour -> edge id at v, in ascending edge id,
+    built from ``incident[v]`` on v's first request and then kept.  It
+    holds the edges and the incidence, not the Graph, so a Graph is
+    freed by reference counting alone."""
+
+    __slots__ = ("_edges", "_incident", "_maps")
+
+    def __init__(self, edges: tuple[tuple[int, int], ...],
+                 incident: _Incidence):
+        self._edges, self._incident = edges, incident
+        self._maps: dict[int, dict[int, int]] = {}
+
+    def __getitem__(self, v: int) -> dict[int, int]:
+        amap = self._maps.get(v)
+        if amap is None:
+            inc = self._incident[v]
+            ends = map(self._edges.__getitem__, inc)
+            amap = self._maps[v] = dict(zip([a + b - v for a, b in ends],
+                                            inc))
+        return amap
+
+
 def build_graph(n: int, edge_pairs: list[tuple[int, int]]) -> Graph:
     """Validate and build a Graph; edge ids follow input order.
 
@@ -85,8 +128,8 @@ def build_graph(n: int, edge_pairs: list[tuple[int, int]]) -> Graph:
     edges = tuple(map(tuple, edge_pairs))
     if set(chain.from_iterable(edges)).issubset(range(1, n + 1)):
         g = Graph(n, edges)
-        # A self-loop or a repeated pair overwrites an adjacency key, so
-        # it adds less than 2 to the degree sum.
+        # A self-loop or a repeated pair overwrites a key of a build
+        # map, so it adds less than 2 to the degree sum.
         if sum(g._degrees) == 2 * len(edges):
             return g
     seen: set[tuple[int, int]] = set()
@@ -176,7 +219,7 @@ def decompose(g: Graph) -> InstanceDecomposition:
         for a, b in ((u[0], u[1]), (u[0], u[2]), (u[1], u[2]))
         if b in g.adjacency[a]
     )
-    e1 = tuple(g.incident[r])
+    e1 = g.incident[r]
     e2 = tuple(filterfalse(set(e1).__contains__, range(g.m)))
     return InstanceDecomposition(
         r=r, u=u, h_vertices=tuple(sorted(h_set)), d_prime=d_prime,
@@ -225,5 +268,6 @@ def isolated_vertices(g: Graph) -> list[int]:
 def has_isolated_edge(g: Graph) -> bool:
     """An isolated edge (a component that is a single edge) forces equal
     sums at its two endpoints, so the graph cannot be antimagic."""
-    return any(g.degree(v) == 1 and g.degree(next(iter(g.adjacency[v]))) == 1
+    return any(g.degree(v) == 1
+               and g.degree(g.other_end(g.incident[v][0], v)) == 1
                for v in range(1, g.n + 1))

@@ -2,6 +2,10 @@ import contextlib
 import functools
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -51,7 +55,7 @@ def test_parse_rejects_malformed_header():
 
 def test_hostile_header_rejected_before_allocating():
     # n > 2m + 1 means two isolated vertices; the header alone decides,
-    # so the n + 1 adjacency maps are never allocated.
+    # so the graph's n + 1 build maps are never allocated.
     text = "p 100000 3\ne 1 2\ne 2 3\ne 3 4\n"
     tracemalloc.start()
     try:
@@ -229,6 +233,40 @@ def test_bad_seed_env_fails_only_commands_with_seed(main_graph_file,
     assert "--seed" in capsys.readouterr().err
     assert main(["verify", str(path), str(lab)]) == 0
     assert main(["label", str(path), "--out", str(lab), "--seed", "3"]) == 0
+
+
+def _fresh_run(argv, out_dir):
+    """A command's exit code, stdout and the files it writes to
+    ``out_dir``, from a process of its own."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "antimagic.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, _files(out_dir)
+
+
+def _files(out_dir):
+    return {f.name: f.read_bytes() for f in sorted(out_dir.glob("*"))}
+
+
+def test_one_parser_serves_alternating_commands(main_graph_file, tmp_path,
+                                                capsys):
+    g, path = main_graph_file
+    lab = tmp_path / "g.lab"
+    lab.write_text(emit_labelling(label(g).labelling))
+    out_dir = tmp_path / "gen"
+    calls = [["label", str(path), "--seed", "3"],
+             ["verify", str(path), str(lab)],
+             ["generate", "--n", "20", "--count", "2", "--regimes",
+              "degen_i3", "--seed", "4", "--out-dir", str(out_dir)]]
+    fresh = [_fresh_run(argv, out_dir) for argv in calls]
+    cli._parser.cache_clear()
+    for argv, want in zip(calls * 2, fresh * 2):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        code = main(argv)
+        assert (code, capsys.readouterr().out, _files(out_dir)) == want
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_determinism_byte_identical(main_graph_file, tmp_path):

@@ -136,7 +136,9 @@ def _outcome(fn, *args):
     except Exception as exc:
         return type(exc), str(exc)
     if isinstance(out, Graph):
-        return out.n, out.edges, out.adjacency, out.incident
+        return (out.n, out.edges,
+                [(out.adjacency[v], out.incident[v])
+                 for v in range(out.n + 1)])
     return out
 
 
