@@ -1,6 +1,6 @@
-"""Constructive proper edge colourings.
+"""Constructive proper edge colourings, and packings of small matchings.
 
-Three classical subroutines the labelling pipeline delegates to:
+The subroutines the labelling pipeline delegates to:
 
 * Koenig colouring: a bipartite edge subset of maximum degree <= k, given
   one side of its bipartition, gets a proper colouring with k colours, by
@@ -12,12 +12,18 @@ Three classical subroutines the labelling pipeline delegates to:
   are already near the size the intervals take.
 * Class rebalancing: move edges between two colour classes along
   alternating paths until every class reaches a minimum size.
+* Matching packing: a fixed number of disjoint classes of a fixed
+  number of pairwise disjoint edges, taken from an ordered pool by first
+  fit, with an exact search where first fit stalls.  MAIN's stage 1
+  packs its intervals this way; i = 3 still colours, splits and
+  balances its H-H edges.
 
 The two colourings share one layout, per-vertex colour rows (``_Rows``),
 so a first free colour is one C-level ``row.index(0)`` and a fan step
 one C-level scan of the candidate colours against the tip's row.
 
-All operations are pure; they return new EdgeColouring values.
+All operations are pure, but for ``pack_matchings`` reading its pool as
+far as it needs; they return new EdgeColouring values.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress, filterfalse, islice
 from operator import not_, or_
 
 from .errors import (
@@ -388,8 +394,9 @@ def _donor_path(g: Graph, recv: _ColourClass,
 def order_classes_for_vertex(c: EdgeColouring, v: int, count: int) -> EdgeColouring:
     """Permute classes so the ``count`` classes holding v's edges come
     first; contents are untouched."""
+    at_v = set(c.graph.incident[v])
     holding = [i for i, cls in enumerate(c.classes)
-               if any(v in c.graph.edges[e] for e in cls)]
+               if not at_v.isdisjoint(cls)]
     if len(holding) < count:
         raise NotEnoughClasses(
             f"vertex {v} appears in {len(holding)} classes < {count}")
@@ -425,3 +432,99 @@ def split_classes(c: EdgeColouring, total: int, size: int) -> EdgeColouring:
             heappush(heap, (-len(cls), i))
     classes += [[] for _ in range(total - len(classes))]
     return EdgeColouring(c.graph, tuple(map(tuple, classes)))
+
+
+def pack_matchings(g: Graph, pool, count: int, size: int) -> EdgeColouring:
+    """``count`` disjoint classes of ``size`` pairwise vertex-disjoint
+    edges from ``pool`` (distinct edge ids), each class in the order its
+    edges were picked.
+
+    First fit: class j takes the earliest unused pool edges disjoint from
+    what it already holds.  The pool is read lazily, and the edges a
+    class passes over are kept, in pool order, for the classes after it.
+    So a class opens with the earliest edge no earlier class took.  The
+    pool's leading edges that share one vertex (u1's surplus edges in
+    MAIN) therefore open classes 1, 2, ... in turn, and every other
+    class would pass over all of them: they are kept apart, so that no
+    class scans them.
+
+    First fit stalls on a class only once the pool is read to its end.
+    Then an exact search over every unused pool edge keeps the class's
+    first edge and looks for ``size - 1`` more; only if none exist is
+    ProofViolation raised, naming the class.
+
+    Why MAIN's stage 1 never gets there: it packs n - 5 - t classes of 3
+    from G2 less the triple edges and the 3t G1 edges, with m >= 7n and
+    maximum degree n - 4.  Whichever class is being filled, the others
+    hold at most 3(n - 6 - t) edges, so at least
+    7n - (n - 4) - 3 - 3t - 3(n - 6 - t) = 3n + 19 G2 edges are unused,
+    more than ex(n, 3K2) = max(10, 2n - 3) (Erdos-Gallai 1959): a class
+    exists.  The class's first edge has two ends of degree <= n - 4,
+    which meet at most 2n - 9 edges, so at least n + 28 unused edges
+    avoid both.  A graph with no two disjoint edges is a star or a
+    triangle, which hold at most n - 4 and 3 of them, so two disjoint
+    ones complete the class and the exact search cannot fail.
+    """
+    edges = g.edges
+    fresh = iter(pool)
+    lead, unused = list(islice(fresh, 2)), []
+    shared = (set(edges[lead[0]]).intersection(edges[lead[1]])
+              if len(lead) == 2 else None)
+    if shared:
+        (centre,) = shared
+        for e in fresh:
+            if centre not in edges[e]:
+                unused.append(e)
+                break
+            lead.append(e)
+    else:
+        lead, unused = [], lead
+    classes = []
+    for j in range(1, count + 1):
+        opener = lead[j - 1:j]
+        cls: list[int] = []
+        held: set[int] = set()
+        read: list[int] = []
+        for e in chain(opener, unused, fresh):
+            read.append(e)
+            ends = edges[e]
+            if held.isdisjoint(ends):
+                cls.append(e)
+                held.update(ends)
+                if len(cls) == size:
+                    break
+        if len(cls) < size:
+            # The pool is read to its end, so ``read`` is the class's
+            # first edge, then every unused edge that can join it, in
+            # pool order (the rest of the lead meets the first edge).
+            cls = _exact_class(edges, read, size)
+            if cls is None:
+                raise ProofViolation(
+                    f"no {size} pairwise disjoint unused pool edges "
+                    f"for class {j} of {count}")
+        unused = (list(filterfalse(set(cls).__contains__, read))
+                  + unused[len(read) - len(opener):])
+        classes.append(tuple(cls))
+    return EdgeColouring(g, tuple(classes))
+
+
+def _exact_class(edges, candidates: list[int],
+                 size: int) -> list[int] | None:
+    """``candidates[0]`` and the earliest ``size - 1`` later candidates
+    that make a matching with it (lexicographic by position), or None
+    when there are none: a depth-first search over all of them."""
+
+    def extend(cls: list[int], held: set[int], start: int):
+        if len(cls) == size:
+            return cls
+        for i in range(start, len(candidates)):
+            ends = edges[candidates[i]]
+            if held.isdisjoint(ends):
+                found = extend(cls + [candidates[i]], held.union(ends),
+                               i + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return (extend(candidates[:1], set(edges[candidates[0]]), 1)
+            if candidates else None)

@@ -24,6 +24,7 @@ from .colouring import (
     balance_classes,
     koenig_colour,
     order_classes_for_vertex,
+    pack_matchings,
     split_classes,
     vizing_colour,
 )
@@ -34,7 +35,7 @@ from .errors import (
     ProofViolation,
     check,
 )
-from .graph import Graph, InstanceDecomposition, Regime, stage_regime
+from .graph import STEP, Graph, InstanceDecomposition, Regime, stage_regime
 from .labelling import Labelling
 from .verification import recompute_sums
 
@@ -134,17 +135,16 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     Reserved labels, counting down from m: root edges take every fourth
     label; between consecutive root labels sits a three-label interval.
     The first d'(u3) intervals carry one edge of each u_i (a Koenig
-    colouring of the bipartite u-H subgraph supplies the grouping); the
-    remaining intervals each take three edges of one Vizing colour class
-    of the rest, with u1's surplus edges pinned to the interval tops.
+    colouring of the bipartite u-H subgraph supplies the grouping); each
+    remaining interval takes one class of three pairwise vertex-disjoint
+    G2 edges, with u1's surplus edges pinned to the interval tops.
 
-    Only 3(n - 4) of the rest are coloured: u1's surplus edges, then the
-    others in ascending id.  A subset has no larger maximum degree, so
-    there are still at most n - 4 classes, enough edges to balance each
-    to three, and u1's surplus edges in distinct classes; the edges left
-    uncoloured take small labels like the unused classes do.  Splitting
-    the classes into blocks of three, up to n - 4 classes, leaves the
-    balancing only a few rounds.
+    The classes are packed directly, by first fit (``pack_matchings``):
+    the pool is u1's a1 = d'(u1) - t surplus edges, then the rest of G2
+    by ascending id, so class j <= a1 opens with u1's j-th surplus edge
+    and u1's surplus edges sit in distinct intervals.  The edges no class
+    takes get small labels.  A hand-built graph can have d'(u1) = n - 4,
+    one more surplus edge than intervals; that edge takes a small label.
     """
     t = d.d_prime[2]
     lab = _begin(g, d, Regime.MAIN)
@@ -171,33 +171,28 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
             lab.assign(by_u[u], base - k)
 
     # u1's surplus edges first, then the rest of G2, by ascending id.
-    label_of = lab.label_of
-    g2_edges = chain(
-        (e for e in g.incident[u1] if not label_of[e]),
-        (e for e in d.e2 if not label_of[e] and u1 not in g.edges[e]))
-    col2 = vizing_colour(g, list(islice(g2_edges, 3 * (n - 4))))
-    check(len(col2.classes) <= n - 4, "Vizing exceeded Delta(G2) + 1 classes")
-    col2 = split_classes(col2, n - 4, 3)
-    col2 = balance_classes(col2, 3)
+    labelled = lab.label_of.__getitem__
+    at_u1 = set(g.incident[u1])
+    pool = chain(filterfalse(labelled, g.incident[u1]),
+                 filterfalse(at_u1.__contains__, filterfalse(labelled, d.e2)))
+    count = n - 5 - t
+    col2 = pack_matchings(g, pool, count, STEP[Regime.MAIN] - 1)
+    # Packing already puts u1's surplus edges in the first classes; this
+    # checks that they sit in distinct ones (NotEnoughClasses otherwise).
     a1 = d.d_prime[0] - t
-    col2 = order_classes_for_vertex(col2, u1, a1)
+    col2 = order_classes_for_vertex(col2, u1, min(a1, count))
 
-    at_u1 = set(g.incident[u1]).__contains__
+    # Class k feeds interval I_{t+1+k}.  Each class holds u1's edge, if
+    # any, first and the rest by ascending id, the packer's pick order:
+    # that edge takes the interval top.
     eids: list[int] = []
-    labels: list[int] = []
-    for j in range(t + 1, n - 4):  # intervals I_{t+1} .. I_{n-5}
-        cls = col2.classes[j - t - 1]
-        # A class is a matching, so it holds at most one u1 edge.  That
-        # edge takes the interval top, the rest follow by id.
-        picked = list(filter(at_u1, cls))
-        if not picked and j - t <= a1:
+    for j, cls in enumerate(col2.classes, start=t + 1):
+        if j - t <= a1 and not (cls and cls[0] in at_u1):
             raise ProofViolation(f"class for interval {j} lost its u1 edge")
-        picked += sorted(filterfalse(at_u1, cls))
-        if len(picked) < 3:
+        if len(cls) < 3:
             raise ProofViolation(f"class for interval {j} too small")
-        base = m - 4 * (j - 1)
-        eids += picked[:3]
-        labels += (base - 1, base - 2, base - 3)
+        eids += cls[:3]
+    labels = [m - 4 * k - i for k in range(t, n - 5) for i in (1, 2, 3)]
     lab.assign_all(eids, labels)
 
     _fill_rest_and_root(g, lab, d.r, [m - 4 * k for k in range(n - 4)])

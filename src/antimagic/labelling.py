@@ -52,9 +52,12 @@ class Labelling:
         shows no write reused an edge or a label.  A failed check leaves
         the labelling unusable."""
         label_of, edge_with = self.label_of, self.edge_with
-        if len(eids) != len(labels) or (
-                labels and not 0 < min(labels) <= max(labels) < len(edge_with)):
-            raise ProofViolation("batch labels out of range or unmatched")
+        if len(eids) != len(labels):
+            raise ProofViolation(
+                f"{len(eids)} batch edges against {len(labels)} labels")
+        if labels and not 0 < min(labels) <= max(labels) < len(edge_with):
+            bad = min(labels) if min(labels) < 1 else max(labels)
+            raise ProofViolation(f"batch label {bad} out of range")
         for eid, label in zip(eids, labels):
             label_of[eid] = label
             edge_with[label] = eid

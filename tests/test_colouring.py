@@ -1,7 +1,8 @@
 import hashlib
 import json
 import random
-from itertools import filterfalse
+import re
+from itertools import combinations, filterfalse
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from antimagic import (
 from antimagic.colouring import (
     _ColourClass,
     _donor_path,
+    pack_matchings,
     split_classes,
 )
 from antimagic.errors import (
@@ -245,17 +247,24 @@ def test_order_classes_on_main_instance_u1_front():
 
 
 def _stage1_colourings(monkeypatch, n, target, seed):
-    """Every (split, balanced) class pair stage 1 computes on one
-    generator graph, captured at the constructor's own call sites."""
+    """What stage 1 packs or balances on one generator graph, captured at
+    the constructor's own call sites: [count, size, classes] per packing
+    and [split, min_size, balanced] per balancing."""
     from antimagic import construction
     seen = []
 
-    def capture(col, min_size):
+    def capture_pack(g, pool, count, size):
+        out = pack_matchings(g, pool, count, size)
+        seen.append([count, size, out.classes])
+        return out
+
+    def capture_balance(col, min_size):
         out = balance_classes(col, min_size)
         seen.append([col.classes, min_size, out.classes])
         return out
 
-    monkeypatch.setattr(construction, "balance_classes", capture)
+    monkeypatch.setattr(construction, "pack_matchings", capture_pack)
+    monkeypatch.setattr(construction, "balance_classes", capture_balance)
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
     (label_main if target == "main" else label_case_i3)(g, d)
@@ -264,32 +273,41 @@ def _stage1_colourings(monkeypatch, n, target, seed):
 
 @pytest.mark.parametrize("n, target, seed, digest", [
     (100, "main", 1,
-     "96a27aa56acbd0a02f04b4052bfc7eb198d8c9d65d95cbe4cffd734cff004bd0"),
+     "d9d35631f31ebab78b27dfcc17b77c0c887d0048a9f448ce4079c301ebb4c6c7"),
     (80, "degen_i3", 1,
      "59cd1f36320cf38bd23a224b98cc73e4c514b03b374041886a88e219fdd36015"),
 ])
 def test_stage1_colouring_pinned_at_scale(monkeypatch, n, target, seed, digest):
-    # The golden corpus stops at n = 37; this pins the split Vizing
-    # colouring and its balancing byte for byte where the benchmark runs
-    # them.
-    # Stage 1 colours only the min_size * (n - 4) edges the intervals
-    # can use, never the whole of G2 or H-H.
+    # The golden corpus stops at n = 37; this pins MAIN's packed classes,
+    # and i = 3's split Vizing colouring and its balancing, byte for byte
+    # where the benchmark runs them.
     g, seen = _stage1_colourings(monkeypatch, n, target, seed)
     assert len(seen) == 1
-    split, min_size, balanced = seen[0]
-    assert sum(map(len, split)) == min_size * (n - 4)
-    assert min(len(c) for c in balanced) >= min_size
-    assert brute_proper(g, balanced)
+    if target == "main":
+        # One class of three disjoint edges per interval I_{t+1} .. I_{n-5}.
+        count, size, classes = seen[0]
+        t = decompose(g).d_prime[2]
+        assert (count, size) == (n - 5 - t, 3)
+        assert [len(c) for c in classes] == [3] * count
+        assert len({e for c in classes for e in c}) == 3 * count
+        assert brute_proper(g, classes)
+    else:
+        # Stage 1 colours only the min_size * (n - 4) H-H edges the
+        # intervals can use, never the whole of H-H.
+        split, min_size, balanced = seen[0]
+        assert sum(map(len, split)) == min_size * (n - 4)
+        assert min(len(c) for c in balanced) >= min_size
+        assert brute_proper(g, balanced)
     text = json.dumps(seen, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n, target, most", [
-    (100, "main", 30), (80, "degen_i3", 10)])
+@pytest.mark.parametrize("n, target, most", [(80, "degen_i3", 10)])
 def test_stage1_balancing_rounds_stay_few(monkeypatch, n, target, most):
-    # Splitting leaves balancing a handful of rounds, one _donor_path
-    # call each: 15 and 0 here, where the padded Vizing colouring took
-    # 244 and 116.
+    # Splitting leaves i = 3's balancing a handful of rounds, one
+    # _donor_path call each: none here, where the padded Vizing
+    # colouring took 116.  MAIN balances nothing (see
+    # test_main_stage1_runs_no_colouring).
     from antimagic import colouring
     calls = 0
     donor_path = colouring._donor_path
@@ -302,6 +320,25 @@ def test_stage1_balancing_rounds_stay_few(monkeypatch, n, target, most):
     monkeypatch.setattr(colouring, "_donor_path", counted)
     _stage1_colourings(monkeypatch, n, target, 1)
     assert calls <= most
+
+
+@pytest.mark.parametrize("n, target", [
+    (100, "main"), (100, "main_triple"), (19, "main"), (19, "main_triple")])
+def test_main_stage1_runs_no_colouring(monkeypatch, n, target):
+    # MAIN packs its intervals' classes directly: no Vizing colouring,
+    # no splitting and no balancing, so its balancing rounds are 0.
+    from antimagic import colouring, construction, label, verify_antimagic
+
+    def refuse(*args):
+        raise AssertionError("MAIN's stage 1 coloured, split or balanced")
+
+    for module in (colouring, construction):
+        for name in ("vizing_colour", "split_classes", "balance_classes"):
+            monkeypatch.setattr(module, name, refuse)
+    g = gen_instance(n, target, seed=1)
+    out = label(g, seed=1)
+    assert out.status == "constructed" and out.stage.regime.value == "MAIN"
+    assert verify_antimagic(g, out.labelling).ok
 
 
 def test_donor_path_skips_cycles_and_recv_ends():
@@ -523,6 +560,118 @@ def test_split_classes_keeps_a_proper_partition(case, total):
     assert sorted(e for cls in out.classes for e in cls) == sorted(
         e for cls in col.classes for e in cls)
     assert len(out.classes) == max(total, len(col.classes))
+
+
+# -- the packer --------------------------------------------------------------
+
+def test_pack_matchings_first_fit_reads_the_pool_lazily():
+    # A star's edges lead: class j opens with the j-th of them.  Class 2
+    # passes over edge 4, which meets its opener, and class 3 takes it.
+    # Edges 6 and 7 are never read.
+    g = build_graph(9, [(1, 2), (1, 3), (1, 4), (5, 6), (3, 8), (5, 7),
+                        (6, 8), (2, 9)])
+    pool = iter(range(8))
+    out = pack_matchings(g, pool, 3, 2)
+    assert out.classes == ((0, 3), (1, 5), (2, 4))
+    assert list(pool) == [6, 7]
+    assert pack_matchings(g, [], 0, 3).classes == ()
+
+
+def test_pack_matchings_repairs_a_stalled_class():
+    # First fit gives class 1 edges 0 and 1, then finds nothing disjoint
+    # from both; the exact search keeps edge 0 and finds 2 and 3.
+    g = build_graph(6, [(1, 2), (3, 4), (3, 5), (4, 6)])
+    assert pack_matchings(g, range(4), 1, 3).classes == ((0, 2, 3),)
+    # Class 2 stalls the same way, on the edges class 1 left, and edge
+    # 4, which its exact search leaves, is all class 3 would get.
+    g = build_graph(6, [(1, 2), (3, 4), (5, 6), (1, 3), (2, 4), (2, 5),
+                        (4, 6)])
+    assert pack_matchings(g, range(7), 2, 3).classes == (
+        (0, 1, 2), (3, 5, 6))
+    with pytest.raises(ProofViolation, match="for class 3 of 3"):
+        pack_matchings(g, range(7), 3, 3)
+    # A class opened by a lead edge (0 and 1 share vertex 1): its exact
+    # search keeps edge 0 and finds 3 and 4, and class 2, opened by edge
+    # 1, has only edge 2 left.
+    g = build_graph(7, [(1, 2), (1, 3), (4, 5), (4, 6), (5, 7)])
+    assert pack_matchings(g, range(5), 1, 3).classes == ((0, 3, 4),)
+    with pytest.raises(ProofViolation, match="for class 2 of 2"):
+        pack_matchings(g, range(5), 2, 3)
+
+
+def test_pack_matchings_raises_when_no_class_exists():
+    # A star holds no two disjoint edges.
+    g = build_graph(4, [(1, 2), (1, 3), (1, 4)])
+    with pytest.raises(ProofViolation,
+                       match="no 2 pairwise disjoint unused pool edges "
+                             "for class 1 of 1"):
+        pack_matchings(g, range(3), 1, 2)
+    with pytest.raises(ProofViolation, match="for class 1 of 1"):
+        pack_matchings(g, [], 1, 1)
+
+
+def ref_first_fit(g: Graph, pool: list[int], count: int, size: int):
+    """First fit, the slow obvious way: each class scans what is left of
+    the whole pool in order.  None if a class does not fill."""
+    left, classes = list(pool), []
+    for _ in range(count):
+        cls, held = [], set()
+        for e in left:
+            if len(cls) < size and not held & set(g.edges[e]):
+                cls.append(e)
+                held |= set(g.edges[e])
+        if len(cls) < size:
+            return None
+        left = [e for e in left if e not in cls]
+        classes.append(tuple(cls))
+    return tuple(classes)
+
+
+@st.composite
+def packing_cases(draw):
+    """(graph, leading star, pool, count, size): the pool opens with some
+    of one vertex's edges, then holds a random part of the others in
+    random order."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(draw(st.integers(2, 12)), draw(st.floats(0.1, 0.9)),
+                     rng)
+    v = rng.randint(1, g.n)
+    star = list(g.incident[v])
+    rng.shuffle(star)
+    star = star[:draw(st.integers(0, len(star)))]
+    keep = draw(st.floats(0.2, 1.0))
+    rest = [e for e in range(g.m) if v not in g.edges[e] and rng.random() < keep]
+    rng.shuffle(rest)
+    return (g, star, star + rest, draw(st.integers(0, 6)),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packing_cases())
+def test_pack_matchings_packs_disjoint_matchings(case):
+    g, star, pool, count, size = case
+    ref = ref_first_fit(g, pool, count, size)
+    try:
+        out = pack_matchings(g, iter(pool), count, size).classes
+    except ProofViolation as exc:
+        assert ref is None
+        j = int(re.search(r"for class (\d+) of", str(exc)).group(1))
+        assert 1 <= j <= count
+        if j == 1 and pool:  # no size-matching holds the first edge
+            first = set(g.edges[pool[0]])
+            assert not any(
+                brute_proper(g, [c]) and not first & {
+                    v for e in c for v in g.edges[e]}
+                for c in combinations(pool[1:], size - 1))
+        return
+    if ref is not None:  # first fit never stalled
+        assert out == ref
+    assert [len(c) for c in out] == [size] * count
+    assert brute_proper(g, out)
+    used = [e for c in out for e in c]
+    assert len(set(used)) == len(used) and set(used) <= set(pool)
+    for cls, lead in zip(out, star):
+        assert cls[0] == lead
 
 
 # -- the colourings against the ones they replaced ------------------------

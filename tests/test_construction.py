@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -181,6 +183,33 @@ def test_main_offset_maps(main_stage):
     for j in range(1, d.d_prime[2] + 1):
         ys = {y_end(lab, d, 4 * (j - 1) + k) for k in (1, 2, 3)}
         assert len(ys) == 3 and None not in ys
+
+
+def test_main_u1_on_all_of_h_leaves_one_surplus_edge_small():
+    # d'(u1) = n - 4 (the generator stops at n - 6): u1 has one surplus
+    # edge more than there are intervals I_{t+1} .. I_{n-5}.  Each
+    # interval takes one of them at its top, and the last takes a small
+    # label.
+    n, r, (u1, u2, u3) = 24, 1, (2, 3, 4)
+    h = list(range(5, n + 1))
+    pairs = ([(r, v) for v in h] + [(u1, v) for v in h]
+             + [(u2, v) for v in h[:8]] + [(u3, v) for v in h[8:16]])
+    degree = Counter(v for pair in pairs for v in pair)
+    for a, b in combinations(h, 2):
+        if len(pairs) < 7 * n and degree[a] < n - 4 and degree[b] < n - 4:
+            pairs.append((a, b))
+            degree.update((a, b))
+    g = build_graph(n, pairs)
+    d = decompose(g)
+    assert (d.r, d.u, d.d_prime) == (r, (u1, u2, u3), (n - 4, 8, 8))
+    stage = label_main(g, d)
+    assert verify_stage_properties(stage.labelling, stage.regime, d).ok
+    m, t = g.m, d.d_prime[2]
+    lab = stage.labelling
+    tops = [m - 4 * (j - 1) - 1 for j in range(t + 1, n - 4)]
+    assert all(u1 in g.edges[lab.edge_with[top]] for top in tops)
+    u1_labels = sorted(lab.label_of[e] for e in g.incident[u1])
+    assert u1_labels[0] < m - 4 * (n - 5)
 
 
 # Each constructor with a generator target outside its regime.
@@ -382,14 +411,19 @@ def test_assign_all_writes_a_batch_and_refuses_reuse():
     assert lab.assigned == 4
     # With edge 0 holding label 1: a used label, a labelled edge, a
     # repeated label, a repeated edge, labels out of range, a short list.
-    bad = (([1], [1]), ([0], [2]), ([1, 2], [2, 2]), ([1, 1], [2, 3]),
-           ([1], [0]), ([1], [5]), ([1, 2], [2]))
-    for eids, labels in bad:
+    # A label out of range is named before anything is written, label 0
+    # included (not left to the count check).
+    bad = (([1], [1], "already used"), ([0], [2], "already used"),
+           ([1, 2], [2, 2], "already used"), ([1, 1], [2, 3], "already used"),
+           ([1], [0], "batch label 0 out of range"),
+           ([1, 2], [3, 0], "batch label 0 out of range"),
+           ([1], [5], "batch label 5 out of range"),
+           ([1, 2], [2], "2 batch edges against 1 labels"))
+    for eids, labels, message in bad:
         lab = Labelling(g)
         lab.assign(0, 1)
-        with pytest.raises(ProofViolation):
+        with pytest.raises(ProofViolation, match=message):
             lab.assign_all(eids, labels)
-
 
 
 def test_assign_accepts_labels_one_to_m_only():

@@ -27,9 +27,9 @@ from test_resolution import CONFLICTED
 
 GOLDEN_SHA256 = {
     "main":
-        "9e6d277281a8982c69313adac68c0213c17f67bc0a1da40887af18c27b95c2f9",
+        "11857ec68d439aa83e1ffa5e58ad27fb788aa7f4bca85021a408a7f181bfebdf",
     "main_triple":
-        "5927196daf175d499d75a11d93690e59070deec6271a75509970def079ed46f1",
+        "b62bd4ba4ee67c77e9dfc0af5de6a3e1851f99c0c6e4aa636bbd9d1fd0716dce",
     "degen_i1":
         "becdcfe2e6fc141b8010682483370f0ff4f35e0f7e83e597930ff2684b80ea73",
     "degen_i2":
@@ -45,7 +45,7 @@ GOLDEN_SHA256 = {
     "universal":
         "21c1c517afe8b91f5389b6a93ff2b867fc6b56cb57c79edf626ce43e6e91a799",
     "conflicted":
-        "68965208872446dde8e8a6d8e271af52c671b50d13d21f9e95d219570d779aaf",
+        "6a5922da9256f735195dc620812f73ddb056adf95ca601eed84f87360b881983",
     "forced":
         "f863d4b00e29a313d101c77c572b8cba0f2a45cbedd845379ce7cb2a843f5dc7",
 }

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -104,8 +105,44 @@ def test_force_regime_accepts_only_the_fallback():
 # message its guard raises.
 
 def _no_donor_path(monkeypatch):
+    # i = 3 still balances its H-H classes (once on this graph); MAIN
+    # packs its classes and balances nothing.
     monkeypatch.setattr(colouring, "_donor_path", lambda g, recv, donor: [])
-    return ("main", 20, 1), "class balancing failed to make progress"
+    return ("degen_i3", 19, 3), "class balancing failed to make progress"
+
+
+# MAIN on gen_instance(20, "main", 1): d' = (10, 8, 5), so t = 5, and the
+# ten classes feed intervals 6 .. 15, the first a1 = 5 of them opening
+# with u1's surplus edges.
+
+def _u1_edge_lost(monkeypatch):
+    # The order check is bypassed and the classes come back reversed:
+    # interval 6 gets the last class, which holds no u1 edge.
+    monkeypatch.setattr(
+        construction, "order_classes_for_vertex",
+        lambda c, v, count: EdgeColouring(c.graph, c.classes[::-1]))
+    return ("main", 20, 1), "class for interval 6 lost its u1 edge"
+
+
+def _class_too_small(monkeypatch):
+    pack = construction.pack_matchings
+
+    def short(g, pool, count, size):
+        col = pack(g, pool, count, size)
+        return EdgeColouring(g, tuple(cls[:-1] for cls in col.classes))
+    monkeypatch.setattr(construction, "pack_matchings", short)
+    return ("main", 20, 1), "class for interval 6 too small"
+
+
+def _pool_ran_dry(monkeypatch):
+    # One edge short of ten classes of three: the last class cannot fill.
+    pack = construction.pack_matchings
+    monkeypatch.setattr(
+        construction, "pack_matchings",
+        lambda g, pool, count, size: pack(
+            g, islice(pool, count * size - 1), count, size))
+    return ("main", 20, 1), ("no 3 pairwise disjoint unused pool edges for "
+                             "class 10 of 10")
 
 
 def _repeated_u_edge(monkeypatch):
@@ -145,8 +182,9 @@ def _hh_class_ran_dry(monkeypatch):
                                  r"avoiding u1's neighbour \d+")
 
 
-FAULTS = [_no_donor_path, _repeated_u_edge, _conflict_without_u_rank,
-          _koenig_class_lost, _hh_class_ran_dry]
+FAULTS = [_no_donor_path, _u1_edge_lost, _class_too_small, _pool_ran_dry,
+          _repeated_u_edge, _conflict_without_u_rank, _koenig_class_lost,
+          _hh_class_ran_dry]
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[1:])

@@ -32,20 +32,29 @@ from antimagic.resolution import (
 )
 from antimagic.verification import recompute_sums, verify_stage_properties
 
-# Instances whose stage-1 labelling has a conflict, found by seed scan,
-# with the case the resolver must name; the generator is deterministic
+# Instances whose stage-1 labelling has a conflict, with the case the
+# resolver must name: the first instance of each case per target, found
+# by ``tools/scan_conflicts.py`` (n = 19-29; seeds 1-6,000 for main and
+# main_triple, 1-4,000 for degen_i3).  The generator is deterministic,
 # so these stay valid until stage-1 output changes on purpose.
 CONFLICTED = [
-    ("main", 19, 516, "3"),
-    ("main", 19, 3175, "4a"),    # lambda + rho pair
-    ("main", 19, 1021, "5"),
-    ("main", 19, 12, "6"),
-    ("main", 19, 2, "7.1"),
-    ("main", 20, 1165, "7.2"),
-    ("main_triple", 19, 499, "2"),
-    ("main_triple", 19, 55, "5"),
-    ("main_triple", 19, 47, "6"),
-    ("main_triple", 20, 2202, "7.3"),
+    ("main", 22, 5398, "2"),
+    ("main", 19, 2343, "3"),
+    ("main", 22, 890, "4a"),     # lambda + rho pair
+    ("main", 19, 1396, "5"),
+    ("main", 19, 41, "6"),
+    ("main", 19, 44, "7.1"),
+    ("main", 20, 1016, "7.2"),
+    ("main", 19, 1194, "7.3"),
+    ("main_triple", 19, 2835, "2"),
+    ("main_triple", 19, 496, "3"),
+    ("main_triple", 25, 2039, "4a"),
+    ("main_triple", 27, 275, "4b"),
+    ("main_triple", 19, 110, "5"),
+    ("main_triple", 19, 20, "6"),
+    ("main_triple", 19, 32, "7.1"),
+    ("main_triple", 19, 23, "7.2"),
+    ("main_triple", 19, 2054, "7.3"),
     ("degen_i2", 28, 58, "i2"),      # top named exchange
     ("degen_i2", 27, 1708, "i2"),    # low named exchange
     ("degen_i3", 27, 1135, "i3:both"),
@@ -55,10 +64,12 @@ CONFLICTED = [
 
 # Conflicted stage-1 labellings recorded from earlier stage-1 colourings:
 # the first eleven while stage 1 still coloured all of G2 (or H-H for
-# i = 3), the rest while it still balanced padded Vizing classes instead
-# of splitting them.  Their seeds no longer give these conflicts live,
-# but they are genuine stage-1 outputs, so the resolver must still settle
-# each one with the same case and the same exchanges.
+# i = 3), the next fourteen while it still balanced padded Vizing
+# classes instead of splitting them, and the last ten while MAIN still
+# coloured, split and balanced instead of packing.  Their seeds no
+# longer give these conflicts live, but they are genuine stage-1
+# outputs, so the resolver must still settle each one with the same
+# case and the same exchanges.
 RECORDED = json.loads(
     (Path(__file__).parent / "data" / "recorded_conflicts.json").read_text())
 
@@ -283,8 +294,9 @@ def test_conflicts_without_a_u_fit_no_case(main_stage):
 
 
 def _first_conflicted():
-    """The first pinned conflicted instance (main, case 3) and its seed."""
-    target, n, seed, _ = CONFLICTED[0]
+    """The pinned main instance of case 3 and its seed."""
+    target, n, seed, _ = next(c for c in CONFLICTED
+                              if c[0] == "main" and c[3] == "3")
     return gen_instance(n, target, seed=seed), seed
 
 

@@ -123,7 +123,6 @@ def test_stage_properties_pass_then_fail_after_mutation():
     assert not rep.ok
     assert g.m == 142 and d.u == (2, 3, 4)
     assert rep.failures == (
-        "H spacing 1 < 4",
         "vertex 2 carries 2 labels of interval (129, 128, 127)",
         "vertex 3 carries 2 labels of interval (141, 140, 139)",
     )
@@ -702,10 +701,10 @@ def test_resolve_reads_the_carried_sums(monkeypatch):
 
 
 @pytest.mark.parametrize("target", _STAGE_TARGETS)
-@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("seed", [1, 2, 44])
 def test_unchanged_stage_carries_its_naive_sums(target, seed):
     # The final labelling is the stage's own unless resolution exchanged
-    # labels (main seed 2 needs case 7.1), and then it is a new one: the
+    # labels (main seed 44 needs case 7.1), and then it is a new one: the
     # stage keeps its labelling and the sums of it either way.
     from antimagic import label
     g = gen_instance(min_feasible_n(target), target, seed=seed)
