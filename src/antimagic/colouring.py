@@ -4,7 +4,9 @@ The subroutines the labelling pipeline delegates to:
 
 * Koenig colouring: a bipartite edge subset of maximum degree <= k, given
   one side of its bipartition, gets a proper colouring with k colours, by
-  incremental insertion with alternating-path recolouring.
+  incremental insertion with alternating-path recolouring.  Stage 1
+  uses it for MAIN's G1 only; i = 3 pairs its u-edges by a shift
+  (``construction.clash_free_shift``).
 * Vizing colouring: any simple edge subset gets a proper colouring with
   at most Delta + 1 colours, by the Misra-Gries fan/rotation scheme.
 * Class splitting: peel fixed-size blocks off the largest classes into
@@ -75,6 +77,10 @@ class _Rows:
         self.colour: list[int | None] = [None] * g.m
 
     def first_free(self, v: int) -> int:
+        # Neither colouring lets a row fill up: Koenig refuses a degree
+        # above k before it starts, Vizing takes Delta + 1 colours, and
+        # a vertex asked for a free colour has at most degree - 1
+        # coloured edges.  Only a direct call reaches the raise.
         try:
             return self.at[v].index(0)
         except ValueError:
@@ -145,6 +151,11 @@ def koenig_colour(g: Graph, edge_ids, k: int, side) -> EdgeColouring:
             compress(range(lo, k), map(not_, map(or_, ru[lo:], rv[lo:]))),
             None)
         if common is None:
+            # alpha is free at u and beta at v.  The flipped path leaves
+            # v on an alpha edge, so it sits on u's side after each alpha
+            # edge; it cannot end at u, where alpha is free, and so
+            # leaves alpha free at u and frees it at v.  The raise below
+            # cannot fire in a bipartite subset.
             rows.flip_path(v, alpha, beta)
             if ru[alpha] or rv[alpha]:
                 raise ProofViolation(
@@ -211,6 +222,9 @@ def _mg_colour_edge(g: Graph, rows: _Rows, x_edges: list[int], x: int,
 
     d = rows.first_free(fan_v[-1])
     if x_row[d]:
+        # c is free at x, so x ends the cd-path and the flip swaps its
+        # two row entries: d is free at x afterwards, and the raise
+        # below cannot fire.
         rows.flip_path(x, d, c)
         if x_row[d]:
             raise ProofViolation(f"Misra-Gries path flip left colour {d} "
@@ -221,7 +235,16 @@ def _mg_colour_edge(g: Graph, rows: _Rows, x_edges: list[int], x: int,
         return
 
     # First fan prefix whose tip has d free; the Misra-Gries lemma
-    # guarantees one survives the path inversion.
+    # guarantees one survives the path inversion, so the raise below
+    # cannot fire.  d was free at the tip.  If d was free at x, nothing
+    # was flipped and the whole fan qualifies.  Otherwise, the fan being
+    # maximal, d coloured a fan edge x-w', so d was free at the fan
+    # vertex w before w', and the flipped path opened with x-w'.  No
+    # other fan edge is coloured c or d, so no other fan condition
+    # moved.  If the path does not end at w, d is still free there and
+    # the prefix up to w qualifies.  If it does, it entered w on a c
+    # edge, now d, so c is free at w and the whole fan is still a fan;
+    # the path's ends are x and w, so d is still free at the tip.
     j = None
     for idx in range(1, len(fan_v)):
         if at[fan_v[idx - 1]][colour[fan_e[idx]]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, filterfalse, islice
+from operator import eq
 
 from .colouring import (
     balance_classes,
@@ -50,10 +51,14 @@ class StageOneResult:
     sums: list[int] = field(repr=False)
 
 
+def _h_ends(g: Graph, d: InstanceDecomposition, u: int) -> list[int]:
+    """u's neighbours in H, ascending."""
+    return sorted(g.adjacency[u].keys() & d.h_set)
+
+
 def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[int]:
     """The ids of u's edges into H, by ascending H-endpoint."""
-    adj = g.adjacency[u]
-    return list(map(adj.__getitem__, sorted(adj.keys() & d.h_set)))
+    return list(map(g.adjacency[u].__getitem__, _h_ends(g, d, u)))
 
 
 def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
@@ -233,11 +238,36 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     return _finish(g, d, lab, Regime.DEGEN_I2)
 
 
+def clash_free_shift(a: list[int], b: list[int]) -> int:
+    """The smallest s such that a[(k + s) % len(a)] != b[k] for every
+    k < len(b): the shift that pairs u1's and u2's H ends in i = 3.
+
+    ``a`` and ``b`` are distinct vertices each, with len(b) <= len(a).
+    A vertex x in both forbids exactly one shift,
+    (pos_a(x) - pos_b(x)) mod len(a).  Why a shift is always left: if
+    all len(a) shifts were forbidden, then |a & b| >= len(a) >= len(b),
+    so a and b hold the same vertices; sorted, as stage 1 passes them,
+    they are the same list, every common vertex forbids only shift 0,
+    and len(a) >= 4 leaves shift 1 free.
+    """
+    pos = {x: i for i, x in enumerate(a)}
+    d1 = len(a)
+    forbidden = {(pos[x] - k) % d1 for k, x in enumerate(b) if x in pos}
+    return next(s for s in range(d1) if s not in forbidden)
+
+
 def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     """Degenerate case d'(u2) >= 4 > 3 >= d'(u3): root labels step by 3;
     the two labels between consecutive root labels pair one u1-edge with
-    one u2-edge (Koenig classes of the bipartite u-H subgraph) while
-    they last, then H-H edges fill the remaining two-label intervals.
+    one u2-edge while they last, then H-H edges fill the remaining
+    two-label intervals.
+
+    The pairing is a cyclic shift (``clash_free_shift``): interval
+    I_k = {m - 3k - 1, m - 3k - 2}, k = 0 .. d'(u1) - 1, takes u1's edge
+    to the ((k + s) mod d'(u1))-th of u1's H ends on top and, for
+    k < d'(u2), u2's edge to the k-th of u2's H ends below, the two ends
+    distinct by the choice of s.  No colouring is needed: an interval
+    asks for a pair, not a colour class.
 
     Only the 2(n - 4) lowest-id H-H edges are coloured: their maximum
     degree is at most that of H-H, so there are at most n - 4 classes
@@ -245,56 +275,52 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     The classes are split into blocks of two, one per pending interval,
     before the balancing.
     """
-    d1, d2, _ = d.d_prime
     lab = _begin(g, d, Regime.DEGEN_I3)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
-    for e in _h_edges(g, d, u3):
-        lab.assign(e, lab.assigned + 1)
 
-    # Koenig classes over u1's and u2's H-edges: one u1-edge per class,
-    # the d'(u2) classes holding a u2-edge first.  Class k feeds interval
-    # I_k = {m - 3k - 1, m - 3k - 2}.
-    ue = [e for u in (u1, u2) for e in _h_edges(g, d, u)]
-    colu = koenig_colour(g, ue, d1, d.u)
-    check(len(colu.classes) == d1,
-          f"u-edge Koenig colouring used {len(colu.classes)} != {d1} classes")
+    a, b = _h_ends(g, d, u1), _h_ends(g, d, u2)
+    d1, d2 = len(a), len(b)
+    s = clash_free_shift(a, b)
+    a = a[s:] + a[:s]  # a[k]: u1's H end in interval k
+    clash = next(compress(range(d2), map(eq, a, b)), None)
+    if clash is not None:
+        raise ProofViolation(f"u-edge pair for interval {clash} shares "
+                             f"its H end {a[clash]}")
+    # u3's H-edges take the labels after the triple's; then the pairs.
+    u3_edges = _h_edges(g, d, u3)
+    low = lab.assigned + 1
+    lab.assign_all(
+        u3_edges + list(map(g.adjacency[u1].__getitem__, a))
+        + list(map(g.adjacency[u2].__getitem__, b)),
+        [*range(low, low + len(u3_edges)), *range(m - 1, m - 1 - 3 * d1, -3),
+         *range(m - 2, m - 2 - 3 * d2, -3)])
 
-    def class_key(cls):
-        has_u2 = any(u2 in g.edges[e] for e in cls)
-        return (0 if has_u2 else 1, min(cls))
-
-    ordered = sorted(colu.classes, key=class_key)
-    for k, cls in enumerate(ordered):
-        u1_edge = next((e for e in cls if u1 in g.edges[e]), None)
-        u2_edge = next((e for e in cls if u2 in g.edges[e]), None)
-        check(u1_edge is not None, f"u-edge class {k} has no u1 edge")
-        check(len(cls) <= 2, f"u-edge class {k} has {len(cls)} edges")
-        lab.assign(u1_edge, m - 1 - 3 * k)
-        if u2_edge is not None:
-            check(k < d2, "u2 edge escaped the first d'(u2) classes")
-            lab.assign(u2_edge, m - 2 - 3 * k)
-
-    pending = list(range(d2, n - 5))  # intervals still needing H-H edges
+    pending = range(d2, n - 5)  # intervals still needing H-H edges
     if pending:
-        hh = list(islice((e for e in d.e2 if not lab.label_of[e]),
+        hh = list(islice(filterfalse(lab.label_of.__getitem__, d.e2),
                          2 * (n - 4)))
         colh = vizing_colour(g, hh)
         colh = split_classes(colh, max(len(colh.classes), len(pending)), 2)
         colh = balance_classes(colh, 2)
-        for idx, k in enumerate(pending):
-            cls = sorted(colh.classes[idx])
+        # Balanced classes come back sorted, so each interval takes its
+        # class's lowest eligible edges.
+        eids: list[int] = []
+        labels: list[int] = []
+        for k, cls in zip(pending, colh.classes):
             if k < d1:
                 # Single slot: the interval already holds a u1-edge; the
                 # H-H edge must avoid its endpoint.
-                y_k = g.other_end(lab.edge_with[m - 1 - 3 * k], u1)
+                y_k = a[k]
                 e = next((e for e in cls if y_k not in g.edges[e]), None)
                 check(e is not None, f"H-H class for interval {k} has no "
                       f"edge avoiding u1's neighbour {y_k}")
-                lab.assign(e, m - 2 - 3 * k)
+                eids.append(e)
+                labels.append(m - 2 - 3 * k)
             else:
-                lab.assign(cls[0], m - 1 - 3 * k)
-                lab.assign(cls[1], m - 2 - 3 * k)
+                eids += cls[:2]
+                labels += (m - 1 - 3 * k, m - 2 - 3 * k)
+        lab.assign_all(eids, labels)
 
     _fill_rest_and_root(g, lab, d.r, [m - 3 * k for k in range(n - 4)])
     return _finish(g, d, lab, Regime.DEGEN_I3)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from collections import Counter
 from itertools import combinations, filterfalse
 
 import pytest
@@ -22,6 +23,7 @@ from antimagic import (
 )
 from antimagic.colouring import (
     _ColourClass,
+    _Rows,
     _donor_path,
     pack_matchings,
     split_classes,
@@ -74,6 +76,18 @@ def test_koenig_rejects_high_degree():
     g = build_graph(4, [(1, 2), (1, 3), (1, 4)])
     with pytest.raises(DegreeExceedsColours):
         koenig_colour(g, range(3), 2, {1})
+
+
+def test_rows_first_free_raises_on_a_full_row():
+    # Both colourings size their rows so this cannot happen (see
+    # _Rows.first_free); a direct call on a full row reaches the raise.
+    g = build_graph(3, [(1, 2), (2, 3)])
+    rows = _Rows(g, Counter({1: 1, 2: 2, 3: 1}), 2)
+    rows.at[2][:] = [1, 2]
+    assert rows.first_free(1) == 0
+    with pytest.raises(DegreeExceedsColours,
+                       match="no free colour at vertex 2"):
+        rows.first_free(2)
 
 
 def test_koenig_on_main_instance_u_subgraph():
@@ -338,6 +352,25 @@ def test_main_stage1_runs_no_colouring(monkeypatch, n, target):
     g = gen_instance(n, target, seed=1)
     out = label(g, seed=1)
     assert out.status == "constructed" and out.stage.regime.value == "MAIN"
+    assert verify_antimagic(g, out.labelling).ok
+
+
+@pytest.mark.parametrize("n", [19, 80])
+@pytest.mark.parametrize("target", ["degen_i3", "disc_u3_isolated"])
+def test_i3_stage1_runs_no_koenig_colouring(monkeypatch, n, target):
+    # i = 3 pairs its u-edges by a cyclic shift; only MAIN's G1 is
+    # Koenig-coloured.
+    from antimagic import colouring, construction, label, verify_antimagic
+
+    def refuse(*args):
+        raise AssertionError("i = 3's stage 1 Koenig-coloured")
+
+    for module in (colouring, construction):
+        monkeypatch.setattr(module, "koenig_colour", refuse)
+    g = gen_instance(n, target, seed=1)
+    out = label(g, seed=1)
+    assert out.status == "constructed"
+    assert out.stage.regime.value == "DEGEN_I3"
     assert verify_antimagic(g, out.labelling).ok
 
 

@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antimagic import (
     Labelling,
@@ -20,6 +22,7 @@ from antimagic import (
     verify_antimagic,
     verify_stage_properties,
 )
+from antimagic.construction import clash_free_shift
 from antimagic.errors import (
     HypothesisViolated,
     NotAntimagicShape,
@@ -339,6 +342,52 @@ def test_i3_two_label_interval_discipline():
                 continue
             hits = sum(1 for e in g.incident[v] if lab.label_of[e] in block)
             assert hits <= 1
+
+
+def _clashes(a, b, s):
+    return any(a[(k + s) % len(a)] == x for k, x in enumerate(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_clash_free_shift_is_the_smallest_allowed(data):
+    # u1's and u2's H ends: d'(u1) >= 4 sorted distinct vertices and at
+    # most as many for u2, drawn from few vertices so that most overlap.
+    d1 = data.draw(st.integers(4, 9), label="d1")
+    ends = st.integers(1, d1 + 3)
+    a = sorted(data.draw(st.sets(ends, min_size=d1, max_size=d1), label="a"))
+    d2 = data.draw(st.integers(0, d1), label="d2")
+    b = sorted(data.draw(st.sets(ends, min_size=d2, max_size=d2), label="b"))
+    s = clash_free_shift(a, b)
+    assert 0 <= s < d1 and not _clashes(a, b, s)
+    assert all(_clashes(a, b, t) for t in range(s))
+
+
+def test_clash_free_shift_pins():
+    # a = b: every common end forbids shift 0 only.
+    assert clash_free_shift([3, 5, 8, 9], [3, 5, 8, 9]) == 1
+    # Ends 1, 3, 5, 2 forbid shifts 0, 1, 2, 3: only the last is left.
+    assert clash_free_shift([1, 2, 3, 4, 5], [1, 3, 5, 2]) == 4
+    # No common end: nothing is forbidden.
+    assert clash_free_shift([1, 2, 3, 4], [5, 6, 7, 8]) == 0
+
+
+def test_i3_pairs_u_edges_by_the_shift():
+    # d' = (11, 10, 3); u1's and u2's first H ends are both 5, so shift
+    # 0 is forbidden and the shift is 3.  Interval k pairs u1's end
+    # a[(k + 3) % 11] with u2's end b[k].
+    g = gen_instance(19, "degen_i3", seed=1)
+    d = decompose(g)
+    lab = label_case_i3(g, d).labelling
+    u1, u2 = d.u[:2]
+    a = sorted(g.adjacency[u1].keys() & d.h_set)
+    b = sorted(g.adjacency[u2].keys() & d.h_set)
+    assert (len(a), len(b), clash_free_shift(a, b)) == (11, 10, 3)
+    m = g.m
+    for k in range(len(a)):
+        assert lab.edge_with[m - 1 - 3 * k] == g.adjacency[u1][a[(k + 3) % 11]]
+    for k in range(len(b)):
+        assert lab.edge_with[m - 2 - 3 * k] == g.adjacency[u2][b[k]]
 
 
 # -- disconnected families ---------------------------------------------------

@@ -35,9 +35,9 @@ GOLDEN_SHA256 = {
     "degen_i2":
         "95cde74abdaa877501fcf417abd29bcfed01d07fa7bdb5cce59dcd76213d2ed0",
     "degen_i3":
-        "4a68a1b685d1294600e2926eb291c6ceaa406476f0d37647e6324950cc2fce8a",
+        "00e9bdc3f0758c98da90b736eaa80b1a68c460b9612ebc9828886ff21a144d8a",
     "disc_u3_isolated":
-        "fbb1d40d0ce0c61c00a7f7c47db249972ec301769a3a0fb66f3487a6bd806833",
+        "2f55dbbf155620cf01aca2b52937948841264762758a49181587f7b0b7068dd7",
     "disc_triple":
         "0e416547a3eedea1fc7868254edfb48cbd9be0011686aa2dd1c51abc3f293314",
     "yilma":
@@ -45,7 +45,7 @@ GOLDEN_SHA256 = {
     "universal":
         "21c1c517afe8b91f5389b6a93ff2b867fc6b56cb57c79edf626ce43e6e91a799",
     "conflicted":
-        "6a5922da9256f735195dc620812f73ddb056adf95ca601eed84f87360b881983",
+        "a2c48c4154a2798118938dc51084da2dc6733bec34e82daeef0cfe9d03e52e90",
     "forced":
         "f863d4b00e29a313d101c77c572b8cba0f2a45cbedd845379ce7cb2a843f5dc7",
 }

@@ -182,9 +182,16 @@ def _hh_class_ran_dry(monkeypatch):
                                  r"avoiding u1's neighbour \d+")
 
 
+def _u_pair_clash(monkeypatch):
+    # On this graph u1's and u2's first H ends are both vertex 5, so
+    # shift 0 pairs them in interval 0.
+    monkeypatch.setattr(construction, "clash_free_shift", lambda a, b: 0)
+    return ("degen_i3", 19, 1), "u-edge pair for interval 0 shares its H end 5"
+
+
 FAULTS = [_no_donor_path, _u1_edge_lost, _class_too_small, _pool_ran_dry,
           _repeated_u_edge, _conflict_without_u_rank, _koenig_class_lost,
-          _hh_class_ran_dry]
+          _hh_class_ran_dry, _u_pair_clash]
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[1:])

@@ -57,19 +57,20 @@ CONFLICTED = [
     ("main_triple", 19, 2054, "7.3"),
     ("degen_i2", 28, 58, "i2"),      # top named exchange
     ("degen_i2", 27, 1708, "i2"),    # low named exchange
-    ("degen_i3", 27, 1135, "i3:both"),
-    ("degen_i3", 19, 1165, "i3:u1"),
-    ("degen_i3", 19, 13, "i3:u2"),
+    ("degen_i3", 19, 4, "i3:u2"),
+    ("degen_i3", 20, 42, "i3:u1"),
+    ("degen_i3", 20, 1275, "i3:both"),
 ]
 
 # Conflicted stage-1 labellings recorded from earlier stage-1 colourings:
 # the first eleven while stage 1 still coloured all of G2 (or H-H for
 # i = 3), the next fourteen while it still balanced padded Vizing
-# classes instead of splitting them, and the last ten while MAIN still
-# coloured, split and balanced instead of packing.  Their seeds no
-# longer give these conflicts live, but they are genuine stage-1
-# outputs, so the resolver must still settle each one with the same
-# case and the same exchanges.
+# classes instead of splitting them, the next ten while MAIN still
+# coloured, split and balanced instead of packing, and the last three
+# while i = 3 still Koenig-coloured its u-edges instead of pairing them
+# by a shift.  Their seeds no longer give these conflicts live, but they
+# are genuine stage-1 outputs, so the resolver must still settle each
+# one with the same case and the same exchanges.
 RECORDED = json.loads(
     (Path(__file__).parent / "data" / "recorded_conflicts.json").read_text())
 
@@ -194,11 +195,16 @@ def test_find_conflicts_empty_on_stage(main_stage):
         assert c.rivals[k] == expect
 
 
-def _synthetic_conflicts(stage, d, ranks, rivals):
+def _synthetic_conflicts(stage, d, ranks, rivals, gaps=()):
+    """A conflict set naming u_k for k in ``ranks``, with the stage's
+    sums but for sums[rivals[k]] = sums[u_k] + gap per (k, gap) in
+    ``gaps``."""
     pairs = tuple((d.u[k - 1], rivals[k]) for k in ranks)
     lab = stage.labelling
-    return ConflictSet(pairs, tuple(sorted(ranks)), rivals,
-                       recompute_sums(lab.graph, lab))
+    sums = recompute_sums(lab.graph, lab)
+    for k, gap in gaps:
+        sums[rivals[k]] = sums[d.u[k - 1]] + gap
+    return ConflictSet(pairs, tuple(sorted(ranks)), rivals, sums)
 
 
 def test_candidate_plans_empty():
@@ -274,6 +280,47 @@ def test_candidate_plans_case1_needs_two_admissible_lambdas(
     with pytest.raises(ProofViolation, match="case 1 admissible lambda"):
         candidate_plans(_synthetic_conflicts(stage, d, {1, 2, 3}, rivals),
                         stage, d)
+
+
+_THRESHOLDS = [
+    # 4a needs |sums[v2] - sums[u2]| >= 2.
+    ({1, 3}, {2: 2}, "4a"), ({1, 3}, {2: -2}, "4a"),
+    ({1, 3}, {2: 1}, "4b"), ({1, 3}, {2: -1}, "4b"),
+    # 7.1 needs |d1| >= 2 and 7.2 d1 = 1, for d1 = sums[v1] - sums[u1].
+    ({2}, {1: 2}, "7.1"), ({2}, {1: -2}, "7.1"), ({2}, {1: 1}, "7.2"),
+    # d1 = -1 passes to d3 = sums[v3] - sums[u3]: 7.3 needs |d3| >= 2,
+    # 7.4 d3 = -1, and d3 = 1 leaves 7.5.
+    ({2}, {1: -1, 3: 2}, "7.3"), ({2}, {1: -1, 3: -2}, "7.3"),
+    ({2}, {1: -1, 3: -1}, "7.4"), ({2}, {1: -1, 3: 1}, "7.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "ranks, gaps, case", _THRESHOLDS,
+    ids=[case + "-" + ",".join(f"v{k}{gap:+d}" for k, gap in gaps.items())
+         for _, gaps, case in _THRESHOLDS])
+def test_candidate_plans_thresholds(main_stage, ranks, gaps, case):
+    # Each rival's sum sits exactly on a threshold of the case analysis.
+    g, d, stage = main_stage
+    rivals = dict(zip((1, 2, 3), d.h_vertices))
+    got, plans = candidate_plans(
+        _synthetic_conflicts(stage, d, ranks, rivals, gaps.items()),
+        stage, d)
+    assert got == case and plans
+
+
+def test_candidate_plans_case1_takes_exactly_two_admissible_lambdas(
+        main_stage, monkeypatch):
+    g, d, stage = main_stage
+    rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
+    # lambda_1's u1 edge (label m - 1) ends at u1's rival and lambda_5's
+    # u2 edge (label m - 6) at u2's: lambda_9 and lambda_13 are left.
+    ends = {1: rivals[1], 6: rivals[2]}
+    monkeypatch.setattr(resolution, "y_end", lambda l, d, i: ends.get(i))
+    case, plans = candidate_plans(
+        _synthetic_conflicts(stage, d, {1, 2, 3}, rivals), stage, d)
+    assert case == "1"
+    assert [p[0].offset for p in plans if len(p) == 1] == [9, 13]
 
 
 def test_conflicts_without_a_u_fit_no_case(main_stage):
