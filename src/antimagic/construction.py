@@ -242,7 +242,7 @@ def clash_free_shift(a: list[int], b: list[int]) -> int:
     """The smallest s such that a[(k + s) % len(a)] != b[k] for every
     k < len(b): the shift that pairs u1's and u2's H ends in i = 3.
 
-    ``a`` and ``b`` are distinct vertices each, with len(b) <= len(a).
+    ``a`` and ``b`` each list distinct vertices, and len(b) <= len(a).
     A vertex x in both forbids exactly one shift,
     (pos_a(x) - pos_b(x)) mod len(a).  Why a shift is always left: if
     all len(a) shifts were forbidden, then |a & b| >= len(a) >= len(b),
