@@ -131,7 +131,8 @@ def cmd_stress(args) -> int:
     for t, n, seed in schedule:
         g = gen_instance(n, t, seed=seed)
         outcome = label(g, seed=seed)
-        ok = verify_antimagic(g, outcome.labelling).ok
+        ok = (verify_bijection(g, outcome.labelling).ok
+              and verify_antimagic(g, outcome.labelling).ok)
         stats[(t, "ok" if ok else "bad")] += 1
         if outcome.resolution is not None:
             exchange_hist[len(outcome.resolution.applied)] += 1

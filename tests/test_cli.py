@@ -446,6 +446,18 @@ def test_stress_reports_failures_exit_1(monkeypatch, capsys):
     assert lines[-1] == "failures: [('main', 19, 44)]"
 
 
+def test_stress_checks_the_bijection_first(monkeypatch, capsys):
+    # verify_antimagic assumes a bijection, so a failed bijection check
+    # alone must count the run as bad.
+    fail = cli.verify_bijection(build_graph(2, [(1, 2)]), [2])
+    assert not fail.ok
+    monkeypatch.setattr(cli, "verify_bijection", lambda g, lab: fail)
+    assert main(STRESS_CONFLICTED) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["main", "0", "1", "1"]
+    assert lines[-1] == "failures: [('main', 19, 44)]"
+
+
 def test_force_regime_hook(main_graph_file, tmp_path, capsys):
     _, path = main_graph_file
     # A constructor cannot be forced: argparse rejects the choice.

@@ -22,7 +22,6 @@ from antimagic import (
     vizing_colour,
 )
 from antimagic.colouring import (
-    _ColourClass,
     _Rows,
     _donor_path,
     pack_matchings,
@@ -316,13 +315,14 @@ def test_stage1_colouring_pinned_at_scale(monkeypatch, n, target, seed, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n, target, most", [(80, "degen_i3", 10)])
-def test_stage1_balancing_rounds_stay_few(monkeypatch, n, target, most):
+@pytest.mark.parametrize("n", [19, 40, 80])
+@pytest.mark.parametrize("target", ["degen_i3", "disc_u3_isolated"])
+def test_stage1_balancing_rounds_stay_few(monkeypatch, n, target):
     # Splitting leaves i = 3's balancing a handful of rounds, one
-    # _donor_path call each: none here, where the padded Vizing
-    # colouring took 116.  MAIN balances nothing (see
-    # test_main_stage1_runs_no_colouring).
-    from antimagic import colouring
+    # _donor_path call each (0-1 on these graphs), which is what lets
+    # balance_classes rebuild its two classes every round.  MAIN
+    # balances nothing (see test_main_stage1_runs_no_colouring).
+    from antimagic import colouring, label
     calls = 0
     donor_path = colouring._donor_path
 
@@ -332,8 +332,9 @@ def test_stage1_balancing_rounds_stay_few(monkeypatch, n, target, most):
         return donor_path(*args)
 
     monkeypatch.setattr(colouring, "_donor_path", counted)
-    _stage1_colourings(monkeypatch, n, target, 1)
-    assert calls <= most
+    out = label(gen_instance(n, target, seed=1), seed=1)
+    assert out.stage.regime.value == "DEGEN_I3"
+    assert calls <= 5
 
 
 @pytest.mark.parametrize("n, target", [
@@ -383,16 +384,22 @@ def test_donor_path_skips_cycles_and_recv_ends():
                          (8, 9), (9, 10), (10, 11)])
     recv = [0, 2, 5, 7]
     donor = [1, 3, 4, 6, 8]
-    assert sorted(_donor_path(g, _ColourClass(g, recv),
-                              _ColourClass(g, donor))) == [6, 7, 8]
+    assert sorted(_donor_path(g, recv, donor)) == [6, 7, 8]
 
 
 def test_donor_path_takes_smallest_qualifying_component():
     g = build_graph(10, [(1, 2), (3, 4), (4, 5), (5, 6), (7, 8)])
-    assert sorted(_donor_path(g, _ColourClass(g, [2]),
-                              _ColourClass(g, [4, 1, 3, 0]))) == [0]
-    assert sorted(_donor_path(g, _ColourClass(g, [0, 2]),
-                              _ColourClass(g, [4, 1, 3]))) == [1, 2, 3]
+    assert sorted(_donor_path(g, [2], [4, 1, 3, 0])) == [0]
+    assert sorted(_donor_path(g, [0, 2], [4, 1, 3])) == [1, 2, 3]
+
+
+def test_donor_path_raises_without_a_donor_ended_path():
+    # balance_classes only asks when the donor is the larger class, where
+    # such a path exists; only a direct call reaches the raise.
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ProofViolation,
+                       match="no alternating path with donor-coloured ends"):
+        _donor_path(g, [0, 2], [1])
 
 
 def test_balance_no_classes_is_unchanged():
@@ -575,8 +582,7 @@ def test_donor_path_matches_reference(case):
     g, (a, b) = col.graph, col.classes[:2]
     for recv, donor in ((a, b), (b, a)):
         if len(donor) > len(recv):
-            path = _donor_path(g, _ColourClass(g, recv),
-                               _ColourClass(g, donor))
+            path = _donor_path(g, list(recv), list(donor))
             assert sorted(path) == sorted(
                 ref_donor_path(g, list(recv), list(donor)))
             # Walk order from a donor end: donor edges at even places.

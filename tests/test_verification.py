@@ -332,8 +332,19 @@ _BOUNDS = [
 ]
 
 
+# Named by (target, who, side): "upper" where one past the bound is one
+# more, "lower" where it is one less.  The bound's value stays out of the
+# id, so a stage-1 change that moves a bound keeps the ids.
+_BOUND_IDS = [f"{t}-{who}-{'upper' if past > at else 'lower'}"
+              for t, who, at, past, _ in _BOUNDS]
+
+
+def test_stage_bound_ids_are_unique():
+    assert len(set(_BOUND_IDS)) == len(_BOUNDS)
+
+
 @pytest.mark.parametrize("target,who,at,past,failures", _BOUNDS,
-                         ids=[f"{t}-{who}-{at}" for t, who, at, *_ in _BOUNDS])
+                         ids=_BOUND_IDS)
 def test_stage_bounds_hold_at_the_bound_fail_one_past(monkeypatch, target,
                                                       who, at, past,
                                                       failures):
