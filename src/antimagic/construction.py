@@ -147,9 +147,11 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     The classes are packed directly, by first fit (``pack_matchings``):
     the pool is u1's a1 = d'(u1) - t surplus edges, then the rest of G2
     by ascending id, so class j <= a1 opens with u1's j-th surplus edge
-    and u1's surplus edges sit in distinct intervals.  The edges no class
-    takes get small labels.  A hand-built graph can have d'(u1) = n - 4,
-    one more surplus edge than intervals; that edge takes a small label.
+    and u1's surplus edges sit in distinct intervals.  The pool reads
+    G2 lazily from ``non_root_edges``, so packing stops after the prefix
+    it needs.  The edges no class takes get small labels.  A hand-built
+    graph can have d'(u1) = n - 4, one more surplus edge than intervals;
+    that edge takes a small label.
     """
     t = d.d_prime[2]
     lab = _begin(g, d, Regime.MAIN)
@@ -179,7 +181,8 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     labelled = lab.label_of.__getitem__
     at_u1 = set(g.incident[u1])
     pool = chain(filterfalse(labelled, g.incident[u1]),
-                 filterfalse(at_u1.__contains__, filterfalse(labelled, d.e2)))
+                 filterfalse(at_u1.__contains__,
+                             filterfalse(labelled, d.non_root_edges(m))))
     count = n - 5 - t
     col2 = pack_matchings(g, pool, count, STEP[Regime.MAIN] - 1)
     # Packing already puts u1's surplus edges in the first classes; this
@@ -269,9 +272,11 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     distinct by the choice of s.  No colouring is needed: an interval
     asks for a pair, not a colour class.
 
-    Only the 2(n - 4) lowest-id H-H edges are coloured: their maximum
-    degree is at most that of H-H, so there are at most n - 4 classes
-    and enough edges to balance each to two; the rest take small labels.
+    Only the 2(n - 4) lowest-id H-H edges are coloured, the first
+    unlabelled ids ``non_root_edges`` yields, read no further: their
+    maximum degree is at most that of H-H, so there are at most n - 4
+    classes and enough edges to balance each to two; the rest take
+    small labels.
     The classes are split into blocks of two, one per pending interval,
     before the balancing.
     """
@@ -298,8 +303,8 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
 
     pending = range(d2, n - 5)  # intervals still needing H-H edges
     if pending:
-        hh = list(islice(filterfalse(lab.label_of.__getitem__, d.e2),
-                         2 * (n - 4)))
+        hh = list(islice(filterfalse(lab.label_of.__getitem__,
+                                     d.non_root_edges(m)), 2 * (n - 4)))
         colh = vizing_colour(g, hh)
         colh = split_classes(colh, max(len(colh.classes), len(pending)), 2)
         colh = balance_classes(colh, 2)

@@ -9,9 +9,10 @@ regime classification decides which labelling pipeline applies.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, filterfalse
-from operator import itemgetter
+from itertools import accumulate, chain, compress
+from operator import itemgetter, not_
 
 from .errors import (
     DuplicateEdge,
@@ -171,11 +172,14 @@ STEP = {Regime.MAIN: 4, Regime.DEGEN_I1: 1, Regime.DEGEN_I2: 2,
 
 @dataclass(frozen=True)
 class InstanceDecomposition:
-    """Identification of r, the u-triple, H and the edge split.
+    """Identification of r, the u-triple, H and r's edges.
 
     The triple is ordered by decreasing degree, ties broken by decreasing
     d' (edges into H), final ties by smallest id.  This order forces
     d'(u1) >= d'(u2) >= d'(u3) (see ``decompose``).
+
+    Only r's edge ids are stored; ``non_root_edges`` reads the others
+    lazily, so a route that never asks for them never pays for them.
     """
 
     r: int
@@ -183,13 +187,20 @@ class InstanceDecomposition:
     h_vertices: tuple[int, ...]
     d_prime: tuple[int, int, int]
     triple_edges: tuple[tuple[int, int], ...]  # present edges among the u's
-    e1: tuple[int, ...]  # edge ids incident to r
-    e2: tuple[int, ...]  # all other edge ids
+    e1: tuple[int, ...]  # edge ids incident to r, ascending
     h_set: frozenset[int] = field(repr=False)
+
+    def non_root_edges(self, m: int) -> Iterator[int]:
+        """The ids of the m-edge graph's edges away from r, ascending, read
+        lazily: the runs of ids between r's, which ``e1`` holds in order."""
+        e1 = self.e1
+        return chain.from_iterable(map(
+            range, chain((0,), map((1).__add__, e1)), chain(e1, (m,))))
 
 
 def decompose(g: Graph) -> InstanceDecomposition:
-    """Decompose a graph with maximum degree n - 4.
+    """Decompose a graph with maximum degree n - 4, in O(n): no pass
+    runs over the edges away from r and the u's.
 
     The root is the smallest-id vertex of maximum degree; the proof is
     valid for any choice, smallest id keeps runs reproducible.
@@ -200,12 +211,13 @@ def decompose(g: Graph) -> InstanceDecomposition:
         raise WrongMaxDegree(f"max degree {delta} != n - 4 = {n - 4}")
     if n < 8:
         raise TooSmall(f"n = {n} < 8: no room for the u-triple and H")
-    r = min(v for v in range(1, n + 1) if g.degree(v) == delta)
+    r = g._degrees.index(delta, 1)
     h_set = frozenset(g.adjacency[r])
-    # r has n - 4 neighbours in a simple graph: exactly three others.
-    us = [v for v in range(1, n + 1) if v != r and v not in h_set]
+    # r has n - 4 neighbours in a simple graph: exactly three others,
+    # put in order by the sort below.
+    us = list(set(range(1, n + 1)).difference(h_set, (r,)))
 
-    d_prime_of = {v: sum(1 for w in g.adjacency[v] if w in h_set) for v in us}
+    d_prime_of = {v: len(g.adjacency[v].keys() & h_set) for v in us}
     # d' comes out non-increasing.  A u's degree is its d' plus its 0-2
     # triple edges, and degree ties go to the larger d'; so a u ahead of
     # one with a larger d' would have 2 triple edges against 0, yet one
@@ -219,11 +231,9 @@ def decompose(g: Graph) -> InstanceDecomposition:
         for a, b in ((u[0], u[1]), (u[0], u[2]), (u[1], u[2]))
         if b in g.adjacency[a]
     )
-    e1 = g.incident[r]
-    e2 = tuple(filterfalse(set(e1).__contains__, range(g.m)))
     return InstanceDecomposition(
         r=r, u=u, h_vertices=tuple(sorted(h_set)), d_prime=d_prime,
-        triple_edges=triple, e1=e1, e2=e2, h_set=h_set,
+        triple_edges=triple, e1=g.incident[r], h_set=h_set,
     )
 
 
@@ -262,12 +272,14 @@ def classify_regime(g: Graph, d: InstanceDecomposition) -> Regime:
 
 
 def isolated_vertices(g: Graph) -> list[int]:
-    return [v for v in range(1, g.n + 1) if g.degree(v) == 0]
+    return list(compress(range(1, g.n + 1), map(not_, g._degrees[1:])))
 
 
 def has_isolated_edge(g: Graph) -> bool:
     """An isolated edge (a component that is a single edge) forces equal
-    sums at its two endpoints, so the graph cannot be antimagic."""
-    return any(g.degree(v) == 1
-               and g.degree(g.other_end(g.incident[v][0], v)) == 1
-               for v in range(1, g.n + 1))
+    sums at its two endpoints, so the graph cannot be antimagic.  Only
+    the degree-1 vertices, picked out in C, are looked at one by one."""
+    degrees = g._degrees
+    leaves = compress(range(g.n + 1), map((1).__eq__, degrees))
+    return any(degrees[g.other_end(g.incident[v][0], v)] == 1
+               for v in leaves)

@@ -45,7 +45,7 @@ def exhaustive_search(g: Graph) -> Labelling | None:
                 break
             seen.add(sums[v])
         if ok:
-            lab = Labelling.from_labels(g, list(perm))
+            lab = Labelling.from_permutation(g, perm)
             check(verify_antimagic(g, lab).ok,
                   "exhaustive search returned a labelling that is not "
                   "antimagic")
@@ -91,6 +91,10 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     antimagic check recomputed from the raw labels.  Identical (input,
     seed) pairs give identical output.
 
+    The result is built in one pass by ``Labelling.from_permutation``,
+    whose guard raises ProofViolation unless the labels are a bijection
+    onto 1..m; ``verify_antimagic`` then checks it independently.
+
     The start and every restart shuffle the labels with
     ``draw.shuffle`` and each step draws its pair i != j with
     ``draw.below``: the values ``random.shuffle`` and ``randrange``
@@ -110,8 +114,7 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     restart_after = max(2000, 20 * m)
     for _ in range(budget):
         if state.conflicts == 0:
-            lab = Labelling(g)
-            lab.assign_all(range(m), state.labels)
+            lab = Labelling.from_permutation(g, state.labels)
             report = verify_antimagic(g, lab)
             check(report.ok, "randomized search returned a labelling "
                   "that is not antimagic")

@@ -210,13 +210,15 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     recomputed from the raw labels, so a returned labelling that is the
     stage's own has had its antimagic verdict from them; any other has
     not.  An i=1 stage (a triple component's among them) passed its
-    check only if antimagic outright, so it has no conflict.
+    check only if antimagic outright, so it has no conflict.  A stage
+    with no equal sums returns at once, before ``find_conflicts`` looks
+    for the u's rivals.
     """
     g = s.labelling.graph
     regime = s.regime
-    conflicts = find_conflicts(s.labelling, d, s.sums)
-    if not conflicts.pairs:
+    if antimagic_from_sums(g, s.sums).ok:
         return s.labelling, ResolutionTrace("none", 0, (), True)
+    conflicts = find_conflicts(s.labelling, d, s.sums)
 
     _assert_conflict_shape(conflicts, d, regime)
     if regime == Regime.MAIN:

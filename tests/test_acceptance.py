@@ -260,7 +260,7 @@ def test_criterion_7_edge_colouring_suite():
         assert len(col.classes) == t
         assert all(len(c) == 3 for c in col.classes)
         koenig_checked += 1
-        g2 = [e for e in d.e2 if e not in set(picked)
+        g2 = [e for e in d.non_root_edges(g.m) if e not in set(picked)
               and not set(g.edges[e]) <= set(d.u)]
         assert len(g2) >= 3 * (g.n - 4)  # the counting precondition
         # Padded with empty classes only, so balancing runs its rounds.

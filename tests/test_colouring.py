@@ -186,7 +186,7 @@ def test_balance_on_main_g2():
         he = sorted((g.other_end(e, u), e) for e in g.incident[u]
                     if g.other_end(e, u) in d.h_set)
         picked.update(e for _, e in he[:t])
-    g2 = [e for e in d.e2 if e not in picked
+    g2 = [e for e in d.non_root_edges(g.m) if e not in picked
           and not set(g.edges[e]) <= set(d.u)]
     # Padded with empty classes only, so balancing runs its rounds.
     vizing = vizing_colour(g, g2).classes
@@ -250,7 +250,7 @@ def test_order_classes_on_main_instance_u1_front():
         he = sorted((g.other_end(e, u), e) for e in g.incident[u]
                     if g.other_end(e, u) in d.h_set)
         picked.update(e for _, e in he[:t])
-    g2 = [e for e in d.e2 if e not in picked
+    g2 = [e for e in d.non_root_edges(g.m) if e not in picked
           and not set(g.edges[e]) <= set(d.u)]
     a1 = d.d_prime[0] - t
     col = balance_classes(split_classes(vizing_colour(g, g2), g.n - 4, 3), 3)

@@ -467,12 +467,45 @@ def test_assign_all_writes_a_batch_and_refuses_reuse():
            ([1], [0], "batch label 0 out of range"),
            ([1, 2], [3, 0], "batch label 0 out of range"),
            ([1], [5], "batch label 5 out of range"),
+           ([1, 2], [1, 5], "batch label 5 out of range"),
            ([1, 2], [2], "2 batch edges against 1 labels"))
     for eids, labels, message in bad:
         lab = Labelling(g)
         lab.assign(0, 1)
         with pytest.raises(ProofViolation, match=message):
             lab.assign_all(eids, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(list(combinations(range(1, n + 1), 2))))),
+    st.data())
+def test_from_permutation_matches_the_batch_path(graph, data):
+    n, pairs = graph
+    edges = pairs[:data.draw(st.integers(1, len(pairs)))]
+    g = build_graph(n, edges)
+    labels = data.draw(st.permutations(range(1, g.m + 1)))
+    lab = Labelling.from_permutation(g, labels)
+    ref = Labelling(g)
+    ref.assign_all(range(g.m), labels)
+    assert (lab.label_of, lab.edge_with, lab.assigned) == (
+        ref.label_of, ref.edge_with, ref.assigned)
+    assert lab.label_of is not labels
+
+
+def test_from_permutation_refuses_anything_but_a_bijection():
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    bad = (([1, 2, 2, 4], "a label is used twice"),
+           ([1, 2, 0, 4], "label 0 out of range"),
+           ([1, 2, 5, 4], "label 5 out of range"),
+           ([-1, 2, 3, 4], "label -1 out of range"),
+           ([1, 2, 3], "3 labels for 4 edges"),
+           ([1, 2, 3, 4, 4], "5 labels for 4 edges"))
+    for labels, message in bad:
+        with pytest.raises(ProofViolation, match=message):
+            Labelling.from_permutation(g, labels)
+    empty = Labelling.from_permutation(build_graph(1, []), [])
+    assert (empty.label_of, empty.edge_with, empty.assigned) == ([], [-1], 0)
 
 
 def test_assign_accepts_labels_one_to_m_only():

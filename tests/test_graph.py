@@ -120,8 +120,9 @@ def test_decompose_partitions_vertices():
     everything = {d.r, *d.u, *d.h_vertices}
     assert everything == set(range(1, g.n + 1))
     assert len(d.e1) == g.n - 4
-    assert set(d.e1) | set(d.e2) == set(range(g.m))
-    assert not set(d.e1) & set(d.e2)
+    e2 = list(d.non_root_edges(g.m))
+    assert set(d.e1) | set(e2) == set(range(g.m))
+    assert not set(d.e1) & set(e2)
 
 
 def test_decompose_root_tie_break_smallest_id():
@@ -130,6 +131,18 @@ def test_decompose_root_tie_break_smallest_id():
                         (5, 6), (5, 7), (5, 8), (1, 6)])
     assert g.degree(2) == g.degree(5) == 4 == g.n - 4
     assert decompose(g).r == 2
+
+
+def test_non_root_edges_fill_the_gaps_between_the_root_edges():
+    # r = 2 holds edge ids 0, 2, 5 and 7: the first, the last and two
+    # between, so the runs between them are empty, one id and two ids.
+    g = build_graph(8, [(2, 5), (5, 6), (2, 6), (6, 7), (7, 8), (2, 7),
+                        (1, 5), (2, 8)])
+    d = decompose(g)
+    assert (d.r, d.e1) == (2, (0, 2, 5, 7))
+    assert list(d.non_root_edges(g.m)) == [1, 3, 4, 6]
+    # Lazy: the first id comes out before the rest are read.
+    assert next(d.non_root_edges(g.m)) == 1
 
 
 def test_decompose_rejects_wrong_max_degree():
@@ -215,9 +228,10 @@ def test_decompose_m_h_counts_h_edges(target):
     for seed in (1, 2, 3):
         g = gen_instance(24, target, seed=seed)
         d = decompose(g)
-        assert [e for e in d.e2 if not set(g.edges[e]) & set(d.u)] == [
+        e2 = list(d.non_root_edges(g.m))
+        assert [e for e in e2 if not set(g.edges[e]) & set(d.u)] == [
             e for e in range(g.m) if set(g.edges[e]) <= d.h_set]
-        assert d.e2 == tuple(e for e in range(g.m) if e not in d.e1)
+        assert e2 == [e for e in range(g.m) if e not in d.e1]
 
 
 def test_has_isolated_edge_matches_edge_scan(rng):

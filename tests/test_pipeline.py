@@ -11,6 +11,7 @@ import pytest
 import antimagic
 import antimagic.colouring as colouring
 import antimagic.construction as construction
+import antimagic.oracle as oracle
 import antimagic.resolution as resolution
 from antimagic import (
     EdgeColouring,
@@ -24,6 +25,7 @@ from antimagic import (
 from antimagic.cli import main
 from antimagic.errors import NotAntimagicShape, ProofViolation
 from antimagic.fileio import emit_graph
+from antimagic.graph import InstanceDecomposition
 
 
 def test_shape_guard_isolated_edge():
@@ -90,6 +92,23 @@ def test_constructed_statuses_per_regime():
         assert verify_antimagic(g, out.labelling).ok
 
 
+def test_only_stage_one_reads_the_non_root_edges(monkeypatch):
+    # The fallback routes, forced or natural, and the generator's own
+    # decomposition never ask for the edge ids away from r.
+    def unread(d, m):
+        raise RuntimeError("non-root edge ids read")
+    monkeypatch.setattr(InstanceDecomposition, "non_root_edges", unread)
+    for target, n, seed, force in (("main", 24, 1, Regime.YILMA_FALLBACK),
+                                   ("yilma", 20, 5, None)):
+        g = gen_instance(n, target, seed=seed)
+        out = label(g, seed=seed, force_regime=force)
+        assert out.status == "searched_fallback"
+        assert verify_antimagic(g, out.labelling).ok
+    # Stage 1 does read them, so the patch is live.
+    with pytest.raises(RuntimeError, match="non-root edge ids read"):
+        label(gen_instance(24, "main", seed=1), seed=1)
+
+
 def test_force_regime_accepts_only_the_fallback():
     # Rejected before any work: this graph has an isolated edge, which
     # would otherwise raise NotAntimagicShape.
@@ -153,13 +172,15 @@ def _repeated_u_edge(monkeypatch):
 
 
 def _conflict_without_u_rank(monkeypatch):
+    # resolve asks find_conflicts only about a stage with equal sums, so
+    # this runs on a conflicted MAIN stage (case 6 in CONFLICTED).
     find = resolution.find_conflicts
 
     def no_rank(lab, d, sums):
         return dataclasses.replace(find(lab, d, sums), u_ranks=(),
                                    pairs=((d.u[0], d.h_vertices[0]),))
     monkeypatch.setattr(resolution, "find_conflicts", no_rank)
-    return ("main", 20, 1), r"conflict ranks \[\] fit no case"
+    return ("main", 19, 41), r"conflict ranks \[\] fit no case"
 
 
 def _koenig_class_lost(monkeypatch):
@@ -189,9 +210,21 @@ def _u_pair_clash(monkeypatch):
     return ("degen_i3", 19, 1), "u-edge pair for interval 0 shares its H end 5"
 
 
+def _repeated_search_label(monkeypatch):
+    # Every shuffle of the fallback's labels copies one label over
+    # another, so the search ends on a labelling that is no bijection.
+    shuffle = oracle.shuffle
+
+    def repeat(rng, labels):
+        shuffle(rng, labels)
+        labels[0] = labels[1]
+    monkeypatch.setattr(oracle, "shuffle", repeat)
+    return ("yilma", 20, 5), "a label is used twice"
+
+
 FAULTS = [_no_donor_path, _u1_edge_lost, _class_too_small, _pool_ran_dry,
           _repeated_u_edge, _conflict_without_u_rank, _koenig_class_lost,
-          _hh_class_ran_dry, _u_pair_clash]
+          _hh_class_ran_dry, _u_pair_clash, _repeated_search_label]
 
 
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f.__name__[1:])

@@ -180,6 +180,8 @@ def test_exchange_missing_label():
     partial = Labelling.from_labels(g, [1, 0, 3])
     with pytest.raises(LabelMissing, match="label 2 unassigned"):
         partial.swap_labels(2, 3)
+    with pytest.raises(LabelMissing, match="label 2 unassigned"):
+        partial.swap_labels(3, 2)
 
 
 def test_find_conflicts_empty_on_stage(main_stage):
