@@ -25,16 +25,6 @@ class Labelling:
         self.assigned = 0
 
     @classmethod
-    def from_labels(cls, graph: Graph, labels: list[int]) -> "Labelling":
-        """Build from a per-edge label list (0 = unlabelled) through
-        ``assign``, so a repeated or out-of-range label raises."""
-        lab = cls(graph)
-        for eid, value in enumerate(labels):
-            if value:
-                lab.assign(eid, value)
-        return lab
-
-    @classmethod
     def from_permutation(cls, graph: Graph, labels: list[int]) -> "Labelling":
         """Build a complete labelling from a per-edge list of all m labels
         in one pass: a copy of the list, then one inverse store per edge.

@@ -123,6 +123,62 @@ def i1_bounds(n: int, m: int) -> tuple[int, int]:
     return 38, max(m - (n - 5), 101)
 
 
+def stage_bounds(regime: Regime, n: int, m: int) -> list[tuple]:
+    """The bounds stage 1 promises the sums of ``regime``, as rows
+    (low, high, gap), each promising high - low >= gap.  A side is a
+    number or a role: r, u1, u2, u3 (their sums), min_h and max_h (the
+    least and greatest sum over H), other (the largest sum but the
+    root's) or h_gap (the least gap between consecutive H sums).  The
+    rows are the paper's closing list for each stage-1 case:
+
+    * MAIN, the main case (d'(u3) >= 4):
+      - u3 + 4 <= u2 and u2 + 4 <= u1: the gaps of 4 between the u-sums;
+      - other + 4 <= r: the root sum tops every other sum by 4.
+    * DEGEN_I1, case i = 1 (d'(u1) <= 3), also the triple component:
+      - u1 <= 38: u1's edges, into the triple and at most three into H,
+        are among the smallest labels;
+      - min_h >= max(m - (n - 5), 101): each H vertex holds a root label;
+      - u3 + 1 <= u2 and u2 + 1 <= u1: the u-edges are labelled u3's
+        first, then u2's, then u1's;
+      - other + 1 <= r: the root sum is the unique maximum.
+    * DEGEN_I2, case i = 2 (d'(u2) <= 3 < d'(u1)):
+      - u3 + 1 <= u2 and u2 + 1 <= 30: u3's and u2's edges take the
+        smallest labels, u3's first;
+      - u2 + 4 <= u1: u1 holds every second label from the top;
+      - min_h >= max(m - 2(n - 5) - 1, 89): each H vertex holds a root
+        label;
+      - max_h + 4 <= r: the root dominates H, though not yet u1.
+    * DEGEN_I3, case i = 3 (d'(u3) <= 3 < d'(u2)):
+      - u3 <= 18: u3's edges, into the triple and at most three into H,
+        take the smallest labels;
+      - u1 + 4 <= r and u2 + 4 <= u1: the root and the two interval
+        vertices in order, 4 apart;
+      - u3 + 4 <= u2 and u3 + 4 <= min_h: u3 lies 4 below the rest;
+      - max_h + 4 <= r: the root dominates H by 4;
+      - other + 1 <= r: the root sum is the unique maximum.
+    * Every regime: h_gap >= STEP[regime], the spacing of the H sums
+      that the root's labels, STEP apart, give them.
+
+    The i = 1 pair comes from ``i1_bounds``, which ``explain`` prints.
+    """
+    if regime == Regime.MAIN:
+        rows = [("u3", "u2", 4), ("u2", "u1", 4), ("other", "r", 4)]
+    elif regime == Regime.DEGEN_I1:
+        u1_max, h_min = i1_bounds(n, m)
+        rows = [("u1", u1_max, 0), ("u3", "u2", 1), ("u2", "u1", 1),
+                (h_min, "min_h", 0), ("other", "r", 1)]
+    elif regime == Regime.DEGEN_I2:
+        rows = [("u3", "u2", 1), ("u2", 30, 1), ("u2", "u1", 4),
+                (max(m - 2 * (n - 5) - 1, 89), "min_h", 0),
+                ("max_h", "r", 4)]
+    else:
+        rows = [("u3", 18, 0), ("u1", "r", 4), ("u2", "u1", 4),
+                ("u3", "u2", 4), ("u3", "min_h", 4), ("max_h", "r", 4),
+                ("other", "r", 1)]
+    rows.append((0, "h_gap", STEP[regime]))
+    return rows
+
+
 def verify_stage_properties(lab: Labelling, regime: Regime,
                             d: InstanceDecomposition) -> StagePropertyReport:
     """Every property the proof guarantees of a stage-1 labelling, checked
@@ -130,76 +186,30 @@ def verify_stage_properties(lab: Labelling, regime: Regime,
     DEGEN_I1/I2/I3: both disconnected families are labelled by a
     degenerate constructor.
 
-    * MAIN: the u-sums are separated by >= 4 (u3 < u2 < u1), the root sum
-      dominates every other sum by >= 4, and consecutive sums over H
-      differ by >= 4.
-    * DEGEN_I1: sum(u1) <= 38, sum(u3) < sum(u2) < sum(u1), min sum
-      over H >= max(m - (n - 5), 101) (both from ``i1_bounds``), and
-      stage 1 is antimagic outright: all vertex sums are distinct.
-    * DEGEN_I2: sum(u3) < sum(u2) < 30, sum(u1) >= sum(u2) + 4,
-      min sum over H >= max(m - 2(n - 5) - 1, 89), the root sum
-      dominates H by >= 4 and H sums are spaced by >= 2.  The root need
-      not dominate u1 before conflict resolution.
-    * DEGEN_I3: sum(u3) <= 18, the root sum dominates u1 and H by >= 4,
-      sum(u1) >= sum(u2) + 4, sum(u2) and min sum over H are both
-      >= sum(u3) + 4, and H sums are spaced by >= 3.
-    * Every regime but DEGEN_I2: the root sum is the unique maximum.
+    * Every row of ``stage_bounds``; a failed row names both sides with
+      their values, and the gap.
     * Regimes with reserved intervals (MAIN, DEGEN_I3): no vertex other
-      than the root carries two labels of one interval.
-
-    The H spacing and the intervals come from ``STEP``: interval k holds
-    the STEP - 1 labels under m - STEP * k, for k = 0 .. n - 6.
+      than the root carries two labels of one interval.  Interval k
+      holds the STEP - 1 labels under m - STEP * k, for k = 0 .. n - 6.
+    * DEGEN_I1: stage 1 is antimagic outright: all vertex sums are
+      distinct.
     """
     g = lab.graph
     sums = recompute_sums(g, lab)
     n, m, r = g.n, g.m, d.r
     u1, u2, u3 = d.u
-    s1, s2, s3 = sums[u1], sums[u2], sums[u3]
-    min_h = min(sums[v] for v in d.h_vertices)
-    max_h = max(sums[v] for v in d.h_vertices)
-    failures: list[str] = []
     gaps = margins(g, d, sums)
-
-    step = STEP[regime]
-
-    if regime == Regime.MAIN:
-        if gaps["u3_u2"] < 4:
-            failures.append(f"u-gap: sum(u3)={s3} + 4 > sum(u2)={s2}")
-        if gaps["u2_u1"] < 4:
-            failures.append(f"u-gap: sum(u2)={s2} + 4 > sum(u1)={s1}")
-        if gaps["root_margin"] < 4:
-            failures.append(f"root margin {gaps['root_margin']} < 4")
-    elif regime == Regime.DEGEN_I1:
-        u1_max, h_min = i1_bounds(n, m)
-        if s1 > u1_max:
-            failures.append(f"sum(u1) = {s1} > {u1_max}")
-        if not s3 < s2 < s1:
-            failures.append(f"u sums not increasing: {s3}, {s2}, {s1}")
-        if min_h < h_min:
-            failures.append(f"min H sum {min_h} < {h_min}")
-    elif regime == Regime.DEGEN_I2:
-        if not s3 < s2 < 30:
-            failures.append(f"u2/u3 sums out of bounds: {s3}, {s2}")
-        if s1 < s2 + 4:
-            failures.append(f"sum(u1) = {s1} < sum(u2) + 4 = {s2 + 4}")
-        if min_h < max(m - 2 * (n - 5) - 1, 89):
-            failures.append(
-                f"min H sum {min_h} < {max(m - 2 * (n - 5) - 1, 89)}")
-    elif regime == Regime.DEGEN_I3:
-        if s3 > 18:
-            failures.append(f"sum(u3) = {s3} > 18")
-        if not (sums[r] >= s1 + 4 and s1 >= s2 + 4):
-            failures.append(
-                f"top sums out of order: r={sums[r]} u1={s1} u2={s2}")
-        if s3 + 4 > min(s2, min_h):
-            failures.append(f"sum(u3) = {s3} within 4 of sum(u2) = {s2} "
-                            f"or min H sum {min_h}")
-    if regime in (Regime.DEGEN_I2, Regime.DEGEN_I3) and sums[r] < max_h + 4:
-        failures.append(f"root sum {sums[r]} does not dominate H by 4 "
-                        f"(max H sum {max_h})")
-
-    if gaps["h_min_gap"] < step:
-        failures.append(f"H spacing {gaps['h_min_gap']} < {step}")
+    h_sums = [sums[v] for v in d.h_vertices]
+    value = {"r": sums[r], "u1": sums[u1], "u2": sums[u2], "u3": sums[u3],
+             "min_h": min(h_sums), "max_h": max(h_sums),
+             "other": sums[r] - gaps["root_margin"],
+             "h_gap": gaps["h_min_gap"]}
+    failures: list[str] = []
+    for low, high, gap in stage_bounds(regime, n, m):
+        if value.get(high, high) - value.get(low, low) < gap:
+            lo, hi = (f"{x}={value[x]}" if x in value else x
+                      for x in (low, high))
+            failures.append(f"{lo} + {gap} > {hi}")
 
     if regime in (Regime.MAIN, Regime.DEGEN_I3):
         # One int k * (n + 1) + v per non-root end v of an edge labelled
@@ -207,7 +217,7 @@ def verify_stage_properties(lab: Labelling, regime: Regime,
         # be; of these, block openers (pos = 0) and labels above m are in
         # none.  The counts naming a failure are decoded from the keys
         # only when two of them are equal.
-        label_of, edges = lab.label_of, g.edges
+        label_of, edges, step = lab.label_of, g.edges, STEP[regime]
         floor = m - step * (n - 5)
         keys = [(m - lbl) // step * (n + 1) + v
                 for e, lbl in enumerate(label_of)
@@ -224,11 +234,6 @@ def verify_stage_properties(lab: Labelling, regime: Regime,
                 interval = tuple(range(top - 1, top - step, -1))
                 failures.append(f"vertex {v} carries {count} labels "
                                 f"of interval {interval}")
-
-    if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
-        top = sums[d.r] - gaps["root_margin"]
-        failures.append(
-            f"root sum {sums[d.r]} not the unique maximum (top other {top})")
 
     if regime == Regime.DEGEN_I1:
         conflicts = antimagic_from_sums(g, sums).conflicts

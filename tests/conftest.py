@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from antimagic import Graph, build_graph
+from antimagic import Graph, Labelling, build_graph
 
 
 def brute_sums(g: Graph, labels: list[int]) -> dict[int, int]:
@@ -20,6 +20,17 @@ def brute_sums(g: Graph, labels: list[int]) -> dict[int, int]:
         sums[a] += labels[eid]
         sums[b] += labels[eid]
     return sums
+
+
+def assigned(g: Graph, labels: list[int]) -> Labelling:
+    """A labelling built from a per-edge label list (0 = unlabelled)
+    through ``Labelling.assign``, so a repeated or out-of-range label
+    raises."""
+    lab = Labelling(g)
+    for eid, value in enumerate(labels):
+        if value:
+            lab.assign(eid, value)
+    return lab
 
 
 def brute_is_antimagic_labelling(g: Graph, labels: list[int]) -> bool:

@@ -24,9 +24,9 @@ from antimagic.fileio import (
     parse_labelling,
 )
 from antimagic.pipeline import label
-from antimagic.labelling import Labelling
 from antimagic.errors import NotAntimagicShape, ParseError
 from antimagic.generator import TARGETS, min_feasible_n
+from conftest import assigned
 
 
 @pytest.fixture()
@@ -44,7 +44,7 @@ def test_graph_round_trip():
 
 def test_labelling_round_trip():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    lab = Labelling.from_labels(g, [3, 1, 2])
+    lab = assigned(g, [3, 1, 2])
     assert parse_labelling(emit_labelling(lab), g) == lab.label_of
 
 

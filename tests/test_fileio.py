@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antimagic import Labelling, fileio, gen_instance, label
+from antimagic import fileio, gen_instance, label
 from antimagic.errors import (
     AntimagicError,
     DuplicateEdge,
@@ -28,6 +28,7 @@ from antimagic.errors import (
 from antimagic.fileio import emit_labelling, parse_graph, parse_labelling
 from antimagic.generator import TARGETS, min_feasible_n
 from antimagic.graph import Graph, build_graph
+from conftest import assigned
 
 
 # -- the reference: the line walk as it was ------------------------------
@@ -401,11 +402,11 @@ def test_emit_labelling_matches_fstring_join(target):
         lab = label(g, seed=1).labelling
         assert emit_labelling(lab) == ref_emit_labelling(lab)
         # A partial labelling writes its unlabelled edges as 0.
-        part = Labelling.from_labels(g, lab.label_of[: g.m // 2])
+        part = assigned(g, lab.label_of[: g.m // 2])
         assert emit_labelling(part) == ref_emit_labelling(part)
 
 
 def test_emit_labelling_edgeless_and_single_edge():
     for g in (build_graph(1, []), build_graph(2, [(2, 1)])):
-        lab = Labelling.from_labels(g, [1] * g.m)
+        lab = assigned(g, [1] * g.m)
         assert emit_labelling(lab) == ref_emit_labelling(lab)

@@ -321,7 +321,7 @@ def test_unverified_resolution_rejected_under_optimize(tmp_path):
 
 # Under ``python -O`` as well: a label out of range, a label already
 # used and an edge already labelled must each be refused by
-# ``Labelling.assign``, also through ``Labelling.from_labels``.
+# ``Labelling.assign``, also on a second edge given a label in use.
 _BAD_ASSIGNMENTS = textwrap.dedent("""
     import sys
 
@@ -340,8 +340,10 @@ _BAD_ASSIGNMENTS = textwrap.dedent("""
             print(exc)
         else:
             raise SystemExit(f"assign({eid}, {value}) was accepted")
+    lab = Labelling(g)
+    lab.assign(0, 1)
     try:
-        Labelling.from_labels(g, [1, 1, 3])
+        lab.assign(1, 1)
     except ProofViolation as exc:
         print(exc)
     else:

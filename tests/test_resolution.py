@@ -31,6 +31,7 @@ from antimagic.resolution import (
     y_end,
 )
 from antimagic.verification import recompute_sums, verify_stage_properties
+from conftest import assigned
 
 # Instances whose stage-1 labelling has a conflict, with the case the
 # resolver must name: the first instance of each case per target, found
@@ -80,7 +81,7 @@ RESOLVED = ([(t, n, s, case, None) for t, n, s, case in CONFLICTED]
 
 
 def _recorded_stage(g, rec) -> StageOneResult:
-    lab = Labelling.from_labels(g, rec["labels"])
+    lab = assigned(g, rec["labels"])
     return StageOneResult(lab, Regime(rec["regime"]), recompute_sums(g, lab))
 
 
@@ -171,13 +172,13 @@ def test_exchange_is_involution(main_stage):
 
 def test_exchange_missing_label():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    lab = Labelling.from_labels(g, [1, 2, 3])
+    lab = assigned(g, [1, 2, 3])
     with pytest.raises(LabelMissing, match="label 4 unassigned"):
         lab.copy().swap_labels(3, 4)
     # The first label is checked too: out of range, or in range but free.
     with pytest.raises(LabelMissing, match="label 4 unassigned"):
         lab.copy().swap_labels(4, 3)
-    partial = Labelling.from_labels(g, [1, 0, 3])
+    partial = assigned(g, [1, 0, 3])
     with pytest.raises(LabelMissing, match="label 2 unassigned"):
         partial.swap_labels(2, 3)
     with pytest.raises(LabelMissing, match="label 2 unassigned"):
@@ -445,7 +446,7 @@ def _h_only_conflict(g, d, labels):
     """``labels`` with the labels of two H-H edges exchanged so that the
     only equal sums are between H vertices: the first such exchange in
     edge-id order.  Exchanging two H-H edges moves only H sums."""
-    sums = recompute_sums(g, Labelling.from_labels(g, labels))
+    sums = recompute_sums(g, assigned(g, labels))
     hh = [eid for eid, (a, b) in enumerate(g.edges)
           if a in d.h_set and b in d.h_set]
     for i, e in enumerate(hh):
@@ -472,7 +473,7 @@ def test_resolve_rejects_illegal_conflict_shape(main_stage, monkeypatch):
     # Stage 1 never leaves two H vertices with equal sums; a stage that
     # does must trip the shape guard before any plan is tried.
     labels = _h_only_conflict(g, d, stage.labelling.label_of)
-    lab = Labelling.from_labels(g, labels)
+    lab = assigned(g, labels)
     fake = StageOneResult(lab, Regime.MAIN, recompute_sums(g, lab))
     pairs = find_conflicts(lab, d, fake.sums).pairs
     assert pairs and all(a in d.h_set and b in d.h_set for a, b in pairs)

@@ -18,8 +18,8 @@ from antimagic import (
     verify_stage_properties,
 )
 from antimagic.generator import min_feasible_n
-from antimagic.graph import STEP
-from conftest import brute_sums
+from antimagic.graph import STEP, Regime, stage_regime
+from conftest import assigned, brute_sums
 
 
 def _raw(g, labels):
@@ -33,7 +33,7 @@ def _raw(g, labels):
 
 def test_bijection_ok():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    assert verify_bijection(g, Labelling.from_labels(g, [2, 3, 1])).ok
+    assert verify_bijection(g, assigned(g, [2, 3, 1])).ok
 
 
 def test_bijection_duplicate_reported():
@@ -60,12 +60,12 @@ def test_duplicate_inside_range():
 
 def test_antimagic_k3_any_labelling():
     g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    assert verify_antimagic(g, Labelling.from_labels(g, [1, 2, 3])).ok
+    assert verify_antimagic(g, assigned(g, [1, 2, 3])).ok
 
 
 def test_antimagic_k2_conflict():
     g = build_graph(2, [(1, 2)])
-    rep = verify_antimagic(g, Labelling.from_labels(g, [1]))
+    rep = verify_antimagic(g, assigned(g, [1]))
     assert not rep.ok
     assert rep.conflicts == ((1, 2, 1),)
 
@@ -73,7 +73,7 @@ def test_antimagic_k2_conflict():
 def test_antimagic_hand_built_conflict_pair():
     # Path 1-2-3-4 labelled 1,2,3: vertices 2 and 4 both sum to 3.
     g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
-    lab = Labelling.from_labels(g, [1, 2, 3])
+    lab = assigned(g, [1, 2, 3])
     sums = brute_sums(g, [1, 2, 3])
     assert sums[2] == sums[4] == 3
     rep = verify_antimagic(g, lab)
@@ -83,7 +83,7 @@ def test_antimagic_hand_built_conflict_pair():
 
 def test_antimagic_counts_isolated_vertices_as_zero():
     g = build_graph(4, [(1, 2), (1, 3)])
-    lab = Labelling.from_labels(g, [1, 2])
+    lab = assigned(g, [1, 2])
     rep = verify_antimagic(g, lab)
     assert rep.ok  # sums 3, 1, 2, 0 are distinct
 
@@ -96,7 +96,7 @@ def test_swaps_keep_the_inverse_and_the_bijection(seed):
                         (2, 5)])
     labels = list(range(1, g.m + 1))
     rng.shuffle(labels)
-    lab = Labelling.from_labels(g, labels)
+    lab = assigned(g, labels)
     for _ in range(5):
         twin, kept = lab.copy(), list(lab.label_of)
         for each in (twin, lab):
@@ -172,33 +172,29 @@ def test_stage_properties_catch_i3_two_label_interval():
 
 @pytest.mark.parametrize("target,n,swap,zero,failures", [
     # u1 = 2 holds labels 2, 5, 6 and u2 = 3 labels 1, 2, 4.
-    ("degen_i1", 20, (6, 40), None, ("sum(u1) = 47 > 38",)),
-    ("degen_i1", 20, (1, 6), None, ("u sums not increasing: 9, 12, 8",)),
-    ("degen_i1", 20, None, 5, ("min H sum 0 < 125",)),
+    ("degen_i1", 20, (6, 40), None, ("u1=47 + 0 > 38",)),
+    ("degen_i1", 20, (1, 6), None, ("u2=12 + 1 > u1=8",)),
+    ("degen_i1", 20, None, 5, ("125 + 0 > min_h=0",)),
     # u2 = 3 holds labels 1, 3, 4.
-    ("degen_i2", 20, (4, 30), None, ("u2/u3 sums out of bounds: 3, 34",)),
-    ("degen_i2", 20, None, 2, ("sum(u1) = 0 < sum(u2) + 4 = 12",)),
-    ("degen_i2", 20, None, 6, ("min H sum 0 < 113",)),
-    ("degen_i2", 20, None, 1, (
-        "root sum 0 does not dominate H by 4 (max H sum 1233)",
-        "H spacing 1 < 2")),
+    ("degen_i2", 20, (4, 30), None, ("u2=34 + 1 > 30",)),
+    ("degen_i2", 20, None, 2, ("u2=8 + 4 > u1=0",)),
+    ("degen_i2", 20, None, 6, ("113 + 0 > min_h=0",)),
+    ("degen_i2", 20, None, 1, ("max_h=1233 + 4 > r=0", "0 + 2 > h_gap=1")),
     # u3 = 4 holds labels 1..4.
-    ("degen_i3", 19, (4, 22), None, ("sum(u3) = 28 > 18",)),
-    ("degen_i3", 19, None, 2, (
-        "top sums out of order: r=1680 u1=0 u2=1176",)),
-    ("degen_i3", 19, None, 3, (
-        "sum(u3) = 9 within 4 of sum(u2) = 0 or min H sum 594",)),
+    ("degen_i3", 19, (4, 22), None, ("u3=28 + 0 > 18",)),
+    ("degen_i3", 19, None, 2, ("u2=1176 + 4 > u1=0",)),
+    ("degen_i3", 19, None, 3, ("u3=9 + 4 > u2=0",)),
     # The triple is a P3 on labels 1, 2 with centre u1 = 2, labelled by
     # the i = 1 constructor and checked against its bounds; 1 <-> 17
     # lifts u3 above u2 and gives H vertices 8 and 11 one sum.
     ("disc_triple", 21, (1, 17), None, (
-        "u sums not increasing: 17, 2, 19",
-        "H spacing 0 < 1",
+        "u3=17 + 1 > u2=2",
+        "0 + 1 > h_gap=0",
         "DEGEN_I1 stage 1 is not antimagic: vertices 8 and 11 share sum "
         "1082")),
     # Labels 6 and 7 sit on the H-H edges 9-19 and 7-10: exchanging them
     # leaves two H sums 2 apart, one short of i = 3's spacing.
-    ("degen_i3", 19, (6, 7), None, ("H spacing 2 < 3",)),
+    ("degen_i3", 19, (6, 7), None, ("0 + 3 > h_gap=2",)),
 ])
 def test_stage_properties_name_the_regime_bounds(target, n, swap, zero,
                                                  failures):
@@ -231,46 +227,29 @@ def _with_sums(monkeypatch, stage, d, edit, gap):
     return verify_stage_properties(stage.labelling, stage.regime, d)
 
 
-def _u3_below_u2(s, d, gap):
-    s[d.u[2]] = s[d.u[1]] - gap
-
-
-def _u1_above_u2(s, d, gap):
-    s[d.u[0]] = s[d.u[1]] + gap
-
-
 def _root_above_rest(s, d, gap):
     s[d.r] = max(s[v] for v in range(1, len(s)) if v != d.r) + gap
-
-
-@pytest.mark.parametrize("edit,failure", [
-    (_u3_below_u2, "u-gap: sum(u3)={u3} + 4 > sum(u2)={u2}"),
-    (_u1_above_u2, "u-gap: sum(u2)={u2} + 4 > sum(u1)={u1}"),
-    (_root_above_rest, "root margin 3 < 4"),
-], ids=["u3_u2", "u2_u1", "root_margin"])
-def test_main_margins_hold_at_four_fail_at_three(monkeypatch, edit, failure):
-    g, d, stage = _stage("main", 1)
-    assert _with_sums(monkeypatch, stage, d, edit, 4).ok
-    rep = _with_sums(monkeypatch, stage, d, edit, 3)
-    u1, u2, u3 = (rep.sums[u] for u in d.u)
-    assert rep.failures == (failure.format(u1=u1, u2=u2, u3=u3),)
 
 
 @pytest.mark.parametrize("target", ["main", "degen_i1", "degen_i2",
                                     "degen_i3"])
 def test_root_tie_fails_unique_maximum_outside_i2(monkeypatch, target):
+    # A root tied with another sum fails the root's row over every other
+    # sum, once: by 4 in MAIN, by 1 in i = 1 and i = 3.  i = 2 has none.
     g, d, stage = _stage(target, 1)
     rep = _with_sums(monkeypatch, stage, d, _root_above_rest, 0)
     top = rep.sums[d.r]
-    message = f"root sum {top} not the unique maximum (top other {top})"
-    assert (message in rep.failures) == (target != "degen_i2")
+    gap = {"main": 4, "degen_i1": 1, "degen_i3": 1}.get(target)
+    assert [f for f in rep.failures if f.startswith("other=")] == (
+        [f"other={top} + {gap} > r={top}"] if gap else [])
     if target == "main":
-        assert rep.failures == ("root margin 0 < 4", message)
+        assert rep.failures == (f"other={top} + 4 > r={top}",)
 
 
 # Each seed-1 stage's (u1, u2, u3) and its sums as (r, u1, u2, u3,
 # min H, max H); the bounds below rest on them.
 _STAGE_SUMS = {
+    "main": ((2, 3, 4), (1840, 1260, 812, 670, 678, 1301)),
     "degen_i1": ((4, 2, 3), (2448, 8, 6, 4, 850, 1535)),
     "degen_i2": ((2, 3, 4), (2397, 1188, 13, 3, 930, 1521)),
     "degen_i3": ((2, 3, 4), (1928, 809, 549, 13, 784, 1522)),
@@ -279,8 +258,13 @@ _STAGE_SUMS = {
 
 def _set_sum(who):
     """An edit setting the sum of ``who`` (r, u1, u2, u3, or min_h: the H
-    vertex of least sum) to its ``gap`` argument."""
+    vertex of least sum) to its ``gap`` argument; for h_gap, the top H
+    sum to the next H sum plus ``gap``."""
     def edit(s, d, gap):
+        if who == "h_gap":
+            *_, below, top = sorted(d.h_vertices, key=s.__getitem__)
+            s[top] = s[below] + gap
+            return
         if who == "r":
             v = d.r
         elif who == "min_h":
@@ -292,43 +276,51 @@ def _set_sum(who):
 
 
 _BOUNDS = [
-    # i = 1, n = 21, m = 152: sum(u1) <= 38, s3 < s2 < s1 (equal sums
-    # also break antimagic), min H sum >= max(m - (n - 5), 101) = 136.
-    ("degen_i1", "u1", 38, 39, ("sum(u1) = 39 > 38",)),
+    # MAIN, n = 20, m = 145: u3 + 4 <= u2, u2 + 4 <= u1, and the root 4
+    # above every other sum (the top H sum, 1301); H sums 4 apart.
+    ("main", "u3", 808, 809, ("u3=809 + 4 > u2=812",)),
+    ("main", "u1", 816, 815, ("u2=812 + 4 > u1=815",)),
+    ("main", "r", 1305, 1304, ("other=1301 + 4 > r=1304",)),
+    ("main", "h_gap", 4, 3, ("0 + 4 > h_gap=3",)),
+    # i = 1, n = 21, m = 152: u1 <= 38, u3 < u2 < u1 (equal sums also
+    # break antimagic), min_h >= max(m - (n - 5), 101) = 136.
+    ("degen_i1", "u1", 38, 39, ("u1=39 + 0 > 38",)),
     ("degen_i1", "u2", 7, 8, (
-        "u sums not increasing: 4, 8, 8",
+        "u2=8 + 1 > u1=8",
         "DEGEN_I1 stage 1 is not antimagic: vertices 2 and 4 share sum 8")),
     ("degen_i1", "u3", 5, 6, (
-        "u sums not increasing: 6, 6, 8",
+        "u3=6 + 1 > u2=6",
         "DEGEN_I1 stage 1 is not antimagic: vertices 2 and 3 share sum 6")),
-    ("degen_i1", "min_h", 136, 135, ("min H sum 135 < 136",)),
+    ("degen_i1", "min_h", 136, 135, ("136 + 0 > min_h=135",)),
     # i = 1 has no root margin of its own: one above the top H sum (of
     # vertex 20) is a unique maximum.
     ("degen_i1", "r", 1536, 1535, (
-        "root sum 1535 not the unique maximum (top other 1535)",
+        "other=1535 + 1 > r=1535",
         "DEGEN_I1 stage 1 is not antimagic: vertices 1 and 20 share sum "
         "1535")),
-    # i = 2, n = 21, m = 158: s3 < s2 < 30, s1 >= s2 + 4, min H sum >=
-    # max(m - 2(n - 5) - 1, 89) = 125, the root dominates H by 4.
-    ("degen_i2", "u2", 29, 30, ("u2/u3 sums out of bounds: 3, 30",)),
-    ("degen_i2", "u3", 12, 13, ("u2/u3 sums out of bounds: 13, 13",)),
-    ("degen_i2", "u1", 17, 16, ("sum(u1) = 16 < sum(u2) + 4 = 17",)),
-    ("degen_i2", "min_h", 125, 124, ("min H sum 124 < 125",)),
-    ("degen_i2", "r", 1525, 1524, (
-        "root sum 1524 does not dominate H by 4 (max H sum 1521)",)),
-    # i = 3: s3 <= 18, r >= s1 + 4, s1 >= s2 + 4, s3 + 4 <= min(s2,
-    # min H sum), the root dominates H by 4.
-    ("degen_i3", "u3", 18, 19, ("sum(u3) = 19 > 18",)),
-    ("degen_i3", "u1", 1924, 1925, (
-        "top sums out of order: r=1928 u1=1925 u2=549",)),
-    ("degen_i3", "u2", 805, 806, (
-        "top sums out of order: r=1928 u1=809 u2=806",)),
-    ("degen_i3", "u2", 17, 16, (
-        "sum(u3) = 13 within 4 of sum(u2) = 16 or min H sum 784",)),
-    ("degen_i3", "min_h", 17, 16, (
-        "sum(u3) = 13 within 4 of sum(u2) = 549 or min H sum 16",)),
-    ("degen_i3", "r", 1526, 1525, (
-        "root sum 1525 does not dominate H by 4 (max H sum 1522)",)),
+    # H sums 1 apart; the top two, of vertices 20 and 10, equal.
+    ("degen_i1", "h_gap", 1, 0, (
+        "0 + 1 > h_gap=0",
+        "DEGEN_I1 stage 1 is not antimagic: vertices 10 and 20 share sum "
+        "1459")),
+    # i = 2, n = 21, m = 158: u3 < u2 < 30, u2 + 4 <= u1, min_h >=
+    # max(m - 2(n - 5) - 1, 89) = 125, the root dominates H by 4, and H
+    # sums 2 apart.
+    ("degen_i2", "u2", 29, 30, ("u2=30 + 1 > 30",)),
+    ("degen_i2", "u3", 12, 13, ("u3=13 + 1 > u2=13",)),
+    ("degen_i2", "u1", 17, 16, ("u2=13 + 4 > u1=16",)),
+    ("degen_i2", "min_h", 125, 124, ("125 + 0 > min_h=124",)),
+    ("degen_i2", "r", 1525, 1524, ("max_h=1521 + 4 > r=1524",)),
+    ("degen_i2", "h_gap", 2, 1, ("0 + 2 > h_gap=1",)),
+    # i = 3: u3 <= 18, u1 + 4 <= r, u2 + 4 <= u1, u3 + 4 <= u2 and
+    # min_h, the root dominates H by 4, and H sums 3 apart.
+    ("degen_i3", "u3", 18, 19, ("u3=19 + 0 > 18",)),
+    ("degen_i3", "u1", 1924, 1925, ("u1=1925 + 4 > r=1928",)),
+    ("degen_i3", "u2", 805, 806, ("u2=806 + 4 > u1=809",)),
+    ("degen_i3", "u2", 17, 16, ("u3=13 + 4 > u2=16",)),
+    ("degen_i3", "min_h", 17, 16, ("u3=13 + 4 > min_h=16",)),
+    ("degen_i3", "r", 1526, 1525, ("max_h=1522 + 4 > r=1525",)),
+    ("degen_i3", "h_gap", 3, 2, ("0 + 3 > h_gap=2",)),
 ]
 
 
@@ -356,6 +348,64 @@ def test_stage_bounds_hold_at_the_bound_fail_one_past(monkeypatch, target,
     assert _with_sums(monkeypatch, stage, d, _set_sum(who), at).ok
     rep = _with_sums(monkeypatch, stage, d, _set_sum(who), past)
     assert rep.failures == failures
+
+
+def test_i3_unique_maximum_fails_only_beside_the_u1_row(monkeypatch):
+    # In i = 3 the root's rows over u1 and over H, with u2 and u3 below
+    # u1, already make it the unique maximum, so that row fails only
+    # beside another: u1 one below the root fails u1's row alone, u1 at
+    # the root the unique maximum's as well.
+    g, d, stage = _stage("degen_i3", 1)
+    rep = _with_sums(monkeypatch, stage, d, _set_sum("u1"), 1927)
+    assert rep.failures == ("u1=1927 + 4 > r=1928",)
+    rep = _with_sums(monkeypatch, stage, d, _set_sum("u1"), 1928)
+    assert rep.failures == ("u1=1928 + 4 > r=1928",
+                            "other=1928 + 1 > r=1928")
+
+
+def test_i1_names_its_lowest_equal_pair(monkeypatch):
+    # Two pairs of H sums made equal, at 850 and at 1459: the failure
+    # names the pair of the lower sum.
+    g, d, stage = _stage("degen_i1", 1)
+
+    def two_pairs(s, d, gap):
+        assert (s[7], s[19], s[10], s[20]) == (850, 877, 1459, 1535)
+        s[19], s[20] = s[7], s[10]
+
+    rep = _with_sums(monkeypatch, stage, d, two_pairs, None)
+    assert rep.failures == (
+        "0 + 1 > h_gap=0",
+        "DEGEN_I1 stage 1 is not antimagic: vertices 7 and 19 share sum 850")
+
+
+@pytest.mark.parametrize("regime,u1_h_edges,floor", [
+    (Regime.DEGEN_I1, 3, 101), (Regime.DEGEN_I2, 4, 89)],
+    ids=["degen_i1", "degen_i2"])
+def test_min_h_floor_binds_below_7n(monkeypatch, regime, u1_h_edges,
+                                    floor):
+    # From the feasible n on, m - (n - 5) >= 125 for i = 1 and
+    # m - 2(n - 5) - 1 >= 109 for i = 2, so the floors 101 and 89 bind
+    # only below 7n, where no constructor runs.  A hand-built n = 10
+    # graph: root 1 on H = 5..10, the path 5..10 in H, and u1 = 2, u2 = 3,
+    # u3 = 4 on the first u1_h_edges, 2 and 1 H vertices.  Its sums are
+    # set to meet every other row, the H sums STEP apart from min_h up.
+    import antimagic.verification as verification
+    g = build_graph(10, [(1, v) for v in range(5, 11)]
+                    + [(2, v) for v in range(5, 5 + u1_h_edges)]
+                    + [(3, 5), (3, 6), (4, 5)]
+                    + [(v, v + 1) for v in range(5, 10)])
+    d = decompose(g)
+    assert (d.r, d.u, stage_regime(d)) == (1, (2, 3, 4), regime)
+    assert g.m < 7 * g.n and max(g.m - (g.n - 5),
+                                 g.m - 2 * (g.n - 5) - 1) < floor
+    past = (f"{floor} + 0 > min_h={floor - 1}",)
+    for min_h, failures in ((floor, ()), (floor - 1, past)):
+        sums = [0, 1000, 30, 20, 10] + [min_h + STEP[regime] * k
+                                        for k in range(6)]
+        monkeypatch.setattr(verification, "recompute_sums",
+                            lambda g, l: sums)
+        rep = verify_stage_properties(_raw(g, [1] * g.m), regime, d)
+        assert rep.failures == failures
 
 
 # -- the interval check at its edges ---------------------------------------
@@ -448,53 +498,61 @@ def _naive_stage_properties(lab, regime, d):
     u1, u2, u3 = d.u
     gaps = margins(g, d, sums)
     failures = []
+    h = [sums[v] for v in range(1, g.n + 1) if v in d.h_set]
+    m, n, r = g.m, g.n, d.r
+    # Each failure names both sides with their values, and the gap.
+    s1, s2, s3, sr = (f"{name}={sums[v]}" for name, v in
+                      (("u1", u1), ("u2", u2), ("u3", u3), ("r", r)))
+    other = f"other={sums[r] - gaps['root_margin']}"
     h_gap = {Regime.MAIN: 4, Regime.DEGEN_I2: 2,
              Regime.DEGEN_I3: 3}.get(regime, 1)
     if regime == Regime.MAIN:
         if gaps["u3_u2"] < 4:
-            failures.append(
-                f"u-gap: sum(u3)={sums[u3]} + 4 > sum(u2)={sums[u2]}")
+            failures.append(f"{s3} + 4 > {s2}")
         if gaps["u2_u1"] < 4:
-            failures.append(
-                f"u-gap: sum(u2)={sums[u2]} + 4 > sum(u1)={sums[u1]}")
+            failures.append(f"{s2} + 4 > {s1}")
         if gaps["root_margin"] < 4:
-            failures.append(f"root margin {gaps['root_margin']} < 4")
-    h = [sums[v] for v in range(1, g.n + 1) if v in d.h_set]
-    m, n, r = g.m, g.n, d.r
+            failures.append(f"{other} + 4 > {sr}")
     if regime == Regime.DEGEN_I1:
         if sums[u1] > 38:
-            failures.append(f"sum(u1) = {sums[u1]} > 38")
-        if not (sums[u3] < sums[u2] and sums[u2] < sums[u1]):
-            failures.append(f"u sums not increasing: {sums[u3]}, "
-                            f"{sums[u2]}, {sums[u1]}")
+            failures.append(f"{s1} + 0 > 38")
+        if not sums[u3] < sums[u2]:
+            failures.append(f"{s3} + 1 > {s2}")
+        if not sums[u2] < sums[u1]:
+            failures.append(f"{s2} + 1 > {s1}")
         bound = max(m - n + 5, 101)
         if min(h) < bound:
-            failures.append(f"min H sum {min(h)} < {bound}")
+            failures.append(f"{bound} + 0 > min_h={min(h)}")
+        if gaps["root_margin"] < 1:
+            failures.append(f"{other} + 1 > {sr}")
     if regime == Regime.DEGEN_I2:
-        if not (sums[u3] < sums[u2] and sums[u2] < 30):
-            failures.append(
-                f"u2/u3 sums out of bounds: {sums[u3]}, {sums[u2]}")
+        if not sums[u3] < sums[u2]:
+            failures.append(f"{s3} + 1 > {s2}")
+        if not sums[u2] < 30:
+            failures.append(f"{s2} + 1 > 30")
         if sums[u1] - sums[u2] < 4:
-            failures.append(f"sum(u1) = {sums[u1]} < sum(u2) + 4 = "
-                            f"{sums[u2] + 4}")
+            failures.append(f"{s2} + 4 > {s1}")
         bound = max(m - 2 * n + 9, 89)
         if min(h) < bound:
-            failures.append(f"min H sum {min(h)} < {bound}")
+            failures.append(f"{bound} + 0 > min_h={min(h)}")
     if regime == Regime.DEGEN_I3:
         if sums[u3] > 18:
-            failures.append(f"sum(u3) = {sums[u3]} > 18")
-        if sums[r] - sums[u1] < 4 or sums[u1] - sums[u2] < 4:
-            failures.append(f"top sums out of order: r={sums[r]} "
-                            f"u1={sums[u1]} u2={sums[u2]}")
-        if sums[u2] - sums[u3] < 4 or min(h) - sums[u3] < 4:
-            failures.append(f"sum(u3) = {sums[u3]} within 4 of sum(u2) = "
-                            f"{sums[u2]} or min H sum {min(h)}")
+            failures.append(f"{s3} + 0 > 18")
+        if sums[r] - sums[u1] < 4:
+            failures.append(f"{s1} + 4 > {sr}")
+        if sums[u1] - sums[u2] < 4:
+            failures.append(f"{s2} + 4 > {s1}")
+        if sums[u2] - sums[u3] < 4:
+            failures.append(f"{s3} + 4 > {s2}")
+        if min(h) - sums[u3] < 4:
+            failures.append(f"{s3} + 4 > min_h={min(h)}")
     if regime in (Regime.DEGEN_I2, Regime.DEGEN_I3):
         if any(sums[r] - x < 4 for x in h):
-            failures.append(f"root sum {sums[r]} does not dominate H by 4 "
-                            f"(max H sum {max(h)})")
+            failures.append(f"max_h={max(h)} + 4 > {sr}")
+    if regime == Regime.DEGEN_I3 and gaps["root_margin"] < 1:
+        failures.append(f"{other} + 1 > {sr}")
     if gaps["h_min_gap"] < h_gap:
-        failures.append(f"H spacing {gaps['h_min_gap']} < {h_gap}")
+        failures.append(f"0 + {h_gap} > h_gap={gaps['h_min_gap']}")
     # The reserved intervals as the constructors lay them out.
     if regime == Regime.MAIN:
         intervals = [(m - 4 * j - 1, m - 4 * j - 2, m - 4 * j - 3)
@@ -514,10 +572,6 @@ def _naive_stage_properties(lab, regime, d):
         if count > 1:
             failures.append(f"vertex {v} carries {count} labels of "
                             f"interval {intervals[i]}")
-    if regime != Regime.DEGEN_I2 and gaps["root_margin"] < 1:
-        top = sums[d.r] - gaps["root_margin"]
-        failures.append(
-            f"root sum {sums[d.r]} not the unique maximum (top other {top})")
     if regime == Regime.DEGEN_I1:
         conflicts = sorted((sums[a], a, b) for a in range(1, g.n + 1)
                            for b in range(a + 1, g.n + 1)
@@ -736,5 +790,5 @@ def test_sums_match_naive_named_cases(n, pairs, labels):
     from antimagic.verification import recompute_sums
     g = build_graph(n, pairs)
     naive = _naive_sums(g, labels)
-    assert recompute_sums(g, Labelling.from_labels(g, labels)) == naive
+    assert recompute_sums(g, assigned(g, labels)) == naive
     assert recompute_sums(g, labels) == naive
