@@ -18,7 +18,7 @@ vertex sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from operator import eq
 
 from .colouring import (
@@ -93,31 +93,41 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
                         root_labels) -> None:
     """Finish a partial labelling the way every stage 1 ends.
 
-    Every still-unlabelled edge away from r takes, in one batch, the
-    free labels outside ``root_labels`` in increasing order, the edges in
-    ascending id.  Then r's neighbours are sorted by (partial sum, id)
-    and their edges to r take ``root_labels`` in increasing order, so
-    the neighbours' final sums keep that order, spaced at least as far
+    Every still-unlabelled edge away from r takes the free labels
+    outside ``root_labels`` in increasing order, the edges in ascending
+    id.  Then r's neighbours are sorted by (partial sum, id) and their
+    edges to r take ``root_labels`` in increasing order, so the
+    neighbours' final sums keep that order, spaced at least as far
     apart as the root labels.
+
+    One pass: r marks its edges in ``label_of`` (adding r to every
+    neighbour's partial sum alike) and masks label 0 and the root labels
+    in the old inverse, which is replaced, so no mask list is built; a
+    comprehension gives each edge still at 0 the next unmasked label,
+    the root labels overwrite the marks, and ``Labelling.adopt`` builds
+    the new inverse.  A failed guard raises ProofViolation and leaves
+    ``lab`` unusable.
     """
-    roots = set(root_labels)
-    root_edge = g.adjacency[r]
-    at_root = set(g.incident[r])
-    # Ascending: the edges neither at r nor labelled, and the labels
-    # neither in root_labels nor given out.
-    labelled = compress(range(g.m), lab.label_of)
-    rest = list(filterfalse(at_root.union(labelled).__contains__,
-                            range(g.m)))
-    free = list(filterfalse(roots.union(lab.label_of).__contains__,
-                            range(1, g.m + 1)))
-    check(len(free) == len(rest) and len(roots) == len(root_edge),
-          "label accounting is off", free=len(free), rest=len(rest),
-          root_labels=len(roots), root_edges=len(root_edge))
-    lab.assign_all(rest, free)
+    m, at_r, root_edge = g.m, g.incident[r], g.adjacency[r]
+    label_of, inverse = lab.label_of, lab.edge_with
+    roots = sorted(root_labels)
+    for e in at_r:
+        if label_of[e]:
+            raise ProofViolation(f"root edge {e} is already labelled")
+        label_of[e] = r
+    for x in roots:
+        if not 0 < x <= m or inverse[x] != -1:
+            raise ProofViolation(f"root label {x} out of range or taken")
+        inverse[x] = r
+    inverse[0] = r
+    free, rest = inverse.count(-1), label_of.count(0)
+    check(free == rest, "label accounting is off", free=free, rest=rest)
+    take = compress(count(), map(eq, inverse, repeat(-1))).__next__
+    lab.label_of = label_of = [x or take() for x in label_of]
     sums = recompute_sums(g, lab)
-    order = sorted(root_edge, key=lambda v: (sums[v], v))
-    for v, lbl in zip(order, sorted(roots)):
-        lab.assign(root_edge[v], lbl)
+    for v, x in zip(sorted(sorted(root_edge), key=sums.__getitem__), roots):
+        label_of[root_edge[v]] = x
+    lab.adopt(label_of)
 
 
 def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
@@ -183,12 +193,12 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     pool = chain(filterfalse(labelled, g.incident[u1]),
                  filterfalse(at_u1.__contains__,
                              filterfalse(labelled, d.non_root_edges(m))))
-    count = n - 5 - t
-    col2 = pack_matchings(g, pool, count, STEP[Regime.MAIN] - 1)
+    intervals = n - 5 - t  # I_{t+1} .. I_{n-5}, one class each
+    col2 = pack_matchings(g, pool, intervals, STEP[Regime.MAIN] - 1)
     # Packing already puts u1's surplus edges in the first classes; this
     # checks that they sit in distinct ones (NotEnoughClasses otherwise).
     a1 = d.d_prime[0] - t
-    col2 = order_classes_for_vertex(col2, u1, min(a1, count))
+    col2 = order_classes_for_vertex(col2, u1, min(a1, intervals))
 
     # Class k feeds interval I_{t+1+k}.  Each class holds u1's edge, if
     # any, first and the rest by ascending id, the packer's pick order:

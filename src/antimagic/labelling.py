@@ -27,12 +27,9 @@ class Labelling:
     @classmethod
     def from_permutation(cls, graph: Graph, labels: list[int]) -> "Labelling":
         """Build a complete labelling from a per-edge list of all m labels
-        in one pass: a copy of the list, then one inverse store per edge.
-
-        The same guard as ``assign_all``'s: a list of the wrong length or
-        a label outside 1..m raises ProofViolation before the stores, and
-        so does a repeated label after them, since m in-range stores fill
-        every inverse slot only when no label repeats."""
+        in one pass: a copy of the list, then ``adopt``.  As in
+        ``assign_all``, a list of the wrong length or a label outside 1..m
+        raises ProofViolation first."""
         m = graph.m
         label_of = list(labels)
         if len(label_of) != m:
@@ -40,15 +37,23 @@ class Labelling:
         if label_of and not 0 < min(label_of) <= max(label_of) <= m:
             bad = min(label_of) if min(label_of) < 1 else max(label_of)
             raise ProofViolation(f"label {bad} out of range")
-        edge_with = [-1] * (m + 1)
+        lab = cls.__new__(cls)
+        lab.graph = graph
+        lab.adopt(label_of)
+        return lab
+
+    def adopt(self, label_of: list[int]) -> None:
+        """Make ``label_of``, all m labels by edge, each in 1..m, the
+        whole labelling, kept uncopied: one store per edge into a new
+        inverse, then a count that raises ProofViolation on a repeated
+        label (m in-range stores fill every slot only if none repeats)."""
+        edge_with = [-1] * (len(label_of) + 1)
         for eid, label in enumerate(label_of):
             edge_with[label] = eid
         if edge_with.count(-1) != 1:
             raise ProofViolation("a label is used twice")
-        lab = cls.__new__(cls)
-        lab.graph, lab.label_of, lab.edge_with = graph, label_of, edge_with
-        lab.assigned = m
-        return lab
+        self.label_of, self.edge_with = label_of, edge_with
+        self.assigned = len(label_of)
 
     def assign(self, eid: int, label: int) -> None:
         edge_with = self.edge_with

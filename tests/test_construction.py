@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, compress, filterfalse
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +22,14 @@ from antimagic import (
     verify_antimagic,
     verify_stage_properties,
 )
+import antimagic.construction as construction
 from antimagic.construction import clash_free_shift
 from antimagic.errors import (
     HypothesisViolated,
     NotAntimagicShape,
     NotUniversalVertex,
     ProofViolation,
+    check,
 )
 from antimagic.graph import STEP, degenerate_index
 from antimagic.resolution import y_end
@@ -518,3 +520,119 @@ def test_assign_accepts_labels_one_to_m_only():
                            match=f"label {value} out of range"):
             lab.assign(0, value)
     assert lab.assigned == 1 and lab.label_of[0] == 0
+
+
+# -- the shared fill -------------------------------------------------------
+
+def reference_fill(g, lab, r, root_labels):
+    """The set-based fill every stage 1 used to end with, kept verbatim
+    as the reference for ``_fill_rest_and_root``."""
+    roots = set(root_labels)
+    root_edge = g.adjacency[r]
+    at_root = set(g.incident[r])
+    # Ascending: the edges neither at r nor labelled, and the labels
+    # neither in root_labels nor given out.
+    labelled = compress(range(g.m), lab.label_of)
+    rest = list(filterfalse(at_root.union(labelled).__contains__,
+                            range(g.m)))
+    free = list(filterfalse(roots.union(lab.label_of).__contains__,
+                            range(1, g.m + 1)))
+    check(len(free) == len(rest) and len(roots) == len(root_edge),
+          "label accounting is off", free=len(free), rest=len(rest),
+          root_labels=len(roots), root_edges=len(root_edge))
+    lab.assign_all(rest, free)
+    sums = recompute_sums(g, lab)
+    order = sorted(root_edge, key=lambda v: (sums[v], v))
+    for v, lbl in zip(order, sorted(roots)):
+        lab.assign(root_edge[v], lbl)
+
+
+# Two n per generator family that ends in the fill, the first its least.
+FILL_CASES = [(t, n) for t, ns in (
+    ("main", (19, 23)), ("main_triple", (19, 24)), ("degen_i1", (20, 25)),
+    ("degen_i2", (20, 24)), ("degen_i3", (19, 23)),
+    ("disc_u3_isolated", (19, 22)), ("disc_triple", (21, 25)),
+    ("universal", (6, 13))) for n in ns]
+
+
+@pytest.mark.parametrize("target,n", FILL_CASES)
+def test_fill_matches_the_set_based_reference(monkeypatch, target, n):
+    # The partial labelling each constructor hands the fill, finished by
+    # both: the same labels, the same inverse, the same count.
+    finished = []
+    fill = construction._fill_rest_and_root
+
+    def both(g, lab, r, root_labels):
+        ref = lab.copy()
+        reference_fill(g, ref, r, list(root_labels))
+        fill(g, lab, r, root_labels)
+        finished.append((lab, ref))
+
+    monkeypatch.setattr(construction, "_fill_rest_and_root", both)
+    if target == "universal":
+        label_delta_n1(random_universal_graph(n, random.Random(n)), 1)
+    else:
+        g = gen_instance(n, target, seed=n)
+        d = decompose(g)
+        build = CONSTRUCTORS.get(target, label_disconnected)
+        assert build(g, d).labelling is finished[0][0]
+    [(lab, ref)] = finished
+    assert lab.label_of == ref.label_of
+    assert lab.edge_with == ref.edge_with
+    assert lab.assigned == ref.assigned == lab.graph.m
+
+
+def _fill_input():
+    """A universal vertex r = 1 with four root edges and two edges away
+    from r, (2, 3) and (3, 4); nothing labelled yet."""
+    g = build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4)])
+    return g, Labelling(g), g.adjacency[2][3], g.adjacency[3][4]
+
+
+def test_fill_gives_small_labels_below_sorted_root_labels():
+    g, lab, e23, e34 = _fill_input()
+    construction._fill_rest_and_root(g, lab, 1, [6, 3, 5, 4])
+    assert (lab.label_of[e23], lab.label_of[e34]) == (1, 2)
+    # Partial sums 0, 1, 3, 2 for 5, 2, 3, 4: labels 3, 4, 6, 5.
+    assert [lab.label_of[g.adjacency[1][v]] for v in (2, 3, 4, 5)] == [
+        4, 6, 5, 3]
+    assert lab.edge_with == [-1, e23, e34] + [
+        g.adjacency[1][v] for v in (5, 2, 4, 3)]
+    assert lab.assigned == g.m
+
+
+@pytest.mark.parametrize("prepare, root_labels, message", [
+    # A root edge already labelled.
+    (lambda g, lab, e23, e34: lab.assign(g.adjacency[1][4], 1),
+     [3, 4, 5, 6], "root edge 2 is already labelled"),
+    # A root label out of range, at either end.
+    (None, [0, 4, 5, 6], "root label 0 out of range"),
+    (None, [3, 4, 5, 7], "root label 7 out of range"),
+    # A root label already given out, by an edge or by the list itself.
+    (lambda g, lab, e23, e34: lab.assign(e34, 5),
+     [3, 4, 5, 6], "root label 5 out of range or taken"),
+    (None, [3, 3, 5, 6], "root label 3 out of range or taken"),
+    # Free labels against unlabelled edges: one root label too few, one
+    # too many.
+    (None, [4, 5, 6], "label accounting is off"),
+    (None, [2, 3, 4, 5, 6], "label accounting is off"),
+])
+def test_fill_guards(prepare, root_labels, message):
+    g, lab, e23, e34 = _fill_input()
+    if prepare:
+        prepare(g, lab, e23, e34)
+    with pytest.raises(ProofViolation, match=message):
+        construction._fill_rest_and_root(g, lab, 1, root_labels)
+
+
+def test_fill_refuses_a_label_used_twice():
+    # A partial labelling whose labels and inverse disagree, written past
+    # the Labelling methods: (2, 3) and (3, 4) both hold label 1 while
+    # the inverse says label 2 is given out.  The counts agree, so only
+    # the new inverse, built from the finished list, can tell.
+    g, lab, e23, e34 = _fill_input()
+    lab.assign(e23, 1)
+    lab.label_of[e34] = 1
+    lab.edge_with[2] = e34
+    with pytest.raises(ProofViolation, match="a label is used twice"):
+        construction._fill_rest_and_root(g, lab, 1, [3, 4, 5, 6])

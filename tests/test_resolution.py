@@ -312,6 +312,21 @@ def test_candidate_plans_thresholds(main_stage, ranks, gaps, case):
     assert got == case and plans
 
 
+def test_candidate_plans_case1_refuses_a_single_admissible_lambda(
+        main_stage, monkeypatch):
+    g, d, stage = main_stage
+    rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
+    # lambda_1's and lambda_9's u1 edges (labels m - 1, m - 9) end at
+    # u1's rival and lambda_5's u2 edge (label m - 6) at u2's: only
+    # lambda_13 is left, one short of the two case 1 guarantees.
+    ends = {1: rivals[1], 6: rivals[2], 9: rivals[1]}
+    monkeypatch.setattr(resolution, "y_end", lambda l, d, i: ends.get(i))
+    with pytest.raises(ProofViolation,
+                       match="case 1 admissible lambda count 1 < 2"):
+        candidate_plans(_synthetic_conflicts(stage, d, {1, 2, 3}, rivals),
+                        stage, d)
+
+
 def test_candidate_plans_case1_takes_exactly_two_admissible_lambdas(
         main_stage, monkeypatch):
     g, d, stage = main_stage
