@@ -174,7 +174,7 @@ def outcome_trace(outcome: LabelOutcome, seed: int | None = None) -> dict:
             "plans_tried": tr.plans_tried,
             "applied": [{"family": e.family, "offset": e.offset}
                         for e in tr.applied],
-            "paper_directed": tr.paper_directed,
+            "paper_directed": not tr.gap_warning,
             "gap_warning": tr.gap_warning,
             "rejections": list(tr.rejections),
         }

@@ -4,11 +4,11 @@ After stage 1 the only possible conflicts pair one of u1, u2, u3 with a
 vertex of H (for the main regime; the degenerate regimes have their own
 short lists).  Each exchange swaps two labels differing by one, chosen
 from a fixed table of positions, so every vertex sum moves by at most 1
-per exchange.  The resolver enumerates the case analysis's menu of
-plans, applies each to a copy, and accepts the first fully verified
-antimagic outcome.  An exhaustive safety net over all tabled exchanges
-backs the paper-directed menu; needing it is reported as a
-ProofGapWarning, never silently.
+per exchange.  The resolver picks the case analysis's row in ``CASES``,
+applies each plan of its menu to a copy, and accepts the first fully
+verified antimagic outcome.  An exhaustive safety net over all tabled
+exchanges backs that menu; needing it is reported as a ProofGapWarning,
+never silently.
 """
 
 from __future__ import annotations
@@ -22,18 +22,6 @@ from .graph import STEP, InstanceDecomposition, Regime
 from .labelling import Labelling
 from .verification import antimagic_from_sums, verify_antimagic
 
-# The exchange table: per regime, each family's offsets, in the order
-# plans and the safety net try them.  A family swaps the labels at one
-# position in each of the first four blocks of ``STEP``: position p of
-# block k is offset p + STEP * k.  The published i=3 table's last rho
-# row reads m-15 <-> m-12; the family pattern forces m-11 <-> m-12,
-# which is what we implement.
-_POSITIONS = {Regime.MAIN: {"lambda": 1, "gamma": 2, "mu": 0, "rho": 3},
-              Regime.DEGEN_I3: {"lambda": 1, "mu": 0, "rho": 2}}
-FAMILIES = {regime: {family: tuple(p + STEP[regime] * k for k in range(4))
-                     for family, p in row.items()}
-            for regime, row in _POSITIONS.items()}
-
 
 @dataclass(frozen=True)
 class Exchange:
@@ -44,6 +32,21 @@ class Exchange:
 
     def describe(self) -> str:
         return f"{self.family}_{self.offset}"
+
+
+# The exchange table: per regime, each family's exchanges, in the order
+# plans and the safety net try them.  A family swaps the labels at one
+# position in each of the first four blocks of ``STEP``: position p of
+# block k is offset p + STEP * k.  The published i=3 table's last rho
+# row reads m-15 <-> m-12; the family pattern forces m-11 <-> m-12,
+# which is what we implement.
+_POSITIONS = {Regime.MAIN: {"lambda": 1, "gamma": 2, "mu": 0, "rho": 3},
+              Regime.DEGEN_I3: {"lambda": 1, "mu": 0, "rho": 2}}
+FAMILIES = {regime: {family: tuple(Exchange(family, p + STEP[regime] * k)
+                                   for k in range(4))
+                     for family, p in row.items()}
+            for regime, row in _POSITIONS.items()}
+_MAIN = FAMILIES[Regime.MAIN]
 
 
 @dataclass(frozen=True)
@@ -59,7 +62,6 @@ class ResolutionTrace:
     case: str | None
     plans_tried: int
     applied: tuple[Exchange, ...]
-    paper_directed: bool
     gap_warning: bool = False
     rejections: tuple[str, ...] = field(default=())
 
@@ -91,85 +93,88 @@ def y_end(l: Labelling, d: InstanceDecomposition, i: int) -> int | None:
     return b if a in d.u else a
 
 
-def exchanges(regime: Regime) -> dict[str, dict[int, Exchange]]:
-    """The regime's tabled exchanges: family -> offset -> the swap of
-    m - offset and m - offset - 1, in table order."""
-    return {family: {i: Exchange(family, i) for i in offsets}
-            for family, offsets in FAMILIES[regime].items()}
+def _case1(y, v, n):
+    ok = [e for e in _MAIN["lambda"]
+          if y(e.offset) != v[1] and y(e.offset + 1) != v[2]]
+    check(len(ok) >= 2, f"case 1 admissible lambda count {len(ok)} < 2")
+    return [[e] for e in ok] + [[e, k] for e in ok for k in _MAIN["rho"]]
+
+
+def _case4a(y, v, n):
+    ok = [e for e in _MAIN["lambda"] if y(e.offset) not in (v[1], v[2])]
+    return [[e] for e in ok] + [[e, k] for e in ok for k in _MAIN["rho"]]
+
+
+def _case4b(y, v, n):
+    mu, rho = _MAIN["mu"], _MAIN["rho"]
+    return [[e] for e in rho + mu] + [[e, k] for e in mu for k in rho]
+
+
+def _case75(y, v, n):
+    """d1 = -1 and d3 = 1: each mu alone, those whose u1 edge ends at v3
+    first, then each mu with every lambda but the one just below it."""
+    order = sorted(_MAIN["mu"], key=lambda e: y(e.offset + 1) != v[3])
+    return [[e] for e in order] + [[e, k] for e in order
+                                   for k in _MAIN["lambda"]
+                                   if k.offset != e.offset + 1]
+
+
+def _i2(y, v, n):
+    return [[Exchange("named", 0)],
+            [Exchange("named", STEP[Regime.DEGEN_I2] * (n - 5) + 1)]]
+
+
+# The case analysis: per regime, rows (case, conflicted u ranks,
+# condition, plans), tried in order.  A condition is None or (quantity,
+# comparison, threshold) on d_k = sums[v_k] - sums[u_k], v_k being u_k's
+# rival.  The plans are a family (its four single exchanges) or a builder
+# above, called with y(i) = y_end(.., i), the rivals v and n.
+CASES = {
+    Regime.MAIN: (
+        ("1", {1, 2, 3}, None, _case1),
+        ("2", {1, 2}, None, "lambda"),
+        ("3", {2, 3}, None, "gamma"),
+        ("4a", {1, 3}, ("|d2|", ">=", 2), _case4a),
+        ("4b", {1, 3}, None, _case4b),
+        ("5", {1}, None, "mu"),
+        ("6", {3}, None, "rho"),
+        ("7.1", {2}, ("|d1|", ">=", 2), "lambda"),
+        ("7.2", {2}, ("d1", "==", 1), "lambda"),
+        ("7.3", {2}, ("|d3|", ">=", 2), "gamma"),
+        ("7.4", {2}, ("d3", "==", -1), "gamma"),
+        ("7.5", {2}, None, _case75)),
+    Regime.DEGEN_I2: (("i2", {1}, None, _i2),),
+    Regime.DEGEN_I3: (
+        ("i3:both", {1, 2}, None, "lambda"),
+        ("i3:u1", {1}, None, "mu"),
+        ("i3:u2", {2}, None, "rho")),
+}
 
 
 def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
                     ) -> tuple[str, list[list[Exchange]]]:
-    """The paper-directed plan menu for a main-regime conflict set.
-
-    The admissibility pre-filters follow the case analysis; each plan is
-    still fully verified before acceptance, so the filters only shape
-    the order and the paper-vs-safety-net accounting.
-    """
+    """The first ``CASES`` row of the stage's regime that fits the
+    conflict set: its case and its plan menu.  Each plan is still fully
+    verified before acceptance, so a row's filters only shape the order
+    and the paper-vs-safety-net accounting."""
     if not c.pairs:
         return "none", []
-    sums = c.sums
-    y = partial(y_end, s.labelling, d)
-    u1, u2, u3 = d.u
-    v1, v2, v3 = c.rivals[1], c.rivals[2], c.rivals[3]
-    ex = exchanges(Regime.MAIN)
-    lam, gam, mu, rho = ex["lambda"], ex["gamma"], ex["mu"], ex["rho"]
     ranks = set(c.u_ranks)
 
-    if ranks == {1, 2, 3}:
-        ok = [i for i in lam if y(i) != v1 and y(i + 1) != v2]
-        check(len(ok) >= 2, f"case 1 admissible lambda count {len(ok)} < 2")
-        plans = [[lam[i]] for i in ok]
-        plans += [[lam[i], rho[k]] for i in ok for k in rho]
-        return "1", plans
-    if ranks == {1, 2}:
-        return "2", [[e] for e in lam.values()]
-    if ranks == {2, 3}:
-        return "3", [[e] for e in gam.values()]
-    if ranks == {1, 3}:
-        if abs(sums[v2] - sums[u2]) >= 2:
-            ok = [i for i in lam if y(i) not in (v1, v2)]
-            plans = [[lam[i]] for i in ok]
-            plans += [[lam[i], rho[k]] for i in ok for k in rho]
-            return "4a", plans
-        plans = [[e] for e in rho.values()]
-        plans += [[e] for e in mu.values()]
-        plans += [[mu[i], rho[j]] for i in mu for j in rho]
-        return "4b", plans
-    if ranks == {1}:
-        return "5", [[e] for e in mu.values()]
-    if ranks == {3}:
-        return "6", [[e] for e in rho.values()]
-    check(ranks == {2}, f"conflict ranks {sorted(ranks)} fit no case")
-    d1 = sums[v1] - sums[u1]
-    d3 = sums[v3] - sums[u3]
-    if abs(d1) >= 2 or d1 == 1:
-        case = "7.1" if abs(d1) >= 2 else "7.2"
-        return case, [[e] for e in lam.values()]
-    if abs(d3) >= 2 or d3 == -1:
-        case = "7.3" if abs(d3) >= 2 else "7.4"
-        return case, [[e] for e in gam.values()]
-    # 7.5: sums[v1] = sums[u1] - 1 and sums[v3] = sums[u3] + 1.
-    pref = [j for j in mu if y(j + 1) == v3]
-    rest = [j for j in mu if j not in pref]
-    order = pref + rest
-    plans = [[mu[j]] for j in order]
-    plans += [[mu[j], lam[i]] for j in order for i in lam
-              if i != j + 1]
-    return "7.5", plans
+    def holds(quantity: str, op: str, bound: int) -> bool:
+        k = int(quantity.strip("|d"))
+        gap = c.sums[c.rivals[k]] - c.sums[d.u[k - 1]]
+        value = abs(gap) if quantity.startswith("|") else gap
+        return value >= bound if op == ">=" else value == bound
 
-
-def _degen_menu(regime: Regime, c: ConflictSet, n: int
-                ) -> tuple[str, list[list[Exchange]]]:
-    if regime == Regime.DEGEN_I2:
-        return "i2", [[Exchange("named", 0)],
-                      [Exchange("named", STEP[regime] * (n - 5) + 1)]]
-    ranks = set(c.u_ranks)
-    check(regime == Regime.DEGEN_I3 and 0 < len(ranks) and 3 not in ranks,
-          f"{regime.value} conflict ranks {sorted(ranks)} fit no case")
-    case, family = {(1, 2): ("i3:both", "lambda"), (1,): ("i3:u1", "mu"),
-                    (2,): ("i3:u2", "rho")}[tuple(sorted(ranks))]
-    return case, [[e] for e in exchanges(Regime.DEGEN_I3)[family].values()]
+    for case, row_ranks, cond, plans in CASES.get(s.regime, ()):
+        if row_ranks == ranks and (cond is None or holds(*cond)):
+            if isinstance(plans, str):
+                return case, [[e] for e in FAMILIES[s.regime][plans]]
+            return case, plans(partial(y_end, s.labelling, d), c.rivals,
+                               s.labelling.graph.n)
+    raise ProofViolation(
+        f"{s.regime.value} conflict ranks {sorted(ranks)} fit no case")
 
 
 def _plan_is_sound(before: list[int], after: list[int], r: int,
@@ -217,14 +222,10 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
     g = s.labelling.graph
     regime = s.regime
     if antimagic_from_sums(g, s.sums).ok:
-        return s.labelling, ResolutionTrace("none", 0, (), True)
+        return s.labelling, ResolutionTrace("none", 0, ())
     conflicts = find_conflicts(s.labelling, d, s.sums)
-
     _assert_conflict_shape(conflicts, d, regime)
-    if regime == Regime.MAIN:
-        case, plans = candidate_plans(conflicts, s, d)
-    else:
-        case, plans = _degen_menu(regime, conflicts, g.n)
+    case, plans = candidate_plans(conflicts, s, d)
 
     before = conflicts.sums
     rejections: list[str] = []
@@ -248,12 +249,11 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
 
     found, applied, tried = try_plans(plans)
     if found is not None:
-        return found, ResolutionTrace(case, tried, applied, True,
+        return found, ResolutionTrace(case, tried, applied,
                                       rejections=tuple(rejections))
 
-    menu = ([e for family in exchanges(regime).values()
-             for e in family.values()] if regime in FAMILIES
-            else [p[0] for p in plans])
+    menu = ([e for family in FAMILIES[regime].values() for e in family]
+            if regime in FAMILIES else [p[0] for p in plans])
     net: list[list[Exchange]] = [[e] for e in menu]
     net += [[e1, e2] for e1 in menu for e2 in menu if e1 != e2]
     found, applied, tried2 = try_plans(net)
@@ -262,7 +262,7 @@ def resolve(s, d: InstanceDecomposition) -> tuple[Labelling, ResolutionTrace]:
             f"paper-directed case {case} menu failed; safety net "
             f"applied {[e.describe() for e in applied]}"))
         return found, ResolutionTrace(case, tried + tried2, applied,
-                                      False, gap_warning=True,
+                                      gap_warning=True,
                                       rejections=tuple(rejections))
     tried += tried2
 

@@ -68,7 +68,7 @@ def corpus_results():
             rec["machinery"] = stage.regime.value if stage else None
             rec["exchanges"] = len(tr.applied) if tr else 0
             rec["gap_warning"] = bool(tr and tr.gap_warning)
-            rec["paper_directed"] = bool(tr and tr.paper_directed)
+            rec["paper_directed"] = bool(tr and not tr.gap_warning)
             if stage is not None:
                 props = verify_stage_properties(stage.labelling,
                                                 stage.regime, d)

@@ -72,7 +72,7 @@ def _corpus():
     for n in (5, 8, 11, 14, 17):
         yield ("universal", f"universal_{n}", random_universal_graph(n, rng),
                1, None)
-    for target, n, seed, _ in CONFLICTED:
+    for target, n, seed, *_ in CONFLICTED:
         yield ("conflicted", f"conflicted_{target}_{n}_{seed}",
                gen_instance(n, target, seed=seed), seed, None)
     for n, seed in ((19, 2), (20, 3), (21, 4)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -26,41 +27,40 @@ from antimagic.resolution import (
     FAMILIES,
     ConflictSet,
     _assert_conflict_shape,
-    _degen_menu,
-    exchanges,
     y_end,
 )
 from antimagic.verification import recompute_sums, verify_stage_properties
 from conftest import assigned
 
 # Instances whose stage-1 labelling has a conflict, with the case the
-# resolver must name: the first instance of each case per target, found
-# by ``tools/scan_conflicts.py`` (n = 19-29; seeds 1-6,000 for main and
+# resolver must name, the exchanges it applies and the plans it tries to
+# get there: the first instance of each case per target, found by
+# ``tools/scan_conflicts.py`` (n = 19-29; seeds 1-6,000 for main and
 # main_triple, 1-4,000 for degen_i3).  The generator is deterministic,
 # so these stay valid until stage-1 output changes on purpose.
 CONFLICTED = [
-    ("main", 22, 5398, "2"),
-    ("main", 19, 2343, "3"),
-    ("main", 22, 890, "4a"),     # lambda + rho pair
-    ("main", 19, 1396, "5"),
-    ("main", 19, 41, "6"),
-    ("main", 19, 44, "7.1"),
-    ("main", 20, 1016, "7.2"),
-    ("main", 19, 1194, "7.3"),
-    ("main_triple", 19, 2835, "2"),
-    ("main_triple", 19, 496, "3"),
-    ("main_triple", 25, 2039, "4a"),
-    ("main_triple", 27, 275, "4b"),
-    ("main_triple", 19, 110, "5"),
-    ("main_triple", 19, 20, "6"),
-    ("main_triple", 19, 32, "7.1"),
-    ("main_triple", 19, 23, "7.2"),
-    ("main_triple", 19, 2054, "7.3"),
-    ("degen_i2", 28, 58, "i2"),      # top named exchange
-    ("degen_i2", 27, 1708, "i2"),    # low named exchange
-    ("degen_i3", 19, 4, "i3:u2"),
-    ("degen_i3", 20, 42, "i3:u1"),
-    ("degen_i3", 20, 1275, "i3:both"),
+    ("main", 22, 5398, "2", ["lambda_1"], 1),
+    ("main", 19, 2343, "3", ["gamma_2"], 1),
+    ("main", 22, 890, "4a", ["lambda_13"], 4),  # the last lambda single
+    ("main", 19, 1396, "5", ["mu_0"], 1),
+    ("main", 19, 41, "6", ["rho_3"], 1),
+    ("main", 19, 44, "7.1", ["lambda_1"], 1),
+    ("main", 20, 1016, "7.2", ["lambda_1"], 1),
+    ("main", 19, 1194, "7.3", ["gamma_2"], 1),
+    ("main_triple", 19, 2835, "2", ["lambda_1"], 1),
+    ("main_triple", 19, 496, "3", ["gamma_2"], 1),
+    ("main_triple", 25, 2039, "4a", ["lambda_1", "rho_3"], 5),  # a pair
+    ("main_triple", 27, 275, "4b", ["mu_12"], 8),
+    ("main_triple", 19, 110, "5", ["mu_4"], 2),
+    ("main_triple", 19, 20, "6", ["rho_3"], 1),
+    ("main_triple", 19, 32, "7.1", ["lambda_1"], 1),
+    ("main_triple", 19, 23, "7.2", ["lambda_1"], 1),
+    ("main_triple", 19, 2054, "7.3", ["gamma_6"], 2),
+    ("degen_i2", 28, 58, "i2", ["named_0"], 1),       # top named exchange
+    ("degen_i2", 27, 1708, "i2", ["named_45"], 2),    # low named exchange
+    ("degen_i3", 19, 4, "i3:u2", ["rho_2"], 1),
+    ("degen_i3", 20, 42, "i3:u1", ["mu_0"], 1),
+    ("degen_i3", 20, 1275, "i3:both", ["lambda_1"], 1),
 ]
 
 # Conflicted stage-1 labellings recorded from earlier stage-1 colourings:
@@ -75,9 +75,9 @@ CONFLICTED = [
 RECORDED = json.loads(
     (Path(__file__).parent / "data" / "recorded_conflicts.json").read_text())
 
-RESOLVED = ([(t, n, s, case, None) for t, n, s, case in CONFLICTED]
-            + [(r["target"], r["n"], r["seed"], r["case"], r)
-               for r in RECORDED])
+RESOLVED = ([row + (None,) for row in CONFLICTED]
+            + [(r["target"], r["n"], r["seed"], r["case"], r["applied"],
+                None, r) for r in RECORDED])
 
 
 def _recorded_stage(g, rec) -> StageOneResult:
@@ -93,24 +93,23 @@ def main_stage():
 
 
 def test_offset_tables_match_families():
-    # Family order is plan and safety-net order.
-    assert list(FAMILIES[Regime.MAIN].items()) == [
+    # Family order is plan and safety-net order.  An exchange is its
+    # family and offset: it swaps m - offset and m - offset - 1 (the
+    # published i=3 table's last rho row is a typo; the pattern forces
+    # m-11 <-> m-12).
+    offsets = {regime: [(f, tuple(e.offset for e in row))
+                        for f, row in families.items()]
+               for regime, families in FAMILIES.items()}
+    assert offsets[Regime.MAIN] == [
         ("lambda", (1, 5, 9, 13)), ("gamma", (2, 6, 10, 14)),
         ("mu", (0, 4, 8, 12)), ("rho", (3, 7, 11, 15))]
-    assert list(FAMILIES[Regime.DEGEN_I3].items()) == [
+    assert offsets[Regime.DEGEN_I3] == [
         ("lambda", (1, 4, 7, 10)), ("mu", (0, 3, 6, 9)),
         ("rho", (2, 5, 8, 11))]
     assert list(FAMILIES) == [Regime.MAIN, Regime.DEGEN_I3]
-    # An exchange is its family and offset: it swaps m - offset and
-    # m - offset - 1 (the published i=3 table's last rho row is a typo;
-    # the pattern forces m-11 <-> m-12).
-    for regime, families in FAMILIES.items():
-        table = exchanges(regime)
-        assert [(f, tuple(row)) for f, row in table.items()] == list(
-            families.items())
-        for family, row in table.items():
-            for offset, ex in row.items():
-                assert (ex.family, ex.offset) == (family, offset)
+    for families in FAMILIES.values():
+        for family, row in families.items():
+            assert {e.family for e in row} == {family}
 
 
 def test_lambda1_sum_deltas(main_stage):
@@ -341,27 +340,66 @@ def test_candidate_plans_case1_takes_exactly_two_admissible_lambdas(
     assert [p[0].offset for p in plans if len(p) == 1] == [9, 13]
 
 
+def test_candidate_plans_case4a_drops_lambdas_ending_at_v1_or_v2(
+        main_stage, monkeypatch):
+    g, d, stage = main_stage
+    rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
+    # lambda_1's u1 edge (label m - 1) ends at u1's rival and lambda_5's
+    # (label m - 5) at u2's: lambda_9 and lambda_13 are left, each alone
+    # and then with every rho.
+    ends = {1: rivals[1], 5: rivals[2]}
+    monkeypatch.setattr(resolution, "y_end", lambda l, d, i: ends.get(i))
+    case, plans = candidate_plans(
+        _synthetic_conflicts(stage, d, {1, 3}, rivals, [(2, 2)]), stage, d)
+    assert case == "4a"
+    rho = ["rho_3", "rho_7", "rho_11", "rho_15"]
+    assert [[e.describe() for e in p] for p in plans] == (
+        [["lambda_9"], ["lambda_13"]]
+        + [["lambda_9", k] for k in rho] + [["lambda_13", k] for k in rho])
+
+
+def test_candidate_plans_case75_order_and_pairs(main_stage, monkeypatch):
+    g, d, stage = main_stage
+    rivals = {1: d.h_vertices[0], 2: d.h_vertices[1], 3: d.h_vertices[2]}
+    # mu_8's u1 edge (label m - 9) ends at u3's rival, so mu_8 comes
+    # first.  No mu_j is paired with lambda_(j+1), which shares its
+    # label m - j - 1.
+    ends = {9: rivals[3]}
+    monkeypatch.setattr(resolution, "y_end", lambda l, d, i: ends.get(i))
+    case, plans = candidate_plans(
+        _synthetic_conflicts(stage, d, {2}, rivals, [(1, -1), (3, 1)]),
+        stage, d)
+    assert case == "7.5"
+    partners = {8: (1, 5, 13), 0: (5, 9, 13), 4: (1, 9, 13), 12: (1, 5, 9)}
+    assert [[e.describe() for e in p] for p in plans] == (
+        [[f"mu_{j}"] for j in partners]
+        + [[f"mu_{j}", f"lambda_{i}"] for j, row in partners.items()
+           for i in row])
+
+
 def test_conflicts_without_a_u_fit_no_case(main_stage):
     g, d, stage = main_stage
     h1, h2 = d.h_vertices[:2]
     c = ConflictSet(((h1, h2),), (), {1: h1, 2: h1, 3: h1},
                     recompute_sums(g, stage.labelling))
-    with pytest.raises(ProofViolation, match=r"ranks \[\] fit no case"):
+    with pytest.raises(ProofViolation,
+                       match=r"MAIN conflict ranks \[\] fit no case"):
         candidate_plans(c, stage, d)
+    i3 = dataclasses.replace(stage, regime=Regime.DEGEN_I3)
     with pytest.raises(ProofViolation,
                        match=r"DEGEN_I3 conflict ranks \[\] fit no case"):
-        _degen_menu(Regime.DEGEN_I3, c, g.n)
+        candidate_plans(c, i3, d)
     # i = 3 never leaves u3 in conflict.
     c3 = _synthetic_conflicts(stage, d, {3}, c.rivals)
     with pytest.raises(ProofViolation,
                        match=r"DEGEN_I3 conflict ranks \[3\] fit no case"):
-        _degen_menu(Regime.DEGEN_I3, c3, g.n)
+        candidate_plans(c3, i3, d)
 
 
 def _first_conflicted():
     """The pinned main instance of case 3 and its seed."""
-    target, n, seed, _ = next(c for c in CONFLICTED
-                              if c[0] == "main" and c[3] == "3")
+    target, n, seed = next(c[:3] for c in CONFLICTED
+                           if c[0] == "main" and c[3] == "3")
     return gen_instance(n, target, seed=seed), seed
 
 
@@ -400,10 +438,16 @@ def _root_label_and_two_below(lab, r):
     return top, top - 2
 
 
+def _top_and_three_below(lab, r):
+    """Labels m and m - 3: the sums they touch move by exactly 3."""
+    return lab.graph.m, lab.graph.m - 3
+
+
 @pytest.mark.parametrize("pick,message", [
     (_one_and_m, "a vertex sum moved by more than 2"),
+    (_top_and_three_below, "a vertex sum moved by more than 2"),
     (_root_label_and_two_below, "root sum dropped by more than 1"),
-], ids=["sum-moved-3+", "root-dropped-2"])
+], ids=["sum-moved-3+", "sum-moved-3", "root-dropped-2"])
 def test_unsound_plan_raises(pick, message, monkeypatch):
     g, seed = _first_conflicted()
     r = decompose(g).r
@@ -419,13 +463,15 @@ def test_resolve_fixpoint_when_conflict_free(main_stage):
     g, d, stage = main_stage
     final, trace = resolve(stage, d)
     assert trace.case == "none"
-    assert trace.applied == ()
+    assert trace.applied == () and trace.plans_tried == 0
     assert final.label_of == stage.labelling.label_of
 
 
-@pytest.mark.parametrize("target,n,seed,case,recorded", RESOLVED,
-                         ids=[f"{t}-{n}-{s}" for t, n, s, _, _ in RESOLVED])
-def test_resolve_conflicted_instances(target, n, seed, case, recorded):
+@pytest.mark.parametrize("target,n,seed,case,applied,tried,recorded",
+                         RESOLVED, ids=[f"{r[0]}-{r[1]}-{r[2]}"
+                                        for r in RESOLVED])
+def test_resolve_conflicted_instances(target, n, seed, case, applied, tried,
+                                      recorded):
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
     if recorded is None:
@@ -437,12 +483,13 @@ def test_resolve_conflicted_instances(target, n, seed, case, recorded):
         assert verify_stage_properties(stage.labelling, stage.regime, d).ok
         final, tr = resolve(stage, d)
         regime = stage.regime
-        assert [e.describe() for e in tr.applied] == recorded["applied"]
     assert tr is not None and tr.case not in (None, "none"), \
         "seed no longer produces a conflict; rescan"
     assert tr.case == case
+    assert [e.describe() for e in tr.applied] == applied
+    assert tried is None or tr.plans_tried == tried
     assert 1 <= len(tr.applied) <= 2
-    assert tr.paper_directed and not tr.gap_warning
+    assert not tr.gap_warning
     assert verify_antimagic(g, final).ok
     # Exchange effects stay local: every sum moves by at most 2, and in
     # the regimes that promise it the root keeps the strict maximum.

@@ -738,7 +738,7 @@ def test_label_sums_passes_without_a_stage(monkeypatch):
 def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
     from antimagic import label
     from test_resolution import CONFLICTED
-    target, n, seed, case = next(c for c in CONFLICTED if c[3] == "4a")
+    target, n, seed, case, *_ = next(c for c in CONFLICTED if c[3] == "4a")
     calls = _count_sums_passes(monkeypatch)
     out = label(gen_instance(n, target, seed=seed), seed=seed)
     tried = out.resolution.plans_tried

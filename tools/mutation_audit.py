@@ -5,7 +5,8 @@ the mutants the given tests let through.
         --function balance_classes \
         tests/test_colouring.py tests/test_acceptance.py tests/test_pipeline.py
 
-The mutants of a module (or of one function in it, with --function) are:
+The mutants of a module (or, with --function, of one function in it or
+one module-level assignment such as a table) are:
 
 * each comparison operator flipped: ``<`` and ``<=``, ``>`` and ``>=``,
   ``==`` and ``!=``, ``in`` and ``not in`` swap;
@@ -53,13 +54,17 @@ MEMORY_CAP = 2 ** 31
 
 def sites(tree: ast.Module, function: str | None) -> list:
     """Every mutation site, in source order: (comparison, operator
-    index) and (integer constant, step), one per mutant."""
+    index) and (integer constant, step), one per mutant.  ``function``
+    names a function or method, or a module-level assignment's target."""
     if function is None:
         roots = [tree]
     else:
         roots = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                  and node.name == function]
+        roots += [node for node in tree.body if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == function
+                          for t in node.targets)]
     found = []
     for root in roots:
         for node in ast.walk(root):
@@ -131,7 +136,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("module", type=Path)
     ap.add_argument("targets", nargs="+", help="pytest targets")
-    ap.add_argument("--function", help="mutate only this function's body")
+    ap.add_argument("--function",
+                    help="mutate only this function's body, or this "
+                         "module-level assignment")
     args = ap.parse_args(argv)
 
     module = args.module.resolve()

@@ -6,9 +6,10 @@
 For each target, in turn, it labels ``gen_instance(n, target, seed)`` for
 n = n-min .. n-max and, at each n, seeds 1 .. --seeds, and prints the
 first instance of each resolution case it meets, in the order met, as a
-``tests/test_resolution.py`` ``CONFLICTED`` row:
+``tests/test_resolution.py`` ``CONFLICTED`` row, with the exchanges the
+resolver applies and the plans it tried:
 
-    ("main", 19, 516, "3"),
+    ("main", 19, 2343, "3", ["gamma_2"], 1),
 
 A change that alters stage-1 output on purpose re-derives ``CONFLICTED``
 with this scan.  An old row whose seed stops conflicting is kept as a
@@ -30,7 +31,8 @@ from antimagic import gen_instance, label
 
 
 def scan(target: str, n_min: int, n_max: int, seeds: int):
-    """Yield (target, n, seed, case) for the first instance of each case."""
+    """Yield (target, n, seed, case, applied, plans tried) for the first
+    instance of each case."""
     seen: set[str] = set()
     for n in range(n_min, n_max + 1):
         for seed in range(1, seeds + 1):
@@ -38,7 +40,8 @@ def scan(target: str, n_min: int, n_max: int, seeds: int):
             if tr is not None and tr.case not in (None, "none") \
                     and tr.case not in seen:
                 seen.add(tr.case)
-                yield target, n, seed, tr.case
+                yield (target, n, seed, tr.case,
+                       [e.describe() for e in tr.applied], tr.plans_tried)
 
 
 def record(target: str, n: int, seed: int) -> dict:
