@@ -443,23 +443,30 @@ def pack_matchings(g: Graph, pool, count: int, size: int) -> EdgeColouring:
         read: list[int] = []
         for e in chain(opener, unused, fresh):
             read.append(e)
-            ends = edges[e]
-            if held.isdisjoint(ends):
+            a, b = edges[e]
+            if a not in held and b not in held:
                 cls.append(e)
-                held.update(ends)
                 if len(cls) == size:
                     break
-        if len(cls) < size:
-            # The pool is read to its end, so ``read`` is the class's
-            # first edge, then every unused edge that can join it, in
-            # pool order (the rest of the lead meets the first edge).
+                held.add(a)
+                held.add(b)
+        else:
+            # First fit stalled: the pool is read to its end, so
+            # ``read`` is the class's first edge, then every unused edge
+            # that can join it, in pool order (the rest of the lead
+            # meets the first edge).
             cls = _exact_class(edges, read, size)
             if cls is None:
                 raise ProofViolation(
                     f"no {size} pairwise disjoint unused pool edges "
                     f"for class {j} of {count}")
-        unused = (list(filterfalse(set(cls).__contains__, read))
-                  + unused[len(read) - len(opener):])
+        # A class that took every edge it read drops them from unused;
+        # otherwise the edges it passed over stay ahead of the unread.
+        if len(read) == len(cls):
+            del unused[:len(read) - len(opener)]
+        else:
+            unused = (list(filterfalse(set(cls).__contains__, read))
+                      + unused[len(read) - len(opener):])
         classes.append(tuple(cls))
     return EdgeColouring(g, tuple(classes))
 

@@ -102,11 +102,13 @@ def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
 
     One pass: r marks its edges in ``label_of`` (adding r to every
     neighbour's partial sum alike) and masks label 0 and the root labels
-    in the old inverse, which is replaced, so no mask list is built; a
+    in the old inverse, which is dropped, so no mask list is built; a
     comprehension gives each edge still at 0 the next unmasked label,
-    the root labels overwrite the marks, and ``Labelling.adopt`` builds
-    the new inverse.  A failed guard raises ProofViolation and leaves
-    ``lab`` unusable.
+    the root labels overwrite the marks, and ``Labelling.adopt`` makes
+    the list the labelling, its inverse unbuilt until read.  A failed
+    guard raises ProofViolation and leaves ``lab`` unusable; a partial
+    labelling whose labels and inverse disagree is caught by the
+    bijection check every caller makes next.
     """
     m, at_r, root_edge = g.m, g.incident[r], g.adjacency[r]
     label_of, inverse = lab.label_of, lab.edge_with
@@ -363,7 +365,9 @@ def label_disconnected(g: Graph, d: InstanceDecomposition) -> StageOneResult:
 def label_delta_n1(g: Graph, r: int) -> Labelling:
     """Universal-vertex construction: non-star edges take the small labels
     in edge-id order, then the star edges take the top labels following
-    the partial-sum sort, which separates every pair of sums."""
+    the partial-sum sort, which separates every pair of sums.  As every
+    stage 1 is in ``_finish``, the result is checked from its raw labels:
+    a bijection, then antimagic with the root sum on top."""
     n, m = g.n, g.m
     if g.degree(r) != n - 1:
         raise NotUniversalVertex(f"degree(r) = {g.degree(r)} != n - 1")
@@ -373,7 +377,9 @@ def label_delta_n1(g: Graph, r: int) -> Labelling:
     lab = Labelling(g)
     _fill_rest_and_root(g, lab, r, range(m - (n - 1) + 1, m + 1))
 
-    from .verification import verify_antimagic
+    from .verification import verify_antimagic, verify_bijection
+    rep = verify_bijection(g, lab)
+    check(rep.ok, f"universal-vertex labelling is not a bijection: {rep}")
     rep = verify_antimagic(g, lab)
     check(rep.ok, f"universal-vertex labelling has conflicts {rep.conflicts}")
     check(all(rep.sums[r] > rep.sums[v] for v in range(1, n + 1) if v != r),

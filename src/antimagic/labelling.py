@@ -1,9 +1,10 @@
 """Edge labellings: the labels and their label -> edge inverse.
 
 A complete labelling is a bijection from edge ids to {1..m}; during
-construction the same structure holds a partial assignment.  Vertex
-sums are not kept here: ``verification.recompute_sums`` computes them
-from the labels whenever a stage needs them.
+construction the same structure holds a partial assignment.  The
+inverse of a labelling completed in one pass is built only when it is
+read.  Vertex sums are not kept here: ``verification.recompute_sums``
+computes them from the labels whenever a stage needs them.
 """
 
 from __future__ import annotations
@@ -15,21 +16,21 @@ from .graph import Graph
 class Labelling:
     """Mutable while a stage builds it; treated as a value afterwards."""
 
-    __slots__ = ("graph", "label_of", "edge_with", "assigned")
+    __slots__ = ("graph", "label_of", "_inverse", "assigned")
 
     def __init__(self, graph: Graph):
         self.graph = graph
         m = graph.m
         self.label_of = [0] * m            # edge id -> label, 0 = unassigned
-        self.edge_with = [-1] * (m + 1)    # label -> edge id
+        self._inverse = [-1] * (m + 1)     # edge_with, or None: unbuilt
         self.assigned = 0
 
     @classmethod
     def from_permutation(cls, graph: Graph, labels: list[int]) -> "Labelling":
-        """Build a complete labelling from a per-edge list of all m labels
-        in one pass: a copy of the list, then ``adopt``.  As in
-        ``assign_all``, a list of the wrong length or a label outside 1..m
-        raises ProofViolation first."""
+        """A complete labelling from a copy of a per-edge list of all m
+        labels; its inverse is built on first read.  As in
+        ``assign_all``, a list of the wrong length, a label outside 1..m
+        or a repeated label raises ProofViolation."""
         m = graph.m
         label_of = list(labels)
         if len(label_of) != m:
@@ -37,23 +38,36 @@ class Labelling:
         if label_of and not 0 < min(label_of) <= max(label_of) <= m:
             bad = min(label_of) if min(label_of) < 1 else max(label_of)
             raise ProofViolation(f"label {bad} out of range")
+        if len(set(label_of)) != m:
+            raise ProofViolation("a label is used twice")
         lab = cls.__new__(cls)
         lab.graph = graph
         lab.adopt(label_of)
         return lab
 
     def adopt(self, label_of: list[int]) -> None:
-        """Make ``label_of``, all m labels by edge, each in 1..m, the
-        whole labelling, kept uncopied: one store per edge into a new
-        inverse, then a count that raises ProofViolation on a repeated
-        label (m in-range stores fill every slot only if none repeats)."""
-        edge_with = [-1] * (len(label_of) + 1)
-        for eid, label in enumerate(label_of):
-            edge_with[label] = eid
-        if edge_with.count(-1) != 1:
-            raise ProofViolation("a label is used twice")
-        self.label_of, self.edge_with = label_of, edge_with
+        """Make ``label_of``, all m labels by edge, the whole labelling,
+        kept uncopied, with its inverse left to be built on first read.
+        The caller vouches for the labels or checks them from the raw
+        list, as ``verify_bijection`` does."""
+        self.label_of, self._inverse = label_of, None
         self.assigned = len(label_of)
+
+    @property
+    def edge_with(self) -> list[int]:
+        """label -> edge id, -1 for a free label.  After ``adopt`` the
+        first read builds it, one store per edge, and a count raises
+        ProofViolation on a repeated label (m stores of labels in 1..m
+        fill every slot but label 0's only if none repeats)."""
+        inverse = self._inverse
+        if inverse is None:
+            inverse = [-1] * (len(self.label_of) + 1)
+            for eid, label in enumerate(self.label_of):
+                inverse[label] = eid
+            if inverse.count(-1) != 1:
+                raise ProofViolation("a label is used twice")
+            self._inverse = inverse
+        return inverse
 
     def assign(self, eid: int, label: int) -> None:
         edge_with = self.edge_with
@@ -64,7 +78,7 @@ class Labelling:
                 else f"label {label} already used" if edge_with[label] != -1
                 else f"edge {eid} already labelled")
         self.label_of[eid] = label
-        self.edge_with[label] = eid
+        edge_with[label] = eid
         self.assigned += 1
 
     def assign_all(self, eids: list[int], labels: list[int]) -> None:
@@ -90,20 +104,22 @@ class Labelling:
     def swap_labels(self, x: int, y: int) -> None:
         """Exchange the edges carrying labels x and y; only the (at most
         four) endpoint sums change."""
-        m = self.graph.m
-        if not 1 <= x <= m or self.edge_with[x] < 0:
+        m, edge_with = self.graph.m, self.edge_with
+        if not 1 <= x <= m or edge_with[x] < 0:
             raise LabelMissing(f"label {x} unassigned")
-        if not 1 <= y <= m or self.edge_with[y] < 0:
+        if not 1 <= y <= m or edge_with[y] < 0:
             raise LabelMissing(f"label {y} unassigned")
-        ex, ey = self.edge_with[x], self.edge_with[y]
+        ex, ey = edge_with[x], edge_with[y]
         self.label_of[ex], self.label_of[ey] = y, x
-        self.edge_with[x], self.edge_with[y] = ey, ex
+        edge_with[x], edge_with[y] = ey, ex
 
     def copy(self) -> "Labelling":
+        """A copy with its own lists.  It reads this labelling's inverse,
+        building it at most once however many copies are made."""
         lab = Labelling.__new__(Labelling)
         lab.graph = self.graph
         lab.label_of = list(self.label_of)
-        lab.edge_with = list(self.edge_with)
+        lab._inverse = list(self.edge_with)
         lab.assigned = self.assigned
         return lab
 

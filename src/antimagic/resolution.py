@@ -157,8 +157,6 @@ def candidate_plans(c: ConflictSet, s, d: InstanceDecomposition
     conflict set: its case and its plan menu.  Each plan is still fully
     verified before acceptance, so a row's filters only shape the order
     and the paper-vs-safety-net accounting."""
-    if not c.pairs:
-        return "none", []
     ranks = set(c.u_ranks)
 
     def holds(quantity: str, op: str, bound: int) -> bool:

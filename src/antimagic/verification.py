@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import sub
 
 from .graph import STEP, Graph, InstanceDecomposition, Regime
 from .labelling import Labelling
@@ -106,14 +107,13 @@ def margins(g: Graph, d: InstanceDecomposition, sums: list[int]) -> dict:
     """The gap margins of a sum vector: u3 to u2, u2 to u1, the root over
     every other vertex, and the smallest gap between consecutive H sums."""
     u1, u2, u3 = d.u
-    h_sums = sorted(sums[v] for v in d.h_vertices)
+    r = d.r
+    h_sums = sorted(map(sums.__getitem__, d.h_vertices))
     return {
         "u3_u2": sums[u2] - sums[u3],
         "u2_u1": sums[u1] - sums[u2],
-        "root_margin": min(sums[d.r] - sums[x]
-                           for x in range(1, g.n + 1) if x != d.r),
-        "h_min_gap": min((b - a for a, b in zip(h_sums, h_sums[1:])),
-                         default=0),
+        "root_margin": sums[r] - max(sums[1:r] + sums[r + 1:g.n + 1]),
+        "h_min_gap": min(map(sub, h_sums[1:], h_sums), default=0),
     }
 
 
@@ -212,22 +212,25 @@ def verify_stage_properties(lab: Labelling, regime: Regime,
             failures.append(f"{lo} + {gap} > {hi}")
 
     if regime in (Regime.MAIN, Regime.DEGEN_I3):
-        # One int k * (n + 1) + v per non-root end v of an edge labelled
-        # in interval k.  Only edges labelled above the last interval can
-        # be; of these, block openers (pos = 0) and labels above m are in
-        # none.  The counts naming a failure are decoded from the keys
-        # only when two of them are equal.
+        # One int k * (n + 1) + v per end v of an edge labelled in
+        # interval k, both ends' keys in one step.  Only edges labelled
+        # above the last interval can be; of these, block openers
+        # (pos = 0) and labels above m are in none.  The counts naming a
+        # failure are decoded from the keys only when two of them are
+        # equal, and the root's are dropped then.
         label_of, edges, step = lab.label_of, g.edges, STEP[regime]
         floor = m - step * (n - 5)
-        keys = [(m - lbl) // step * (n + 1) + v
-                for e, lbl in enumerate(label_of)
-                if floor < lbl <= m and (m - lbl) % step
-                for v in edges[e] if v != r]
+        keys: list[int] = []
+        for e, lbl in enumerate(label_of):
+            if floor < lbl <= m and (m - lbl) % step:
+                a, b = edges[e]
+                k = (m - lbl) // step * (n + 1)
+                keys += (k + a, k + b)
         if len(set(keys)) != len(keys):
             repeated = []
             for key, count in Counter(keys).items():
-                if count > 1:
-                    k, v = divmod(key, n + 1)
+                k, v = divmod(key, n + 1)
+                if count > 1 and v != r:
                     repeated.append((v, k, count))
             for v, k, count in sorted(repeated):
                 top = m - step * k

@@ -3,10 +3,10 @@ import json
 import random
 import re
 from collections import Counter
-from itertools import combinations, filterfalse
+from itertools import chain, combinations, filterfalse, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import (
@@ -22,6 +22,7 @@ from antimagic import (
     vizing_colour,
 )
 from antimagic.colouring import (
+    _exact_class,
     _Rows,
     _donor_path,
     pack_matchings,
@@ -649,6 +650,53 @@ def test_pack_matchings_raises_when_no_class_exists():
         pack_matchings(g, [], 1, 1)
 
 
+def reference_pack(g: Graph, pool, count: int, size: int) -> EdgeColouring:
+    """``pack_matchings`` as it was before each edge's ends were unpacked
+    once and a class that passed over nothing stopped refiltering the
+    unused list, kept verbatim as its reference."""
+    edges = g.edges
+    fresh = iter(pool)
+    lead, unused = list(islice(fresh, 2)), []
+    shared = (set(edges[lead[0]]).intersection(edges[lead[1]])
+              if len(lead) == 2 else None)
+    if shared:
+        (centre,) = shared
+        for e in fresh:
+            if centre not in edges[e]:
+                unused.append(e)
+                break
+            lead.append(e)
+    else:
+        lead, unused = [], lead
+    classes = []
+    for j in range(1, count + 1):
+        opener = lead[j - 1:j]
+        cls: list[int] = []
+        held: set[int] = set()
+        read: list[int] = []
+        for e in chain(opener, unused, fresh):
+            read.append(e)
+            ends = edges[e]
+            if held.isdisjoint(ends):
+                cls.append(e)
+                held.update(ends)
+                if len(cls) == size:
+                    break
+        if len(cls) < size:
+            # The pool is read to its end, so ``read`` is the class's
+            # first edge, then every unused edge that can join it, in
+            # pool order (the rest of the lead meets the first edge).
+            cls = _exact_class(edges, read, size)
+            if cls is None:
+                raise ProofViolation(
+                    f"no {size} pairwise disjoint unused pool edges "
+                    f"for class {j} of {count}")
+        unused = (list(filterfalse(set(cls).__contains__, read))
+                  + unused[len(read) - len(opener):])
+        classes.append(tuple(cls))
+    return EdgeColouring(g, tuple(classes))
+
+
 def ref_first_fit(g: Graph, pool: list[int], count: int, size: int):
     """First fit, the slow obvious way: each class scans what is left of
     the whole pool in order.  None if a class does not fill."""
@@ -711,6 +759,42 @@ def test_pack_matchings_packs_disjoint_matchings(case):
     assert len(set(used)) == len(used) and set(used) <= set(pool)
     for cls, lead in zip(out, star):
         assert cls[0] == lead
+
+
+def _pack_outcome(packer, g, pool, count, size):
+    """The classes or the raise's message, then what is left of the
+    pool's iterator."""
+    fresh = iter(pool)
+    try:
+        out = packer(g, fresh, count, size).classes
+    except ProofViolation as exc:
+        out = str(exc)
+    return out, list(fresh)
+
+
+# The deterministic packer tests' graphs: a lead star with a passed-over
+# edge, a stalled class, a class stalled after a passed-over one, and a
+# stall on a class that a lead edge opens.
+_STAR = build_graph(9, [(1, 2), (1, 3), (1, 4), (5, 6), (3, 8), (5, 7),
+                        (6, 8), (2, 9)])
+_STALL = build_graph(6, [(1, 2), (3, 4), (3, 5), (4, 6)])
+_STALL2 = build_graph(6, [(1, 2), (3, 4), (5, 6), (1, 3), (2, 4), (2, 5),
+                          (4, 6)])
+_LEAD_STALL = build_graph(7, [(1, 2), (1, 3), (4, 5), (4, 6), (5, 7)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_cases())
+@example((_STAR, [0, 1, 2], list(range(8)), 3, 2))
+@example((_STALL, [], list(range(4)), 1, 3))
+@example((_STALL2, [], list(range(7)), 3, 3))
+@example((_LEAD_STALL, [0, 1], list(range(5)), 2, 3))
+def test_pack_matchings_matches_the_reference(case):
+    # Against the packer as it was: the same classes or the same raise,
+    # and the pool's iterator left at the same edge.
+    g, star, pool, count, size = case
+    assert _pack_outcome(pack_matchings, g, pool, count, size) == \
+        _pack_outcome(reference_pack, g, pool, count, size)
 
 
 # -- the colourings against the ones they replaced ------------------------

@@ -12,6 +12,7 @@ from antimagic import (
     build_graph,
     decompose,
     gen_instance,
+    label,
     label_case_i1,
     label_case_i2,
     label_case_i3,
@@ -399,7 +400,6 @@ def test_disconnected_rejects_two_isolated_vertices():
     # Vertices 5..8 are isolated, and no decomposition is needed to see
     # the shape is hopeless: the guard fires before any labelling.
     with pytest.raises(NotAntimagicShape):
-        from antimagic import label
         label(g)
 
 
@@ -440,7 +440,6 @@ def test_disconnected_stage_is_its_degenerate_regime(target):
     # Both families are labelled by the degenerate constructor for their
     # index, so the stage carries that regime and is checked against its
     # bounds; the outcome keeps the family's own name.
-    from antimagic import label
     from antimagic.generator import TARGETS, min_feasible_n
     for seed in range(1, 6):
         g = gen_instance(min_feasible_n(target) + seed % 3, target, seed=seed)
@@ -628,11 +627,66 @@ def test_fill_guards(prepare, root_labels, message):
 def test_fill_refuses_a_label_used_twice():
     # A partial labelling whose labels and inverse disagree, written past
     # the Labelling methods: (2, 3) and (3, 4) both hold label 1 while
-    # the inverse says label 2 is given out.  The counts agree, so only
-    # the new inverse, built from the finished list, can tell.
+    # the inverse says label 2 is given out.  The counts agree, so the
+    # fill finishes; the first read of the inverse, built from the
+    # finished list, refuses it.
     g, lab, e23, e34 = _fill_input()
     lab.assign(e23, 1)
     lab.label_of[e34] = 1
     lab.edge_with[2] = e34
+    construction._fill_rest_and_root(g, lab, 1, [3, 4, 5, 6])
+    assert sorted(lab.label_of) == [1, 1, 3, 4, 5, 6]
     with pytest.raises(ProofViolation, match="a label is used twice"):
-        construction._fill_rest_and_root(g, lab, 1, [3, 4, 5, 6])
+        lab.edge_with
+
+
+def _repeat_before_fill(monkeypatch):
+    """Hand the fill a partial labelling with the same disagreement: two
+    unlabelled edges away from r both take the smallest free label x,
+    and the inverse gives them x and the next free label."""
+    fill = construction._fill_rest_and_root
+
+    def corrupt(g, lab, r, root_labels):
+        e1, e2 = [e for e, x in enumerate(lab.label_of)
+                  if not x and r not in g.edges[e]][:2]
+        x = lab.edge_with.index(-1, 1)
+        y = lab.edge_with.index(-1, x + 1)
+        lab.label_of[e1] = lab.label_of[e2] = x
+        lab.edge_with[x], lab.edge_with[y] = e1, e2
+        fill(g, lab, r, root_labels)
+
+    monkeypatch.setattr(construction, "_fill_rest_and_root", corrupt)
+
+
+def test_stage_one_refuses_a_label_used_twice(monkeypatch):
+    # The same repeat inside a stage 1 and inside Delta = n - 1: each
+    # checks its labels as a bijection before anything else.
+    _repeat_before_fill(monkeypatch)
+    g = gen_instance(20, "main", seed=1)
+    with pytest.raises(ProofViolation,
+                       match="stage-1 labelling is not a bijection"):
+        label_main(g, decompose(g))
+    with pytest.raises(ProofViolation, match="universal-vertex labelling "
+                       "is not a bijection"):
+        label_delta_n1(random_universal_graph(9, random.Random(9)), 1)
+
+
+@pytest.mark.parametrize("target", ["main", "degen_i1", "degen_i2",
+                                    "degen_i3", "universal", "yilma"])
+def test_one_pass_labellings_leave_the_inverse_unbuilt(target):
+    # Stage 1, Delta = n - 1 and the forced fallback finish their
+    # labellings in one pass; nothing on the way reads the inverse, so
+    # it is built only when first read, and then matches the labels.
+    if target == "universal":
+        lab = label_delta_n1(random_universal_graph(12, random.Random(12)), 1)
+    elif target == "yilma":
+        g = gen_instance(20, "main", seed=3)
+        lab = label(g, seed=3, force_regime=Regime.YILMA_FALLBACK).labelling
+    else:
+        g = gen_instance(22, target, seed=3)
+        lab = CONSTRUCTORS.get(target, label_disconnected)(
+            g, decompose(g)).labelling
+    assert lab._inverse is None
+    assert all(lab.label_of[e] == x
+               for x, e in enumerate(lab.edge_with) if x)
+    assert lab.edge_with[0] == -1 and lab._inverse is lab.edge_with

@@ -16,6 +16,7 @@ from antimagic import (
     find_conflicts,
     gen_instance,
     label,
+    label_disconnected,
     label_main,
     outcome_trace,
     resolve,
@@ -216,8 +217,11 @@ def test_candidate_plans_empty():
     c = ConflictSet((), (), {1: d.h_vertices[0], 2: d.h_vertices[0],
                              3: d.h_vertices[0]},
                     recompute_sums(g, stage.labelling))
-    case, plans = candidate_plans(c, stage, d)
-    assert case == "none" and plans == []
+    # resolve returns before the picker when no sums are equal, so the
+    # picker has no row for an empty conflict set.
+    with pytest.raises(ProofViolation,
+                       match=r"MAIN conflict ranks \[\] fit no case"):
+        candidate_plans(c, stage, d)
 
 
 def test_candidate_plans_case6_is_four_rho_singles(main_stage):
@@ -502,6 +506,31 @@ def test_resolve_conflicted_instances(target, n, seed, case, applied, tried,
         sums = recompute_sums(g, final)
         assert all(sums[d.r] > sums[v]
                    for v in range(1, g.n + 1) if v != d.r)
+
+
+@pytest.mark.parametrize("row", CONFLICTED, ids=[f"{r[0]}-{r[1]}-{r[2]}"
+                                                 for r in CONFLICTED])
+def test_resolve_builds_the_inverse_once(monkeypatch, row):
+    # A stage's inverse is left unbuilt; resolve reads it through y_end
+    # and every plan's copy, and builds it once for all of them.
+    target, n, seed = row[:3]
+    g = gen_instance(n, target, seed=seed)
+    d = decompose(g)
+    build_stage = label_main if target.startswith("main") else \
+        label_disconnected
+    stage = build_stage(g, d)
+    assert stage.labelling._inverse is None
+    builds = []
+    build = Labelling.edge_with.fget
+
+    def counted(lab):
+        builds.append(lab._inverse is None)
+        return build(lab)
+
+    monkeypatch.setattr(Labelling, "edge_with", property(counted))
+    final, tr = resolve(stage, d)
+    assert tr.plans_tried >= 1 and len(builds) > tr.plans_tried
+    assert builds.count(True) == 1 and final is not stage.labelling
 
 
 def _h_only_conflict(g, d, labels):

@@ -1,8 +1,9 @@
 import functools
 import random
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from antimagic import (
@@ -19,6 +20,7 @@ from antimagic import (
 )
 from antimagic.generator import min_feasible_n
 from antimagic.graph import STEP, Regime, stage_regime
+from antimagic.verification import margins
 from conftest import assigned, brute_sums
 
 
@@ -488,9 +490,54 @@ def _naive_bijection(g, labels):
             tuple(duplicated), tuple(sorted(out_of_range)))
 
 
+def reference_margins(g, d, sums):
+    """``margins`` as it was before it took the root margin from the
+    largest other sum and the H gap by ``map``, kept verbatim."""
+    u1, u2, u3 = d.u
+    h_sums = sorted(sums[v] for v in d.h_vertices)
+    return {
+        "u3_u2": sums[u2] - sums[u3],
+        "u2_u1": sums[u1] - sums[u2],
+        "root_margin": min(sums[d.r] - sums[x]
+                           for x in range(1, g.n + 1) if x != d.r),
+        "h_min_gap": min((b - a for a, b in zip(h_sums, h_sums[1:])),
+                         default=0),
+    }
+
+
+def _margin_case(r, u, h, sums):
+    return SimpleNamespace(n=len(sums) - 1), \
+        SimpleNamespace(r=r, u=u, h_vertices=h), [0] + sums
+
+
+@st.composite
+def margin_cases(draw):
+    """(graph, decomposition, sums) as ``margins`` reads them: n in 4..8,
+    any root, u and H from the other vertices, sums from a small range
+    so that ties are common."""
+    n = draw(st.integers(4, 8))
+    order = draw(st.permutations(range(1, n + 1)))
+    sums = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return _margin_case(order[0], tuple(order[1:4]),
+                        tuple(sorted(order[4:])), sums)
+
+
+@settings(max_examples=300, deadline=None)
+@given(margin_cases())
+# n = 8: the root, as vertex 1 and as vertex 8, tied with other sums,
+# and H sums tied; the root alone on top and every H sum tied; n = 4,
+# no H vertex.
+@example(_margin_case(1, (2, 3, 4), (5, 6, 7, 8), [9, 3, 5, 9, 6, 6, 2, 9]))
+@example(_margin_case(8, (2, 3, 4), (1, 5, 6, 7), [9, 3, 5, 1, 6, 6, 2, 9]))
+@example(_margin_case(5, (1, 2, 3), (4, 6, 7, 8), [1, 2, 3, 4, 9, 4, 4, 4]))
+@example(_margin_case(2, (1, 3, 4), (), [5, 2, 7, 0]))
+def test_margins_match_the_reference(case):
+    g, d, sums = case
+    assert margins(g, d, sums) == reference_margins(g, d, sums)
+
+
 def _naive_stage_properties(lab, regime, d):
     from antimagic import Regime
-    from antimagic.verification import margins
 
     g = lab.graph
     labels = lab.label_of
