@@ -19,7 +19,6 @@ from .construction import (
     label_delta_n1,
     label_disconnected,
     label_main,
-    label_triple_edges,
 )
 from .resolution import (
     ConflictSet,
@@ -49,7 +48,7 @@ __all__ = [
     "Graph", "InstanceDecomposition", "Regime", "build_graph",
     "classify_regime", "decompose", "Labelling", "StageOneResult",
     "label_case_i1", "label_case_i2", "label_case_i3", "label_delta_n1",
-    "label_disconnected", "label_main", "label_triple_edges",
+    "label_disconnected", "label_main",
     "ConflictSet", "Exchange", "ResolutionTrace", "candidate_plans",
     "find_conflicts", "resolve", "EdgeColouring", "balance_classes",
     "koenig_colour", "order_classes_for_vertex", "vizing_colour",

@@ -5,9 +5,11 @@ vertex sums its check recomputed.  The constructors place the reserved
 labels by the paper's formulas; the check and the resolver read where
 they sit from ``graph.STEP``, so a constructor that strays from that
 layout fails its check.  Every regime follows one skeleton: ``_begin``
-checks the hypotheses and labels the triple edges, the constructor
-places its reserved labels, ``_fill_rest_and_root`` gives out the
-small and the root labels, and ``_finish`` has
+checks the hypotheses and returns a plain per-edge label list with the
+triple edges labelled, the constructor writes its reserved labels into
+it through ``_write``, ``_fill_rest_and_root`` checks those labels as
+one batch, gives out the small and the root labels and makes the list a
+complete ``Labelling``, and ``_finish`` has
 ``verification.verify_stage_properties`` check every property the
 underlying proof guarantees at this stage; a failure raises
 ProofViolation, which carries a reproducer only once it has passed
@@ -17,8 +19,9 @@ vertex sum.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, filterfalse, islice, repeat
+from itertools import chain, compress, count, filterfalse, islice
 from operator import eq
 
 from .colouring import (
@@ -61,75 +64,96 @@ def _h_edges(g: Graph, d: InstanceDecomposition, u: int) -> list[int]:
     return list(map(g.adjacency[u].__getitem__, _h_ends(g, d, u)))
 
 
-def label_triple_edges(d: InstanceDecomposition, lab: Labelling) -> Labelling:
-    """Give the edges among the u-triple the smallest labels.
+def _write(label_of: list[int], given: list[int], eids: list[int],
+           labels: Sequence[int]) -> None:
+    """Give edge ``eids[k]`` label ``labels[k]`` in the per-edge list, 0
+    meaning no label yet, and add the labels to ``given``, which
+    ``_fill_rest_and_root`` checks as one batch.  An edge that already
+    has a label, or a batch whose two lists differ in length, raises
+    ProofViolation."""
+    if len(eids) != len(labels):
+        raise ProofViolation(f"{len(eids)} edges against {len(labels)} labels")
+    for e, x in zip(eids, labels):
+        if label_of[e]:
+            raise ProofViolation(f"edge {e} already labelled")
+        label_of[e] = x
+    given += labels
 
-    Present edges are sorted by inverted lexicographic order, so a full
-    triangle gets u2u3 -> 1, u1u3 -> 2, u1u2 -> 3; absent edges shift the
-    later labels down.
-    """
-    g = lab.graph
-    check(lab.assigned == 0, "triple edges must be labelled first")
-    # d.triple_edges lists the present ones as u1u2, u1u3, u2u3.
-    for a, b in reversed(d.triple_edges):
-        lab.assign(g.adjacency[a][b], lab.assigned + 1)
-    return lab
 
-
-def _begin(g: Graph, d: InstanceDecomposition, regime: Regime) -> Labelling:
+def _begin(g: Graph, d: InstanceDecomposition,
+           regime: Regime) -> tuple[list[int], list[int]]:
     """Open every stage 1: raise HypothesisViolated unless m >= 7n and
-    d' calls for the constructor's ``regime``, then give the triple
-    edges the smallest labels."""
+    d' calls for the constructor's ``regime``, then give the edges among
+    the u-triple the smallest labels.  Returns the per-edge labels and
+    the labels given so far, the two lists ``_write`` extends.
+
+    Present triple edges are sorted by inverted lexicographic order, so
+    a full triangle gets u2u3 -> 1, u1u3 -> 2, u1u2 -> 3; absent edges
+    shift the later labels down.
+    """
     if g.m < 7 * g.n:
         raise HypothesisViolated(f"m = {g.m} < 7n = {7 * g.n}")
     wanted = stage_regime(d)
     if wanted != regime:
         raise HypothesisViolated(
             f"d' = {d.d_prime} calls for {wanted.value}, not {regime.value}")
-    return label_triple_edges(d, Labelling(g))
+    label_of, given = [0] * g.m, []
+    # d.triple_edges lists the present ones as u1u2, u1u3, u2u3.
+    triple = [g.adjacency[a][b] for a, b in reversed(d.triple_edges)]
+    _write(label_of, given, triple, range(1, len(triple) + 1))
+    return label_of, given
 
 
-def _fill_rest_and_root(g: Graph, lab: Labelling, r: int,
-                        root_labels) -> None:
-    """Finish a partial labelling the way every stage 1 ends.
+def _fill_rest_and_root(g: Graph, label_of: list[int], given: list[int],
+                        r: int, root_labels) -> Labelling:
+    """Finish the per-edge labels the way every stage 1 ends, and make
+    them a labelling.
 
-    Every still-unlabelled edge away from r takes the free labels
-    outside ``root_labels`` in increasing order, the edges in ascending
-    id.  Then r's neighbours are sorted by (partial sum, id) and their
-    edges to r take ``root_labels`` in increasing order, so the
-    neighbours' final sums keep that order, spaced at least as far
-    apart as the root labels.
+    Every still-unlabelled edge away from r takes the free labels, those
+    neither ``given`` nor in ``root_labels``, in increasing order, the
+    edges in ascending id.  Then r's neighbours are sorted by (partial
+    sum, id) and their edges to r take ``root_labels`` in increasing
+    order, so the neighbours' final sums keep that order, spaced at
+    least as far apart as the root labels.
 
-    One pass: r marks its edges in ``label_of`` (adding r to every
-    neighbour's partial sum alike) and masks label 0 and the root labels
-    in the old inverse, which is dropped, so no mask list is built; a
-    comprehension gives each edge still at 0 the next unmasked label,
-    the root labels overwrite the marks, and ``Labelling.adopt`` makes
-    the list the labelling, its inverse unbuilt until read.  A failed
-    guard raises ProofViolation and leaves ``lab`` unusable; a partial
-    labelling whose labels and inverse disagree is caught by the
-    bijection check every caller makes next.
+    The given and the root labels, at most 4n, are checked as one sorted
+    batch: each in 1..m, none repeated, and one root label per root
+    edge.  With the writer's refusal of a labelled edge, that makes the
+    free labels exactly as many as the unlabelled edges.  The free labels
+    are read lazily: the gaps below and between the batch's labels, then
+    the labels above it, as many as the edges ask for.  r marks its
+    edges in ``label_of`` (adding r to every neighbour's partial sum
+    alike), one comprehension gives each edge still at 0 the next free
+    label, and the root labels overwrite the marks.  A failed guard
+    raises ProofViolation; labels written past ``_write`` are caught by
+    the bijection check every caller makes next.
     """
     m, at_r, root_edge = g.m, g.incident[r], g.adjacency[r]
-    label_of, inverse = lab.label_of, lab.edge_with
     roots = sorted(root_labels)
     for e in at_r:
         if label_of[e]:
             raise ProofViolation(f"root edge {e} is already labelled")
         label_of[e] = r
-    for x in roots:
-        if not 0 < x <= m or inverse[x] != -1:
-            raise ProofViolation(f"root label {x} out of range or taken")
-        inverse[x] = r
-    inverse[0] = r
-    free, rest = inverse.count(-1), label_of.count(0)
-    check(free == rest, "label accounting is off", free=free, rest=rest)
-    take = compress(count(), map(eq, inverse, repeat(-1))).__next__
-    lab.label_of = label_of = [x or take() for x in label_of]
-    sums = recompute_sums(g, lab)
+    taken = sorted(given + roots)
+    if taken:
+        bad = taken[0] if taken[0] < 1 else taken[-1] if taken[-1] > m \
+            else next(compress(taken, map(eq, taken, taken[1:])), None)
+        if bad is not None:
+            raise ProofViolation(
+                f"reserved or root label {bad} out of range or taken")
+    if len(roots) != len(at_r):
+        raise ProofViolation(
+            f"label accounting is off: {len(roots)} root labels for "
+            f"{len(at_r)} root edges")
+    below = [0, *taken]
+    take = chain(chain.from_iterable(map(range, map((1).__add__, below),
+                                         taken)),
+                 count(below[-1] + 1)).__next__
+    label_of = [x or take() for x in label_of]
+    sums = recompute_sums(g, label_of)
     for v, x in zip(sorted(sorted(root_edge), key=sums.__getitem__), roots):
         label_of[root_edge[v]] = x
-    lab.adopt(label_of)
+    return Labelling(g, label_of)
 
 
 def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
@@ -139,10 +163,13 @@ def _finish(g: Graph, d: InstanceDecomposition, lab: Labelling,
     # Imported here so the span wrappers on these bindings see the calls.
     from .verification import verify_bijection, verify_stage_properties
     rep = verify_bijection(g, lab)
-    check(rep.ok, f"stage-1 labelling is not a bijection: {rep}")
+    if not rep.ok:
+        raise ProofViolation(f"stage-1 labelling is not a bijection: {rep}")
     props = verify_stage_properties(lab, regime, d)
-    check(props.ok, "stage-1 property failure: " + "; ".join(props.failures),
-          gaps=props.gaps)
+    if not props.ok:
+        raise ProofViolation(
+            "stage-1 property failure: " + "; ".join(props.failures),
+            details={"gaps": props.gaps})
     return StageOneResult(lab, regime, props.sums)
 
 
@@ -166,7 +193,7 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     that edge takes a small label.
     """
     t = d.d_prime[2]
-    lab = _begin(g, d, Regime.MAIN)
+    label_of, given = _begin(g, d, Regime.MAIN)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
 
@@ -176,21 +203,25 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     for u in (u1, u2, u3):
         g1_edges.extend(_h_edges(g, d, u)[:t])
     col1 = koenig_colour(g, g1_edges, t, d.u)
-    check(len(col1.classes) == t,
-          f"Koenig colouring of G1 used {len(col1.classes)} != {t} classes")
+    if len(col1.classes) != t:
+        raise ProofViolation(
+            f"Koenig colouring of G1 used {len(col1.classes)} != {t} classes")
+    # Class j feeds interval I_j: u1's, u2's and u3's edge, top down.
+    g1: list[int] = []
     for j, cls in enumerate(col1.classes, start=1):
-        base = m - 4 * (j - 1)
         by_u = {}
         for e in cls:
             a, b = g.edges[e]
             by_u[a if a in (u1, u2, u3) else b] = e
-        check(len(cls) == 3 and set(by_u) == {u1, u2, u3},
-              f"G1 class {j} does not hit u1, u2, u3 exactly once")
-        for k, u in enumerate((u1, u2, u3), start=1):
-            lab.assign(by_u[u], base - k)
+        if len(cls) != 3 or set(by_u) != {u1, u2, u3}:
+            raise ProofViolation(
+                f"G1 class {j} does not hit u1, u2, u3 exactly once")
+        g1 += by_u[u1], by_u[u2], by_u[u3]
+    _write(label_of, given, g1,
+           [m - 4 * k - i for k in range(t) for i in (1, 2, 3)])
 
     # u1's surplus edges first, then the rest of G2, by ascending id.
-    labelled = lab.label_of.__getitem__
+    labelled = label_of.__getitem__
     at_u1 = set(g.incident[u1])
     pool = chain(filterfalse(labelled, g.incident[u1]),
                  filterfalse(at_u1.__contains__,
@@ -212,10 +243,11 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
         if len(cls) < 3:
             raise ProofViolation(f"class for interval {j} too small")
         eids += cls[:3]
-    labels = [m - 4 * k - i for k in range(t, n - 5) for i in (1, 2, 3)]
-    lab.assign_all(eids, labels)
+    _write(label_of, given, eids,
+           [m - 4 * k - i for k in range(t, n - 5) for i in (1, 2, 3)])
 
-    _fill_rest_and_root(g, lab, d.r, [m - 4 * k for k in range(n - 4)])
+    lab = _fill_rest_and_root(g, label_of, given, d.r,
+                              [m - 4 * k for k in range(n - 4)])
     return _finish(g, d, lab, Regime.MAIN)
 
 
@@ -223,12 +255,13 @@ def label_case_i1(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     """Degenerate case d'(u1) <= 3: all u-edges take the smallest labels
     (u3's first, then u2's, then u1's), the root edges the n-4 largest.
     The outcome is antimagic outright."""
-    lab = _begin(g, d, Regime.DEGEN_I1)
+    label_of, given = _begin(g, d, Regime.DEGEN_I1)
     n, m = g.n, g.m
-    for u in reversed(d.u):
-        for e in _h_edges(g, d, u):
-            lab.assign(e, lab.assigned + 1)
-    _fill_rest_and_root(g, lab, d.r, range(m - (n - 4) + 1, m + 1))
+    low = [e for u in reversed(d.u) for e in _h_edges(g, d, u)]
+    start = len(given) + 1
+    _write(label_of, given, low, range(start, start + len(low)))
+    lab = _fill_rest_and_root(g, label_of, given, d.r,
+                              range(m - (n - 4) + 1, m + 1))
     return _finish(g, d, lab, Regime.DEGEN_I1)
 
 
@@ -238,18 +271,17 @@ def label_case_i2(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     sums are spaced by 2.  The only conflict left for resolution involves
     u1 (the root sum need not dominate u1 here)."""
     d1 = d.d_prime[0]
-    lab = _begin(g, d, Regime.DEGEN_I2)
+    label_of, given = _begin(g, d, Regime.DEGEN_I2)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
-    for u in (u3, u2):
-        for e in _h_edges(g, d, u):
-            lab.assign(e, lab.assigned + 1)
+    low = [e for u in (u3, u2) for e in _h_edges(g, d, u)]
+    start = len(given) + 1
+    _write(label_of, given, low + _h_edges(g, d, u1),
+           [*range(start, start + len(low)),
+            *(m - 2 * k for k in range(d1 - 1)), m - 2 * (n - 5) - 2])
 
-    u1_labels = [m - 2 * k for k in range(d1 - 1)] + [m - 2 * (n - 5) - 2]
-    for e, lbl in zip(_h_edges(g, d, u1), u1_labels):
-        lab.assign(e, lbl)
-
-    _fill_rest_and_root(g, lab, d.r, [m - 2 * k - 1 for k in range(n - 4)])
+    lab = _fill_rest_and_root(g, label_of, given, d.r,
+                              [m - 2 * k - 1 for k in range(n - 4)])
     return _finish(g, d, lab, Regime.DEGEN_I2)
 
 
@@ -292,7 +324,7 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     The classes are split into blocks of two, one per pending interval,
     before the balancing.
     """
-    lab = _begin(g, d, Regime.DEGEN_I3)
+    label_of, given = _begin(g, d, Regime.DEGEN_I3)
     n, m = g.n, g.m
     u1, u2, u3 = d.u
 
@@ -306,16 +338,17 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                              f"its H end {a[clash]}")
     # u3's H-edges take the labels after the triple's; then the pairs.
     u3_edges = _h_edges(g, d, u3)
-    low = lab.assigned + 1
-    lab.assign_all(
-        u3_edges + list(map(g.adjacency[u1].__getitem__, a))
-        + list(map(g.adjacency[u2].__getitem__, b)),
-        [*range(low, low + len(u3_edges)), *range(m - 1, m - 1 - 3 * d1, -3),
-         *range(m - 2, m - 2 - 3 * d2, -3)])
+    low = len(given) + 1
+    _write(label_of, given,
+           u3_edges + list(map(g.adjacency[u1].__getitem__, a))
+           + list(map(g.adjacency[u2].__getitem__, b)),
+           [*range(low, low + len(u3_edges)),
+            *range(m - 1, m - 1 - 3 * d1, -3),
+            *range(m - 2, m - 2 - 3 * d2, -3)])
 
     pending = range(d2, n - 5)  # intervals still needing H-H edges
     if pending:
-        hh = list(islice(filterfalse(lab.label_of.__getitem__,
+        hh = list(islice(filterfalse(label_of.__getitem__,
                                      d.non_root_edges(m)), 2 * (n - 4)))
         colh = vizing_colour(g, hh)
         colh = split_classes(colh, max(len(colh.classes), len(pending)), 2)
@@ -330,16 +363,19 @@ def label_case_i3(g: Graph, d: InstanceDecomposition) -> StageOneResult:
                 # H-H edge must avoid its endpoint.
                 y_k = a[k]
                 e = next((e for e in cls if y_k not in g.edges[e]), None)
-                check(e is not None, f"H-H class for interval {k} has no "
-                      f"edge avoiding u1's neighbour {y_k}")
+                if e is None:
+                    raise ProofViolation(
+                        f"H-H class for interval {k} has no edge avoiding "
+                        f"u1's neighbour {y_k}")
                 eids.append(e)
                 labels.append(m - 2 - 3 * k)
             else:
                 eids += cls[:2]
                 labels += (m - 1 - 3 * k, m - 2 - 3 * k)
-        lab.assign_all(eids, labels)
+        _write(label_of, given, eids, labels)
 
-    _fill_rest_and_root(g, lab, d.r, [m - 3 * k for k in range(n - 4)])
+    lab = _fill_rest_and_root(g, label_of, given, d.r,
+                              [m - 3 * k for k in range(n - 4)])
     return _finish(g, d, lab, Regime.DEGEN_I3)
 
 
@@ -374,14 +410,18 @@ def label_delta_n1(g: Graph, r: int) -> Labelling:
     if n == 2:
         raise NotAntimagicShape("a single edge has equal endpoint sums")
 
-    lab = Labelling(g)
-    _fill_rest_and_root(g, lab, r, range(m - (n - 1) + 1, m + 1))
+    lab = _fill_rest_and_root(g, [0] * m, [], r,
+                              range(m - (n - 1) + 1, m + 1))
 
     from .verification import verify_antimagic, verify_bijection
     rep = verify_bijection(g, lab)
-    check(rep.ok, f"universal-vertex labelling is not a bijection: {rep}")
+    if not rep.ok:
+        raise ProofViolation(
+            f"universal-vertex labelling is not a bijection: {rep}")
     rep = verify_antimagic(g, lab)
-    check(rep.ok, f"universal-vertex labelling has conflicts {rep.conflicts}")
+    if not rep.ok:
+        raise ProofViolation(
+            f"universal-vertex labelling has conflicts {rep.conflicts}")
     check(all(rep.sums[r] > rep.sums[v] for v in range(1, n + 1) if v != r),
           "root sum is not maximal")
     return lab

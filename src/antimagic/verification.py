@@ -61,11 +61,11 @@ def recompute_sums(g: Graph, l: Labelling | list[int]) -> list[int]:
 
 
 def verify_bijection(g: Graph, l: Labelling | list[int]) -> BijectionReport:
-    """Labels must be exactly {1..m} with no repeats.  The detailed report
-    is built only when the labels are not."""
+    """Labels must be exactly {1..m} with no repeats, one per edge.  The
+    detailed report is built only when the labels are not."""
     labels, m = _labels(l), g.m
-    if not labels or (0 < min(labels) and max(labels) <= m
-                      and len(set(labels)) == m):
+    if len(labels) == m and (not labels or (
+            0 < min(labels) and max(labels) <= m and len(set(labels)) == m)):
         return BijectionReport(True)
     counts: dict[int, int] = {}
     out_of_range = []

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from antimagic import Graph, Labelling, build_graph
+from antimagic.errors import ProofViolation
 
 
 def brute_sums(g: Graph, labels: list[int]) -> dict[int, int]:
@@ -23,14 +24,16 @@ def brute_sums(g: Graph, labels: list[int]) -> dict[int, int]:
 
 
 def assigned(g: Graph, labels: list[int]) -> Labelling:
-    """A labelling built from a per-edge label list (0 = unlabelled)
-    through ``Labelling.assign``, so a repeated or out-of-range label
-    raises."""
-    lab = Labelling(g)
-    for eid, value in enumerate(labels):
-        if value:
-            lab.assign(eid, value)
-    return lab
+    """A labelling holding a per-edge label list, padded with 0
+    (unlabelled) to m edges.  A repeated label, or one outside 1..m,
+    raises ProofViolation."""
+    given = [x for x in labels if x]
+    for x in given:
+        if not 1 <= x <= g.m:
+            raise ProofViolation(f"label {x} out of range")
+    if len(set(given)) != len(given):
+        raise ProofViolation("a label is used twice")
+    return Labelling(g, list(labels) + [0] * (g.m - len(labels)))
 
 
 def brute_is_antimagic_labelling(g: Graph, labels: list[int]) -> bool:

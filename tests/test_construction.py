@@ -19,7 +19,6 @@ from antimagic import (
     label_delta_n1,
     label_disconnected,
     label_main,
-    label_triple_edges,
     verify_antimagic,
     verify_stage_properties,
 )
@@ -32,7 +31,7 @@ from antimagic.errors import (
     ProofViolation,
     check,
 )
-from antimagic.graph import STEP, degenerate_index
+from antimagic.graph import STEP, degenerate_index, stage_regime
 from antimagic.resolution import y_end
 from antimagic.verification import recompute_sums
 from conftest import random_universal_graph
@@ -86,11 +85,12 @@ def test_triple_edges_clique_order():
     g = gen_instance(21, "main_triple", seed=3,
                      triple=((2, 3), (2, 4), (3, 4)))
     d = decompose(g)
-    lab = label_triple_edges(d, Labelling(g))
+    label_of, given = construction._begin(g, d, stage_regime(d))
+    assert given == [1, 2, 3]
     u1, u2, u3 = d.u
     def lbl(a, b):
         eid = next(e for e in g.incident[a] if g.other_end(e, a) == b)
-        return lab.label_of[eid]
+        return label_of[eid]
     assert lbl(u2, u3) == 1
     assert lbl(u1, u3) == 2
     assert lbl(u1, u2) == 3
@@ -99,18 +99,18 @@ def test_triple_edges_clique_order():
 def test_triple_edges_independent_noop():
     g = gen_instance(20, "main", seed=3)
     d = decompose(g)
-    lab = label_triple_edges(d, Labelling(g))
-    assert lab.assigned == 0
+    label_of, given = construction._begin(g, d, stage_regime(d))
+    assert given == [] and not any(label_of)
 
 
 def test_triple_edges_single_pair():
     g = gen_instance(21, "main_triple", seed=5, triple=((2, 3),))
     d = decompose(g)
-    lab = label_triple_edges(d, Labelling(g))
-    assert lab.assigned == 1
+    label_of, given = construction._begin(g, d, stage_regime(d))
+    assert given == [1] and sum(label_of) == 1
     u1, u2 = d.u[0], d.u[1]
     eid = next(e for e in g.incident[u1] if g.other_end(e, u1) == u2)
-    assert lab.label_of[eid] == 1
+    assert label_of[eid] == 1
 
 
 # -- main regime -----------------------------------------------------------
@@ -449,49 +449,40 @@ def test_disconnected_stage_is_its_degenerate_regime(target):
         assert out.stage.regime == Regime(f"DEGEN_I{i}")
 
 
-def test_assign_all_writes_a_batch_and_refuses_reuse():
+def test_write_takes_a_batch_and_refuses_a_labelled_edge():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    lab = Labelling(g)
-    lab.assign(0, 4)
-    lab.assign_all([1, 3, 2], [1, 2, 3])
-    assert lab.label_of == [4, 1, 3, 2]
-    assert lab.edge_with == [-1, 1, 3, 2, 0]
-    assert lab.assigned == 4
-    lab.assign_all([], [])
-    assert lab.assigned == 4
-    # With edge 0 holding label 1: a used label, a labelled edge, a
-    # repeated label, a repeated edge, labels out of range, a short list.
-    # A label out of range is named before anything is written, label 0
-    # included (not left to the count check).
-    bad = (([1], [1], "already used"), ([0], [2], "already used"),
-           ([1, 2], [2, 2], "already used"), ([1, 1], [2, 3], "already used"),
-           ([1], [0], "batch label 0 out of range"),
-           ([1, 2], [3, 0], "batch label 0 out of range"),
-           ([1], [5], "batch label 5 out of range"),
-           ([1, 2], [1, 5], "batch label 5 out of range"),
-           ([1, 2], [2], "2 batch edges against 1 labels"))
+    label_of, given = [0] * g.m, []
+    construction._write(label_of, given, [0], [4])
+    construction._write(label_of, given, [1, 3, 2], range(1, 4))
+    construction._write(label_of, given, [], [])
+    assert label_of == [4, 1, 3, 2] and given == [4, 1, 2, 3]
+    # With edge 0 holding label 1: that edge again, alone or after
+    # another, an edge twice in one batch, and lists of unequal length.
+    # Labels are not checked here but in the fill (``FILL_GUARDS``).
+    bad = (([0], [2], "edge 0 already labelled"),
+           ([1, 0], [2, 3], "edge 0 already labelled"),
+           ([1, 1], [2, 3], "edge 1 already labelled"),
+           ([1, 2], [2], "2 edges against 1 labels"),
+           ([1], [2, 3], "1 edges against 2 labels"))
     for eids, labels, message in bad:
-        lab = Labelling(g)
-        lab.assign(0, 1)
+        label_of, given = [1, 0, 0, 0], [1]
         with pytest.raises(ProofViolation, match=message):
-            lab.assign_all(eids, labels)
+            construction._write(label_of, given, eids, labels)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.permutations(list(combinations(range(1, n + 1), 2))))),
     st.data())
-def test_from_permutation_matches_the_batch_path(graph, data):
+def test_from_permutation_copies_and_inverts_the_list(graph, data):
     n, pairs = graph
     edges = pairs[:data.draw(st.integers(1, len(pairs)))]
     g = build_graph(n, edges)
     labels = data.draw(st.permutations(range(1, g.m + 1)))
     lab = Labelling.from_permutation(g, labels)
-    ref = Labelling(g)
-    ref.assign_all(range(g.m), labels)
-    assert (lab.label_of, lab.edge_with, lab.assigned) == (
-        ref.label_of, ref.edge_with, ref.assigned)
-    assert lab.label_of is not labels
+    assert lab.label_of == labels and lab.label_of is not labels
+    assert lab.edge_with == [-1, *sorted(range(g.m),
+                                         key=labels.__getitem__)]
 
 
 def test_from_permutation_refuses_anything_but_a_bijection():
@@ -506,44 +497,35 @@ def test_from_permutation_refuses_anything_but_a_bijection():
         with pytest.raises(ProofViolation, match=message):
             Labelling.from_permutation(g, labels)
     empty = Labelling.from_permutation(build_graph(1, []), [])
-    assert (empty.label_of, empty.edge_with, empty.assigned) == ([], [-1], 0)
-
-
-def test_assign_accepts_labels_one_to_m_only():
-    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    lab = Labelling(g)
-    lab.assign(2, g.m)
-    assert lab.label_of[2] == g.m and lab.edge_with[g.m] == 2
-    for value in (g.m + 1, 0):
-        with pytest.raises(ProofViolation,
-                           match=f"label {value} out of range"):
-            lab.assign(0, value)
-    assert lab.assigned == 1 and lab.label_of[0] == 0
+    assert (empty.label_of, empty.edge_with) == ([], [-1])
 
 
 # -- the shared fill -------------------------------------------------------
 
-def reference_fill(g, lab, r, root_labels):
-    """The set-based fill every stage 1 used to end with, kept verbatim
-    as the reference for ``_fill_rest_and_root``."""
+def reference_fill(g, label_of, r, root_labels):
+    """The set-based fill every stage 1 used to end with, kept as the
+    reference for ``_fill_rest_and_root``: it finishes the per-edge list
+    ``label_of`` in place, each edge taking the label the old batch and
+    single writes gave it."""
     roots = set(root_labels)
     root_edge = g.adjacency[r]
     at_root = set(g.incident[r])
     # Ascending: the edges neither at r nor labelled, and the labels
     # neither in root_labels nor given out.
-    labelled = compress(range(g.m), lab.label_of)
+    labelled = compress(range(g.m), label_of)
     rest = list(filterfalse(at_root.union(labelled).__contains__,
                             range(g.m)))
-    free = list(filterfalse(roots.union(lab.label_of).__contains__,
+    free = list(filterfalse(roots.union(label_of).__contains__,
                             range(1, g.m + 1)))
     check(len(free) == len(rest) and len(roots) == len(root_edge),
           "label accounting is off", free=len(free), rest=len(rest),
           root_labels=len(roots), root_edges=len(root_edge))
-    lab.assign_all(rest, free)
-    sums = recompute_sums(g, lab)
+    for e, x in zip(rest, free):
+        label_of[e] = x
+    sums = recompute_sums(g, label_of)
     order = sorted(root_edge, key=lambda v: (sums[v], v))
     for v, lbl in zip(order, sorted(roots)):
-        lab.assign(root_edge[v], lbl)
+        label_of[root_edge[v]] = lbl
 
 
 # Two n per generator family that ends in the fill, the first its least.
@@ -556,16 +538,17 @@ FILL_CASES = [(t, n) for t, ns in (
 
 @pytest.mark.parametrize("target,n", FILL_CASES)
 def test_fill_matches_the_set_based_reference(monkeypatch, target, n):
-    # The partial labelling each constructor hands the fill, finished by
-    # both: the same labels, the same inverse, the same count.
+    # The labels each constructor hands the fill, finished by both: the
+    # same labels, all of 1..m.
     finished = []
     fill = construction._fill_rest_and_root
 
-    def both(g, lab, r, root_labels):
-        ref = lab.copy()
+    def both(g, label_of, given, r, root_labels):
+        ref = list(label_of)
         reference_fill(g, ref, r, list(root_labels))
-        fill(g, lab, r, root_labels)
+        lab = fill(g, label_of, given, r, root_labels)
         finished.append((lab, ref))
+        return lab
 
     monkeypatch.setattr(construction, "_fill_rest_and_root", both)
     if target == "universal":
@@ -576,84 +559,133 @@ def test_fill_matches_the_set_based_reference(monkeypatch, target, n):
         build = CONSTRUCTORS.get(target, label_disconnected)
         assert build(g, d).labelling is finished[0][0]
     [(lab, ref)] = finished
-    assert lab.label_of == ref.label_of
-    assert lab.edge_with == ref.edge_with
-    assert lab.assigned == ref.assigned == lab.graph.m
+    assert lab.label_of == ref
+    assert sorted(ref) == list(range(1, lab.graph.m + 1))
 
 
 def _fill_input():
     """A universal vertex r = 1 with four root edges and two edges away
-    from r, (2, 3) and (3, 4); nothing labelled yet."""
+    from r, (2, 3) and (3, 4): the graph, its per-edge labels and the
+    labels given, nothing labelled yet, and the two edges' ids."""
     g = build_graph(5, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 4)])
-    return g, Labelling(g), g.adjacency[2][3], g.adjacency[3][4]
+    return g, [0] * g.m, [], g.adjacency[2][3], g.adjacency[3][4]
 
 
 def test_fill_gives_small_labels_below_sorted_root_labels():
-    g, lab, e23, e34 = _fill_input()
-    construction._fill_rest_and_root(g, lab, 1, [6, 3, 5, 4])
+    g, label_of, given, e23, e34 = _fill_input()
+    lab = construction._fill_rest_and_root(g, label_of, given, 1,
+                                           [6, 3, 5, 4])
     assert (lab.label_of[e23], lab.label_of[e34]) == (1, 2)
     # Partial sums 0, 1, 3, 2 for 5, 2, 3, 4: labels 3, 4, 6, 5.
     assert [lab.label_of[g.adjacency[1][v]] for v in (2, 3, 4, 5)] == [
         4, 6, 5, 3]
     assert lab.edge_with == [-1, e23, e34] + [
         g.adjacency[1][v] for v in (5, 2, 4, 3)]
-    assert lab.assigned == g.m
+    # Free labels above the root labels go out after those below them.
+    g, label_of, given, e23, e34 = _fill_input()
+    lab = construction._fill_rest_and_root(g, label_of, given, 1,
+                                           [2, 3, 4, 5])
+    assert (lab.label_of[e23], lab.label_of[e34]) == (1, 6)
 
 
-@pytest.mark.parametrize("prepare, root_labels, message", [
+def test_fill_accepts_labels_one_to_m_only():
+    # Label m given to an edge away from r and label 1 as a root label
+    # are taken; 0 and m + 1 are refused as either (``FILL_GUARDS``).
+    g, label_of, given, e23, e34 = _fill_input()
+    construction._write(label_of, given, [e23], [g.m])
+    lab = construction._fill_rest_and_root(g, label_of, given, 1,
+                                           [1, 2, 3, 4])
+    assert (lab.label_of[e23], lab.label_of[e34]) == (g.m, 5)
+    assert sorted(lab.label_of) == list(range(1, g.m + 1))
+
+
+def _give(*pairs):
+    """What a constructor writes before the fill, on ``_fill_input``:
+    each (edge, label) pair in turn, through the writer."""
+    def prepare(g, label_of, given, e23, e34):
+        edges = {"e23": e23, "e34": e34, "r4": g.adjacency[1][4]}
+        for e, x in pairs:
+            construction._write(label_of, given, [edges[e]], [x])
+    return prepare
+
+
+# Every guard of the writer and of the fill, on ``_fill_input``: what
+# is written first, the root labels, and the refusal expected.  The
+# first seven keep their test ids from before the writer existed.
+FILL_GUARDS = [
     # A root edge already labelled.
-    (lambda g, lab, e23, e34: lab.assign(g.adjacency[1][4], 1),
+    (lambda g, label_of, given, e23, e34: construction._write(
+        label_of, given, [g.adjacency[1][4]], [1]),
      [3, 4, 5, 6], "root edge 2 is already labelled"),
     # A root label out of range, at either end.
     (None, [0, 4, 5, 6], "root label 0 out of range"),
     (None, [3, 4, 5, 7], "root label 7 out of range"),
     # A root label already given out, by an edge or by the list itself.
-    (lambda g, lab, e23, e34: lab.assign(e34, 5),
+    (lambda g, label_of, given, e23, e34: construction._write(
+        label_of, given, [e34], [5]),
      [3, 4, 5, 6], "root label 5 out of range or taken"),
     (None, [3, 3, 5, 6], "root label 3 out of range or taken"),
-    # Free labels against unlabelled edges: one root label too few, one
-    # too many.
+    # Root labels against root edges: one too few, one too many.
     (None, [4, 5, 6], "label accounting is off"),
     (None, [2, 3, 4, 5, 6], "label accounting is off"),
-])
+    # An edge labelled twice, refused by the writer.
+    (_give(("e23", 1), ("e23", 2)), [3, 4, 5, 6],
+     "^edge 4 already labelled$"),
+    # A label given to an edge away from r out of range, at either end.
+    (_give(("e23", 0)), [3, 4, 5, 6],
+     "^reserved or root label 0 out of range or taken$"),
+    (_give(("e23", 7)), [2, 3, 4, 5],
+     "^reserved or root label 7 out of range or taken$"),
+    # One label given to two edges.
+    (_give(("e23", 2), ("e34", 2)), [3, 4, 5, 6],
+     "^reserved or root label 2 out of range or taken$"),
+    # A root label also given to an edge away from r, at the top.
+    (_give(("e23", 6)), [3, 4, 5, 6],
+     "^reserved or root label 6 out of range or taken$"),
+    # A label given to a root edge, refused even when it is no root label.
+    (_give(("r4", 2)), [3, 4, 5, 6], "^root edge 2 is already labelled$"),
+]
+
+
+@pytest.mark.parametrize("prepare, root_labels, message", FILL_GUARDS)
 def test_fill_guards(prepare, root_labels, message):
-    g, lab, e23, e34 = _fill_input()
-    if prepare:
-        prepare(g, lab, e23, e34)
+    g, label_of, given, e23, e34 = _fill_input()
     with pytest.raises(ProofViolation, match=message):
-        construction._fill_rest_and_root(g, lab, 1, root_labels)
+        if prepare:
+            prepare(g, label_of, given, e23, e34)
+        construction._fill_rest_and_root(g, label_of, given, 1, root_labels)
 
 
 def test_fill_refuses_a_label_used_twice():
-    # A partial labelling whose labels and inverse disagree, written past
-    # the Labelling methods: (2, 3) and (3, 4) both hold label 1 while
-    # the inverse says label 2 is given out.  The counts agree, so the
-    # fill finishes; the first read of the inverse, built from the
-    # finished list, refuses it.
-    g, lab, e23, e34 = _fill_input()
-    lab.assign(e23, 1)
-    lab.label_of[e34] = 1
-    lab.edge_with[2] = e34
-    construction._fill_rest_and_root(g, lab, 1, [3, 4, 5, 6])
+    # Labels written past the writer: (2, 3) and (3, 4) both hold label
+    # 1, given only once.  The batch the fill checks holds no repeat and
+    # no edge is left for its one free label, 2, so the fill finishes;
+    # the first read of the inverse, built from the finished list,
+    # refuses it.
+    g, label_of, given, e23, e34 = _fill_input()
+    construction._write(label_of, given, [e23], [1])
+    label_of[e34] = 1
+    lab = construction._fill_rest_and_root(g, label_of, given, 1,
+                                           [3, 4, 5, 6])
     assert sorted(lab.label_of) == [1, 1, 3, 4, 5, 6]
     with pytest.raises(ProofViolation, match="a label is used twice"):
         lab.edge_with
 
 
 def _repeat_before_fill(monkeypatch):
-    """Hand the fill a partial labelling with the same disagreement: two
-    unlabelled edges away from r both take the smallest free label x,
-    and the inverse gives them x and the next free label."""
+    """Hand the fill labels with the same fault, written past the
+    writer: two unlabelled edges away from r both take the smallest
+    free label x, and the labels given gain x and the next free label."""
     fill = construction._fill_rest_and_root
 
-    def corrupt(g, lab, r, root_labels):
-        e1, e2 = [e for e, x in enumerate(lab.label_of)
+    def corrupt(g, label_of, given, r, root_labels):
+        e1, e2 = [e for e, x in enumerate(label_of)
                   if not x and r not in g.edges[e]][:2]
-        x = lab.edge_with.index(-1, 1)
-        y = lab.edge_with.index(-1, x + 1)
-        lab.label_of[e1] = lab.label_of[e2] = x
-        lab.edge_with[x], lab.edge_with[y] = e1, e2
-        fill(g, lab, r, root_labels)
+        x, y = sorted(set(range(1, g.m + 1)).difference(
+            given, root_labels))[:2]
+        label_of[e1] = label_of[e2] = x
+        given += (x, y)
+        return fill(g, label_of, given, r, root_labels)
 
     monkeypatch.setattr(construction, "_fill_rest_and_root", corrupt)
 

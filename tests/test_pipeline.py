@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -319,50 +320,42 @@ def test_unverified_resolution_rejected_under_optimize(tmp_path):
     assert "reproducer:" in proc.stderr
 
 
-# Under ``python -O`` as well: a label out of range, a label already
-# used and an edge already labelled must each be refused by
-# ``Labelling.assign``, also on a second edge given a label in use.
-_BAD_ASSIGNMENTS = textwrap.dedent("""
+# Under ``python -O`` as well: every guard of the stage-1 writer and of
+# the fill must refuse its corrupted batch (``FILL_GUARDS``), each with
+# its own message.
+_BAD_BATCHES = textwrap.dedent("""
     import sys
 
-    from antimagic import Labelling, build_graph
+    import antimagic.construction as construction
     from antimagic.errors import ProofViolation
+    from test_construction import FILL_GUARDS, _fill_input
 
     if not sys.flags.optimize:
         raise SystemExit("run me under python -O")
-    g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
-    for eid, value in ((0, 0), (0, 4), (0, -1), (1, 1), (0, 2)):
-        lab = Labelling(g)
-        lab.assign(0, 1)
+    for prepare, root_labels, message in FILL_GUARDS:
+        g, label_of, given, e23, e34 = _fill_input()
         try:
-            lab.assign(eid, value)
+            if prepare:
+                prepare(g, label_of, given, e23, e34)
+            construction._fill_rest_and_root(g, label_of, given, 1,
+                                             root_labels)
         except ProofViolation as exc:
             print(exc)
         else:
-            raise SystemExit(f"assign({eid}, {value}) was accepted")
-    lab = Labelling(g)
-    lab.assign(0, 1)
-    try:
-        lab.assign(1, 1)
-    except ProofViolation as exc:
-        print(exc)
-    else:
-        raise SystemExit("a repeated label was accepted")
+            raise SystemExit(f"{message!r} was not raised")
 """)
 
 
 def test_bad_assignment_rejected_under_optimize():
+    from test_construction import FILL_GUARDS
     src = str(Path(antimagic.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (src, str(Path(__file__).parent))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _BAD_ASSIGNMENTS],
+        [sys.executable, "-O", "-c", _BAD_BATCHES],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == [
-        "label 0 out of range",
-        "label 4 out of range",
-        "label -1 out of range",
-        "label 1 already used",
-        "edge 0 already labelled",
-        "label 1 already used",
-    ]
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(FILL_GUARDS)
+    for line, (_, _, message) in zip(lines, FILL_GUARDS):
+        assert re.search(message, line), (message, line)

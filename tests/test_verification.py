@@ -20,17 +20,15 @@ from antimagic import (
 )
 from antimagic.generator import min_feasible_n
 from antimagic.graph import STEP, Regime, stage_regime
-from antimagic.verification import margins
+from antimagic.verification import BijectionReport, margins
 from conftest import assigned, brute_sums
 
 
 def _raw(g, labels):
     """A Labelling holding ``labels`` exactly as given, faults included.
     The checks read only the graph and the raw labels; the label -> edge
-    inverse, never trusted by them, stays empty."""
-    lab = Labelling(g)
-    lab.label_of[:] = labels
-    return lab
+    inverse, never trusted by them, stays unbuilt."""
+    return Labelling(g, list(labels))
 
 
 def test_bijection_ok():
@@ -51,6 +49,16 @@ def test_bijection_out_of_range_zero():
     assert not rep.ok
     assert 0 in rep.out_of_range
     assert 1 in rep.missing
+
+
+def test_bijection_needs_one_label_per_edge():
+    # Every label in 1..m is not enough: the list must hold one label
+    # per edge, and the report names what is missing or repeated.
+    g = build_graph(3, [(1, 2), (2, 3), (1, 3)])
+    assert verify_bijection(g, []) == BijectionReport(False, missing=(1, 2, 3))
+    assert verify_bijection(g, [1, 2, 3, 2]) == BijectionReport(
+        False, duplicated=(2,))
+    assert verify_bijection(build_graph(1, []), []).ok
 
 
 def test_duplicate_inside_range():
@@ -719,8 +727,10 @@ def test_reports_carry_the_sums_they_checked():
 
 
 def _count_sums_passes(monkeypatch) -> list:
-    """Record what every vertex-sums pass reads, through every module
-    binding of ``recompute_sums``."""
+    """Record the per-edge label list every vertex-sums pass sums,
+    through every module binding of ``recompute_sums``: a stage's
+    partial-sums pass reads the list that its labelling is then made
+    of."""
     import antimagic.construction as construction
     import antimagic.oracle as oracle
     import antimagic.verification as verification
@@ -728,7 +738,7 @@ def _count_sums_passes(monkeypatch) -> list:
     original = verification.recompute_sums
 
     def counting(g, l):
-        calls.append(l)
+        calls.append(l if isinstance(l, list) else l.label_of)
         return original(g, l)
 
     for module in (verification, construction, oracle):
@@ -749,7 +759,7 @@ def test_label_recomputes_stage_sums_once(monkeypatch, target, n):
     out = label(gen_instance(n, target, seed=1), seed=1)
     assert out.resolution.case == "none"
     assert out.labelling is out.stage.labelling
-    assert [id(l) for l in calls] == [id(out.labelling)] * 2
+    assert [id(l) for l in calls] == [id(out.labelling.label_of)] * 2
     outcome_trace(out)  # reads the stage check's sums
     assert len(calls) == 2
 
@@ -767,14 +777,14 @@ def test_label_sums_passes_without_a_stage(monkeypatch):
                     + [(v, v + 1) for v in range(2, n)])
     out = label(g, seed=1)
     assert out.stage is None
-    assert [id(l) for l in calls] == [id(out.labelling)] * 2
+    assert [id(l) for l in calls] == [id(out.labelling.label_of)] * 2
     calls.clear()
     out = label(gen_instance(min_feasible_n("yilma"), "yilma", seed=1),
                 seed=1)
     assert out.stage is None
     start, final = calls
-    assert isinstance(start, list) and start == out.labelling.label_of
-    assert final is out.labelling
+    assert final is out.labelling.label_of
+    assert start == final and start is not final
     doc = outcome_trace(out)
     assert len(calls) == 2
     assert doc["final"]["u_sums"] == [
@@ -792,8 +802,9 @@ def test_conflicted_label_checks_each_plan_and_the_result(monkeypatch):
     assert out.resolution.case == case and tried > 1
     assert out.labelling is not out.stage.labelling
     assert len(calls) == 2 + tried + 1
-    assert [id(l) for l in calls[:2]] == [id(out.stage.labelling)] * 2
-    assert calls[-1] is out.labelling
+    assert [id(l) for l in calls[:2]] == [
+        id(out.stage.labelling.label_of)] * 2
+    assert calls[-1] is out.labelling.label_of
     # The trace reads the final check's sums instead of a new pass.
     doc = outcome_trace(out)
     assert len(calls) == 2 + tried + 1
