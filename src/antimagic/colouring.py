@@ -17,10 +17,11 @@ The subroutines the labelling pipeline delegates to:
   round rebuilds what it needs from the two classes: only i = 3's split
   H-H classes are balanced, in at most a few rounds per graph.
 * Matching packing: a fixed number of disjoint classes of a fixed
-  number of pairwise disjoint edges, taken from an ordered pool by first
-  fit, with an exact search where first fit stalls.  MAIN's stage 1
-  packs its intervals this way; i = 3 still colours, splits and
-  balances its H-H edges.
+  number of pairwise disjoint edges, the first classes each opened by a
+  given seed edge, filled from an ordered pool by first fit, with an
+  exact search where first fit stalls.  MAIN's stage 1 packs its
+  intervals this way, seeded by u1's surplus edges; i = 3 still
+  colours, splits and balances its H-H edges.
 
 The two colourings share one layout, per-vertex colour rows (``_Rows``),
 so a first free colour is one C-level ``row.index(0)`` and a fan step
@@ -35,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress, filterfalse, islice
+from itertools import chain, compress, filterfalse
 from operator import not_, or_
 
 from .errors import (
@@ -390,19 +391,18 @@ def split_classes(c: EdgeColouring, total: int, size: int) -> EdgeColouring:
     return EdgeColouring(c.graph, tuple(map(tuple, classes)))
 
 
-def pack_matchings(g: Graph, pool, count: int, size: int) -> EdgeColouring:
+def pack_matchings(g: Graph, seeds, pool, count: int,
+                   size: int) -> EdgeColouring:
     """``count`` disjoint classes of ``size`` pairwise vertex-disjoint
-    edges from ``pool`` (distinct edge ids), each class in the order its
-    edges were picked.
+    edges, class j opened by ``seeds[j - 1]`` while seeds last and filled
+    from ``pool`` (distinct edge ids, none a seed), each class in the
+    order its edges were picked.  A seed opens only its own class.
 
     First fit: class j takes the earliest unused pool edges disjoint from
     what it already holds.  The pool is read lazily, and the edges a
     class passes over are kept, in pool order, for the classes after it.
-    So a class opens with the earliest edge no earlier class took.  The
-    pool's leading edges that share one vertex (u1's surplus edges in
-    MAIN) therefore open classes 1, 2, ... in turn, and every other
-    class would pass over all of them: they are kept apart, so that no
-    class scans them.
+    So a class past the seeds opens with the earliest edge no earlier
+    class took.
 
     First fit stalls on a class only once the pool is read to its end.
     Then an exact search over every unused pool edge keeps the class's
@@ -423,21 +423,10 @@ def pack_matchings(g: Graph, pool, count: int, size: int) -> EdgeColouring:
     """
     edges = g.edges
     fresh = iter(pool)
-    lead, unused = list(islice(fresh, 2)), []
-    shared = (set(edges[lead[0]]).intersection(edges[lead[1]])
-              if len(lead) == 2 else None)
-    if shared:
-        (centre,) = shared
-        for e in fresh:
-            if centre not in edges[e]:
-                unused.append(e)
-                break
-            lead.append(e)
-    else:
-        lead, unused = [], lead
+    unused: list[int] = []
     classes = []
     for j in range(1, count + 1):
-        opener = lead[j - 1:j]
+        opener = seeds[j - 1:j]
         cls: list[int] = []
         held: set[int] = set()
         read: list[int] = []
@@ -452,9 +441,8 @@ def pack_matchings(g: Graph, pool, count: int, size: int) -> EdgeColouring:
                 held.add(b)
         else:
             # First fit stalled: the pool is read to its end, so
-            # ``read`` is the class's first edge, then every unused edge
-            # that can join it, in pool order (the rest of the lead
-            # meets the first edge).
+            # ``read`` is the class's first edge, then every unused pool
+            # edge, in pool order.
             cls = _exact_class(edges, read, size)
             if cls is None:
                 raise ProofViolation(

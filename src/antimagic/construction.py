@@ -184,13 +184,13 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     G2 edges, with u1's surplus edges pinned to the interval tops.
 
     The classes are packed directly, by first fit (``pack_matchings``):
-    the pool is u1's a1 = d'(u1) - t surplus edges, then the rest of G2
-    by ascending id, so class j <= a1 opens with u1's j-th surplus edge
-    and u1's surplus edges sit in distinct intervals.  The pool reads
-    G2 lazily from ``non_root_edges``, so packing stops after the prefix
-    it needs.  The edges no class takes get small labels.  A hand-built
-    graph can have d'(u1) = n - 4, one more surplus edge than intervals;
-    that edge takes a small label.
+    u1's a1 = d'(u1) - t surplus edges are the seeds, so class j <= a1
+    opens with u1's j-th surplus edge and u1's surplus edges sit in
+    distinct intervals; the pool is the rest of G2, without u1's edges,
+    by ascending id.  The pool reads G2 lazily from ``non_root_edges``,
+    so packing stops after the prefix it needs.  The edges no class
+    takes get small labels.  A hand-built graph can have d'(u1) = n - 4,
+    one more surplus edge than intervals; that edge takes a small label.
     """
     t = d.d_prime[2]
     label_of, given = _begin(g, d, Regime.MAIN)
@@ -220,17 +220,18 @@ def label_main(g: Graph, d: InstanceDecomposition) -> StageOneResult:
     _write(label_of, given, g1,
            [m - 4 * k - i for k in range(t) for i in (1, 2, 3)])
 
-    # u1's surplus edges first, then the rest of G2, by ascending id.
+    # u1's surplus edges seed the first classes; the rest of G2 fills
+    # them, by ascending id.
     labelled = label_of.__getitem__
     at_u1 = set(g.incident[u1])
-    pool = chain(filterfalse(labelled, g.incident[u1]),
-                 filterfalse(at_u1.__contains__,
-                             filterfalse(labelled, d.non_root_edges(m))))
+    seeds = list(filterfalse(labelled, g.incident[u1]))
+    pool = filterfalse(at_u1.__contains__,
+                       filterfalse(labelled, d.non_root_edges(m)))
     intervals = n - 5 - t  # I_{t+1} .. I_{n-5}, one class each
-    col2 = pack_matchings(g, pool, intervals, STEP[Regime.MAIN] - 1)
+    col2 = pack_matchings(g, seeds, pool, intervals, STEP[Regime.MAIN] - 1)
     # Packing already puts u1's surplus edges in the first classes; this
     # checks that they sit in distinct ones (NotEnoughClasses otherwise).
-    a1 = d.d_prime[0] - t
+    a1 = len(seeds)
     col2 = order_classes_for_vertex(col2, u1, min(a1, intervals))
 
     # Class k feeds interval I_{t+1+k}.  Each class holds u1's edge, if

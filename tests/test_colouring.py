@@ -267,8 +267,8 @@ def _stage1_colourings(monkeypatch, n, target, seed):
     from antimagic import construction
     seen = []
 
-    def capture_pack(g, pool, count, size):
-        out = pack_matchings(g, pool, count, size)
+    def capture_pack(g, seeds, pool, count, size):
+        out = pack_matchings(g, seeds, pool, count, size)
         seen.append([count, size, out.classes])
         return out
 
@@ -605,55 +605,59 @@ def test_split_classes_keeps_a_proper_partition(case, total):
 # -- the packer --------------------------------------------------------------
 
 def test_pack_matchings_first_fit_reads_the_pool_lazily():
-    # A star's edges lead: class j opens with the j-th of them.  Class 2
-    # passes over edge 4, which meets its opener, and class 3 takes it.
+    # A star's edges seed: class j opens with the j-th of them.  Class 2
+    # passes over edge 4, which meets its seed, and class 3 takes it.
     # Edges 6 and 7 are never read.
     g = build_graph(9, [(1, 2), (1, 3), (1, 4), (5, 6), (3, 8), (5, 7),
                         (6, 8), (2, 9)])
-    pool = iter(range(8))
-    out = pack_matchings(g, pool, 3, 2)
+    pool = iter(range(3, 8))
+    out = pack_matchings(g, [0, 1, 2], pool, 3, 2)
     assert out.classes == ((0, 3), (1, 5), (2, 4))
     assert list(pool) == [6, 7]
-    assert pack_matchings(g, [], 0, 3).classes == ()
+    assert pack_matchings(g, [], [], 0, 3).classes == ()
 
 
 def test_pack_matchings_repairs_a_stalled_class():
     # First fit gives class 1 edges 0 and 1, then finds nothing disjoint
     # from both; the exact search keeps edge 0 and finds 2 and 3.
     g = build_graph(6, [(1, 2), (3, 4), (3, 5), (4, 6)])
-    assert pack_matchings(g, range(4), 1, 3).classes == ((0, 2, 3),)
+    assert pack_matchings(g, [], range(4), 1, 3).classes == ((0, 2, 3),)
     # Class 2 stalls the same way, on the edges class 1 left, and edge
     # 4, which its exact search leaves, is all class 3 would get.
     g = build_graph(6, [(1, 2), (3, 4), (5, 6), (1, 3), (2, 4), (2, 5),
                         (4, 6)])
-    assert pack_matchings(g, range(7), 2, 3).classes == (
+    assert pack_matchings(g, [], range(7), 2, 3).classes == (
         (0, 1, 2), (3, 5, 6))
     with pytest.raises(ProofViolation, match="for class 3 of 3"):
-        pack_matchings(g, range(7), 3, 3)
-    # A class opened by a lead edge (0 and 1 share vertex 1): its exact
+        pack_matchings(g, [], range(7), 3, 3)
+    # A class opened by a seed (0 and 1 share vertex 1): its exact
     # search keeps edge 0 and finds 3 and 4, and class 2, opened by edge
     # 1, has only edge 2 left.
     g = build_graph(7, [(1, 2), (1, 3), (4, 5), (4, 6), (5, 7)])
-    assert pack_matchings(g, range(5), 1, 3).classes == ((0, 3, 4),)
+    assert pack_matchings(g, [0, 1], range(2, 5), 1, 3).classes == (
+        (0, 3, 4),)
     with pytest.raises(ProofViolation, match="for class 2 of 2"):
-        pack_matchings(g, range(5), 2, 3)
+        pack_matchings(g, [0, 1], range(2, 5), 2, 3)
 
 
 def test_pack_matchings_raises_when_no_class_exists():
     # A star holds no two disjoint edges.
     g = build_graph(4, [(1, 2), (1, 3), (1, 4)])
-    with pytest.raises(ProofViolation,
-                       match="no 2 pairwise disjoint unused pool edges "
-                             "for class 1 of 1"):
-        pack_matchings(g, range(3), 1, 2)
+    for seeds, pool in (([], range(3)), ([0, 1, 2], [])):
+        with pytest.raises(ProofViolation,
+                           match="no 2 pairwise disjoint unused pool edges "
+                                 "for class 1 of 1"):
+            pack_matchings(g, seeds, pool, 1, 2)
     with pytest.raises(ProofViolation, match="for class 1 of 1"):
-        pack_matchings(g, [], 1, 1)
+        pack_matchings(g, [], [], 1, 1)
 
 
 def reference_pack(g: Graph, pool, count: int, size: int) -> EdgeColouring:
     """``pack_matchings`` as it was before each edge's ends were unpacked
-    once and a class that passed over nothing stopped refiltering the
-    unused list, kept verbatim as its reference."""
+    once, a class that passed over nothing stopped refiltering the unused
+    list and the caller passed the seeds apart from the pool, kept
+    verbatim as its reference: it takes the seeds at the head of the
+    pool and finds them by their shared vertex."""
     edges = g.edges
     fresh = iter(pool)
     lead, unused = list(islice(fresh, 2)), []
@@ -716,9 +720,9 @@ def ref_first_fit(g: Graph, pool: list[int], count: int, size: int):
 
 @st.composite
 def packing_cases(draw):
-    """(graph, leading star, pool, count, size): the pool opens with some
-    of one vertex's edges, then holds a random part of the others in
-    random order."""
+    """(graph, star, rest, count, size): the star is some of one
+    vertex's edges, the seeds; the rest is a random part of the others
+    in random order, the pool."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     g = random_graph(draw(st.integers(2, 12)), draw(st.floats(0.1, 0.9)),
                      rng)
@@ -729,17 +733,17 @@ def packing_cases(draw):
     keep = draw(st.floats(0.2, 1.0))
     rest = [e for e in range(g.m) if v not in g.edges[e] and rng.random() < keep]
     rng.shuffle(rest)
-    return (g, star, star + rest, draw(st.integers(0, 6)),
-            draw(st.integers(1, 3)))
+    return g, star, rest, draw(st.integers(0, 6)), draw(st.integers(1, 3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(packing_cases())
 def test_pack_matchings_packs_disjoint_matchings(case):
-    g, star, pool, count, size = case
+    g, star, rest, count, size = case
+    pool = star + rest
     ref = ref_first_fit(g, pool, count, size)
     try:
-        out = pack_matchings(g, iter(pool), count, size).classes
+        out = pack_matchings(g, star, iter(rest), count, size).classes
     except ProofViolation as exc:
         assert ref is None
         j = int(re.search(r"for class (\d+) of", str(exc)).group(1))
@@ -757,44 +761,56 @@ def test_pack_matchings_packs_disjoint_matchings(case):
     assert brute_proper(g, out)
     used = [e for c in out for e in c]
     assert len(set(used)) == len(used) and set(used) <= set(pool)
-    for cls, lead in zip(out, star):
-        assert cls[0] == lead
+    for cls, seed in zip(out, star):
+        assert cls[0] == seed
 
 
-def _pack_outcome(packer, g, pool, count, size):
+def _pack_outcome(packer, g, pool, count, size, *seeds):
     """The classes or the raise's message, then what is left of the
     pool's iterator."""
     fresh = iter(pool)
     try:
-        out = packer(g, fresh, count, size).classes
+        out = packer(g, *seeds, fresh, count, size).classes
     except ProofViolation as exc:
         out = str(exc)
     return out, list(fresh)
 
 
-# The deterministic packer tests' graphs: a lead star with a passed-over
-# edge, a stalled class, a class stalled after a passed-over one, and a
-# stall on a class that a lead edge opens.
+# The deterministic packer tests' graphs: a seed star with a passed-over
+# edge, taken with fewer classes than seeds too, a stalled class, a
+# class stalled after a passed-over one, a stall on a class that a seed
+# opens, and one seed whose far end the first pool edges share (the
+# reference finds its seeds by the shared vertex, so it takes those
+# pool edges for seeds too).
 _STAR = build_graph(9, [(1, 2), (1, 3), (1, 4), (5, 6), (3, 8), (5, 7),
                         (6, 8), (2, 9)])
 _STALL = build_graph(6, [(1, 2), (3, 4), (3, 5), (4, 6)])
 _STALL2 = build_graph(6, [(1, 2), (3, 4), (5, 6), (1, 3), (2, 4), (2, 5),
                           (4, 6)])
-_LEAD_STALL = build_graph(7, [(1, 2), (1, 3), (4, 5), (4, 6), (5, 7)])
+_SEED_STALL = build_graph(7, [(1, 2), (1, 3), (4, 5), (4, 6), (5, 7)])
+_FAR_END = build_graph(7, [(1, 2), (2, 3), (2, 4), (3, 5), (4, 6), (5, 7),
+                           (3, 6)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(packing_cases())
-@example((_STAR, [0, 1, 2], list(range(8)), 3, 2))
+@example((_STAR, [0, 1, 2], list(range(3, 8)), 3, 2))
+@example((_STAR, [0, 1, 2], list(range(3, 8)), 2, 2))
 @example((_STALL, [], list(range(4)), 1, 3))
 @example((_STALL2, [], list(range(7)), 3, 3))
-@example((_LEAD_STALL, [0, 1], list(range(5)), 2, 3))
+@example((_SEED_STALL, [0, 1], list(range(2, 5)), 2, 3))
+@example((_FAR_END, [0], list(range(1, 7)), 3, 2))
 def test_pack_matchings_matches_the_reference(case):
-    # Against the packer as it was: the same classes or the same raise,
-    # and the pool's iterator left at the same edge.
-    g, star, pool, count, size = case
-    assert _pack_outcome(pack_matchings, g, pool, count, size) == \
-        _pack_outcome(reference_pack, g, pool, count, size)
+    # Against the packer as it was, which took the seeds at the head of
+    # its pool: the same classes or the same raise, and the seeded
+    # packer leaves unread at least the pool edges the reference left.
+    g, star, rest, count, size = case
+    out, left = _pack_outcome(pack_matchings, g, rest, count, size, star)
+    ref, ref_left = _pack_outcome(reference_pack, g, star + rest, count,
+                                  size)
+    assert out == ref
+    assert len(left) >= len(ref_left)
+    assert left[len(left) - len(ref_left):] == ref_left
 
 
 # -- the colourings against the ones they replaced ------------------------

@@ -247,6 +247,30 @@ def test_constructors_gate_hypotheses(name, graph):
         build(g, d)
 
 
+@pytest.mark.parametrize("excess", [-1, 0])
+def test_main_gate_admits_m_from_exactly_7n(excess):
+    # gen_instance(24, "main", seed=1) has m = 208 > 7n = 168.  Dropping
+    # its last H-H edges keeps r, the u-triple and d', and so the regime,
+    # and leaves m = 7n - 1, one short of the bound, or m = 7n.
+    g = gen_instance(24, "main", seed=1)
+    d = decompose(g)
+    n = g.n
+    hh = [e for e in range(g.m) if d.h_set.issuperset(g.edges[e])]
+    drop = set(hh[len(hh) - (g.m - 7 * n - excess):])
+    g = build_graph(n, [ab for e, ab in enumerate(g.edges) if e not in drop])
+    trimmed = decompose(g)
+    assert g.m == 7 * n + excess
+    assert (trimmed.r, trimmed.u, trimmed.d_prime) == (d.r, d.u, d.d_prime)
+    if excess < 0:
+        with pytest.raises(HypothesisViolated) as info:
+            label_main(g, trimmed)
+        assert str(info.value) == f"m = {7 * n - 1} < 7n = {7 * n}"
+    else:
+        stage = label_main(g, trimmed)
+        assert verify_stage_properties(stage.labelling, stage.regime,
+                                       trimmed).ok
+
+
 # -- degenerate case i = 1 --------------------------------------------------
 
 def test_i1_figure_label_sets():

@@ -147,20 +147,22 @@ def _u1_edge_lost(monkeypatch):
 def _class_too_small(monkeypatch):
     pack = construction.pack_matchings
 
-    def short(g, pool, count, size):
-        col = pack(g, pool, count, size)
+    def short(g, seeds, pool, count, size):
+        col = pack(g, seeds, pool, count, size)
         return EdgeColouring(g, tuple(cls[:-1] for cls in col.classes))
     monkeypatch.setattr(construction, "pack_matchings", short)
     return ("main", 20, 1), "class for interval 6 too small"
 
 
 def _pool_ran_dry(monkeypatch):
-    # One edge short of ten classes of three: the last class cannot fill.
+    # One edge short of ten classes of three, the five seeds among them:
+    # the last class cannot fill.
     pack = construction.pack_matchings
     monkeypatch.setattr(
         construction, "pack_matchings",
-        lambda g, pool, count, size: pack(
-            g, islice(pool, count * size - 1), count, size))
+        lambda g, seeds, pool, count, size: pack(
+            g, seeds, islice(pool, count * size - 1 - len(seeds)), count,
+            size))
     return ("main", 20, 1), ("no 3 pairwise disjoint unused pool edges for "
                              "class 10 of 10")
 
