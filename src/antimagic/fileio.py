@@ -102,7 +102,7 @@ def emit_graph(g: Graph) -> str:
 def parse_labelling(text: str, g: Graph) -> list[int]:
     """The per-edge labels of a labelling file, in edge-id order.  The
     checks in ``verification`` read this list as they read a Labelling's
-    ``label_of``; no label -> edge inverse is built."""
+    ``label_of``."""
     labels = None
     if _LABELLING_LAYOUT.fullmatch(text):
         # "u v l\nu v l\n" -> "[u,v,l,u,v,l]"

@@ -5,7 +5,8 @@ bijections, giving proof-by-enumeration when no antimagic labelling
 exists.  The randomized search is the fallback for inputs outside the
 construction's hypotheses: seeded hill climbing on the conflict count
 over label transpositions, restarting on plateaus.  Anything either
-search returns has passed the independent antimagic check.
+search returns has passed the independent bijection and antimagic
+checks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .draw import below, shuffle
 from .errors import SearchFailed, TooLarge, check
 from .graph import Graph
 from .labelling import Labelling
-from .verification import recompute_sums, verify_antimagic
+from .verification import recompute_sums, verify_antimagic, verify_bijection
 
 EXHAUSTIVE_EDGE_LIMIT = 9
 
@@ -45,7 +46,10 @@ def exhaustive_search(g: Graph) -> Labelling | None:
                 break
             seen.add(sums[v])
         if ok:
-            lab = Labelling.from_permutation(g, perm)
+            lab = Labelling(g, list(perm))
+            check(verify_bijection(g, lab).ok,
+                  "exhaustive search returned labels that are not a "
+                  "bijection")
             check(verify_antimagic(g, lab).ok,
                   "exhaustive search returned a labelling that is not "
                   "antimagic")
@@ -91,8 +95,9 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     antimagic check recomputed from the raw labels.  Identical (input,
     seed) pairs give identical output.
 
-    The result is built in one pass by ``Labelling.from_permutation``,
-    whose guard raises ProofViolation unless the labels are a bijection
+    The result holds the searched label list itself, uncopied: the
+    search state is dropped on return.  ``verify_bijection`` checks it
+    first and raises ProofViolation unless the labels are a bijection
     onto 1..m; ``verify_antimagic`` then checks it independently.
 
     The start and every restart shuffle the labels with
@@ -114,7 +119,9 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     restart_after = max(2000, 20 * m)
     for _ in range(budget):
         if state.conflicts == 0:
-            lab = Labelling.from_permutation(g, state.labels)
+            lab = Labelling(g, state.labels)
+            check(verify_bijection(g, lab).ok, "randomized search returned "
+                  "labels that are not a bijection")
             report = verify_antimagic(g, lab)
             check(report.ok, "randomized search returned a labelling "
                   "that is not antimagic")

@@ -87,7 +87,7 @@ def y_end(l: Labelling, d: InstanceDecomposition, i: int) -> int | None:
     """y(i): the H end of the u-edge labelled m - i, or None when that
     edge is not a u-edge.  No u is adjacent to r, so a u-edge that
     leaves the triple ends in H."""
-    a, b = l.graph.edges[l.edge_with[l.graph.m - i]]
+    a, b = l.graph.edges[l.label_of.index(l.graph.m - i)]
     if (a in d.u) == (b in d.u):
         return None
     return b if a in d.u else a

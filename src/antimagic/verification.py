@@ -1,14 +1,15 @@
 """Independent checking of labellings.
 
-Everything here recomputes from the graph and the raw label assignment;
-the label -> edge inverse inside Labelling is never trusted, and the
-bijection and antimagic checks take either a Labelling or its bare
-per-edge label list, as read from a file.  ``recompute_sums`` is the one
-computation of vertex sums.  Each check that needs them recomputes them
-and returns them in its report, so a caller that needs them again for
-the same, unchanged labelling reads them from there instead of making
-another pass.  Reports carry full witness data so a failure is
-actionable.
+Everything here recomputes from the graph and the raw label assignment,
+the per-edge label list that is all a Labelling holds; the bijection and
+antimagic checks take either a Labelling or that bare list, as read from
+a file.  ``verify_bijection`` is the one bijection check: every stage 1,
+Delta = n - 1 and both searches run it on their labels.
+``recompute_sums`` is the one computation of vertex sums.  Each check
+that needs them recomputes them and returns them in its report, so a
+caller that needs them again for the same, unchanged labelling reads
+them from there instead of making another pass.  Reports carry full
+witness data so a failure is actionable.
 """
 
 from __future__ import annotations

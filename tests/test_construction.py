@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from antimagic import (
-    Labelling,
     Regime,
     build_graph,
     decompose,
@@ -33,7 +32,7 @@ from antimagic.errors import (
 )
 from antimagic.graph import STEP, degenerate_index, stage_regime
 from antimagic.resolution import y_end
-from antimagic.verification import recompute_sums
+from antimagic.verification import recompute_sums, verify_bijection
 from conftest import random_universal_graph
 
 
@@ -146,7 +145,7 @@ def test_main_is_bijection_with_reserved_block(main_stage):
     if stage.regime in (Regime.MAIN, Regime.DEGEN_I3):
         for lbl in range(m - step * (n - 5) + 1, m):
             if (m - lbl) % step:
-                assert d.r not in g.edges[lab.edge_with[lbl]]
+                assert d.r not in g.edges[lab.label_of.index(lbl)]
 
 
 def test_main_stage_properties(main_stage):
@@ -213,7 +212,7 @@ def test_main_u1_on_all_of_h_leaves_one_surplus_edge_small():
     m, t = g.m, d.d_prime[2]
     lab = stage.labelling
     tops = [m - 4 * (j - 1) - 1 for j in range(t + 1, n - 4)]
-    assert all(u1 in g.edges[lab.edge_with[top]] for top in tops)
+    assert all(u1 in g.edges[lab.label_of.index(top)] for top in tops)
     u1_labels = sorted(lab.label_of[e] for e in g.incident[u1])
     assert u1_labels[0] < m - 4 * (n - 5)
 
@@ -339,9 +338,9 @@ def test_i3_root_label_arithmetic():
     lab = stage.labelling
     m = g.m
     for k in range(4):
-        assert d.r in g.edges[lab.edge_with[m - 3 * k]]
-        assert d.u[0] in g.edges[lab.edge_with[m - 1 - 3 * k]]
-        assert d.u[1] in g.edges[lab.edge_with[m - 2 - 3 * k]]
+        assert d.r in g.edges[lab.label_of.index(m - 3 * k)]
+        assert d.u[0] in g.edges[lab.label_of.index(m - 1 - 3 * k)]
+        assert d.u[1] in g.edges[lab.label_of.index(m - 2 - 3 * k)]
 
 
 def test_i3_paper_bounds():
@@ -412,9 +411,10 @@ def test_i3_pairs_u_edges_by_the_shift():
     assert (len(a), len(b), clash_free_shift(a, b)) == (11, 10, 3)
     m = g.m
     for k in range(len(a)):
-        assert lab.edge_with[m - 1 - 3 * k] == g.adjacency[u1][a[(k + 3) % 11]]
+        assert lab.label_of.index(m - 1 - 3 * k) == \
+            g.adjacency[u1][a[(k + 3) % 11]]
     for k in range(len(b)):
-        assert lab.edge_with[m - 2 - 3 * k] == g.adjacency[u2][b[k]]
+        assert lab.label_of.index(m - 2 - 3 * k) == g.adjacency[u2][b[k]]
 
 
 # -- disconnected families ---------------------------------------------------
@@ -492,36 +492,6 @@ def test_write_takes_a_batch_and_refuses_a_labelled_edge():
         label_of, given = [1, 0, 0, 0], [1]
         with pytest.raises(ProofViolation, match=message):
             construction._write(label_of, given, eids, labels)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
-    st.just(n), st.permutations(list(combinations(range(1, n + 1), 2))))),
-    st.data())
-def test_from_permutation_copies_and_inverts_the_list(graph, data):
-    n, pairs = graph
-    edges = pairs[:data.draw(st.integers(1, len(pairs)))]
-    g = build_graph(n, edges)
-    labels = data.draw(st.permutations(range(1, g.m + 1)))
-    lab = Labelling.from_permutation(g, labels)
-    assert lab.label_of == labels and lab.label_of is not labels
-    assert lab.edge_with == [-1, *sorted(range(g.m),
-                                         key=labels.__getitem__)]
-
-
-def test_from_permutation_refuses_anything_but_a_bijection():
-    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    bad = (([1, 2, 2, 4], "a label is used twice"),
-           ([1, 2, 0, 4], "label 0 out of range"),
-           ([1, 2, 5, 4], "label 5 out of range"),
-           ([-1, 2, 3, 4], "label -1 out of range"),
-           ([1, 2, 3], "3 labels for 4 edges"),
-           ([1, 2, 3, 4, 4], "5 labels for 4 edges"))
-    for labels, message in bad:
-        with pytest.raises(ProofViolation, match=message):
-            Labelling.from_permutation(g, labels)
-    empty = Labelling.from_permutation(build_graph(1, []), [])
-    assert (empty.label_of, empty.edge_with) == ([], [-1])
 
 
 # -- the shared fill -------------------------------------------------------
@@ -603,8 +573,8 @@ def test_fill_gives_small_labels_below_sorted_root_labels():
     # Partial sums 0, 1, 3, 2 for 5, 2, 3, 4: labels 3, 4, 6, 5.
     assert [lab.label_of[g.adjacency[1][v]] for v in (2, 3, 4, 5)] == [
         4, 6, 5, 3]
-    assert lab.edge_with == [-1, e23, e34] + [
-        g.adjacency[1][v] for v in (5, 2, 4, 3)]
+    assert [lab.label_of.index(x) for x in range(1, g.m + 1)] == [
+        e23, e34] + [g.adjacency[1][v] for v in (5, 2, 4, 3)]
     # Free labels above the root labels go out after those below them.
     g, label_of, given, e23, e34 = _fill_input()
     lab = construction._fill_rest_and_root(g, label_of, given, 1,
@@ -684,16 +654,15 @@ def test_fill_refuses_a_label_used_twice():
     # Labels written past the writer: (2, 3) and (3, 4) both hold label
     # 1, given only once.  The batch the fill checks holds no repeat and
     # no edge is left for its one free label, 2, so the fill finishes;
-    # the first read of the inverse, built from the finished list,
-    # refuses it.
+    # the bijection check, run on the finished list, refuses it.
     g, label_of, given, e23, e34 = _fill_input()
     construction._write(label_of, given, [e23], [1])
     label_of[e34] = 1
     lab = construction._fill_rest_and_root(g, label_of, given, 1,
                                            [3, 4, 5, 6])
     assert sorted(lab.label_of) == [1, 1, 3, 4, 5, 6]
-    with pytest.raises(ProofViolation, match="a label is used twice"):
-        lab.edge_with
+    rep = verify_bijection(g, lab)
+    assert (rep.ok, rep.duplicated, rep.missing) == (False, (1,), (2,))
 
 
 def _repeat_before_fill(monkeypatch):
@@ -725,24 +694,3 @@ def test_stage_one_refuses_a_label_used_twice(monkeypatch):
     with pytest.raises(ProofViolation, match="universal-vertex labelling "
                        "is not a bijection"):
         label_delta_n1(random_universal_graph(9, random.Random(9)), 1)
-
-
-@pytest.mark.parametrize("target", ["main", "degen_i1", "degen_i2",
-                                    "degen_i3", "universal", "yilma"])
-def test_one_pass_labellings_leave_the_inverse_unbuilt(target):
-    # Stage 1, Delta = n - 1 and the forced fallback finish their
-    # labellings in one pass; nothing on the way reads the inverse, so
-    # it is built only when first read, and then matches the labels.
-    if target == "universal":
-        lab = label_delta_n1(random_universal_graph(12, random.Random(12)), 1)
-    elif target == "yilma":
-        g = gen_instance(20, "main", seed=3)
-        lab = label(g, seed=3, force_regime=Regime.YILMA_FALLBACK).labelling
-    else:
-        g = gen_instance(22, target, seed=3)
-        lab = CONSTRUCTORS.get(target, label_disconnected)(
-            g, decompose(g)).labelling
-    assert lab._inverse is None
-    assert all(lab.label_of[e] == x
-               for x, e in enumerate(lab.edge_with) if x)
-    assert lab.edge_with[0] == -1 and lab._inverse is lab.edge_with

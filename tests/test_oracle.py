@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+import antimagic.oracle as oracle
 from antimagic import (
     build_graph,
     exhaustive_search,
@@ -10,7 +11,7 @@ from antimagic import (
     randomized_search,
     verify_antimagic,
 )
-from antimagic.errors import SearchFailed, TooLarge
+from antimagic.errors import ProofViolation, SearchFailed, TooLarge
 from conftest import brute_is_antimagic_labelling
 
 
@@ -31,6 +32,19 @@ def test_k3_and_k4_found():
     assert exhaustive_search(k3) is not None
     k4 = build_graph(4, list(combinations(range(1, 5), 2)))
     assert exhaustive_search(k4) is not None
+
+
+@pytest.mark.parametrize("labels", [(1, 1, 3), (0, 2, 3), (1, 2, 4)],
+                         ids=["repeated", "zero", "above-m"])
+def test_exhaustive_search_refuses_labels_that_are_no_bijection(labels,
+                                                                monkeypatch):
+    # On the path 1-2-3-4 each of these gives distinct sums, so only the
+    # bijection check stands between it and the caller.
+    monkeypatch.setattr(oracle, "permutations", lambda _: iter([labels]))
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    with pytest.raises(ProofViolation, match="exhaustive search returned "
+                       "labels that are not a bijection"):
+        exhaustive_search(g)
 
 
 def test_too_large():

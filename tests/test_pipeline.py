@@ -222,7 +222,8 @@ def _repeated_search_label(monkeypatch):
         shuffle(rng, labels)
         labels[0] = labels[1]
     monkeypatch.setattr(oracle, "shuffle", repeat)
-    return ("yilma", 20, 5), "a label is used twice"
+    return ("yilma", 20, 5), ("randomized search returned labels that "
+                              "are not a bijection")
 
 
 FAULTS = [_no_donor_path, _u1_edge_lost, _class_too_small, _pool_ran_dry,

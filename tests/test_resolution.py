@@ -139,7 +139,7 @@ def test_mu0_sum_deltas(main_stage):
     after = recompute_sums(g, out)
     u1 = d.u[0]
     y1 = y_end(stage.labelling, d, 1)
-    w0 = g.other_end(stage.labelling.edge_with[m], d.r)
+    w0 = g.other_end(stage.labelling.label_of.index(m), d.r)
     assert after[u1] == before[u1] + 1
     assert after[y1] == before[y1] + 1
     assert after[w0] == before[w0] - 1
@@ -155,7 +155,7 @@ def test_rho3_sum_deltas(main_stage):
     after = recompute_sums(g, out)
     u3 = d.u[2]
     y3 = y_end(stage.labelling, d, 3)
-    w4 = g.other_end(stage.labelling.edge_with[m - 4], d.r)
+    w4 = g.other_end(stage.labelling.label_of.index(m - 4), d.r)
     assert after[u3] == before[u3] - 1
     assert after[y3] == before[y3] - 1
     assert after[w4] == before[w4] + 1
@@ -178,11 +178,31 @@ def test_exchange_missing_label():
     # The first label is checked too: out of range, or in range but free.
     with pytest.raises(LabelMissing, match="label 4 unassigned"):
         lab.copy().swap_labels(4, 3)
+    # Both labels outside 1..m on a complete labelling: the first is
+    # named.
+    with pytest.raises(LabelMissing, match="label 4 unassigned"):
+        lab.copy().swap_labels(4, 5)
+    with pytest.raises(LabelMissing, match="label 0 unassigned"):
+        lab.copy().swap_labels(0, 4)
     partial = assigned(g, [1, 0, 3])
     with pytest.raises(LabelMissing, match="label 2 unassigned"):
         partial.swap_labels(2, 3)
     with pytest.raises(LabelMissing, match="label 2 unassigned"):
         partial.swap_labels(3, 2)
+    # Label 0 marks an unlabelled edge, never a label, though an edge of
+    # a partial labelling holds it.
+    with pytest.raises(LabelMissing, match="label 0 unassigned"):
+        partial.swap_labels(0, 1)
+    with pytest.raises(LabelMissing, match="label 0 unassigned"):
+        partial.swap_labels(1, 0)
+    assert partial.label_of == [1, 0, 3]
+    # x == y exchanges an edge's label with itself: nothing changes, and
+    # a free label is still refused.
+    same = lab.copy()
+    same.swap_labels(2, 2)
+    assert same.label_of == lab.label_of == [1, 2, 3]
+    with pytest.raises(LabelMissing, match="label 2 unassigned"):
+        partial.swap_labels(2, 2)
 
 
 def test_find_conflicts_empty_on_stage(main_stage):
@@ -436,9 +456,9 @@ def _one_and_m(lab, r):
 def _root_label_and_two_below(lab, r):
     """A root label L and a non-root L - 2: every sum moves by at most
     2, and the root's drops by 2."""
-    g, at = lab.graph, lab.edge_with
+    g, at = lab.graph, lab.label_of.index
     top = next(k for k in range(g.m, 2, -1)
-               if r in g.edges[at[k]] and r not in g.edges[at[k - 2]])
+               if r in g.edges[at(k)] and r not in g.edges[at(k - 2)])
     return top, top - 2
 
 
@@ -510,27 +530,19 @@ def test_resolve_conflicted_instances(target, n, seed, case, applied, tried,
 
 @pytest.mark.parametrize("row", CONFLICTED, ids=[f"{r[0]}-{r[1]}-{r[2]}"
                                                  for r in CONFLICTED])
-def test_resolve_builds_the_inverse_once(monkeypatch, row):
-    # A stage's inverse is left unbuilt; resolve reads it through y_end
-    # and every plan's copy, and builds it once for all of them.
+def test_resolve_leaves_the_stage_labelling_alone(row):
+    # Every plan exchanges labels on a copy: the labelling returned is
+    # not the stage's, and the stage's labels are as stage 1 left them.
     target, n, seed = row[:3]
     g = gen_instance(n, target, seed=seed)
     d = decompose(g)
     build_stage = label_main if target.startswith("main") else \
         label_disconnected
     stage = build_stage(g, d)
-    assert stage.labelling._inverse is None
-    builds = []
-    build = Labelling.edge_with.fget
-
-    def counted(lab):
-        builds.append(lab._inverse is None)
-        return build(lab)
-
-    monkeypatch.setattr(Labelling, "edge_with", property(counted))
+    kept = list(stage.labelling.label_of)
     final, tr = resolve(stage, d)
-    assert tr.plans_tried >= 1 and len(builds) > tr.plans_tried
-    assert builds.count(True) == 1 and final is not stage.labelling
+    assert tr.plans_tried >= 1 and final is not stage.labelling
+    assert stage.labelling.label_of == kept
 
 
 def _h_only_conflict(g, d, labels):
