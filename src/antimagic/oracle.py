@@ -6,7 +6,10 @@ exists.  The randomized search is the fallback for inputs outside the
 construction's hypotheses: seeded hill climbing on the conflict count
 over label transpositions, restarting on plateaus.  Anything either
 search returns has passed the independent bijection and antimagic
-checks.
+checks.  The fallback judges a state no step swapped (its start, or the
+one after a restart) on the sums that state was built from, one pass
+over the very labels it returns; a state that swapped is checked from
+its raw labels again.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from .draw import below, shuffle
 from .errors import SearchFailed, TooLarge, check
 from .graph import Graph
 from .labelling import Labelling
-from .verification import recompute_sums, verify_antimagic, verify_bijection
+from .verification import (antimagic_from_sums, recompute_sums,
+                           verify_antimagic, verify_bijection)
 
 EXHAUSTIVE_EDGE_LIMIT = 9
 
@@ -59,7 +63,8 @@ def exhaustive_search(g: Graph) -> Labelling | None:
 
 class _ConflictState:
     """Sums plus a bucket counter so the conflict-pair count updates in
-    O(1) per label transposition."""
+    O(1) per label transposition.  ``fresh`` holds until the first swap:
+    until then ``sums`` is the pass over ``labels`` it was built from."""
 
     def __init__(self, g: Graph, labels: list[int]):
         self.g = g
@@ -67,8 +72,10 @@ class _ConflictState:
         self.sums = recompute_sums(g, labels)
         self.buckets = Counter(self.sums[1:])
         self.conflicts = sum(c * (c - 1) // 2 for c in self.buckets.values())
+        self.fresh = True
 
     def swap(self, i: int, j: int) -> None:
+        self.fresh = False
         g = self.g
         li, lj = self.labels[i], self.labels[j]
         touched = set(g.edges[i]) | set(g.edges[j])
@@ -90,15 +97,20 @@ class _ConflictState:
 
 def randomized_search(g: Graph, budget: int = 1_000_000,
                       seed: int = 0) -> tuple[Labelling, list[int]]:
-    """Hill-climb the conflict count; raises SearchFailed when the budget
-    runs out.  Returns the labelling and the vertex sums its final
-    antimagic check recomputed from the raw labels.  Identical (input,
-    seed) pairs give identical output.
+    """Hill-climb the conflict count for at most ``budget`` steps; raises
+    SearchFailed when the state after the last one still has conflicts.
+    Returns the labelling and the vertex sums its antimagic verdict was
+    taken from.  Identical (input, seed) pairs give identical output.
 
     The result holds the searched label list itself, uncopied: the
     search state is dropped on return.  ``verify_bijection`` checks it
     first and raises ProofViolation unless the labels are a bijection
-    onto 1..m; ``verify_antimagic`` then checks it independently.
+    onto 1..m.  A state no step swapped is judged by
+    ``antimagic_from_sums`` on the sums its start or restart recomputed
+    from that same list: ``verify_antimagic``'s verdict, without a second
+    pass.  A state that swapped, even back, is checked by
+    ``verify_antimagic`` from the raw labels, so a fault in the swaps'
+    incremental sums cannot pass.
 
     The start and every restart shuffle the labels with
     ``draw.shuffle`` and each step draws its pair i != j with
@@ -119,13 +131,7 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
     restart_after = max(2000, 20 * m)
     for _ in range(budget):
         if state.conflicts == 0:
-            lab = Labelling(g, state.labels)
-            check(verify_bijection(g, lab).ok, "randomized search returned "
-                  "labels that are not a bijection")
-            report = verify_antimagic(g, lab)
-            check(report.ok, "randomized search returned a labelling "
-                  "that is not antimagic")
-            return lab, report.sums
+            break
         i = below(rng, m)
         j = below(rng, m - 1)
         if j >= i:
@@ -144,5 +150,14 @@ def randomized_search(g: Graph, budget: int = 1_000_000,
             shuffle(rng, state.labels)
             state = _ConflictState(g, state.labels)
             plateau = 0
-    raise SearchFailed(f"budget {budget} exhausted with "
-                       f"{state.conflicts} conflicts left")
+    if state.conflicts:
+        raise SearchFailed(f"budget {budget} exhausted with "
+                           f"{state.conflicts} conflicts left")
+    lab = Labelling(g, state.labels)
+    check(verify_bijection(g, lab).ok, "randomized search returned "
+          "labels that are not a bijection")
+    report = (antimagic_from_sums(g, state.sums) if state.fresh
+              else verify_antimagic(g, lab))
+    check(report.ok, "randomized search returned a labelling "
+          "that is not antimagic")
+    return lab, report.sums

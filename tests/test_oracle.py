@@ -1,5 +1,7 @@
+import inspect
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +14,9 @@ from antimagic import (
     verify_antimagic,
 )
 from antimagic.errors import ProofViolation, SearchFailed, TooLarge
+from antimagic.verification import recompute_sums
 from conftest import brute_is_antimagic_labelling
+from test_verification import _count_sums_passes
 
 
 def test_k2_proven_not_antimagic():
@@ -102,3 +106,146 @@ def test_randomized_search_solves_main_instance():
     lab, sums = randomized_search(g, budget=1_000_000, seed=1)
     rep = verify_antimagic(g, lab)
     assert rep.ok and rep.sums == sums
+
+
+def test_randomized_search_checks_the_state_after_its_last_step():
+    # The third step solves this graph, so a budget of 3 steps is enough
+    # and 2 is not; an antimagic start needs no step at all.
+    g = gen_instance(100, "main", seed=1)
+    lab, sums = randomized_search(g, budget=3, seed=1)
+    assert verify_antimagic(g, lab).sums == sums
+    with pytest.raises(SearchFailed,
+                       match="budget 2 exhausted with 1 conflicts left"):
+        randomized_search(g, budget=2, seed=1)
+    g = gen_instance(200, "main", seed=1)
+    lab, sums = randomized_search(g, budget=0, seed=1)
+    assert verify_antimagic(g, lab).sums == sums
+
+
+@pytest.mark.parametrize("n,passes", [(200, 1), (100, 2)],
+                         ids=["unswapped", "swapped"])
+def test_search_sums_passes(monkeypatch, n, passes):
+    # At n = 200 the start is already antimagic: its one sums pass, over
+    # the list the result holds, gives the verdict and the returned sums.
+    # At n = 100 three steps swap it, so the final check makes a second
+    # pass from the raw labels.
+    calls = _count_sums_passes(monkeypatch)
+    g = gen_instance(n, "main", seed=1)
+    lab, sums = randomized_search(g, seed=1)
+    assert [id(l) for l in calls] == [id(lab.label_of)] * passes
+    assert sums == recompute_sums(g, lab.label_of)
+
+
+def test_swap_bookkeeping_cannot_pass_a_conflicted_labelling(monkeypatch):
+    # A swap whose incremental sums claim distinct values and no conflict
+    # is caught by the final check from the raw labels.
+    swap = oracle._ConflictState.swap
+
+    def lying_swap(state, i, j):
+        swap(state, i, j)
+        state.sums = list(range(len(state.sums)))
+        state.conflicts = 0
+
+    monkeypatch.setattr(oracle._ConflictState, "swap", lying_swap)
+    with pytest.raises(ProofViolation, match="randomized search returned "
+                       "a labelling that is not antimagic"):
+        randomized_search(gen_instance(100, "main", seed=1), seed=1)
+
+
+def _disjoint_edges(m):
+    # Each edge puts one sum on both its ends, so every labelling has
+    # exactly m conflicts and no step ever changes the count.
+    return build_graph(2 * m, [(2 * k + 1, 2 * k + 2) for k in range(m)])
+
+
+@pytest.mark.parametrize("m,threshold", [(2, 2000), (101, 2020)],
+                         ids=["floor", "20m"])
+def test_randomized_search_restarts_past_its_plateau_threshold(
+        monkeypatch, m, threshold):
+    # Every step lengthens the plateau by one, so the search restarts
+    # (shuffles again) on step threshold + 1 and again on step
+    # 2 * (threshold + 1); the start is the first shuffle.
+    shuffles = []
+    shuffle = oracle.shuffle
+    monkeypatch.setattr(oracle, "shuffle",
+                        lambda rng, x: shuffles.append(1) or shuffle(rng, x))
+    g = _disjoint_edges(m)
+    for budget, count in [(threshold, 1), (threshold + 1, 2),
+                          (2 * threshold + 1, 2), (2 * threshold + 2, 3)]:
+        shuffles.clear()
+        with pytest.raises(SearchFailed, match=f"budget {budget} exhausted "
+                           f"with {m} conflicts left"):
+            randomized_search(g, budget=budget, seed=1)
+        assert len(shuffles) == count, budget
+
+
+def test_randomized_search_restarts_a_plateau_after_its_last_gain(
+        monkeypatch):
+    # Path 1-2-3 plus three disjoint edges, labelled in edge order (the
+    # shuffles leave the list alone).  Step 1 swaps edges 0 and 4, which
+    # takes the path's middle sum 3 off edge 2's and drops the conflicts
+    # from 5 to 3; every later step swaps two disjoint edges, which
+    # leaves 3.  The plateau then restarts the search on step
+    # 1 + 2000 + 1.
+    g = build_graph(9, [(1, 2), (2, 3), (4, 5), (6, 7), (8, 9)])
+    shuffles = []
+    monkeypatch.setattr(oracle, "shuffle", lambda rng, x: shuffles.append(1))
+    draws = []
+
+    def scripted_below(rng, n):
+        draws.append(n)
+        step, second = divmod(len(draws) - 1, 2)
+        if step == 0:
+            return 3 if second else 0  # edges 0 and 4
+        return 2 if second else 3      # edges 3 and 2, never i == j
+
+    monkeypatch.setattr(oracle, "below", scripted_below)
+    for budget, count in [(2001, 1), (2002, 2)]:
+        shuffles.clear()
+        draws.clear()
+        with pytest.raises(SearchFailed, match=f"budget {budget} exhausted "
+                           "with 3 conflicts left"):
+            randomized_search(g, budget=budget, seed=1)
+        assert len(shuffles) == count, budget
+        assert draws == [5, 4] * budget
+
+
+def test_randomized_search_draws_two_distinct_edges(monkeypatch):
+    # A draw of j equal to i moves j one up, to the next edge.
+    draws, swaps = [], []
+    monkeypatch.setattr(oracle, "below",
+                        lambda rng, n: draws.append(n) or 0)
+    swap = oracle._ConflictState.swap
+    monkeypatch.setattr(oracle._ConflictState, "swap",
+                        lambda state, i, j: swaps.append((i, j))
+                        or swap(state, i, j))
+    with pytest.raises(SearchFailed):
+        randomized_search(_disjoint_edges(3), budget=4, seed=1)
+    assert draws == [3, 2] * 4
+    assert swaps and set(swaps) == {(0, 1)}
+
+
+@pytest.mark.parametrize("draw,undone", [(0.25, True), (0.2499, False)])
+def test_randomized_search_keeps_a_sideways_step_below_a_quarter(
+        monkeypatch, draw, undone):
+    # A step that leaves the conflict count alone is undone unless the
+    # uniform draw falls below 0.25.
+    class FixedDraw(random.Random):
+        def random(self):
+            return draw
+
+    monkeypatch.setattr(oracle, "random", SimpleNamespace(Random=FixedDraw))
+    swaps = []
+    swap = oracle._ConflictState.swap
+    monkeypatch.setattr(oracle._ConflictState, "swap",
+                        lambda state, i, j: swaps.append((i, j))
+                        or swap(state, i, j))
+    with pytest.raises(SearchFailed):
+        randomized_search(_disjoint_edges(3), budget=10, seed=1)
+    assert len(swaps) == (20 if undone else 10)
+
+
+def test_randomized_search_defaults():
+    params = inspect.signature(randomized_search).parameters
+    assert params["budget"].default == 1_000_000
+    assert params["seed"].default == 0

@@ -767,8 +767,10 @@ def test_label_sums_passes_without_a_stage(monkeypatch):
     # The universal-vertex construction: its partial sums and its own
     # antimagic check.  The fallback search: its start, which reads the
     # shuffled label list it then searches in place, and its final
-    # check, which reads that same list, now the result's.  The trace
-    # reads the final check's sums instead of a new pass.
+    # check, which reads that same list, now the result's.  This yilma
+    # search steps, so its final check recomputes the sums from the raw
+    # labels; a search that never swapped would reuse its start's pass.
+    # The trace reads the final check's sums instead of a new pass.
     from antimagic import label
     calls = _count_sums_passes(monkeypatch)
     n = 9
