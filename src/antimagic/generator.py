@@ -138,32 +138,21 @@ def min_feasible_n(regime) -> int:
     raise InfeasibleRegime(f"{target} infeasible up to n = {_N_LIMIT}")
 
 
-def gen_instance(n: int, regime, seed: int, *,
-                 d_prime: tuple[int, int, int] | None = None,
-                 triple: tuple[tuple[int, int], ...] | None = None) -> Graph:
+def gen_instance(n: int, regime, seed: int) -> Graph:
     """One instance with max degree exactly n - 4, m >= 7n, classified as
-    the requested regime.  Deterministic in (n, regime, seed).
-
-    ``triple`` fixes the edges among the u's (pairs of 2, 3, 4, in either
-    order) and ``d_prime`` fixes d'(u1), d'(u2), d'(u3), non-increasing.
-    A pair that does not join two u's, or a d' that increases, raises
-    ValueError; an n with no instance of the target, a triple the target
-    cannot have, a d' outside the target's bounds, or one that no edge
-    count and degree caps admit, raises InfeasibleRegime; all before any
+    the requested regime.  Deterministic in (n, regime, seed); an n at
+    which the target has no instance raises InfeasibleRegime before any
     attempt."""
     target = _as_target(regime)
     expected = TARGETS[target]
-    triple_idx = None if triple is None else _triple_indices(target, triple)
-    if d_prime is not None:
-        _check_dprime(target, n, d_prime, triple_idx)
-    elif not _any_split(target, n, _dprime_bounds(target, n)):
+    if not _any_split(target, n, _dprime_bounds(target, n)):
         raise InfeasibleRegime(
             f"no {target} instance exists at n = {n} "
             f"(smallest feasible is {min_feasible_n(target)})")
     mix = zlib.crc32(target.encode())
     rng = random.Random(seed * 2_654_435_761 + n * 40_503 + mix)
     for _attempt in range(60):
-        g = _try_generate(target, n, rng, d_prime, triple_idx)
+        g = _try_generate(target, n, rng)
         if g is None:
             continue
         got = classify_regime(g, decompose(g))
@@ -172,70 +161,32 @@ def gen_instance(n: int, regime, seed: int, *,
     raise GenerationFailed(f"retry budget exhausted for {target}, n = {n}")
 
 
-def _triple_indices(target: str, triple) -> tuple[int, ...]:
-    """The indices into _TRIPLE_PAIRS of the given u-u pairs, checked
-    against the target's options."""
-    pairs = [tuple(sorted(p)) for p in triple]
-    for p in pairs:
-        if p not in _TRIPLE_PAIRS:
-            raise ValueError(f"triple pair {p} does not join two of the "
-                             f"u's {_U_IDS}")
-    idx = tuple(i for i, p in enumerate(_TRIPLE_PAIRS) if p in pairs)
-    if idx not in _TRIPLE_OPTIONS[target]:
-        allowed = (tuple(_TRIPLE_PAIRS[i] for i in t)
-                   for t in _TRIPLE_OPTIONS[target])
-        raise InfeasibleRegime(
-            f"triple {tuple(_TRIPLE_PAIRS[i] for i in idx)} admits no "
-            f"{target} instance; it allows " + ", ".join(map(str, allowed)))
-    return idx
-
-
-def _check_dprime(target: str, n: int, d_prime,
-                  triple_idx: tuple[int, ...] | None) -> None:
-    bounds = _dprime_bounds(target, n)
-    if not all(lo <= d <= hi for d, (lo, hi) in zip(d_prime, bounds)):
-        raise InfeasibleRegime(
-            f"d' = {tuple(d_prime)} is outside {target}'s bounds at n = {n}: "
-            + ", ".join(f"{lo}..{hi}" for lo, hi in bounds))
-    if list(d_prime) != sorted(d_prime, reverse=True):
-        raise ValueError(f"d' = {tuple(d_prime)} is not non-increasing")
-    options = _TRIPLE_OPTIONS[target] if triple_idx is None else (triple_idx,)
-    if not any(_feasible_split(target, n, *d_prime, t) for t in options):
-        raise InfeasibleRegime(
-            f"d' = {tuple(d_prime)} admits no {target} instance at n = {n}: "
-            "no H edge count reaches 7n within the degree caps")
-
-
-def _try_generate(target: str, n: int, rng: random.Random,
-                  d_fixed, triple_idx) -> Graph | None:
+def _try_generate(target: str, n: int, rng: random.Random) -> Graph | None:
     h = list(range(5, n + 1))
     bounds = _dprime_bounds(target, n)
 
-    if triple_idx is None:
-        options = _TRIPLE_OPTIONS[target]
-        triple_idx = options[below(rng, len(options))]
+    options = _TRIPLE_OPTIONS[target]
+    triple_idx = options[below(rng, len(options))]
     triple_pairs = [_TRIPLE_PAIRS[i] for i in triple_idx]
 
-    if d_fixed is not None:
-        split = _feasible_split(target, n, *d_fixed, triple_idx)
-        if split is None:
-            return None
-        a, b, c = d_fixed
+    for _ in range(200):
+        a = _randint(rng, *bounds[0])
+        b = _randint(rng, bounds[1][0], min(bounds[1][1], a))
+        c = _randint(rng, bounds[2][0], min(bounds[2][1], b))
+        split = _feasible_split(target, n, a, b, c, triple_idx)
+        if split is not None:
+            break
     else:
-        split = None
-        for _ in range(200):
-            a = _randint(rng, *bounds[0])
-            b = _randint(rng, bounds[1][0], min(bounds[1][1], a))
-            c = _randint(rng, bounds[2][0], min(bounds[2][1], b))
-            split = _feasible_split(target, n, a, b, c, triple_idx)
-            if split is not None:
-                break
-        if split is None:
-            return None
+        return None
     m_h_min, m_h_max = split
 
     # Hosts: which H vertices receive each u's edges.  Nobody hosts all
-    # three u's except the yilma target's one designated witness.
+    # three u's except the yilma target's one designated witness (load
+    # 3).  Each u, largest demand first, takes the lowest-load vertices
+    # of load below 2: none hosts this u yet or hosts both others.
+    # Greedy never needs a load-2 vertex: every d' <= n - 6 < |H|, and
+    # a + b + c <= 2(n - 4), plus 1 for the witness, so the first two
+    # u's leave the last the room it needs.
     loads = [0] * (n + 1)  # indexed by vertex; 0 off H
     hosts: dict[int, set[int]] = {u: set() for u in _U_IDS}
     demand = dict(zip(_U_IDS, (a, b, c)))
@@ -249,10 +200,7 @@ def _try_generate(target: str, n: int, rng: random.Random,
     shuffled = list(h)
     shuffle(rng, shuffled)
     for u in order:
-        other = [x for x in _U_IDS if x != u]
-        pool = [v for v in shuffled
-                if v not in hosts[u] and loads[v] < 2
-                and not (v in hosts[other[0]] and v in hosts[other[1]])]
+        pool = [v for v in shuffled if loads[v] < 2]
         pool.sort(key=loads.__getitem__)
         if len(pool) < demand[u]:
             return None

@@ -81,12 +81,12 @@ def test_delta_n1_random_instances_verified():
 # -- triple-edge pre-labelling -------------------------------------------
 
 def test_triple_edges_clique_order():
-    g = gen_instance(21, "main_triple", seed=3,
-                     triple=((2, 3), (2, 4), (3, 4)))
+    g = gen_instance(21, "main_triple", seed=6)
     d = decompose(g)
+    u1, u2, u3 = d.u
+    assert d.triple_edges == ((u1, u2), (u1, u3), (u2, u3))
     label_of, given = construction._begin(g, d, stage_regime(d))
     assert given == [1, 2, 3]
-    u1, u2, u3 = d.u
     def lbl(a, b):
         eid = next(e for e in g.incident[a] if g.other_end(e, a) == b)
         return label_of[eid]
@@ -103,11 +103,12 @@ def test_triple_edges_independent_noop():
 
 
 def test_triple_edges_single_pair():
-    g = gen_instance(21, "main_triple", seed=5, triple=((2, 3),))
+    g = gen_instance(21, "main_triple", seed=1)
     d = decompose(g)
+    u1, u2 = d.u[0], d.u[1]
+    assert d.triple_edges == ((u1, u2),)
     label_of, given = construction._begin(g, d, stage_regime(d))
     assert given == [1] and sum(label_of) == 1
-    u1, u2 = d.u[0], d.u[1]
     eid = next(e for e in g.incident[u1] if g.other_end(e, u1) == u2)
     assert label_of[eid] == 1
 
@@ -275,12 +276,13 @@ def test_main_gate_admits_m_from_exactly_7n(excess):
 def test_i1_figure_label_sets():
     # Clique triple with d' = (3, 3, 2): after labels 1..3 on the triple,
     # u3's H-edges take 4..5, u2's 6..8, u1's 9..11.
-    g = gen_instance(20, "degen_i1", seed=1, d_prime=(3, 3, 2),
-                     triple=((2, 3), (2, 4), (3, 4)))
+    g = gen_instance(20, "degen_i1", seed=517)
     d = decompose(g)
+    u1, u2, u3 = d.u
+    assert d.d_prime == (3, 3, 2)
+    assert d.triple_edges == ((u1, u2), (u1, u3), (u2, u3))
     stage = label_case_i1(g, d)
     lab = stage.labelling
-    u1, u2, u3 = d.u
     assert u_labels(g, lab, u3, d.h_set) == [4, 5]
     assert u_labels(g, lab, u2, d.h_set) == [6, 7, 8]
     assert u_labels(g, lab, u1, d.h_set) == [9, 10, 11]
@@ -428,9 +430,9 @@ def test_disconnected_rejects_two_isolated_vertices():
 
 
 def test_disc_triple_k3_sums_below_everything():
-    g = gen_instance(22, "disc_triple", seed=2,
-                     triple=((2, 3), (2, 4), (3, 4)))
+    g = gen_instance(22, "disc_triple", seed=7)
     d = decompose(g)
+    assert len(d.triple_edges) == 3
     stage = label_disconnected(g, d)
     sums = recompute_sums(g, stage.labelling)
     triple_sums = sorted(sums[u] for u in d.u)
@@ -441,8 +443,9 @@ def test_disc_triple_k3_sums_below_everything():
 
 
 def test_disc_triple_p3_sums():
-    g = gen_instance(21, "disc_triple", seed=3, triple=((2, 3), (3, 4)))
+    g = gen_instance(21, "disc_triple", seed=1)
     d = decompose(g)
+    assert len(d.triple_edges) == 2
     stage = label_disconnected(g, d)
     sums = recompute_sums(g, stage.labelling)
     assert sorted(sums[u] for u in d.u) == [1, 2, 3]

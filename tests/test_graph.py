@@ -163,7 +163,7 @@ def test_decompose_deterministic():
 
 
 def test_classify_main():
-    g = gen_instance(22, "main", seed=4, d_prime=(9, 7, 5))
+    g = gen_instance(22, "main", seed=81)
     d = decompose(g)
     assert d.d_prime == (9, 7, 5)
     assert classify_regime(g, d) == Regime.MAIN
@@ -171,14 +171,15 @@ def test_classify_main():
 
 
 def test_classify_degen_i3_from_dprime():
-    g = gen_instance(21, "degen_i3", seed=5, d_prime=(6, 5, 2), triple=())
+    g = gen_instance(21, "degen_i3", seed=484)
     d = decompose(g)
     assert d.d_prime == (6, 5, 2)
+    assert d.triple_edges == ()
     assert classify_regime(g, d) == Regime.DEGEN_I3
 
 
 def test_classify_disc_triple_p3():
-    g = gen_instance(22, "disc_triple", seed=6, triple=((2, 3), (3, 4)))
+    g = gen_instance(22, "disc_triple", seed=1)
     d = decompose(g)
     assert d.d_prime == (0, 0, 0)
     assert len(d.triple_edges) == 2
