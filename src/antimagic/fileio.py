@@ -94,9 +94,9 @@ def _walk_graph(text: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def emit_graph(g: Graph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    lines += [f"e {u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
+    """One format call over the flattened ends, as ``emit_labelling``."""
+    return (("p %d %d\n" + "e %d %d\n" * g.m)
+            % (g.n, g.m, *chain.from_iterable(g.edges)))
 
 
 def parse_labelling(text: str, g: Graph) -> list[int]:

@@ -11,7 +11,8 @@ x * (n + 1) + y.  A need loop first deletes the pairs the u-edges'
 hosts must give up; the rest is the shortest prefix of the shuffled
 list of all pair keys (built in ``combinations`` order) that brings the
 set to its target size.  The kept pairs are then read off in
-``combinations`` order, and the whole edge list is shuffled.  Every
+``combinations`` order, and the whole edge list is shuffled; the keys
+and the set are gone by then, so memory peaks in the graph build.  Every
 pass over the pairs runs at C level (``set.update``, ``compress``,
 ``map``).  The shuffles and the other draws go through ``draw``, which
 takes ``random.shuffle``'s and ``randrange``'s exact values from
@@ -23,16 +24,18 @@ to 3.13.
 Degree counting makes small n infeasible: no graph with max degree
 n - 4 and m >= 7n exists at all below n = 18, and each regime has its
 own threshold (main and i=3 need 19, i=1 and i=2 need 20, the separate
-triple component needs 21).  ``min_feasible_n`` exposes the thresholds;
-``gen_instance`` raises InfeasibleRegime below them.
+triple component needs 21).  A split's H edge range only widens as its
+d' sum grows, so each triple option's largest split decides.
+``min_feasible_n`` exposes the thresholds; ``gen_instance`` raises
+InfeasibleRegime below them.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from itertools import chain, combinations, compress, islice
-from operator import not_
+from itertools import accumulate, chain, combinations, compress, islice
+from operator import le, not_
 
 from .draw import below, shuffle
 from .errors import GenerationFailed, InfeasibleRegime
@@ -92,37 +95,40 @@ def _dprime_bounds(target: str, n: int) -> tuple[tuple[int, int], ...]:
                  for lo, hi in _DPRIME_RANGES[target])
 
 
-def _witnesses(target: str) -> int:
-    return 1 if target == "yilma" else 0
+def _capacity(target: str, n: int) -> int:
+    """Most u-edges H hosts: two per vertex, three at yilma's witness."""
+    return 2 * (n - 4) + (target == "yilma")
 
 
-def _feasible_split(target: str, n: int, a: int, b: int, c: int,
-                    triple_idx: tuple[int, ...]) -> tuple[int, int] | None:
-    """(m_h_min, m_h_max) for this d' split, or None."""
-    s = a + b + c
-    cap = 2 * (n - 4) + _witnesses(target)
-    if s > cap:
-        return None
-    t_cnt = len(triple_idx)
-    # Degree caps at the u's themselves.
-    tdeg = [sum(1 for i in triple_idx for x in _TRIPLE_PAIRS[i] if x == u)
-            for u in _U_IDS]
-    if any(dp + td > n - 4 for dp, td in zip((a, b, c), tdeg)):
-        return None
+def _h_range(target: str, n: int, s: int, t: int) -> tuple[int, int] | None:
+    """(m_h_min, m_h_max) for a d' sum s beside t triple edges, or None;
+    within the capacity m_h_min >= 4n + 8 > 0."""
     m_h_max = ((n - 4) * (n - 5) - s) // 2
-    m_h_min = 7 * n - (n - 4) - s - t_cnt
-    if m_h_min > m_h_max:
-        return None
-    return max(0, m_h_min), m_h_max
+    m_h_min = 7 * n - (n - 4) - s - t
+    if s <= _capacity(target, n) and m_h_min <= m_h_max:
+        return m_h_min, m_h_max
+    return None
 
 
 def _any_split(target: str, n: int, bounds) -> bool:
+    """Whether a split c <= b <= a within ``bounds`` and the degree cap
+    n - 4 at each u has an H edge range beside some triple option.
+
+    Only s = a + b + c reaches ``_h_range``, where m_h_max - m_h_min =
+    floor((K + s) / 2) - C + t, K = (n - 4)(n - 5), C = 6n + 4, never
+    falls as s grows: the largest s within the capacity decides.  ``top``,
+    the upper bounds capped by the degree cap and the bound before, is
+    the largest split; ``low``, the lower bounds' running maximum from u3
+    back, the smallest.  If low <= top, lowering one d' at a time walks
+    every sum between: s = min(sum(top), capacity) unless sum(low) > it."""
     for triple_idx in _TRIPLE_OPTIONS[target]:
-        for a in range(bounds[0][0], bounds[0][1] + 1):
-            for b in range(bounds[1][0], min(bounds[1][1], a) + 1):
-                for c in range(bounds[2][0], min(bounds[2][1], b) + 1):
-                    if _feasible_split(target, n, a, b, c, triple_idx):
-                        return True
+        pairs = [_TRIPLE_PAIRS[i] for i in triple_idx]
+        top = list(accumulate((min(hi, n - 4 - sum(u in p for p in pairs))
+                               for (_, hi), u in zip(bounds, _U_IDS)), min))
+        low = list(accumulate((lo for lo, _ in bounds[::-1]), max))[::-1]
+        s = max(sum(low), min(sum(top), _capacity(target, n)))
+        if all(map(le, low, top)) and _h_range(target, n, s, len(pairs)):
+            return True
     return False
 
 
@@ -153,10 +159,7 @@ def gen_instance(n: int, regime, seed: int) -> Graph:
     rng = random.Random(seed * 2_654_435_761 + n * 40_503 + mix)
     for _attempt in range(60):
         g = _try_generate(target, n, rng)
-        if g is None:
-            continue
-        got = classify_regime(g, decompose(g))
-        if got == expected:
+        if g is not None and classify_regime(g, decompose(g)) == expected:
             return g
     raise GenerationFailed(f"retry budget exhausted for {target}, n = {n}")
 
@@ -173,24 +176,23 @@ def _try_generate(target: str, n: int, rng: random.Random) -> Graph | None:
         a = _randint(rng, *bounds[0])
         b = _randint(rng, bounds[1][0], min(bounds[1][1], a))
         c = _randint(rng, bounds[2][0], min(bounds[2][1], b))
-        split = _feasible_split(target, n, a, b, c, triple_idx)
-        if split is not None:
+        # d' <= n - 6, or 3 < n - 6, leaves two triple edges within n - 4.
+        if split := _h_range(target, n, a + b + c, len(triple_idx)):
             break
     else:
         return None
-    m_h_min, m_h_max = split
 
     # Hosts: which H vertices receive each u's edges.  Nobody hosts all
     # three u's except the yilma target's one designated witness (load
     # 3).  Each u, largest demand first, takes the lowest-load vertices
     # of load below 2: none hosts this u yet or hosts both others.
-    # Greedy never needs a load-2 vertex: every d' <= n - 6 < |H|, and
-    # a + b + c <= 2(n - 4), plus 1 for the witness, so the first two
-    # u's leave the last the room it needs.
+    # Greedy never needs a load-2 vertex, so the pool holds the demand:
+    # every d' <= n - 6 < |H|, and a + b + c <= 2(n - 4) + 1 (the
+    # witness), so the first two u's leave the last the room it needs.
     loads = [0] * (n + 1)  # indexed by vertex; 0 off H
     hosts: dict[int, set[int]] = {u: set() for u in _U_IDS}
     demand = dict(zip(_U_IDS, (a, b, c)))
-    if _witnesses(target):
+    if target == "yilma":
         w = h[below(rng, len(h))]  # rng.sample(h, 1)[0]
         for u in _U_IDS:
             hosts[u].add(w)
@@ -202,8 +204,6 @@ def _try_generate(target: str, n: int, rng: random.Random) -> Graph | None:
     for u in order:
         pool = [v for v in shuffled if loads[v] < 2]
         pool.sort(key=loads.__getitem__)
-        if len(pool) < demand[u]:
-            return None
         for v in pool[:demand[u]]:
             hosts[u].add(v)
             loads[v] += 1
@@ -215,7 +215,7 @@ def _try_generate(target: str, n: int, rng: random.Random) -> Graph | None:
     # descending then id ascending, that it is not yet paired with.  v
     # has lost fewer than loads[v] <= 3 < n - 5 pairs, so one exists, and
     # each step lowers a positive need, so the loop ends.
-    m_h = _randint(rng, m_h_min, m_h_max)
+    m_h = _randint(rng, *split)
     want = (n - 4) * (n - 5) // 2 - m_h
     need = loads.copy()
     deleted: set[int] = set()
@@ -228,16 +228,16 @@ def _try_generate(target: str, n: int, rng: random.Random) -> Graph | None:
     if len(deleted) > want:
         return None  # target m_h unreachable with these loads; retry
     # Top up with a prefix of the shuffled pairs.  Each slice adds at
-    # most the shortfall, so the set grows as a pair-by-pair walk would.
+    # most the shortfall, so the set grows as a pair-by-pair walk would,
+    # to exactly want: m_h >= 0 keeps want within the key count.
     keys = list(_pair_keys(n))
     shuffle(rng, keys)
     pos = 0
-    while len(deleted) < want and pos < len(keys):
+    while len(deleted) < want:
         short = want - len(deleted)
         deleted.update(keys[pos:pos + short])
         pos += short
-    if len(deleted) != want:
-        return None
+    del keys  # freed, as deleted below, before the shuffle and build
 
     edges: list[tuple[int, int]] = [(1, v) for v in h]
     edges += triple_pairs
@@ -245,6 +245,7 @@ def _try_generate(target: str, n: int, rng: random.Random) -> Graph | None:
         edges += [(u, v) for v in sorted(hosts[u])]
     edges += compress(combinations(h, 2),
                       map(not_, map(deleted.__contains__, _pair_keys(n))))
+    del deleted
     shuffle(rng, edges)
     return build_graph(n, edges)
 
@@ -297,7 +298,6 @@ def _schedule(count: int, n_lo: int, n_hi: int, targets: list, seed: int):
         if t not in lows:
             lows[t] = max(n_lo, min_feasible_n(t))
             if lows[t] > n_hi:
-                raise InfeasibleRegime(
-                    f"{t} needs n >= {min_feasible_n(t)} > {n_hi}")
+                raise InfeasibleRegime(f"{t} needs n >= {lows[t]} > {n_hi}")
         lo = lows[t]
         yield t, lo + (idx // len(targets)) % (n_hi - lo + 1), seed + idx

@@ -4,8 +4,8 @@
 the per-line implementations kept verbatim as the reference.  Every
 generated file, canonical or not, faulty or not, must give equal edges,
 labels, or the same exception class with the same message.
-``ref_emit_labelling`` is the per-edge f-string join the one-call
-emitter replaced; both must give the same text.
+``ref_emit_labelling`` and ``ref_emit_graph`` are the per-edge f-string
+joins the one-call emitters replaced; each pair must give the same text.
 """
 
 from __future__ import annotations
@@ -25,7 +25,12 @@ from antimagic.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from antimagic.fileio import emit_labelling, parse_graph, parse_labelling
+from antimagic.fileio import (
+    emit_graph,
+    emit_labelling,
+    parse_graph,
+    parse_labelling,
+)
 from antimagic.generator import TARGETS, min_feasible_n
 from antimagic.graph import Graph, build_graph
 from conftest import assigned
@@ -124,6 +129,12 @@ def ref_parse_labelling(text, g):
 def ref_emit_labelling(l):
     g = l.graph
     lines = [f"{u} {v} {l.label_of[eid]}" for eid, (u, v) in enumerate(g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def ref_emit_graph(g):
+    lines = [f"p {g.n} {g.m}"]
+    lines += [f"e {u} {v}" for u, v in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -399,6 +410,7 @@ def test_bulk_decoders_hand_off(kind, text, walks, monkeypatch):
 def test_emit_labelling_matches_fstring_join(target):
     for n in (min_feasible_n(target), 48):
         g = gen_instance(n, target, seed=1)
+        assert emit_graph(g) == ref_emit_graph(g)
         lab = label(g, seed=1).labelling
         assert emit_labelling(lab) == ref_emit_labelling(lab)
         # A partial labelling writes its unlabelled edges as 0.
@@ -408,5 +420,6 @@ def test_emit_labelling_matches_fstring_join(target):
 
 def test_emit_labelling_edgeless_and_single_edge():
     for g in (build_graph(1, []), build_graph(2, [(2, 1)])):
+        assert emit_graph(g) == ref_emit_graph(g)
         lab = assigned(g, [1] * g.m)
         assert emit_labelling(lab) == ref_emit_labelling(lab)

@@ -1,5 +1,6 @@
 import collections
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -65,11 +66,63 @@ def test_rejects_small_n(no_attempts, target):
 
 
 def test_min_feasible_matches_sharper_counting():
-    assert min_feasible_n("main") == 19
-    assert min_feasible_n("degen_i3") == 19
-    assert min_feasible_n("degen_i2") == 20
-    assert min_feasible_n("degen_i1") == 20
-    assert min_feasible_n("disc_triple") == 21
+    assert {t: min_feasible_n(t) for t in TARGETS} == {
+        "main": 19, "main_triple": 19, "degen_i1": 20, "degen_i2": 20,
+        "degen_i3": 19, "disc_u3_isolated": 19, "disc_triple": 21,
+        "yilma": 19}
+
+
+# -- the reference: the split search as it was -----------------------------
+
+def ref_feasible_split(target, n, a, b, c, triple_idx):
+    s = a + b + c
+    cap = 2 * (n - 4) + (1 if target == "yilma" else 0)
+    if s > cap:
+        return None
+    t_cnt = len(triple_idx)
+    # Degree caps at the u's themselves.
+    tdeg = [sum(1 for i in triple_idx
+                for x in generator._TRIPLE_PAIRS[i] if x == u)
+            for u in (2, 3, 4)]
+    if any(dp + td > n - 4 for dp, td in zip((a, b, c), tdeg)):
+        return None
+    m_h_max = ((n - 4) * (n - 5) - s) // 2
+    m_h_min = 7 * n - (n - 4) - s - t_cnt
+    if m_h_min > m_h_max:
+        return None
+    return max(0, m_h_min), m_h_max
+
+
+def ref_any_split(target, n, bounds):
+    for triple_idx in generator._TRIPLE_OPTIONS[target]:
+        for a in range(bounds[0][0], bounds[0][1] + 1):
+            for b in range(bounds[1][0], min(bounds[1][1], a) + 1):
+                for c in range(bounds[2][0], min(bounds[2][1], b) + 1):
+                    if ref_feasible_split(target, n, a, b, c, triple_idx):
+                        return True
+    return False
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_any_split_matches_the_triple_loop(target):
+    # Every n from where the d' ranges are empty to well past every
+    # threshold.
+    for n in range(-2, 91):
+        bounds = generator._dprime_bounds(target, n)
+        assert (generator._any_split(target, n, bounds)
+                == ref_any_split(target, n, bounds)), n
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS)
+def test_any_split_matches_the_triple_loop_on_other_bounds(target):
+    # Bounds the targets never ask for, where a u's degree cap, the order
+    # c <= b <= a or the capacity empties or trims the splits.
+    for n in (8, 9, 19, 20, 21, 24):
+        ranges = [(0, 0), (1, 3), (3, 1), (4, n - 6), (n - 6, n - 3),
+                  (n - 4, n - 4), (n - 5, n - 4)]
+        for bounds in itertools.product(ranges, repeat=3):
+            assert (generator._any_split(target, n, bounds)
+                    == ref_any_split(target, n, bounds)), (n, bounds)
 
 
 # SHA-256 of emit_graph(gen_instance(n, target, 1)).  At these sizes H
